@@ -29,10 +29,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.campaign.journal import (
+    JournalWriter,
     is_current_record,
     iter_journal_entries,
     iter_journal_lines,
-    terminate_partial_tail,
 )
 from repro.campaign.result import JobResult
 from repro.campaign.spec import CACHE_SCHEMA_VERSION, JobSpec, simulator_version
@@ -118,7 +118,8 @@ class ResultCache:
         self._stale = 0
         self._compacted = 0
         self._journal_lines = 0
-        self._tail_checked = False
+        # No fsync: a cache entry lost to a crash costs one re-simulation.
+        self._writer = JournalWriter(self.journal_path, fsync=False)
         self._index: Dict[str, JobResult] = {}
         # One instance may be shared between the runner's thread and a
         # CacheServer's connection handlers; all index/journal mutation
@@ -298,23 +299,9 @@ class ResultCache:
                 "spec": spec.to_dict(),
                 "result": result.to_dict(),
             }
-            self.directory.mkdir(parents=True, exist_ok=True)
-            self._ensure_trailing_newline()
-            with self.journal_path.open("a") as journal:
-                journal.write(json.dumps(record, sort_keys=True) + "\n")
+            # (A torn tail terminated here was already counted by ``_load``.)
+            self._writer.append([record])
             self._journal_lines += 1
-
-    def _ensure_trailing_newline(self) -> None:
-        """Terminate a half-written tail line so an append cannot merge into it.
-
-        The partial line already counted as a (corrupt) journal line in
-        ``_load``; terminating it does not add one.  Checked once per
-        instance.
-        """
-        if self._tail_checked:
-            return
-        self._tail_checked = True
-        terminate_partial_tail(self.journal_path)
 
     def clear(self) -> int:
         """Delete the journal; returns how many usable entries were dropped.
@@ -339,7 +326,7 @@ class ResultCache:
             self._stale = 0
             self._compacted = 0
             self._journal_lines = 0
-            self._tail_checked = False
+            self._writer.rearm()
             return dropped
 
     def stats(self) -> CacheStats:

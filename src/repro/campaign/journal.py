@@ -1,12 +1,13 @@
 """Shared JSONL-journal helpers.
 
-Both append-only journals in the repository -- the campaign
-:class:`~repro.campaign.cache.ResultCache` and the scenario
-:class:`~repro.scenarios.sink.ResultSink` -- share their on-disk behaviour:
-one JSON object per line, corrupt lines tolerated (a killed writer's
-half-written tail), and records filtered by cache schema and simulator
-version on load.  That behaviour lives here once so the two journals cannot
-diverge.
+Every append-only journal in the repository -- the campaign
+:class:`~repro.campaign.cache.ResultCache`, the scenario
+:class:`~repro.scenarios.sink.ResultSink`, the service
+:class:`~repro.service.queue.JobQueue` and the telemetry journal -- shares
+its on-disk behaviour: one JSON object per line, corrupt lines tolerated (a
+killed writer's half-written tail), and records filtered by schema and
+simulator version on load.  That behaviour lives here once so the journals
+cannot diverge; :class:`JournalWriter` is the package's only append path.
 
 Iteration is *streaming*: :func:`iter_journal_entries` reads the file one
 line at a time (never the whole journal into memory) and reports the byte
@@ -20,8 +21,9 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.campaign.spec import CACHE_SCHEMA_VERSION, simulator_version
 
@@ -105,8 +107,6 @@ def terminate_partial_tail(path: Path) -> None:
     """Append a newline if ``path`` ends mid-line (a killed writer's tail).
 
     No-op when the file is missing, empty, or already newline-terminated.
-    Callers should invoke this once before their first append to an existing
-    journal.
     """
     if not path.exists() or path.stat().st_size == 0:
         return
@@ -116,3 +116,44 @@ def terminate_partial_tail(path: Path) -> None:
     if not ends_clean:
         with path.open("a") as journal:
             journal.write("\n")
+
+
+class JournalWriter:
+    """The one append path of every journal: a batch of records, one commit.
+
+    :meth:`append` lands the records (canonical ``sort_keys`` JSON, one per
+    line) with a single write and -- where the client's fixed policy asks for
+    durability (sink, queue, telemetry: yes; cache: no, a lost entry costs one
+    re-simulation) -- a single ``fsync``.  A single record is a batch of one.
+
+    A tail that a killed writer left without its newline is terminated before
+    the first append (a record merged into it would corrupt both), once per
+    writer; a client that unlinks its journal calls :meth:`rearm`, because
+    another process may re-create the file with a partial tail.
+    """
+
+    def __init__(self, path: Path, fsync: bool):
+        self.path = path
+        self.fsync = fsync
+        self._tail_checked = False
+
+    def rearm(self) -> None:
+        """Repair the tail again before the next append (journal unlinked)."""
+        self._tail_checked = False
+
+    def append(self, records: Sequence[Mapping[str, object]]) -> float:
+        """Commit ``records`` together; returns the seconds spent in fsync."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        if not self._tail_checked:
+            self._tail_checked = True
+            terminate_partial_tail(self.path)
+        lines = "".join(json.dumps(record, sort_keys=True) + "\n"
+                        for record in records)
+        with self.path.open("a") as journal:
+            journal.write(lines)
+            if not self.fsync:
+                return 0.0
+            journal.flush()
+            started = time.perf_counter()
+            os.fsync(journal.fileno())
+            return time.perf_counter() - started

@@ -10,9 +10,10 @@ by (engine-qualified) content hash.  ``Planner.run`` then:
 2. groups the remaining jobs by pinned engine and splits them into shards,
    each submitted through the existing
    :class:`~repro.campaign.runner.CampaignRunner` (cache-first, deduped,
-   parallel workers) with a progress hook that appends one sink record the
-   moment each job completes -- a killed run therefore loses at most the
-   in-flight jobs, never the finished ones;
+   parallel workers) with a progress hook that commits one sink record the
+   moment each simulated job completes (cache-served records share one
+   commit, see :meth:`ResultSink.append`) -- a killed run therefore loses
+   at most the in-flight jobs, never finished simulation work;
 3. returns a :class:`ScenarioRun` whose records follow plan order, mixing
    resumed and freshly simulated points indistinguishably.
 
@@ -44,7 +45,7 @@ from repro.telemetry.recorder import RECORDER
 from repro.workloads.problems import problem_global_size
 
 #: Default shard size: ``None`` submits one shard per engine group.  The sink
-#: is appended per *job* (the campaign progress hook fires on every
+#: is fed per *job* (the campaign progress hook fires on every
 #: completion), so smaller shards buy nothing on the happy path -- chunking
 #: exists for callers that want to bound how much work a single
 #: campaign-runner call (and its worker pool) owns.
@@ -255,6 +256,14 @@ class Planner:
         failures: List[JobFailure] = []
         completed = [0]
         total_pending = len(pending)
+        # Cache-served records (a resume re-serves them for free) awaiting
+        # the one sink commit they share.
+        held: List[SinkRecord] = []
+
+        def commit_held():
+            if held:
+                sink.append(held)
+                held.clear()
 
         with RECORDER.span("scenario.run", scenario=scenario.name,
                            scale=context.scale, jobs=total_pending):
@@ -276,7 +285,10 @@ class Planner:
                             meta=job.meta,
                         )
                         done[job.key()] = record
-                        if sink is not None:
+                        if sink is not None and outcome.from_cache:
+                            held.append(record)
+                        elif sink is not None:
+                            commit_held()     # sink order = completion order
                             sink.append(record)
                         if progress is not None:
                             progress(completed[0], total_pending, record)
@@ -289,7 +301,10 @@ class Planner:
                 # it executes), so the runner's executor -- and its warm
                 # process pool or connected fleet -- survives across
                 # engine-grouped shards instead of being rebuilt per shard.
-                runner.run(campaign, progress=on_job, engine=engine)
+                try:
+                    runner.run(campaign, progress=on_job, engine=engine)
+                finally:
+                    commit_held()   # also when the runner raises
 
         executed = total_pending - len(failures)
         stats = PlanStats(

@@ -1,13 +1,13 @@
 """Streaming scenario result sink: one JSONL record per completed job.
 
 The :class:`ResultSink` is the persistence layer of a scenario run.  Every
-time the planner finishes a grid point it appends one JSON object (the job
-key, the full spec, the result summary and the planner's metadata tags) to
-the sink file and flushes -- so a run killed mid-grid leaves a readable
-journal behind, and a subsequent ``repro scenario resume`` executes only the
-jobs whose keys are not yet present.  A partially written trailing line
-(the usual artefact of a hard kill) is skipped on load, exactly like the
-campaign cache journal.
+grid point the planner finishes becomes one JSON object (the job key, the
+full spec, the result summary and the planner's metadata tags) in the sink
+file, fsynced under the contract :meth:`ResultSink.append` states -- so a
+run killed mid-grid leaves a readable journal behind, and a subsequent
+``repro scenario resume`` executes only the jobs whose keys are not yet
+present.  A partially written trailing line (the usual artefact of a hard
+kill) is skipped on load, exactly like the campaign cache journal.
 
 The sink is scoped per ``(scenario, scale)`` pair by default (see
 :func:`default_sink_path`); records written under a different simulator
@@ -17,17 +17,16 @@ touching the file.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, Mapping, Optional, Union
+from typing import Dict, Iterator, Mapping, Sequence, Union
 
 from repro.campaign.journal import (
+    JournalWriter,
     is_current_record,
     iter_journal_lines,
-    terminate_partial_tail,
 )
 from repro.campaign.result import JobResult
 from repro.campaign.spec import CACHE_SCHEMA_VERSION, simulator_version
@@ -112,7 +111,7 @@ class ResultSink:
         self.path = path if path.is_absolute() else Path.cwd() / path
         self.appended = 0          # records written by this instance
         self.skipped = 0           # unusable lines seen by the last load()
-        self._tail_checked = False
+        self._writer = JournalWriter(self.path, fsync=True)
 
     # ------------------------------------------------------------------
     def exists(self) -> bool:
@@ -151,36 +150,34 @@ class ResultSink:
             records[record.key] = record
         return records
 
-    def _ensure_trailing_newline(self) -> None:
-        """Terminate a half-written tail line before the first append.
+    def append(self, records: Union[SinkRecord, Sequence[SinkRecord]]) -> None:
+        """Commit one record, or several together: the sink's write boundary.
 
-        A killed run can leave the journal without a final newline; appending
-        straight after it would merge the new record into the partial line
-        and corrupt both.  Checked once per sink instance.
+        The records of one call share a single write and a single ``fsync``
+        and are on disk when it returns.  The planner commits each *simulated*
+        record before the next job starts (a kill never loses finished
+        simulation work) and holds *cache-served* records until the next
+        simulated record or the end of ``Planner.run``.  A kill can therefore
+        lose the uncommitted cache-served records of the current runner call
+        (and tear the line being written, which ``load`` skips); the cache
+        journal holds every one of them, so ``repro scenario resume``
+        re-serves them without simulating anything.
         """
-        if self._tail_checked:
-            return
-        self._tail_checked = True
-        terminate_partial_tail(self.path)
-
-    def append(self, record: SinkRecord) -> None:
-        """Persist one record immediately (flushed, so kills lose at most one)."""
+        if isinstance(records, SinkRecord):
+            records = (records,)
         started = time.perf_counter() if RECORDER.enabled else 0.0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._ensure_trailing_newline()
-        with self.path.open("a") as journal:
-            journal.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-            journal.flush()
-            fsync_started = time.perf_counter() if RECORDER.enabled else 0.0
-            os.fsync(journal.fileno())
-            if RECORDER.enabled:
-                now = time.perf_counter()
-                RECORDER.observe("sink.fsync_seconds", now - fsync_started)
-                RECORDER.observe("sink.append_seconds", now - started)
-                RECORDER.count("sink.appends")
-        self.appended += 1
+        fsync_seconds = self._writer.append(
+            [record.to_dict() for record in records])
+        if RECORDER.enabled:
+            RECORDER.observe("sink.fsync_seconds", fsync_seconds)
+            RECORDER.observe("sink.append_seconds",
+                             time.perf_counter() - started)
+            RECORDER.count("sink.appends", len(records))
+        self.appended += len(records)
 
     def reset(self) -> None:
-        """Delete the journal (``repro scenario run --fresh``)."""
+        """Delete the journal (``repro scenario run --fresh``); like
+        ``ResultCache.clear`` it re-arms the tail check for the next file."""
         if self.path.exists():
             self.path.unlink()
+        self._writer.rearm()

@@ -2,8 +2,8 @@
 
 Every lifecycle transition of every job appends exactly one JSON object to
 ``jobs.jsonl`` -- the same storage discipline (and the same shared helpers:
-:func:`~repro.campaign.journal.terminate_partial_tail` tail repair,
-:func:`~repro.campaign.journal.iter_journal_lines` tolerant streaming reads)
+:class:`~repro.campaign.journal.JournalWriter` fsynced appends with tail
+repair, :func:`~repro.campaign.journal.iter_journal_lines` tolerant reads)
 as the campaign cache and scenario sinks, so a ``kill -9``'d server can at
 worst lose the line it was mid-writing, never corrupt the file.
 
@@ -21,13 +21,12 @@ sink's: the daemon may change its working directory after opening the queue.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.campaign.journal import iter_journal_lines, terminate_partial_tail
+from repro.campaign.journal import JournalWriter, iter_journal_lines
 from repro.service.schemas import Job, JobRequest, new_job_id
 from repro.telemetry.recorder import RECORDER
 
@@ -62,7 +61,7 @@ class JobQueue:
         self.path = path if path.is_absolute() else Path.cwd() / path
         self._jobs: Dict[str, Job] = {}
         self._pending: List[str] = []
-        self._tail_checked = False
+        self._writer = JournalWriter(self.path, fsync=True)
         self.recovered = 0              # jobs folded running -> pending on load
         self._load()
 
@@ -116,14 +115,7 @@ class JobQueue:
     def _append(self, record: Dict[str, object]) -> None:
         record = {"queue_schema": QUEUE_SCHEMA_VERSION,
                   "time": time.time(), **record}
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if not self._tail_checked:
-            self._tail_checked = True
-            terminate_partial_tail(self.path)
-        with self.path.open("a") as journal:
-            journal.write(json.dumps(record, sort_keys=True) + "\n")
-            journal.flush()
-            os.fsync(journal.fileno())
+        self._writer.append([record])
 
     # ------------------------------------------------------------------
     def submit(self, request: JobRequest, client: str = "") -> Job:

@@ -3,10 +3,11 @@
 Telemetry persists exactly like results do -- one JSON object per line in an
 append-only journal, written only by the parent CLI process (workers buffer
 in their recorder scope and ship payloads back on the job result).  The file
-shares the campaign journal's tail-repair semantics via
-:func:`~repro.campaign.journal.terminate_partial_tail`, so a killed run
-cannot corrupt the next append, and the warehouse ingests it incrementally
-by byte offset just like the cache and sink journals.
+shares the campaign journals' one append path
+(:class:`~repro.campaign.journal.JournalWriter`: tail repair, one fsync per
+flush), so a killed run cannot corrupt the next append, and the warehouse
+ingests it incrementally by byte offset just like the cache and sink
+journals.
 
 Two record kinds share the file:
 
@@ -21,7 +22,6 @@ re-writing history.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -108,7 +108,7 @@ def flush(recorder: Optional[Recorder] = None,
     the journal file is then not even created).  The scope restarts empty,
     so back-to-back flushes journal deltas, never duplicates.
     """
-    from repro.campaign.journal import terminate_partial_tail
+    from repro.campaign.journal import JournalWriter
 
     recorder = RECORDER if recorder is None else recorder
     payload = recorder.drain()
@@ -116,13 +116,7 @@ def flush(recorder: Optional[Recorder] = None,
     if not records:
         return 0
     target = Path(path).expanduser() if path else default_journal_path()
-    target.parent.mkdir(parents=True, exist_ok=True)
-    terminate_partial_tail(target)
-    with target.open("a") as journal:
-        for record in records:
-            journal.write(json.dumps(record, sort_keys=True) + "\n")
-        journal.flush()
-        os.fsync(journal.fileno())
+    JournalWriter(target, fsync=True).append(records)
     return len(records)
 
 

@@ -7,6 +7,8 @@ tests) exercises the larger scales.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import settings
 
@@ -38,6 +40,20 @@ def pytest_addoption(parser):
 def update_golden(request) -> bool:
     """True when the run should rewrite the golden fixtures."""
     return request.config.getoption("--update-golden")
+
+
+@pytest.fixture
+def fsynced(monkeypatch):
+    """Inode of the file behind every ``os.fsync`` call, in call order."""
+    inodes = []
+    real_fsync = os.fsync
+
+    def counting(fd):
+        inodes.append(os.fstat(fd).st_ino)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting)
+    return inodes
 
 
 @pytest.fixture

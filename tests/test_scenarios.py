@@ -7,10 +7,12 @@ scenarios against the pre-refactor experiment drivers.
 """
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from repro.campaign.cache import ResultCache
 from repro.campaign.runner import CampaignRunner
 from repro.experiments.ablation import (
     boundedness_record_from_job,
@@ -401,3 +403,152 @@ class TestSinkStreaming:
             journal.write(first_line + "\n")
         loaded = sink.load()
         assert len(loaded) == 2            # still one record per key
+
+
+# ----------------------------------------------------------------------
+# Group commit: cache-served records share one sink fsync
+# ----------------------------------------------------------------------
+WIDE = ("lws=1", "lws=2", "lws=4")          # 2 configs x 3 lws = 6 unique jobs
+
+
+def cached_planner(directory):
+    """A planner on a fresh :class:`ResultCache` instance over ``directory``."""
+    return Planner(CampaignRunner(cache=ResultCache(directory)))
+
+
+def sink_keys(path):
+    return [json.loads(line)["key"] for line in path.read_text().splitlines()]
+
+
+class TestSinkGroupCommit:
+    def test_all_hit_run_shares_one_fsync(self, tmp_path, fsynced):
+        scenario = tiny_scenario(strategies=WIDE)
+        cached_planner(tmp_path / "cache").run(scenario, SMOKE)
+        del fsynced[:]
+        sink = ResultSink(tmp_path / "warm.jsonl")
+        run = cached_planner(tmp_path / "cache").run(scenario, SMOKE, sink=sink)
+        assert run.stats.unique == 6
+        assert all(r.result.from_cache for r in run.records)
+        assert fsynced == [sink.path.stat().st_ino]          # exactly one
+        assert sink.appended == 6
+        assert len(ResultSink(sink.path).load()) == 6
+
+    def test_cold_run_commits_every_record_on_its_own(self, tmp_path, fsynced):
+        sink = ResultSink(tmp_path / "cold.jsonl")
+        run = Planner().run(tiny_scenario(strategies=WIDE), SMOKE, sink=sink)
+        assert not any(r.result.from_cache for r in run.records)
+        assert fsynced == [sink.path.stat().st_ino] * 6
+
+    def test_mixed_run_commits_hits_once_then_each_miss(self, tmp_path, fsynced):
+        # Two of the six points are already cached: the runner serves those
+        # first, then simulates the other four.
+        cached_planner(tmp_path / "cache").run(
+            tiny_scenario(strategies=WIDE[:1]), SMOKE)
+        del fsynced[:]
+        sink = ResultSink(tmp_path / "mixed.jsonl")
+        completions = []
+        cached_planner(tmp_path / "cache").run(
+            tiny_scenario(strategies=WIDE), SMOKE, sink=sink,
+            progress=lambda done, total, record: completions.append(record))
+        assert [r.result.from_cache for r in completions] == \
+               [True, True, False, False, False, False]
+        assert fsynced == [sink.path.stat().st_ino] * (1 + 4)
+        # sink order is completion order: every hit before the first miss
+        assert sink_keys(sink.path) == [r.key for r in completions]
+
+    def test_hits_reach_the_sink_when_the_runner_raises(self, tmp_path):
+        class Exploding:
+            def execute(self, tasks):
+                raise RuntimeError("fleet lost")
+
+            def close(self):
+                pass
+
+        cached_planner(tmp_path / "cache").run(
+            tiny_scenario(strategies=WIDE[:1]), SMOKE)
+        sink = ResultSink(tmp_path / "raised.jsonl")
+        runner = CampaignRunner(cache=ResultCache(tmp_path / "cache"),
+                                executor=Exploding())
+        with pytest.raises(RuntimeError, match="fleet lost"):
+            Planner(runner).run(tiny_scenario(strategies=WIDE), SMOKE, sink=sink)
+        loaded = ResultSink(sink.path).load()
+        assert len(loaded) == 2
+        assert {r.spec["local_size"] for r in loaded.values()} == {1}
+
+    def test_batched_sink_is_byte_identical_to_per_record_appends(self, tmp_path):
+        scenario = tiny_scenario(strategies=WIDE)
+        cached_planner(tmp_path / "cache").run(scenario, SMOKE)
+        batched = ResultSink(tmp_path / "batched.jsonl")
+        completions = []
+        cached_planner(tmp_path / "cache").run(
+            scenario, SMOKE, sink=batched,
+            progress=lambda done, total, record: completions.append(record))
+        one_by_one = ResultSink(tmp_path / "one-by-one.jsonl")
+        for record in completions:
+            one_by_one.append(record)
+        assert batched.path.read_bytes() == one_by_one.path.read_bytes()
+        # ...which are the bytes the pre-batching sink wrote: one canonical
+        # JSON object per line, in completion order.
+        assert batched.path.read_text() == "".join(
+            json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in completions)
+
+    def test_reset_rearms_tail_repair(self, tmp_path):
+        # Mirror of the cache's clear() test: after reset() another writer
+        # may re-create the journal with a partial tail, which the next
+        # append must terminate instead of merging into.
+        sink = ResultSink(tmp_path / "tiny.jsonl")
+        run = Planner().run(tiny_scenario(), SMOKE, sink=sink)
+        sink.reset()
+        sink.path.write_text('{"key": "partial"')                # no newline
+        sink.append(run.records[0])
+        reloaded = ResultSink(sink.path)
+        assert list(reloaded.load()) == [run.records[0].key]
+        assert reloaded.skipped == 1
+
+
+class TestBatchCrashPoints:
+    def test_every_truncation_of_a_batch_resumes_for_free(self, tmp_path,
+                                                          monkeypatch):
+        # One committed record, then a five-record batch; a kill is simulated
+        # at *every* byte of the batch.  Truncation stands in for the crash,
+        # so real fsyncs would only add wall time.
+        monkeypatch.setattr(os, "fsync", lambda fd: None)
+        scenario = tiny_scenario(strategies=WIDE)
+        cached_planner(tmp_path / "cache").run(scenario, SMOKE)
+        records = []
+        cached_planner(tmp_path / "cache").run(
+            scenario, SMOKE,
+            progress=lambda done, total, record: records.append(record))
+        keys = [r.key for r in records]
+        full = ResultSink(tmp_path / "full.jsonl")
+        full.append(records[0])
+        before = full.path.stat().st_size
+        full.append(records[1:])
+        data = full.path.read_bytes()
+        uninterrupted = {key: r.result for key, r in full.load().items()}
+        assert list(uninterrupted) == keys
+
+        cache = ResultCache(tmp_path / "cache")
+        planner = Planner(CampaignRunner(cache=cache))
+        plan = planner.plan(scenario, SMOKE)
+        victim = tmp_path / "victim.jsonl"
+        for size in range(before, len(data) + 1):
+            victim.write_bytes(data[:size])
+            sink = ResultSink(victim)
+            run = planner.run(scenario, SMOKE, sink=sink, plan=plan)
+            # What run()'s sink.load() found is a whole-record prefix of the
+            # batch (a record missing only its newline is whole) with at most
+            # the one torn line unusable; the rest was re-served, not run.
+            # (Records loaded from the sink never carry from_cache.)
+            whole = 1 + data[before:size + 1].count(b"\n")
+            assert [r.key for r in run.records
+                    if not r.result.from_cache] == keys[:whole]
+            assert run.stats.resumed == whole
+            assert sink.skipped <= 1
+            # The re-served records landed on their own lines (tail repair):
+            # still only the torn line is lost, and the fold is complete.
+            reloaded = ResultSink(victim)
+            folded = {key: r.result for key, r in reloaded.load().items()}
+            assert folded == uninterrupted
+            assert reloaded.skipped == sink.skipped
+        assert cache.misses == 0                     # nothing was simulated

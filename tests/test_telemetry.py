@@ -238,6 +238,34 @@ class TestCampaignTelemetry:
                [simulated(r) for r in on.results]
 
 
+class TestSinkTelemetry:
+    def test_appends_count_records_and_timings_count_commits(self, telemetry_on,
+                                                             tmp_path):
+        from repro.scenarios import REGISTRY, Planner, ResultSink, ScenarioContext
+
+        scenario = REGISTRY.get("scaling")
+        context = ScenarioContext(scale="smoke", sweep="smoke")
+
+        def run(name):
+            planner = Planner(CampaignRunner(cache=ResultCache(tmp_path / "cache")))
+            RECORDER.reset()
+            stats = planner.run(scenario, context,
+                                sink=ResultSink(tmp_path / name)).stats
+            snapshot = RECORDER.snapshot()
+            return (stats.unique, snapshot["counters"]["sink.appends"],
+                    snapshot["histograms"]["sink.append_seconds"]["count"],
+                    snapshot["histograms"]["sink.fsync_seconds"]["count"])
+
+        unique, appends, append_obs, fsync_obs = run("cold.jsonl")
+        assert appends == append_obs == fsync_obs == unique    # one commit each
+        unique, appends, append_obs, fsync_obs = run("warm.jsonl")
+        assert appends == unique                    # still counts *records*
+        assert append_obs == fsync_obs == 1         # ...in one shared commit
+        # the same records either way (elapsed_seconds is the cached value)
+        assert (tmp_path / "cold.jsonl").read_bytes() == \
+               (tmp_path / "warm.jsonl").read_bytes()
+
+
 # ----------------------------------------------------------------------
 # Journal
 # ----------------------------------------------------------------------
