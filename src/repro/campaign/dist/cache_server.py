@@ -28,7 +28,12 @@ import threading
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.dist.protocol import Connection, ProtocolError, connect
+from repro.campaign.dist.protocol import (
+    Connection,
+    ProtocolError,
+    connect,
+    shutdown_and_close,
+)
 from repro.campaign.result import JobResult
 from repro.campaign.spec import JobSpec
 from repro.telemetry.recorder import RECORDER
@@ -129,15 +134,12 @@ class CacheServer:
         if self._closing:
             return
         self._closing = True
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        shutdown_and_close(self._listener)
         with self._lock:
             connections = list(self._connections)
         for connection in connections:
             connection.close()
-        self._accept_thread.join(timeout=5.0)
+        self._accept_thread.join(timeout=5.0)   # backstop; woken above
 
 
 class CacheClient:

@@ -53,6 +53,7 @@ from repro.campaign.dist.protocol import (
     Connection,
     ProtocolError,
     format_address,
+    shutdown_and_close,
 )
 from repro.campaign.executor import ExecutorCompletion, ExecutorTask
 from repro.campaign.result import JobFailure, JobResult
@@ -137,7 +138,7 @@ class DistributedExecutor:
         self._next_task_id = 0
         self._next_worker_id = 0
         self._next_submission_id = 0
-        self._closing = False
+        self._closing = threading.Event()
         self._local_processes: List[subprocess.Popen] = []
         self._listener = socket.create_server((host, port))
         self.cache_server = (CacheServer(cache, host=host)
@@ -193,7 +194,7 @@ class DistributedExecutor:
     # Executor protocol
     def execute(self, tasks: Sequence[ExecutorTask]):
         """Queue every task for the fleet; yield completions as they land."""
-        if self._closing:
+        if self._closing.is_set():
             raise RuntimeError("executor is closed")
         with self._wake:
             submission = _Submission(self._next_submission_id)
@@ -212,7 +213,7 @@ class DistributedExecutor:
             except queue.Empty:
                 with self._lock:
                     fleet_empty = not self._workers
-                    closing = self._closing
+                    closing = self._closing.is_set()
                 if not fleet_empty:
                     fleet_empty_since = None
                     continue
@@ -253,7 +254,7 @@ class DistributedExecutor:
     # ------------------------------------------------------------------
     # accept / reader
     def _accept_loop(self) -> None:
-        while not self._closing:
+        while not self._closing.is_set():
             try:
                 sock, _ = self._listener.accept()
             except OSError:
@@ -383,9 +384,9 @@ class DistributedExecutor:
     def _dispatch_loop(self) -> None:
         while True:
             with self._wake:
-                while not self._closing and not (self._pending and self._idle):
+                while not self._closing.is_set() and not (self._pending and self._idle):
                     self._wake.wait(timeout=0.5)
-                if self._closing:
+                if self._closing.is_set():
                     return
                 worker = self._idle.popleft()
                 if not worker.alive:
@@ -415,8 +416,7 @@ class DistributedExecutor:
                 self._worker_lost(worker)  # re-queues the chunk immediately
 
     def _monitor_loop(self) -> None:
-        while not self._closing:
-            time.sleep(self.heartbeat_interval)
+        while not self._closing.wait(self.heartbeat_interval):
             cutoff = time.time() - self.heartbeat_timeout
             with self._lock:
                 stale = [worker for worker in self._workers.values()
@@ -433,10 +433,10 @@ class DistributedExecutor:
         Idempotent.  Queued-but-unfinished tasks of any still-iterating
         ``execute()`` call fail with "executor closing".
         """
-        if self._closing:
+        if self._closing.is_set():
             return
         with self._wake:
-            self._closing = True
+            self._closing.set()
             workers = list(self._workers.values())
             self._wake.notify_all()
         for worker in workers:
@@ -445,10 +445,7 @@ class DistributedExecutor:
             except OSError:
                 pass
             worker.connection.close()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        shutdown_and_close(self._listener)
         if self.cache_server is not None:
             self.cache_server.close()
         for process in self._local_processes:
@@ -458,7 +455,7 @@ class DistributedExecutor:
                 process.kill()
                 process.wait(timeout=5.0)
         for thread in self._threads:
-            thread.join(timeout=5.0)
+            thread.join(timeout=5.0)      # backstop; every loop was woken
 
     def __enter__(self) -> "DistributedExecutor":
         return self

@@ -119,14 +119,21 @@ class Connection:
         if self._closed:
             return
         self._closed = True
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        shutdown_and_close(self.sock)
+
+
+def shutdown_and_close(sock: socket.socket) -> None:
+    """Close ``sock`` *and* wake any thread parked in its ``recv()`` or
+    ``accept()`` -- ``close()`` alone leaves such a thread blocked; after the
+    shutdown its call returns (EOF or ``OSError``)."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
 
 
 def connect(address: Union[str, Tuple[str, int]],

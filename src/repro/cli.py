@@ -45,8 +45,7 @@ recorded: ``sync`` ingests the cache, sink *and telemetry* journals
 incrementally, ``rebuild`` re-derives the whole store (and proves parity
 against the journals), ``status``/``query``/``report`` answer
 cross-campaign questions without re-parsing a single JSONL file.  The
-backend is stdlib sqlite by default; ``REPRO_WAREHOUSE_BACKEND=duckdb``
-selects DuckDB where installed.
+store is stdlib sqlite (``warehouse.sqlite`` next to the cache).
 
 ``--telemetry`` (or ``REPRO_TELEMETRY=1``) records spans and metrics for
 the whole invocation -- planner expansion, per-job execution and queue
@@ -289,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "last-sync offsets instead of raw journal lines)")
     cstatus.add_argument("--db", default=None,
                          help="warehouse database path (with --source warehouse)")
-    cstatus.add_argument("--backend", choices=("sqlite", "duckdb"), default=None,
-                         help="warehouse backend (with --source warehouse)")
     cstatus.add_argument("--json", action="store_true",
                          help="emit the status as JSON instead of text")
     cclear = campaign_sub.add_parser("clear-cache", parents=[_cache_options(no_cache=False)],
@@ -348,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "covers the sink, journal otherwise; default)")
     sreport.add_argument("--db", default=None,
                          help="warehouse database path (for --source warehouse/auto)")
-    sreport.add_argument("--backend", choices=("sqlite", "duckdb"), default=None,
-                         help="warehouse backend (for --source warehouse/auto)")
     sreport.add_argument("--json", action="store_true",
                          help="emit the run (stats + per-point records) as "
                               "JSON instead of the human report")
@@ -364,22 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "incrementally by byte offset, rebuild re-derives the "
                     "whole store and proves the rows bit-equal to the "
                     "journals' last-wins view.",
-        epilog="Backend: stdlib sqlite by default; select DuckDB with "
-               "--backend duckdb or REPRO_WAREHOUSE_BACKEND=duckdb "
-               "(explicit error if the duckdb package is missing -- never a "
-               "silent fallback).  The database lives next to the cache "
-               "(warehouse.<backend>) unless --db or REPRO_WAREHOUSE_PATH "
-               "says otherwise.",
+        epilog="The store is stdlib sqlite.  The database lives next to "
+               "the cache (warehouse.sqlite) unless --db or "
+               "REPRO_WAREHOUSE_PATH says otherwise.",
     )
     warehouse_sub = warehouse.add_subparsers(dest="warehouse_command", required=True)
     wh_common = argparse.ArgumentParser(add_help=False)
     wh_common.add_argument("--db", default=None,
                            help="warehouse database path (default: "
-                                "<cache dir>/warehouse.<backend>, or "
+                                "<cache dir>/warehouse.sqlite, or "
                                 "$REPRO_WAREHOUSE_PATH)")
-    wh_common.add_argument("--backend", choices=("sqlite", "duckdb"), default=None,
-                           help="storage backend (default: "
-                                "$REPRO_WAREHOUSE_BACKEND or sqlite)")
     wh_journals = argparse.ArgumentParser(add_help=False)
     wh_journals.add_argument("--cache-dir", default=None,
                              help="campaign cache directory to ingest "
@@ -487,9 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 10; 0 disables)")
     serve.add_argument("--burst", type=int, default=20,
                        help="per-client burst allowance (default 20)")
-    serve.add_argument("--backend", choices=("stdlib", "uvicorn"),
-                       default="stdlib",
-                       help="HTTP serving backend (uvicorn only if installed)")
     serve.add_argument("--executor", choices=("local", "dist"),
                        default="local",
                        help="where jobs execute: per-job process pools "
@@ -659,7 +645,7 @@ def _cmd_campaign(args) -> int:
             # Million-row status is a SQL aggregate over the synced store,
             # not a full JSONL re-parse.
             try:
-                with _closing_store(args.db, args.backend) as store:
+                with _closing_store(args.db) as store:
                     print(json.dumps(status_payload(store), indent=2)
                           if args.json else render_status(store))
             except WarehouseError as error:
@@ -726,17 +712,17 @@ def _make_executor(args, cache):
 
 
 # ----------------------------------------------------------------------
-def _closing_store(db, backend, read_only: bool = False):
+def _closing_store(db, read_only: bool = False):
     """An ``open_store`` wrapped so every CLI exit path closes the handle."""
     import contextlib
 
-    return contextlib.closing(open_store(db, backend=backend, read_only=read_only))
+    return contextlib.closing(open_store(db, read_only=read_only))
 
 
 def _cmd_warehouse(args) -> int:
     try:
         if args.warehouse_command == "sync":
-            with _closing_store(args.db, args.backend) as store:
+            with _closing_store(args.db) as store:
                 report = warehouse_sync(store, cache_dir=args.cache_dir,
                                         scenario_dir=args.scenario_dir,
                                         telemetry_dir=args.telemetry_dir,
@@ -745,7 +731,7 @@ def _cmd_warehouse(args) -> int:
             return 0
 
         if args.warehouse_command == "rebuild":
-            with _closing_store(args.db, args.backend) as store:
+            with _closing_store(args.db) as store:
                 report = warehouse_rebuild(store, cache_dir=args.cache_dir,
                                            scenario_dir=args.scenario_dir,
                                            telemetry_dir=args.telemetry_dir)
@@ -763,13 +749,13 @@ def _cmd_warehouse(args) -> int:
             return 0
 
         if args.warehouse_command == "status":
-            with _closing_store(args.db, args.backend) as store:
+            with _closing_store(args.db) as store:
                 print(render_status(store))
             return 0
 
         if args.warehouse_command == "query":
             # Read-only connection: raw SQL physically cannot write.
-            with _closing_store(args.db, args.backend, read_only=True) as store:
+            with _closing_store(args.db, read_only=True) as store:
                 print(run_sql(store, args.sql).render())
             return 0
 
@@ -779,7 +765,7 @@ def _cmd_warehouse(args) -> int:
                     for canned in CANNED.values()]
             print(render_table(["query", "answers"], rows))
             return 0
-        with _closing_store(args.db, args.backend, read_only=True) as store:
+        with _closing_store(args.db, read_only=True) as store:
             result = run_canned(store, args.name)
             print(result.render())
             if not result.rows:
@@ -817,7 +803,7 @@ def _report_source(args, sink: ResultSink):
     """
     if args.source == "journal":
         return sink
-    store = open_store(args.db, backend=args.backend)
+    store = open_store(args.db)
     if journal_synced(store, sink.path):
         return WarehouseSinkView(store, sink.path)
     store.close()
@@ -960,7 +946,6 @@ def _cmd_serve(args) -> int:
                      if service.cache is not None else "off"),
               pending=service.queue.pending_count())
     run_server(service.app, host=args.host, port=args.port,
-               backend=args.backend,
                startup=service.startup, shutdown=service.shutdown)
     return 0
 

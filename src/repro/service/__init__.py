@@ -2,10 +2,9 @@
 
 ``repro serve`` runs it; see :mod:`repro.service.routes` for the endpoint
 map, :mod:`repro.service.queue` for the durable queue semantics and
-:mod:`repro.service.server` for the stdlib serving path.
+:mod:`repro.service.server` for routing and the stdlib HTTP server.
 """
 
-from repro.service.app import App, JSONResponse, Request, Response
 from repro.service.queue import JobQueue, default_queue_path, default_service_dir
 from repro.service.rate_limit import RateLimiter
 from repro.service.routes import Service, ServiceConfig, create_app
@@ -15,7 +14,14 @@ from repro.service.schemas import (
     ValidationError,
     validate_request,
 )
-from repro.service.server import ServerThread, serve
+from repro.service.server import (
+    App,
+    JSONResponse,
+    Request,
+    Response,
+    ServerThread,
+    serve,
+)
 from repro.service.worker import EventBook, WorkerPool
 
 __all__ = [

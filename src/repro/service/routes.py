@@ -11,8 +11,9 @@
 
 :class:`Service` owns the long-lived pieces (queue, shared result cache,
 worker pool, event book, rate limiter) and :func:`create_app` binds them
-onto the stdlib ASGI app.  Construction is cheap and lazy -- the pool's
-workers only start inside :meth:`Service.startup` on the serving loop.
+onto a :class:`~repro.service.server.App`.  Construction is cheap and lazy
+-- the pool's workers only start inside :meth:`Service.startup` on the
+serving loop.
 """
 
 from __future__ import annotations
@@ -22,16 +23,16 @@ from pathlib import Path
 from typing import Optional
 
 from repro.campaign.cache import ResultCache, default_cache_dir
-from repro.service.app import (
+from repro.service.queue import JobQueue, default_service_dir
+from repro.service.rate_limit import RateLimiter
+from repro.service.schemas import validate_request
+from repro.service.server import (
     App,
     EventStreamResponse,
     JSONResponse,
     Request,
     TextResponse,
 )
-from repro.service.queue import JobQueue, default_service_dir
-from repro.service.rate_limit import RateLimiter
-from repro.service.schemas import validate_request
 from repro.service.worker import EventBook, WorkerPool
 from repro.telemetry.export import summarize, to_prometheus
 from repro.telemetry.journal import payload_records
@@ -65,7 +66,7 @@ class ServiceConfig:
 
 
 class Service:
-    """One service instance: state + workers + the ASGI app over them."""
+    """One service instance: state + workers + the HTTP app over them."""
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
@@ -107,7 +108,7 @@ class Service:
 
 
 def create_app(service: Service) -> App:
-    """Bind every endpoint onto a fresh ASGI app for ``service``."""
+    """Bind every endpoint onto a fresh app for ``service``."""
     app = App(title="repro simulation service")
 
     @app.route("/jobs", methods=["POST"])

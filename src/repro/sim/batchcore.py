@@ -755,7 +755,7 @@ class _MemPlan:
                 hierarchy.load_round_fast(core_id, lines, self.latencies,
                                           self.order, cycle)
             else:
-                hierarchy.store_round_fast(core_id, lines, cycle)
+                hierarchy.store_lines_fast(core_id, lines, cycle)
             return
         offsets = self.offsets
         if self.is_load:

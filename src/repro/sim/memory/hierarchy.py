@@ -190,35 +190,6 @@ class MemoryHierarchy:
                     arrival = l2_latency + (completion - now - k)
             out[order[k]] = arrival if arrival > 1 else 1
 
-    def store_round_fast(self, core_id: int, lines, now: int) -> None:
-        """One single-line write-through store per warp of a streamed batch
-        round (slot ``k`` at ``now + k``); see :meth:`store_lines_fast`."""
-        l1 = self.l1[core_id]
-        l1_sets = l1._sets
-        l1_num_sets = l1.num_sets
-        l2 = self.l2
-        l2_sets = l2._sets
-        l2_num_sets = l2.num_sets
-        dram = self.dram
-        for k, line_address in enumerate(lines):
-            l1._tick += 1
-            entry = l1_sets[line_address % l1_num_sets]
-            if line_address in entry:
-                del entry[line_address]      # move to the LRU tail
-                entry[line_address] = l1._tick
-                l1.write_hits += 1
-            else:
-                l1.write_misses += 1
-            l2._tick += 1
-            entry = l2_sets[line_address % l2_num_sets]
-            if line_address in entry:
-                del entry[line_address]      # move to the LRU tail
-                entry[line_address] = l2._tick
-                l2.write_hits += 1
-            else:
-                l2.write_misses += 1
-            dram.access(now + k)
-
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
         """Drop all cached lines and reset DRAM queue state (between launches)."""

@@ -9,10 +9,8 @@ projection of it (the same ledger/projection split the Engram-style designs
 use, and S2RDF's move of translating a log-structured model into relational
 tables to make analytics tractable).
 
-* :mod:`~repro.warehouse.store` -- the :class:`ResultStore` protocol and
-  :func:`open_store`: a stdlib ``sqlite3`` backend always available, an
-  optional DuckDB backend behind ``REPRO_WAREHOUSE_BACKEND=duckdb``
-  (import-guarded; explicitly errors when requested but missing).
+* :mod:`~repro.warehouse.store` -- :class:`ResultStore`, the one stdlib
+  ``sqlite3`` store, and :func:`open_store`.
 * :mod:`~repro.warehouse.schema` -- the normalized tables: ``jobs``,
   ``scenario_runs``, ``counters``, the telemetry projection (``spans`` +
   ``metrics``), plus per-journal sync state.
@@ -64,26 +62,17 @@ from repro.warehouse.schema import (
     WAREHOUSE_SCHEMA_VERSION,
 )
 from repro.warehouse.store import (
-    BACKEND_ENV,
-    BACKENDS,
-    DEFAULT_BACKEND,
     PATH_ENV,
-    BackendUnavailableError,
     QueryResult,
     ResultStore,
     WarehouseError,
     default_warehouse_path,
     open_store,
-    resolve_backend,
 )
 
 __all__ = [
-    "BACKEND_ENV",
-    "BACKENDS",
-    "BackendUnavailableError",
     "CANNED",
     "CannedQuery",
-    "DEFAULT_BACKEND",
     "JournalSyncResult",
     "KIND_CACHE",
     "KIND_SINK",
@@ -103,7 +92,6 @@ __all__ = [
     "parity_check",
     "rebuild",
     "render_status",
-    "resolve_backend",
     "run_canned",
     "run_sql",
     "sink_records",

@@ -387,14 +387,14 @@ def sync(store: ResultStore,
     """
     specs = list(journals) if journals is not None else discover_journals(
         cache_dir, scenario_dir, telemetry_dir)
-    with_span = _ingest_span(store)
+    with_span = _ingest_span()
     results = tuple(_sync_journal(store, Path(path), kind, full)
                     for path, kind in specs)
     with_span(sum(j.ingested for j in results))
     return SyncReport(journals=results)
 
 
-def _ingest_span(store: ResultStore):
+def _ingest_span():
     """Start timing one warehouse sync; returns a ``finish(rows)`` callback."""
     from repro.telemetry.recorder import RECORDER
     if not RECORDER.enabled:
@@ -405,7 +405,7 @@ def _ingest_span(store: ResultStore):
     def finish(rows: int) -> None:
         RECORDER.record_span("warehouse.sync", start_wall,
                              time.perf_counter() - start_perf,
-                             backend=store.backend, rows=rows)
+                             backend="sqlite", rows=rows)
         RECORDER.count("warehouse.rows_ingested", rows)
 
     return finish

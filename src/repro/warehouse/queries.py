@@ -3,10 +3,10 @@
 Canned queries answer the cross-campaign questions the JSONL journals never
 could without re-parsing every file -- "best lws per kernel across all
 history", "how much simulation time has the cache banked", "what did each
-scenario cover".  They are plain SQL in the sqlite-and-DuckDB-common
-dialect, filtered to the *current* simulator version by default (mixing
-cycle models in one aggregate would be silently wrong; ``cache-trends``
-deliberately spans versions, that being its point).
+scenario cover".  They are plain sqlite SQL, filtered to the *current*
+simulator version by default (mixing cycle models in one aggregate would be
+silently wrong; ``cache-trends`` deliberately spans versions, that being
+its point).
 
 Raw SQL (``repro warehouse query``) is read-only twice over: the statement
 must be a single SELECT/WITH, *and* the CLI opens the store in read-only
@@ -167,7 +167,7 @@ def table_counts(store: ResultStore) -> Dict[str, int]:
 
 
 def render_status(store: ResultStore) -> str:
-    """Human-readable warehouse state: backend, tables, per-journal sync.
+    """Human-readable warehouse state: store, tables, per-journal sync.
 
     This is what ``repro warehouse status`` and ``repro campaign status
     --source warehouse`` print: per-table row counts plus each journal's
@@ -175,7 +175,7 @@ def render_status(store: ResultStore) -> str:
     """
     size = store.path.stat().st_size if store.path.exists() else 0
     lines = [
-        f"warehouse       : {store.path} ({store.backend} backend, "
+        f"warehouse       : {store.path} (sqlite backend, "
         f"{size / 1024:.1f} KiB)",
     ]
     for table, count in table_counts(store).items():
@@ -220,7 +220,7 @@ def status_payload(store: ResultStore) -> Dict[str, object]:
         })
     return {
         "warehouse": str(store.path),
-        "backend": store.backend,
+        "backend": "sqlite",
         "size_bytes": size,
         "tables": table_counts(store),
         "journals": journals,

@@ -1,10 +1,9 @@
-"""The warehouse's relational schema, shared by every backend.
+"""The warehouse's relational schema.
 
 The JSONL journals stay the append-only source of truth; the warehouse is a
-*derived* store the journals are synced (or fully rebuilt) into, so the DDL
-below is deliberately written in the dialect subset that both stdlib
-``sqlite3`` and DuckDB accept verbatim -- plain ``CREATE TABLE IF NOT
-EXISTS``, qmark parameters, ``INSERT OR REPLACE`` upserts.
+*derived* store the journals are synced (or fully rebuilt) into.  The DDL
+below is plain stdlib ``sqlite3`` -- ``CREATE TABLE IF NOT EXISTS``, qmark
+parameters, ``INSERT OR REPLACE`` upserts.
 
 Tables
 ------

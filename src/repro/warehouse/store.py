@@ -1,23 +1,7 @@
-"""The ``ResultStore`` protocol and the backend selection front door.
+"""The warehouse's one store: stdlib :mod:`sqlite3` behind :func:`open_store`.
 
-The warehouse follows the SWORD dual-backend pattern: one protocol, several
-interchangeable SQL engines behind it, the active one selected by an
-environment variable.  The stdlib :mod:`sqlite3` backend is always available
-and is the default; the DuckDB backend is optional and import-guarded --
-requesting it on a machine without the ``duckdb`` package is an *explicit*
-:class:`BackendUnavailableError`, never a silent fallback to sqlite (a
-silently substituted backend would make "it worked on my machine" debugging
-hell).
-
-Selection order for :func:`open_store`:
-
-1. an explicit ``backend=`` argument,
-2. the ``REPRO_WAREHOUSE_BACKEND`` environment variable (``sqlite`` |
-   ``duckdb``),
-3. ``sqlite``.
-
-The database file defaults to ``<cache dir>/warehouse.<backend>`` (the
-cache directory already honours ``REPRO_CACHE_DIR``/XDG), overridable with
+The database file defaults to ``<cache dir>/warehouse.sqlite`` (the cache
+directory already honours ``REPRO_CACHE_DIR``/XDG), overridable with
 ``REPRO_WAREHOUSE_PATH`` or an explicit ``path=``.
 """
 
@@ -26,31 +10,22 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Protocol, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.cache import default_cache_dir
-from repro.warehouse.schema import DDL, WAREHOUSE_SCHEMA_VERSION
+from repro.warehouse.schema import DDL, TABLES, WAREHOUSE_SCHEMA_VERSION
 
-#: Environment variable selecting the warehouse backend.
-BACKEND_ENV = "REPRO_WAREHOUSE_BACKEND"
 #: Environment variable overriding the warehouse database path.
 PATH_ENV = "REPRO_WAREHOUSE_PATH"
-#: Known backends, in preference order.
-BACKENDS = ("sqlite", "duckdb")
-DEFAULT_BACKEND = "sqlite"
 
 
 class WarehouseError(RuntimeError):
-    """Any warehouse-level failure (bad backend, bad query, parity breach)."""
-
-
-class BackendUnavailableError(WarehouseError):
-    """A backend was explicitly requested but its driver is not importable."""
+    """Any warehouse-level failure (missing store, bad query, parity breach)."""
 
 
 @dataclass(frozen=True)
 class QueryResult:
-    """One query's column names and rows, backend-agnostic."""
+    """One query's column names and rows."""
 
     columns: Tuple[str, ...]
     rows: List[tuple]
@@ -65,68 +40,85 @@ class QueryResult:
         return render_table(list(self.columns), formatted)
 
 
-class ResultStore(Protocol):
-    """What every warehouse backend provides.
+class ResultStore:
+    """Connection management plus qmark-style ``execute``/``executemany``/
+    ``query`` over one sqlite database.
 
-    Implementations are thin: connection management plus qmark-style
-    ``execute``/``executemany``/``query``.  All SQL the warehouse runs is
-    written in the sqlite-and-DuckDB-common dialect, so backends never
-    translate statements.
+    ``read_only=True`` opens the database through a ``mode=ro`` URI, so raw
+    user SQL physically cannot write -- the read-only guarantee does not
+    depend on parsing the statement.
     """
 
-    backend: str
-    path: Path
+    def __init__(self, path: Path, read_only: bool = False):
+        # Imported on first open, as before: every `repro` process imports
+        # this module, few of them (no simulation worker) ever open a store.
+        import sqlite3
 
-    def execute(self, sql: str, params: Sequence = ()) -> None: ...
+        self.path = Path(path)
+        self.read_only = read_only
+        if read_only:
+            if not self.path.exists():
+                raise WarehouseError(
+                    f"no warehouse at {self.path}; run `repro warehouse sync` first")
+            self._conn = sqlite3.connect(
+                f"file:{self.path}?mode=ro", uri=True)
+        else:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._conn = sqlite3.connect(self.path)
+            # The warehouse is derived data: throughput over durability.
+            self._conn.execute("PRAGMA synchronous = OFF")
+            self._conn.execute("PRAGMA journal_mode = MEMORY")
 
-    def executemany(self, sql: str, rows: Sequence[Sequence]) -> None: ...
+    # ------------------------------------------------------------------
+    def execute(self, sql: str, params: Sequence = ()) -> None:
+        self._conn.execute(sql, tuple(params))
 
-    def query(self, sql: str, params: Sequence = ()) -> QueryResult: ...
+    def executemany(self, sql: str, rows: Sequence[Sequence]) -> None:
+        self._conn.executemany(sql, [tuple(row) for row in rows])
 
-    def commit(self) -> None: ...
+    def query(self, sql: str, params: Sequence = ()) -> QueryResult:
+        try:
+            cursor = self._conn.execute(sql, tuple(params))
+        except self._conn.Error as error:
+            raise WarehouseError(f"sqlite query failed: {error}") from error
+        columns = tuple(d[0] for d in cursor.description) if cursor.description else ()
+        return QueryResult(columns=columns, rows=cursor.fetchall())
 
-    def close(self) -> None: ...
+    def commit(self) -> None:
+        self._conn.commit()
+
+    def close(self) -> None:
+        self._conn.close()
+
+    # ------------------------------------------------------------------
+    def __enter__(self) -> "ResultStore":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if not self.read_only:
+            self._conn.commit()
+        self.close()
 
 
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """The backend name after argument/environment/default resolution."""
-    name = backend if backend else os.environ.get(BACKEND_ENV, DEFAULT_BACKEND)
-    name = name.strip().lower()
-    if name not in BACKENDS:
-        raise WarehouseError(
-            f"unknown warehouse backend {name!r}; expected one of "
-            f"{', '.join(BACKENDS)} (via argument or ${BACKEND_ENV})")
-    return name
-
-
-def default_warehouse_path(backend: str) -> Path:
-    """Where the warehouse database lives by default for ``backend``."""
+def default_warehouse_path() -> Path:
+    """Where the warehouse database lives by default."""
     override = os.environ.get(PATH_ENV)
     if override:
         return Path(override).expanduser()
-    return default_cache_dir() / f"warehouse.{backend}"
+    return default_cache_dir() / "warehouse.sqlite"
 
 
 def open_store(path: Optional[Union[str, Path]] = None,
-               backend: Optional[str] = None,
                read_only: bool = False) -> ResultStore:
-    """Open (creating if needed) the warehouse under the resolved backend.
+    """Open (creating if needed) the warehouse.
 
     The schema is created on first open; a store written under a different
     ``WAREHOUSE_SCHEMA_VERSION`` is dropped and recreated empty -- the
     journals are the source of truth, so a schema bump costs one rebuild,
     never data.
     """
-    name = resolve_backend(backend)
-    db_path = Path(path).expanduser() if path is not None else default_warehouse_path(name)
-    if name == "duckdb":
-        from repro.warehouse.duckdb_backend import DuckDBStore
-
-        store: ResultStore = DuckDBStore(db_path, read_only=read_only)
-    else:
-        from repro.warehouse.sqlite_backend import SqliteStore
-
-        store = SqliteStore(db_path, read_only=read_only)
+    db_path = Path(path).expanduser() if path is not None else default_warehouse_path()
+    store = ResultStore(db_path, read_only=read_only)
     if not read_only:
         _ensure_schema(store)
     return store
@@ -142,8 +134,6 @@ def _ensure_schema(store: ResultStore) -> None:
         return
     if rows:
         # Stale layout: drop everything and recreate; callers re-sync.
-        from repro.warehouse.schema import TABLES
-
         for table in TABLES:
             store.execute(f"DROP TABLE IF EXISTS {table}")
         for statement in DDL:

@@ -303,9 +303,10 @@ def test_scenario_report_source_warehouse(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == journal_report
 
 
-def test_warehouse_help_documents_backends(capsys):
+@pytest.mark.parametrize("command", ["serve", "warehouse"])
+def test_help_offers_no_backend_selector(command, capsys):
     with pytest.raises(SystemExit):
-        main(["warehouse", "--help"])
+        main([command, "--help"])
     text = capsys.readouterr().out
-    assert "REPRO_WAREHOUSE_BACKEND" in text
-    assert "duckdb" in text
+    assert "--backend" not in text
+    assert "REPRO_WAREHOUSE_BACKEND" not in text

@@ -293,6 +293,41 @@ class TestCacheServer:
         connection.close()
 
 
+# ----------------------------------------------------------------------
+# teardown signals its threads; it does not sit out their join timeouts
+# ----------------------------------------------------------------------
+class TestTeardown:
+    def test_cache_server_close_wakes_its_accept_loop(self, tmp_path):
+        server = CacheServer(ResultCache(tmp_path / "cache"))
+        client = CacheClient(server.address)
+        client.stats()                  # served: the accept loop is parked again
+        started = time.monotonic()
+        server.close()
+        assert time.monotonic() - started < 1.0
+        assert not server._accept_thread.is_alive()
+        client.close()
+
+    @pytest.mark.parametrize("with_cache", [False, True],
+                             ids=["no-cache", "cache-server"])
+    def test_executor_close_is_prompt_and_leaves_nothing_running(
+            self, tmp_path, with_cache):
+        before = set(threading.enumerate())
+        executor = DistributedExecutor(
+            cache=ResultCache(tmp_path / "cache") if with_cache else None)
+        processes = executor.spawn_local_workers(2)
+        executor.wait_for_workers(2, timeout=30.0)
+        started = time.monotonic()
+        executor.close()
+        assert time.monotonic() - started < 1.0
+        assert [process.poll() for process in processes] == [0, 0]
+        started_here = [thread for thread in threading.enumerate()
+                        if thread not in before]
+        for thread in started_here:     # per-connection readers exit on their own
+            thread.join(timeout=1.0)
+        assert [thread.name for thread in started_here
+                if thread.is_alive()] == []
+
+
 class TestSharedCacheAcrossTheFleet:
     def test_fleet_results_are_cache_served_bit_identically(self, tmp_path):
         # The service-layer bit-for-bit pattern, distributed: a fleet run

@@ -1,6 +1,6 @@
 """Tests for the results warehouse (repro.warehouse).
 
-Covers backend selection (sqlite default, duckdb import-guarded), the
+Covers the sqlite store (schema creation and reset, read-only opens), the
 ingest pipeline's incremental sync + rewrite detection, rebuild parity and
 idempotence against hostile journals (half-written tails, superseded
 duplicates, in-place compaction), the canned analytics, the raw-SQL guard,
@@ -17,8 +17,6 @@ from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CACHE_SCHEMA_VERSION, simulator_version
 from repro.scenarios import Planner, ResultSink, ScenarioContext
 from repro.warehouse import (
-    BACKEND_ENV,
-    BackendUnavailableError,
     KIND_CACHE,
     KIND_SINK,
     WarehouseError,
@@ -28,7 +26,6 @@ from repro.warehouse import (
     parity_check,
     rebuild,
     render_status,
-    resolve_backend,
     run_canned,
     run_sql,
     sink_records,
@@ -111,39 +108,13 @@ def cache_journal(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Backend selection
+# The store
 # ----------------------------------------------------------------------
 class TestBackends:
     def test_sqlite_is_the_default_and_creates_the_schema(self, store):
-        assert store.backend == "sqlite"
+        assert store.path.read_bytes().startswith(b"SQLite format 3")
         assert table_counts(store) == {"jobs": 0, "scenario_runs": 0,
                                        "counters": 0, "spans": 0, "metrics": 0}
-
-    def test_backend_env_is_honoured(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "duckdb")
-        assert resolve_backend() == "duckdb"
-        assert resolve_backend("sqlite") == "sqlite"   # argument wins
-
-    def test_unknown_backend_is_an_explicit_error(self):
-        with pytest.raises(WarehouseError, match="unknown warehouse backend"):
-            resolve_backend("postgres")
-
-    def test_missing_duckdb_errors_instead_of_falling_back(self, tmp_path,
-                                                           monkeypatch):
-        import repro.warehouse.duckdb_backend as backend
-
-        monkeypatch.setattr(backend, "duckdb", None)
-        with pytest.raises(BackendUnavailableError, match="duckdb"):
-            open_store(tmp_path / "wh.duckdb", backend="duckdb")
-
-    def test_duckdb_backend_round_trips(self, tmp_path, cache_journal):
-        pytest.importorskip("duckdb")
-        with open_store(tmp_path / "wh.duckdb", backend="duckdb") as handle:
-            report = sync(handle, journals=[(cache_journal, KIND_CACHE)])
-            assert report.ingested == 3
-            assert parity_check(
-                handle, journals=[(cache_journal, KIND_CACHE)]) == []
-            assert run_canned(handle, "best-lws").rows
 
     def test_schema_version_bump_resets_the_store(self, tmp_path,
                                                   cache_journal):
@@ -408,6 +379,8 @@ class TestQueries:
                     "SELECT 1; DELETE FROM jobs", ""):
             with pytest.raises(WarehouseError):
                 run_sql(store, bad)
+        with pytest.raises(WarehouseError, match="sqlite query failed"):
+            run_sql(store, "SELECT * FROM no_such_table")
 
     def test_query_result_renders_as_a_table(self, store, cache_journal):
         sync(store, journals=[(cache_journal, KIND_CACHE)])
