@@ -44,18 +44,27 @@ def simulator_version() -> str:
 # ArchConfig (de)serialisation
 # ----------------------------------------------------------------------
 def config_to_dict(config: ArchConfig) -> Dict[str, object]:
-    """Serialise every field of an :class:`ArchConfig` to plain JSON types."""
-    data: Dict[str, object] = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.name == "timing_overrides":
-            data[f.name] = sorted(
-                [opcode.name, timing.unit.value, timing.latency, timing.initiation_interval]
-                for opcode, timing in value.items()
-            )
-        else:
-            data[f.name] = value
-    return data
+    """Serialise every field of an :class:`ArchConfig` to plain JSON types.
+
+    Memoised on the (frozen) instance, as :meth:`JobSpec.content_hash` is: a
+    grid shares a dozen configs among thousands of specs, each serialising
+    its config for the hash and for the journal.  Callers get their own dict.
+    """
+    cached = config.__dict__.get("_as_dict")
+    if cached is None:
+        cached = {}
+        for f in fields(config):
+            value = getattr(config, f.name)
+            if f.name == "timing_overrides":
+                cached[f.name] = sorted(
+                    [opcode.name, timing.unit.value, timing.latency,
+                     timing.initiation_interval]
+                    for opcode, timing in value.items()
+                )
+            else:
+                cached[f.name] = value
+        object.__setattr__(config, "_as_dict", cached)
+    return dict(cached)
 
 
 def config_from_dict(data: Mapping[str, object]) -> ArchConfig:

@@ -361,7 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "journals' last-wins view.",
         epilog="The store is stdlib sqlite.  The database lives next to "
                "the cache (warehouse.sqlite) unless --db or "
-               "REPRO_WAREHOUSE_PATH says otherwise.",
+               "REPRO_WAREHOUSE_PATH says otherwise.  `counters` is a view "
+               "over the records' JSON (full scans are cheap, nothing is "
+               "indexed by counter name).",
     )
     warehouse_sub = warehouse.add_subparsers(dest="warehouse_command", required=True)
     wh_common = argparse.ArgumentParser(add_help=False)

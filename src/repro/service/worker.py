@@ -8,7 +8,8 @@ Per-job progress flows through the :class:`EventBook`: the simulation thread
 publishes via ``loop.call_soon_threadsafe`` and any number of SSE
 subscribers replay the job's history and then follow live until a terminal
 event -- a subscriber that connects after the job finished still sees the
-full story.
+full story (of the ``MAX_FINISHED_HISTORIES`` most recently finished jobs;
+of an older one, the outcome alone).
 
 Execution reuses the existing engines verbatim: scenario requests expand
 through the :class:`~repro.scenarios.planner.Planner`, ad-hoc grids go
@@ -22,7 +23,8 @@ result bit-identical to a direct library run of the same spec.
 from __future__ import annotations
 
 import asyncio
-from typing import AsyncIterator, Dict, List, Optional, Tuple
+from collections import deque
+from typing import AsyncIterator, Deque, Dict, List, Optional, Tuple
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.result import JobFailure
@@ -42,13 +44,18 @@ TERMINAL_EVENTS = ("done", "failed")
 #: huge grids; terminal events are always retained).
 MAX_EVENTS_PER_JOB = 2048
 
+#: Finished jobs whose history is kept for replay; older ones are forgotten
+#: (``GET /jobs/{id}/events`` then answers with the terminal state alone), so
+#: a long-lived server's event memory is bounded by this, not by its uptime.
+MAX_FINISHED_HISTORIES = 256
+
 
 class EventBook:
     """Per-job progress event history with replay-then-follow subscription."""
 
     def __init__(self):
         self._events: Dict[str, List[Tuple[str, Dict]]] = {}
-        self._dropped: Dict[str, int] = {}
+        self._finished: Deque[str] = deque()    # terminal jobs, oldest first
         self._condition: Optional[asyncio.Condition] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
 
@@ -62,9 +69,12 @@ class EventBook:
         """Append one event (event-loop thread only) and wake subscribers."""
         events = self._events.setdefault(job_id, [])
         if name not in TERMINAL_EVENTS and len(events) >= MAX_EVENTS_PER_JOB:
-            self._dropped[job_id] = self._dropped.get(job_id, 0) + 1
             return
         events.append((name, payload))
+        if name in TERMINAL_EVENTS:
+            self._finished.append(job_id)
+            if len(self._finished) > MAX_FINISHED_HISTORIES:
+                self._events.pop(self._finished.popleft(), None)
 
         async def _notify() -> None:
             async with self._condition:
@@ -81,15 +91,13 @@ class EventBook:
     def history(self, job_id: str) -> List[Tuple[str, Dict]]:
         return list(self._events.get(job_id, ()))
 
-    def forget(self, job_id: str) -> None:
-        self._events.pop(job_id, None)
-        self._dropped.pop(job_id, None)
-
     # ------------------------------------------------------------------
     async def subscribe(self, job_id: str) -> AsyncIterator[Tuple[str, Dict]]:
         """Replay ``job_id``'s history, then follow live until terminal."""
         cursor = 0
         while True:
+            if cursor and job_id not in self._events:
+                return        # evicted mid-replay: nothing more will come
             events = self._events.get(job_id, ())
             while cursor < len(events):
                 name, payload = events[cursor]

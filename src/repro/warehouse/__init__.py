@@ -11,9 +11,9 @@ tables to make analytics tractable).
 
 * :mod:`~repro.warehouse.store` -- :class:`ResultStore`, the one stdlib
   ``sqlite3`` store, and :func:`open_store`.
-* :mod:`~repro.warehouse.schema` -- the normalized tables: ``jobs``,
-  ``scenario_runs``, ``counters``, the telemetry projection (``spans`` +
-  ``metrics``), plus per-journal sync state.
+* :mod:`~repro.warehouse.schema` -- the tables: ``jobs``,
+  ``scenario_runs``, the telemetry projection (``spans`` + ``metrics``),
+  per-journal sync state, and ``counters``, a view over the records' JSON.
 * :mod:`~repro.warehouse.ingest` -- streaming journal ingest: incremental
   :func:`sync` via per-journal byte offsets (rewrites detected by prefix
   hash), idempotent full :func:`rebuild`, and :func:`parity_check` proving

@@ -152,36 +152,33 @@ def _canonical(record: Dict) -> str:
     return json.dumps(record, sort_keys=True)
 
 
-def _versions(record: Dict) -> Optional[Tuple[str, int]]:
-    """``(simulator, schema)`` when both stamps are present and well-formed."""
+def _usable(kind: str, jid: str,
+            record: Dict) -> Optional[Tuple[tuple, JobResult]]:
+    """``(slot key, parsed result)`` of one cache/sink record, or None.
+
+    The one acceptance test ingest and the parity view share: both version
+    stamps, the key the journal's own loader folds on (``hash`` for cache
+    records, ``key`` for sink records) and a well-formed result.
+    """
+    if kind == KIND_SINK and not ("hash" in record and "scenario" in record):
+        return None
     try:
-        return str(record["simulator"]), int(record["schema"])
+        slot = (jid, str(record["hash" if kind == KIND_CACHE else "key"]),
+                str(record["simulator"]), int(record["schema"]))
+        return slot, JobResult.from_dict(record["result"])
     except (KeyError, TypeError, ValueError):
         return None
 
 
-def _job_row(jid: str, record: Dict) -> Optional[Tuple[tuple, tuple, List[tuple]]]:
-    """One cache record -> ``(slot_key, jobs row, counters rows)`` or None."""
-    versions = _versions(record)
-    if versions is None or "hash" not in record:
-        return None
-    simulator, schema = versions
-    try:
-        result = JobResult.from_dict(record["result"])
-    except (KeyError, TypeError, ValueError):
-        return None
-    job_hash = str(record["hash"])
-    slot = (jid, job_hash, simulator, schema)
-    row = slot + (
+def _job_row(slot: tuple, result: JobResult, record: Dict) -> tuple:
+    """One usable cache record -> its ``jobs`` row."""
+    return slot + (
         result.problem, result.category, result.config_name,
         result.hardware_parallelism, result.global_size, result.local_size,
         result.num_workgroups, result.num_calls, result.cycles,
         result.sim_cycles, result.overhead_cycles, int(result.extrapolated),
         result.lane_utilization, result.elapsed_seconds, _canonical(record),
     )
-    counters = [slot + (name, float(value))
-                for name, value in result.counters.items()]
-    return (jid, job_hash, simulator, schema), row, counters
 
 
 def _int_or_none(value) -> Optional[int]:
@@ -191,25 +188,13 @@ def _int_or_none(value) -> Optional[int]:
         return None
 
 
-def _run_row(jid: str, record: Dict) -> Optional[Tuple[tuple, tuple, List[tuple]]]:
-    """One sink record -> ``(slot_key, scenario_runs row, counters rows)``."""
-    versions = _versions(record)
-    if versions is None:
-        return None
-    simulator, schema = versions
-    try:
-        key = str(record["key"])
-        job_hash = str(record["hash"])
-        scenario = str(record["scenario"])
-        result = JobResult.from_dict(record["result"])
-    except (KeyError, TypeError, ValueError):
-        return None
+def _run_row(slot: tuple, result: JobResult, record: Dict) -> tuple:
+    """One usable sink record -> its ``scenario_runs`` row."""
     meta = record.get("meta") or {}
-    slot = (jid, key, simulator, schema)
     engine = meta.get("engine")
-    row = slot + (
-        scenario, job_hash, result.problem, result.category,
-        result.config_name,
+    return slot + (
+        str(record["scenario"]), str(record["hash"]), result.problem,
+        result.category, result.config_name,
         str(meta["strategy"]) if "strategy" in meta else None,
         None if engine is None else str(engine),
         _int_or_none(meta.get("seed")),
@@ -218,17 +203,11 @@ def _run_row(jid: str, record: Dict) -> Optional[Tuple[tuple, tuple, List[tuple]
         result.local_size, result.cycles, result.lane_utilization,
         result.elapsed_seconds, _canonical(meta), _canonical(record),
     )
-    counters = [slot + (name, float(value))
-                for name, value in result.counters.items()]
-    return (jid, key, simulator, schema), row, counters
 
 
 _JOBS_SQL = ("INSERT OR REPLACE INTO jobs VALUES (" + ",".join("?" * 19) + ")")
 _RUNS_SQL = ("INSERT OR REPLACE INTO scenario_runs VALUES ("
              + ",".join("?" * 20) + ")")
-_COUNTER_DEL_SQL = ("DELETE FROM counters WHERE journal = ? AND key = ? "
-                    "AND simulator = ? AND schema_version = ?")
-_COUNTER_SQL = "INSERT OR REPLACE INTO counters VALUES (?,?,?,?,?,?)"
 _SPANS_SQL = ("INSERT OR REPLACE INTO spans VALUES ("
               + ",".join("?" * 11) + ")")
 _METRICS_SQL = ("INSERT OR REPLACE INTO metrics VALUES ("
@@ -268,6 +247,19 @@ def _telemetry_row(jid: str, record: Dict, end: int) -> Optional[Tuple[str, tupl
         return None
 
 
+def _row(kind: str, jid: str, record: Dict,
+         end: int) -> Optional[Tuple[str, tuple]]:
+    """One journal record -> ``(insert_sql, row)``, or None when unusable."""
+    if kind == KIND_TELEMETRY:
+        return _telemetry_row(jid, record, end)
+    usable = _usable(kind, jid, record)
+    if usable is None:
+        return None
+    if kind == KIND_CACHE:
+        return _JOBS_SQL, _job_row(*usable, record)
+    return _RUNS_SQL, _run_row(*usable, record)
+
+
 def _delete_journal_rows(store: ResultStore, jid: str) -> None:
     for table in RECORD_TABLES:
         store.execute(f"DELETE FROM {table} WHERE journal = ?", (jid,))
@@ -301,66 +293,29 @@ def _sync_journal(store: ResultStore, path: Path, kind: str,
         _delete_journal_rows(store, jid)
         offset = rows_total = skipped_total = 0
 
+    # One row per record and nothing else: `counters` is a view over `raw`,
+    # so a superseding upsert takes its counters with it.  Rows batch per
+    # destination statement (a telemetry journal feeds spans and metrics).
     ingested = skipped = 0
-    if kind == KIND_TELEMETRY:
-        # Telemetry rows target two tables (spans + metrics) and carry no
-        # counters; they batch per destination statement.
-        span_rows: List[tuple] = []
-        metric_rows: List[tuple] = []
+    batches: Dict[str, List[tuple]] = {}
 
-        def flush() -> None:
-            if span_rows:
-                store.executemany(_SPANS_SQL, span_rows)
-                span_rows.clear()
-            if metric_rows:
-                store.executemany(_METRICS_SQL, metric_rows)
-                metric_rows.clear()
+    def flush() -> None:
+        for sql, rows in batches.items():
+            store.executemany(sql, rows)
+        batches.clear()
 
-        for record, end in iter_journal_entries(path, offset,
-                                                complete_only=True):
-            built = None if record is None else _telemetry_row(jid, record, end)
-            if built is None:
-                skipped += 1
-            else:
-                sql, row = built
-                (span_rows if sql is _SPANS_SQL else metric_rows).append(row)
-                ingested += 1
-                if len(span_rows) + len(metric_rows) >= BATCH_SIZE:
-                    flush()
-            offset = end
-        flush()
-    else:
-        row_builder = _job_row if kind == KIND_CACHE else _run_row
-        insert_sql = _JOBS_SQL if kind == KIND_CACHE else _RUNS_SQL
-        rows: List[tuple] = []
-        counter_slots: List[tuple] = []
-        counter_rows: List[tuple] = []
-
-        def flush() -> None:
-            if not rows:
-                return
-            store.executemany(insert_sql, rows)
-            store.executemany(_COUNTER_DEL_SQL, counter_slots)
-            store.executemany(_COUNTER_SQL, counter_rows)
-            rows.clear()
-            counter_slots.clear()
-            counter_rows.clear()
-
-        for record, end in iter_journal_entries(path, offset,
-                                                complete_only=True):
-            built = None if record is None else row_builder(jid, record)
-            if built is None:
-                skipped += 1
-            else:
-                slot, row, counters = built
-                rows.append(row)
-                counter_slots.append(slot)
-                counter_rows.extend(counters)
-                ingested += 1
-                if len(rows) >= BATCH_SIZE:
-                    flush()
-            offset = end
-        flush()
+    for record, end in iter_journal_entries(path, offset, complete_only=True):
+        built = None if record is None else _row(kind, jid, record, end)
+        if built is None:
+            skipped += 1
+        else:
+            sql, row = built
+            batches.setdefault(sql, []).append(row)
+            ingested += 1
+            if ingested % BATCH_SIZE == 0:
+                flush()
+        offset = end
+    flush()
 
     store.execute(
         "INSERT OR REPLACE INTO journals VALUES (?,?,?,?,?,?,?,?)",
@@ -435,19 +390,18 @@ def rebuild(store: ResultStore,
 def _journal_view(path: Path, kind: str) -> Dict[tuple, Tuple[str, int]]:
     """The journal's last-wins view: slot key -> (canonical JSON, #counters).
 
-    Complete, parseable, version-stamped lines only -- the same records
-    ingest accepts -- folded last-wins on the same slot key ingest upserts
-    on.  This is recomputed straight from the journal bytes, sharing no
-    code path with the warehouse contents it is compared against.
+    Complete, parseable, usable lines only -- the same records ingest
+    accepts -- folded last-wins on the same slot key ingest upserts on.
+    This is recomputed straight from the journal bytes, sharing no code
+    path with the warehouse contents it is compared against.
     """
     jid = journal_id(path)
-    row_builder = _job_row if kind == KIND_CACHE else _run_row
     view: Dict[tuple, Tuple[str, int]] = {}
     for record, _ in iter_journal_entries(path, 0, complete_only=True):
-        built = None if record is None else row_builder(jid, record)
-        if built is not None:
-            slot, row, counters = built
-            view[slot] = (row[-1], len(counters))   # row[-1]: canonical JSON
+        usable = None if record is None else _usable(kind, jid, record)
+        if usable is not None:
+            slot, result = usable
+            view[slot] = (_canonical(record), len(result.counters))
     return view
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from repro.campaign.spec import CACHE_SCHEMA_VERSION, simulator_version
 from repro.scenarios.sink import SinkRecord
 from repro.warehouse.ingest import journal_id
-from repro.warehouse.schema import RECORD_TABLES
+from repro.warehouse.schema import RECORD_TABLES, VIEWS
 from repro.warehouse.store import QueryResult, ResultStore, WarehouseError
 
 
@@ -161,9 +161,9 @@ def run_sql(store: ResultStore, sql: str) -> QueryResult:
 
 # ----------------------------------------------------------------------
 def table_counts(store: ResultStore) -> Dict[str, int]:
-    """Row count per derived table."""
+    """Row count per derived table and view."""
     return {table: store.query(f"SELECT COUNT(*) FROM {table}").rows[0][0]
-            for table in RECORD_TABLES}
+            for table in RECORD_TABLES + VIEWS}
 
 
 def render_status(store: ResultStore) -> str:

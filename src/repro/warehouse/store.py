@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.cache import default_cache_dir
-from repro.warehouse.schema import DDL, TABLES, WAREHOUSE_SCHEMA_VERSION
+from repro.warehouse.schema import DDL, RELATIONS, WAREHOUSE_SCHEMA_VERSION
 
 #: Environment variable overriding the warehouse database path.
 PATH_ENV = "REPRO_WAREHOUSE_PATH"
@@ -119,25 +119,39 @@ def open_store(path: Optional[Union[str, Path]] = None,
     """
     db_path = Path(path).expanduser() if path is not None else default_warehouse_path()
     store = ResultStore(db_path, read_only=read_only)
+    try:
+        # The `counters` view is json_each over `raw`: fail here, by name,
+        # not with an OperationalError from the first query that touches it.
+        store.query("SELECT json_valid('{}')")
+    except WarehouseError as error:
+        import sqlite3
+
+        store.close()
+        raise WarehouseError(
+            f"SQLite {sqlite3.sqlite_version} lacks the JSON functions "
+            f"(json_each; built in since 3.38) the warehouse's `counters` "
+            f"view is defined with") from error
     if not read_only:
         _ensure_schema(store)
     return store
 
 
 def _ensure_schema(store: ResultStore) -> None:
-    """Create the tables; reset the store on a warehouse-schema mismatch."""
+    """Create the schema; reset the store on a warehouse-schema mismatch."""
+    kinds = dict(store.query("SELECT name, type FROM sqlite_master "
+                             "WHERE type IN ('table', 'view')").rows)
+    current = str(WAREHOUSE_SCHEMA_VERSION)
+    if "meta" in kinds and store.query(
+            "SELECT value FROM meta WHERE key = 'schema_version'"
+            ).rows == [(current,)]:
+        return
+    # New file or stale layout: drop what an older version left, each name by
+    # its own kind (`counters` was a table up to v2), recreate; callers re-sync.
+    for name in RELATIONS:
+        if name in kinds:
+            store.execute(f"DROP {kinds[name]} IF EXISTS {name}")
     for statement in DDL:
         store.execute(statement)
-    current = str(WAREHOUSE_SCHEMA_VERSION)
-    rows = store.query("SELECT value FROM meta WHERE key = 'schema_version'").rows
-    if rows and rows[0][0] == current:
-        return
-    if rows:
-        # Stale layout: drop everything and recreate; callers re-sync.
-        for table in TABLES:
-            store.execute(f"DROP TABLE IF EXISTS {table}")
-        for statement in DDL:
-            store.execute(statement)
     store.execute("INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
                   ("schema_version", current))
     store.commit()

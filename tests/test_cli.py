@@ -132,6 +132,8 @@ def test_scenario_list_shows_all_registered_scenarios(capsys):
 
 def test_scenario_run_resume_report_cycle(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("REPRO_SCENARIO_DIR", str(tmp_path / "sinks"))
+    # `scenario report` opens the warehouse (--source auto): not the user's.
+    monkeypatch.setenv("REPRO_WAREHOUSE_PATH", str(tmp_path / "wh.sqlite"))
     cache_dir = str(tmp_path / "cache")
     base = ["scenario", "run", "scaling", "--scale", "smoke",
             "--cache-dir", cache_dir]
@@ -168,6 +170,7 @@ def test_scenario_resume_requires_an_existing_sink(tmp_path, capsys, monkeypatch
 
 def test_scenario_report_names_missing_jobs(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("REPRO_SCENARIO_DIR", str(tmp_path / "empty"))
+    monkeypatch.setenv("REPRO_WAREHOUSE_PATH", str(tmp_path / "wh.sqlite"))
     assert main(["scenario", "report", "scaling", "--scale", "smoke"]) == 1
     err = capsys.readouterr().err
     assert "0 of 6" in err
@@ -231,6 +234,12 @@ def test_warehouse_cli_cycle(tmp_path, capsys, monkeypatch):
     assert main(["warehouse", "query",
                  "SELECT COUNT(*) FROM scenario_runs", "--db", db]) == 0
     assert "6" in capsys.readouterr().out
+
+    # `counters` is a view over the rows' JSON: same read-only connection
+    assert main(["warehouse", "query", "SELECT COUNT(DISTINCT key) AS runs "
+                 "FROM counters WHERE journal LIKE '%scaling-smoke.jsonl'",
+                 "--db", db]) == 0
+    assert "| 6 " in capsys.readouterr().out
 
     assert main(["warehouse", "rebuild", "--db", db] + journals) == 0
     assert "parity check passed" in capsys.readouterr().out

@@ -253,6 +253,32 @@ class TestServiceHTTP:
         assert meaningful[-1] == "done"
         assert "progress" in meaningful[1:-1]
 
+    def test_old_histories_are_evicted_and_answered_with_the_outcome(
+            self, service, monkeypatch):
+        # The book keeps the N most recently finished jobs' histories, not
+        # every job the process ever ran.
+        monkeypatch.setattr("repro.service.worker.MAX_FINISHED_HISTORIES", 2)
+        instance, base = service
+        jobs = []
+        for _ in range(5):
+            jobs.append(_post(base, "/jobs", GRID_REQUEST)[1]["job"])
+            _await_terminal(base, jobs[-1])
+        assert [job for job in jobs if instance.events.history(job)] == jobs[-2:]
+        assert len(instance.events._events) == 2
+
+        def event_names(job_id):
+            conn = http.client.HTTPConnection(
+                *base[len("http://"):].split(":"), timeout=30)
+            conn.request("GET", f"/jobs/{job_id}/events")
+            body = conn.getresponse().read().decode()
+            conn.close()
+            return [line.split(": ", 1)[1] for line in body.splitlines()
+                    if line.startswith("event: ")]
+
+        assert event_names(jobs[0]) == ["done"]          # evicted: outcome only
+        assert event_names(jobs[-1])[0] == "running"     # retained: full replay
+        assert event_names(jobs[-1])[-1] == "done"
+
     def test_unknown_job_and_route_and_method(self, service):
         _, base = service
         assert _get(base, "/jobs/doesnotexist")[0] == 404

@@ -8,11 +8,13 @@ and the warehouse-backed scenario report path.
 """
 
 import json
+import sqlite3
 
 import pytest
 
 from repro.campaign.cache import CACHE_FILE_NAME, ResultCache
 from repro.campaign.journal import iter_journal_entries
+from repro.campaign.result import JobResult
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CACHE_SCHEMA_VERSION, simulator_version
 from repro.scenarios import Planner, ResultSink, ScenarioContext
@@ -129,6 +131,67 @@ class TestBackends:
     def test_read_only_store_requires_an_existing_database(self, tmp_path):
         with pytest.raises(WarehouseError, match="no warehouse"):
             open_store(tmp_path / "missing.sqlite", read_only=True)
+
+    def test_a_v2_store_with_a_counters_table_resets_and_resyncs(
+            self, tmp_path, cache_journal):
+        # What the parent commit left on disk: `counters` is a *table* with
+        # rows and an index, the version stamp says 2.
+        path = tmp_path / "wh.sqlite"
+        old = sqlite3.connect(path)
+        old.executescript("""
+            CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+            INSERT INTO meta VALUES ('schema_version', '2');
+            CREATE TABLE jobs (journal TEXT, hash TEXT, raw TEXT);
+            INSERT INTO jobs VALUES ('j', 'h', '{}');
+            CREATE TABLE counters (
+                journal TEXT NOT NULL, key TEXT NOT NULL,
+                simulator TEXT NOT NULL, schema_version INTEGER NOT NULL,
+                name TEXT NOT NULL, value DOUBLE NOT NULL,
+                PRIMARY KEY (journal, key, simulator, schema_version, name));
+            CREATE INDEX idx_counters_name ON counters (name);
+            INSERT INTO counters VALUES ('j', 'h', 's', 1, 'cycles', 1.0);
+        """)
+        old.close()
+        journals = [(cache_journal, KIND_CACHE)]
+        with open_store(path) as handle:
+            assert table_counts(handle)["jobs"] == 0      # reset, not reused
+            assert table_counts(handle)["counters"] == 0
+            sync(handle, journals=journals)
+            assert parity_check(handle, journals=journals) == []
+            assert table_counts(handle)["counters"] == 6
+            assert handle.query("SELECT type FROM sqlite_master "
+                                "WHERE name = 'counters'").rows == [("view",)]
+
+    def test_a_v3_store_survives_the_next_version_bump(
+            self, tmp_path, cache_journal, monkeypatch):
+        # The reset must drop `counters` as the view it now is.
+        path = tmp_path / "wh.sqlite"
+        journals = [(cache_journal, KIND_CACHE)]
+        with open_store(path) as handle:
+            sync(handle, journals=journals)
+        monkeypatch.setattr("repro.warehouse.store.WAREHOUSE_SCHEMA_VERSION", 4)
+        with open_store(path) as handle:
+            assert table_counts(handle)["jobs"] == 0
+            sync(handle, journals=journals)
+            assert parity_check(handle, journals=journals) == []
+            assert table_counts(handle)["counters"] == 6
+
+    def test_sqlite_without_json_functions_is_named_at_open(
+            self, tmp_path, monkeypatch):
+        from repro.warehouse.store import ResultStore
+        real_query = ResultStore.query
+
+        def no_json(self, sql, params=()):
+            if "json_valid" in sql:
+                raise WarehouseError("sqlite query failed: no such function: "
+                                     "json_valid")
+            return real_query(self, sql, params)
+
+        monkeypatch.setattr(ResultStore, "query", no_json)
+        with pytest.raises(WarehouseError) as raised:
+            open_store(tmp_path / "wh.sqlite")
+        assert sqlite3.sqlite_version in str(raised.value)
+        assert "JSON functions" in str(raised.value)
 
 
 # ----------------------------------------------------------------------
@@ -330,6 +393,99 @@ class TestRebuildParity:
 
 
 # ----------------------------------------------------------------------
+# `counters`: a view over `raw`, not a stored copy
+# ----------------------------------------------------------------------
+class TestCountersView:
+    COUNTERS = {"cycles": 100.0, "instructions_executed": 10,
+                "ipc": 0.1, "third": 1 / 3, "big": 2.0 ** 60 + 2.0 ** 9,
+                "tiny": 5e-324, "zero": 0}
+
+    def test_view_rows_equal_each_records_counters_exactly(self, store,
+                                                           tmp_path):
+        cache_journal = write_journal(tmp_path / "c" / CACHE_FILE_NAME, [
+            cache_record("h0", counters=self.COUNTERS),
+            cache_record("h1", counters={"cycles": 7.5}),
+            cache_record("h2", counters={}),
+        ])
+        sink_journal = write_journal(tmp_path / "s" / "tiny.jsonl", [
+            sink_line("k0", "h0", counters=self.COUNTERS),
+            sink_line("k1", "h1", counters={"stalls": 0.25, "cycles": 3}),
+        ])
+        sync(store, journals=[(cache_journal, KIND_CACHE),
+                              (sink_journal, KIND_SINK)])
+        checked = 0
+        for journal, key_field in ((cache_journal, "hash"),
+                                   (sink_journal, "key")):
+            for record, _ in iter_journal_entries(journal):
+                expected = JobResult.from_dict(record["result"]).counters
+                rows = store.query(
+                    "SELECT name, value FROM counters "
+                    "WHERE journal = ? AND key = ?",
+                    (str(journal.resolve()), record[key_field])).rows
+                assert len(rows) == len(expected)
+                assert dict(rows) == {name: float(value)
+                                      for name, value in expected.items()}
+                assert all(type(value) is float for _, value in rows)
+                checked += 1
+        assert checked == 5
+        # the other four columns are the owning row's
+        assert store.query(
+            "SELECT DISTINCT simulator, schema_version FROM counters").rows == [
+                (simulator_version(), CACHE_SCHEMA_VERSION)]
+
+    def test_a_superseding_record_leaves_no_stale_counter(self, store,
+                                                          tmp_path):
+        journal = write_journal(tmp_path / "dup" / CACHE_FILE_NAME, [
+            cache_record("h0", counters={"cycles": 100.0, "stalls": 4.0}),
+        ])
+        journals = [(journal, KIND_CACHE)]
+        sync(store, journals=journals)
+        with journal.open("a") as handle:     # same slot, `stalls` dropped
+            handle.write(json.dumps(cache_record(
+                "h0", counters={"cycles": 90.0, "loads": 2.0})) + "\n")
+        report = sync(store, journals=journals)
+        assert not report.journals[0].resynced        # incremental upsert
+        assert sorted(store.query(
+            "SELECT name, value FROM counters WHERE key = 'h0'").rows) == [
+                ("cycles", 90.0), ("loads", 2.0)]
+        assert parity_check(store, journals=journals) == []
+
+    def test_cache_compaction_then_resync_equals_a_fresh_rebuild(
+            self, store, tmp_path):
+        cache_dir = tmp_path / "cache"
+        journal = write_journal(cache_dir / CACHE_FILE_NAME, [
+            cache_record("h0", cycles=100),
+            cache_record("h1", cycles=80),
+            cache_record("h0", cycles=90, counters={"cycles": 90.0}),
+        ])
+        journals = [(journal, KIND_CACHE)]
+        sync(store, journals=journals)
+        before = journal.stat().st_size
+        assert ResultCache(cache_dir).stats().compacted_lines == 1  # in place
+        assert journal.stat().st_size < before
+        report = sync(store, journals=journals)
+        assert report.journals[0].resynced
+        assert parity_check(store, journals=journals) == []
+        with open_store(tmp_path / "fresh.sqlite") as fresh:
+            rebuild(fresh, journals=journals)
+            assert dump(store) == dump(fresh)
+        assert len(dump(store)["counters"]) == 3      # 2 for h1 + 1 for h0
+
+    def test_counters_are_queryable_through_the_read_only_connection(
+            self, tmp_path, cache_journal):
+        path = tmp_path / "wh.sqlite"
+        with open_store(path) as handle:
+            sync(handle, journals=[(cache_journal, KIND_CACHE)])
+        with open_store(path, read_only=True) as handle:
+            assert run_sql(handle, "SELECT COUNT(*) FROM counters").rows == [(6,)]
+            assert run_sql(
+                handle, "SELECT j.problem, c.value FROM jobs j JOIN counters c "
+                        "ON c.journal = j.journal AND c.key = j.hash "
+                        "WHERE c.name = 'cycles' ORDER BY c.value").rows == [
+                ("vecadd", 80.0), ("vecadd", 100.0), ("sgemm", 120.0)]
+
+
+# ----------------------------------------------------------------------
 # Queries
 # ----------------------------------------------------------------------
 class TestQueries:
@@ -393,6 +549,7 @@ class TestQueries:
         sync(store, journals=[(cache_journal, KIND_CACHE)])
         text = render_status(store)
         assert "jobs            : 3 row(s)" in text
+        assert "counters        : 6 row(s)" in text       # the view, counted
         assert "(synced)" in text
         assert "sqlite backend" in text
 
