@@ -9,31 +9,44 @@ with tracing enabled and renders the same information as ASCII timelines.
 Run with:  python examples/trace_visualization.py
 """
 
-from repro.experiments.figure1 import run_figure1
-from repro.trace.render import render_summary
+from dataclasses import replace
+
+from repro.experiments.figure1 import summarize_figure1_launch
+from repro.scenarios import REGISTRY, Planner, ScenarioContext
+from repro.trace.render import (
+    render_issue_timeline,
+    render_section_waveform,
+    render_summary,
+)
 
 
 def main() -> None:
-    result = run_figure1(lws_values=(1, 16, 32, 64), length=128)
+    # The registered figure1 scenario, with tracing switched on: timelines
+    # need the issue events, which only a fresh in-memory run carries.
+    scenario = REGISTRY.get("figure1")
+    (axes,) = scenario.axes(ScenarioContext())
+    run = Planner().run(replace(scenario, grid=replace(axes, collect_trace=True)))
+    jobs = run.results()
 
-    print(f"vecadd, {result.global_size} elements on {result.config_name} "
+    print(f"vecadd, {jobs[0].global_size} elements on {jobs[0].config_name} "
           f"(hardware parallelism 8)\n")
-    for lws in sorted(result.traces):
-        trace = result.traces[lws]
+    for job in jobs:
         print("=" * 100)
-        print(trace.summary())
+        print(summarize_figure1_launch(job.local_size, job.cycles, job.num_calls,
+                                       job.num_workgroups, job.lane_utilization))
         print("-" * 100)
-        print(trace.waveform)
+        print(render_section_waveform(job.events, width=96))
         print()
-        print(trace.timeline)
+        print(render_issue_timeline(job.events, width=96,
+                                    title=f"lws={job.local_size}"))
         print()
-        print(render_summary(trace.events))
+        print(render_summary(job.events))
         print()
 
-    best = result.best_local_size()
+    best = min(jobs, key=lambda job: job.cycles).local_size
     print("=" * 100)
     print(f"fastest mapping: lws={best} "
-          f"(the Eq.-1 value gws/hp = {result.global_size}//8 = 16)")
+          f"(the Eq.-1 value gws/hp = {jobs[0].global_size}//8 = 16)")
     print("lws=1  pays a launch overhead for each of its 16 sequential kernel calls;")
     print("lws=32/64 load every workgroup at once but leave half / three quarters of")
     print("the machine's lanes idle -- exactly the three regimes of the paper.")

@@ -36,9 +36,10 @@ chosen or runtime-selected mapping.  Every experiment is a registered
 grids expand to content-addressed jobs, results stream to a JSONL sink (so
 interrupted runs resume), and the campaign engine supplies parallel workers
 plus the persistent result cache (``~/.cache/repro`` by default, overridden
-by ``REPRO_CACHE_DIR`` or ``--cache-dir``).  ``figure1``, ``sweep``,
-``report`` and ``campaign run`` are thin aliases over the ported paper
-scenarios, kept for familiarity.
+by ``REPRO_CACHE_DIR`` or ``--cache-dir``).  ``figure1`` runs the ``figure1``
+scenario's grid with tracing on (timelines need the events, which no sink
+or cache stores); ``sweep`` and ``campaign run`` run the ``figure2``
+scenario without a sink, and ``report`` re-renders a sweep saved with ``-o``.
 
 ``warehouse`` is the SQL analytics tier over everything the journals have
 recorded: ``sync`` ingests the cache, sink *and telemetry* journals
@@ -69,6 +70,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -77,7 +79,6 @@ from repro.campaign.runner import CampaignRunner
 from repro.core.advisor import TuningAdvisor
 from repro.core.optimizer import optimal_local_size
 from repro.experiments.claims import evaluate_claims
-from repro.experiments.figure1 import run_figure1
 from repro.experiments.figure2 import Figure2Result
 from repro.experiments.report import (
     render_figure2_table,
@@ -131,7 +132,11 @@ from repro.warehouse import (
 )
 from repro.trace.render import render_issue_timeline, render_summary
 from repro.trace.tracer import Tracer
-from repro.workloads.problems import available_problems, make_problem
+from repro.workloads.problems import (
+    UnknownProblemError,
+    available_problems,
+    make_problem,
+)
 
 _LOG = get_logger("cli")
 
@@ -241,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure1 = sub.add_parser("figure1", help="reproduce the paper's Figure-1 trace study")
     figure1.add_argument("--length", type=int, default=128)
-    figure1.add_argument("--lws", type=int, nargs="*", default=[1, 16, 32, 64])
+    figure1.add_argument("--lws", type=int, nargs="+", default=[1, 16, 32, 64])
 
     sweep = sub.add_parser("sweep", parents=[grid],
                            help="run a Figure-2 style sweep (alias of the "
@@ -553,17 +558,31 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_figure1(args) -> int:
-    result = run_figure1(lws_values=tuple(args.lws), length=args.length)
-    print(result.render())
+    scenario = REGISTRY.get("figure1")
+    (axes,) = scenario.axes(ScenarioContext())
+    traced = replace(scenario, grid=replace(
+        axes, collect_trace=True, sizes=(args.length,),
+        strategies=tuple(f"lws={lws}" for lws in sorted(set(args.lws)))))
+    print(Planner().run(traced).report())
     return 0
 
 
 # ----------------------------------------------------------------------
 def _grid_context(args) -> ScenarioContext:
-    """A :class:`ScenarioContext` from the shared grid flags."""
+    """A :class:`ScenarioContext` from the shared grid flags.
+
+    Raises :class:`UnknownProblemError` for a ``--kernels`` name that is not
+    a workload (``main`` reports it), before anything is planned or opened.
+    """
     kernels = None
     if getattr(args, "kernels", None):
         kernels = tuple(name.strip() for name in args.kernels.split(",") if name.strip())
+        known = available_problems()
+        unknown = [name for name in kernels if name not in known]
+        if unknown:
+            raise UnknownProblemError(
+                f"unknown kernel(s) {', '.join(unknown)}; available: "
+                f"{', '.join(known)}")
     return ScenarioContext(
         scale=args.scale if args.scale else "bench",
         seed=args.seed,
@@ -597,14 +616,14 @@ def _progress_reporter(args, label: str) -> Optional[_ProgressReporter]:
     return _ProgressReporter(label) if getattr(args, "progress", False) else None
 
 
-def _run_and_render_sweep(args, runner=None, claims: bool = False) -> "Figure2Result":
+def _run_and_render_sweep(args, context: ScenarioContext, runner=None,
+                          claims: bool = False) -> "Figure2Result":
     """Shared body of ``sweep`` and ``campaign run``: the figure2 scenario,
     executed without a sink, rendered like the paper's data tables."""
     planner = Planner(runner=runner)
     reporter = _progress_reporter(args, "figure2")
     try:
-        run = planner.run(REGISTRY.get("figure2"), _grid_context(args),
-                          progress=reporter)
+        run = planner.run(REGISTRY.get("figure2"), context, progress=reporter)
     finally:
         if reporter is not None:
             reporter.finish()
@@ -625,13 +644,17 @@ def _save_sweep_output(result: "Figure2Result", output: Optional[str]) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    result = _run_and_render_sweep(args)
+    result = _run_and_render_sweep(args, _grid_context(args))
     _save_sweep_output(result, args.output)
     return 0
 
 
 def _cmd_report(args) -> int:
-    result = Figure2Result.load_json(args.input)
+    try:
+        result = Figure2Result.load_json(args.input)
+    except (OSError, ValueError) as error:
+        _LOG.error(f"error: {error}")
+        return 1
     print(render_figure2_table(result))
     print()
     print(render_speedup_summary(result))
@@ -666,12 +689,14 @@ def _cmd_campaign(args) -> int:
         return 0
 
     # campaign run
+    context = _grid_context(args)    # rejects bad --kernels before any set-up
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     dist_executor = _make_executor(args, cache)
     runner = CampaignRunner(workers=args.workers, cache=cache,
                             executor=dist_executor)
     try:
-        result = _run_and_render_sweep(args, runner=runner, claims=args.claims)
+        result = _run_and_render_sweep(args, context, runner=runner,
+                                       claims=args.claims)
     finally:
         runner.close()
         if dist_executor is not None:
@@ -1008,6 +1033,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 _LOG.info("telemetry journal updated",
                           path=str(default_journal_path()), records=written)
         return code
+    except UnknownProblemError as error:      # a --kernels name, a bad --length
+        _LOG.error(f"error: {error.args[0]}")
+        return 2
     finally:
         for env, value in previous.items():
             if value is None:

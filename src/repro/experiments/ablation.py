@@ -1,28 +1,24 @@
 """Ablation studies for the design parameters DESIGN.md calls out.
 
-* :func:`overhead_sensitivity` (A1) -- the lws=1 penalty is driven by the
+* A1, launch-overhead sensitivity -- the lws=1 penalty is driven by the
   per-call launch overhead; sweeping the overhead quantifies how sensitive the
   paper's Figure-2 left-hand violins are to that micro-architecture parameter.
-* :func:`boundedness_study` (A2) -- classifies each workload as memory- or
-  compute-bound on a reference machine, reproducing the annotation above the
-  paper's Figure 2 and explaining why the memory-bound kernels benefit less
-  from extra parallelism.
+* A2, boundedness -- classifies each workload as memory- or compute-bound on
+  a reference machine, reproducing the annotation above the paper's Figure 2
+  and explaining why the memory-bound kernels benefit less from extra
+  parallelism.
 
-Both studies submit their grids through the campaign engine; pass a
-:class:`~repro.campaign.runner.CampaignRunner` to parallelise or cache them.
+This module holds the studies' constants and record types; the registered
+``ablation`` scenario declares both grids and renders both tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
-from repro.campaign.runner import CampaignRunner
-from repro.campaign.spec import Campaign, JobSpec
-from repro.core.mapper import HardwareAwareMapping, NaiveMapping
 from repro.sim.config import ArchConfig
 from repro.trace.analysis import classify_boundedness
-from repro.workloads.problems import make_problem
 
 #: Launch overheads (cycles) swept by the A1 ablation.
 DEFAULT_OVERHEADS = (0, 16, 64, 256, 1024)
@@ -47,34 +43,6 @@ class OverheadSensitivityRecord:
         return self.naive_cycles / self.ours_cycles if self.ours_cycles else 0.0
 
 
-def build_overhead_campaign(problem_name: str = "vecadd", scale: str = "bench",
-                            config: Optional[ArchConfig] = None,
-                            overheads: Sequence[int] = DEFAULT_OVERHEADS,
-                            call_simulation_limit: Optional[int] = 3,
-                            seed: int = 0) -> Campaign:
-    """The A1 grid: (naive, ours) per overhead, in overhead-major order.
-
-    Shared with the registered ``ablation`` scenario, which declares one
-    sub-grid per overhead with the same configs and strategies.
-    """
-    base_config = config if config is not None else OVERHEAD_BASE_CONFIG
-    problem = make_problem(problem_name, scale=scale, seed=seed)
-    campaign = Campaign(name="ablation-overhead")
-    for overhead in overheads:
-        config_o = replace(base_config, kernel_launch_overhead=overhead)
-        for strategy in (NaiveMapping(), HardwareAwareMapping()):
-            campaign.add(JobSpec(
-                problem=problem_name,
-                config=config_o,
-                scale=scale,
-                seed=seed,
-                local_size=strategy.select_local_size(problem.global_size, config_o),
-                call_simulation_limit=call_simulation_limit,
-                label=f"{problem_name}/overhead={overhead}/{strategy.name}",
-            ))
-    return campaign
-
-
 def overhead_records(overheads: Sequence[int],
                      cycle_pairs: Sequence[Sequence[int]]
                      ) -> List[OverheadSensitivityRecord]:
@@ -82,24 +50,6 @@ def overhead_records(overheads: Sequence[int],
     return [OverheadSensitivityRecord(launch_overhead=overhead,
                                       naive_cycles=naive, ours_cycles=ours)
             for overhead, (naive, ours) in zip(overheads, cycle_pairs)]
-
-
-def overhead_sensitivity(problem_name: str = "vecadd", scale: str = "bench",
-                         config: Optional[ArchConfig] = None,
-                         overheads: Sequence[int] = DEFAULT_OVERHEADS,
-                         call_simulation_limit: Optional[int] = 3,
-                         seed: int = 0,
-                         runner: Optional[CampaignRunner] = None
-                         ) -> List[OverheadSensitivityRecord]:
-    """Sweep the kernel-launch overhead and measure the naive-vs-ours ratio."""
-    runner = runner if runner is not None else CampaignRunner()
-    campaign = build_overhead_campaign(problem_name, scale, config, overheads,
-                                       call_simulation_limit, seed)
-    jobs = runner.run(campaign).job_results()
-    return overhead_records(
-        overheads,
-        [(naive_job.cycles, ours_job.cycles)
-         for naive_job, ours_job in zip(jobs[::2], jobs[1::2])])
 
 
 @dataclass(frozen=True)
@@ -114,22 +64,8 @@ class BoundednessRecord:
     cycles: int
 
 
-def build_boundedness_campaign(problem_names: Sequence[str],
-                               scale: str = "bench",
-                               config: Optional[ArchConfig] = None,
-                               seed: int = 0) -> Campaign:
-    """The A2 grid: one runtime-mapped launch per workload."""
-    reference = config if config is not None else BOUNDEDNESS_CONFIG
-    campaign = Campaign(name="ablation-boundedness")
-    for name in problem_names:
-        # lws=None -> the runtime Eq.-1 mapping, exactly like Device.launch.
-        campaign.add(JobSpec(problem=name, config=reference, scale=scale,
-                             seed=seed, label=f"boundedness/{name}"))
-    return campaign
-
-
 def boundedness_record_from_job(job) -> BoundednessRecord:
-    """Classify one campaign :class:`JobResult` (shared with the scenario port)."""
+    """Classify one campaign :class:`JobResult`."""
     counters = job.perf_counters()
     return BoundednessRecord(
         problem=job.problem,
@@ -139,15 +75,3 @@ def boundedness_record_from_job(job) -> BoundednessRecord:
         l1_hit_rate=counters.l1_hit_rate,
         cycles=job.cycles,
     )
-
-
-def boundedness_study(problem_names: Sequence[str], scale: str = "bench",
-                      config: Optional[ArchConfig] = None,
-                      seed: int = 0,
-                      runner: Optional[CampaignRunner] = None
-                      ) -> List[BoundednessRecord]:
-    """Classify each workload as memory- or compute-bound on a reference machine."""
-    runner = runner if runner is not None else CampaignRunner()
-    campaign = build_boundedness_campaign(problem_names, scale, config, seed)
-    return [boundedness_record_from_job(job)
-            for job in runner.run(campaign).job_results()]

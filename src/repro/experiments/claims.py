@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.campaign.runner import CampaignRunner
 from repro.core.optimizer import optimal_local_size
-from repro.experiments.figure2 import DEFAULT_CALL_SIMULATION_LIMIT, Figure2Result, run_figure2
+from repro.experiments.figure2 import Figure2Result
 from repro.sim.config import ArchConfig
 
 
@@ -60,23 +59,6 @@ class ClaimResults:
     def render(self) -> str:
         """Multi-line rendering of every claim."""
         return "\n".join(outcome.render() for outcome in self.outcomes)
-
-
-def run_claims(problem_names: Sequence[str], configs: Sequence[ArchConfig],
-               scale: str = "bench",
-               call_simulation_limit: Optional[int] = DEFAULT_CALL_SIMULATION_LIMIT,
-               seed: int = 0,
-               runner: Optional[CampaignRunner] = None) -> ClaimResults:
-    """Run the sweep through the campaign engine and evaluate the claims.
-
-    Convenience wrapper: with a cached :class:`CampaignRunner`, re-evaluating
-    the claims after a figure regeneration is entirely cache-served -- the
-    sweep grid is identical, so no point is simulated twice.
-    """
-    result = run_figure2(problem_names, configs, scale=scale,
-                         call_simulation_limit=call_simulation_limit,
-                         seed=seed, runner=runner)
-    return evaluate_claims(result)
 
 
 def evaluate_claims(result: Figure2Result,

@@ -3,26 +3,12 @@
 The paper's Figure 1 traces a 128-element vector addition on a
 1-core / 2-warp / 4-thread machine (hardware parallelism 8) for
 ``lws in {1, 16, 32, 64}`` and shows, per warp, which tagged code section
-issues at which time.  ``run_figure1`` reproduces the study: it submits the
-same four launches through the campaign engine with tracing enabled and
-returns, per lws, the trace, the cycle count, the number of kernel calls and
-the rendered ASCII timeline.  Traced jobs are always simulated fresh (the
-result cache stores summaries, not event logs), but routing them through a
-:class:`~repro.campaign.runner.CampaignRunner` still buys parallel execution
-and failure isolation -- and seeds their summaries into the cache for other
-experiments that hit the same points.
+issues at which time.  This module holds the study's constants and its
+caption line; the registered ``figure1`` scenario declares the grid and
+renders the result, and ``repro figure1`` runs that grid with tracing on.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.campaign.runner import CampaignRunner
-from repro.campaign.spec import Campaign, JobSpec
-from repro.sim.config import ArchConfig, FIGURE1_CONFIG
-from repro.trace.analysis import TraceAnalysis, analyze_trace
-from repro.trace.render import render_issue_timeline, render_section_waveform
 
 #: The lws values traced in the paper's Figure 1.
 FIGURE1_LWS_VALUES = (1, 16, 32, 64)
@@ -34,127 +20,8 @@ FIGURE1_SEED = 11
 
 def summarize_figure1_launch(local_size: int, cycles: int, num_calls: int,
                              num_workgroups: int, lane_utilization: float) -> str:
-    """The per-plot caption line of the Figure-1 study.
-
-    Shared by :meth:`Figure1Trace.summary` and the registered ``figure1``
-    scenario's analysis (which renders the same numbers from sink records),
-    so the two outputs cannot drift apart.
-    """
+    """The per-plot caption line of the Figure-1 study."""
     return (f"lws={local_size:>3}: {cycles:>6} cycles, "
             f"{num_calls} kernel call(s), "
             f"{num_workgroups} workgroups, "
             f"lane utilisation {lane_utilization:.0%}")
-
-
-@dataclass
-class Figure1Trace:
-    """One traced launch of the Figure-1 study."""
-
-    local_size: int
-    cycles: int
-    num_calls: int
-    num_workgroups: int
-    lane_utilization: float
-    events: tuple
-    analysis: TraceAnalysis
-    timeline: str
-    waveform: str
-
-    def summary(self) -> str:
-        """One-line summary mirroring the paper's per-plot caption."""
-        return summarize_figure1_launch(self.local_size, self.cycles,
-                                        self.num_calls, self.num_workgroups,
-                                        self.lane_utilization)
-
-
-@dataclass
-class Figure1Result:
-    """All traced launches of the Figure-1 study."""
-
-    config_name: str
-    global_size: int
-    traces: Dict[int, Figure1Trace] = field(default_factory=dict)
-
-    def best_local_size(self) -> int:
-        """The lws with the lowest cycle count (the paper's Eq.-1 value, 16)."""
-        return min(self.traces, key=lambda lws: self.traces[lws].cycles)
-
-    def render(self) -> str:
-        """Full multi-plot text rendering (one block per lws, like Figure 1)."""
-        blocks: List[str] = [
-            f"Figure 1 reproduction: vecadd, {self.global_size} elements on {self.config_name}",
-            "",
-        ]
-        for lws in sorted(self.traces):
-            trace = self.traces[lws]
-            blocks.append(trace.summary())
-            blocks.append(trace.waveform)
-            blocks.append(trace.timeline)
-            blocks.append("")
-        return "\n".join(blocks)
-
-
-def build_figure1_campaign(lws_values: Sequence[int] = FIGURE1_LWS_VALUES,
-                           length: int = FIGURE1_LENGTH,
-                           config: Optional[ArchConfig] = None,
-                           max_trace_events: int = 200_000,
-                           seed: int = FIGURE1_SEED,
-                           collect_trace: bool = True) -> Campaign:
-    """The Figure-1 grid as a campaign (one traced ``vecadd`` launch per lws).
-
-    The registered ``figure1`` scenario declares the same grid (without
-    tracing -- tracing never changes the numbers, only what is reported), so
-    both paths simulate identical content-addressed points.
-    """
-    config = config if config is not None else FIGURE1_CONFIG
-    campaign = Campaign(name="figure1")
-    for lws in lws_values:
-        campaign.add(JobSpec(
-            problem="vecadd",
-            config=config,
-            scale="bench",
-            seed=seed,
-            size=length,
-            local_size=lws,
-            collect_trace=collect_trace,
-            max_trace_events=max_trace_events,
-            label=f"figure1/vecadd/lws={lws}",
-        ))
-    return campaign
-
-
-def run_figure1(lws_values: Sequence[int] = FIGURE1_LWS_VALUES,
-                length: int = FIGURE1_LENGTH,
-                config: Optional[ArchConfig] = None,
-                max_trace_events: int = 200_000,
-                timeline_width: int = 96,
-                seed: int = FIGURE1_SEED,
-                runner: Optional[CampaignRunner] = None) -> Figure1Result:
-    """Trace ``vecadd`` under each lws in ``lws_values`` on the Figure-1 machine."""
-    config = config if config is not None else FIGURE1_CONFIG
-    runner = runner if runner is not None else CampaignRunner()
-
-    campaign = build_figure1_campaign(lws_values, length, config,
-                                      max_trace_events, seed)
-    outcome = runner.run(campaign)
-    outcome.raise_on_failure()
-
-    result = Figure1Result(config_name=config.name, global_size=length)
-    for job in outcome.results:
-        events = job.events if job.events is not None else ()
-        analysis = analyze_trace(events, job.perf_counters(),
-                                 threads_per_warp=config.threads_per_warp)
-        trace = Figure1Trace(
-            local_size=job.local_size,
-            cycles=job.cycles,
-            num_calls=job.num_calls,
-            num_workgroups=job.num_workgroups,
-            lane_utilization=job.lane_utilization,
-            events=events,
-            analysis=analysis,
-            timeline=render_issue_timeline(events, width=timeline_width,
-                                           title=f"lws={job.local_size}"),
-            waveform=render_section_waveform(events, width=timeline_width),
-        )
-        result.traces[job.local_size] = trace
-    return result

@@ -8,35 +8,24 @@ those ratios (over all configurations) are the violins of the paper's
 Figure 2; their summary statistics (average, worst, %-worse) are the numbers
 printed in its data tables.
 
-The sweep grid is submitted through the campaign engine
-(:mod:`repro.campaign`): pass a :class:`~repro.campaign.runner.CampaignRunner`
-with a cache and/or multiple workers to reuse previously simulated points and
-fan fresh ones out across processes.  Each grid point resolves its mapping
-strategy to a concrete lws *before* submission, so the job's content hash
-names exactly what is simulated -- two strategies that pick the same lws on
-some machine share one simulation.
+This module holds the record types and the ratio queries; the registered
+``figure2``/``claims`` scenarios declare the grid, and the planner resolves
+each grid point's mapping strategy to a concrete lws *before* submission, so
+a job's content hash names exactly what is simulated -- two strategies that
+pick the same lws on some machine share one simulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional
 
-from repro.campaign.runner import CampaignRunner
-from repro.campaign.spec import Campaign, JobSpec
-from repro.core.mapper import MappingStrategy, PAPER_STRATEGIES
 from repro.experiments.stats import RatioStats, ratio_stats
-from repro.sim.config import ArchConfig
-from repro.workloads.problems import Problem, make_problem
 
 #: The label of the paper's proposed mapping inside result tables.
 OURS = "ours"
 #: Baseline labels, in the order the paper's violins show them (left, right).
 BASELINES = ("lws=1", "lws=32")
-
-#: Default number of kernel calls simulated exactly before extrapolating the
-#: rest; keeps the lws=1 arm of the sweep tractable (see launcher docs).
-DEFAULT_CALL_SIMULATION_LIMIT = 3
 
 
 @dataclass(frozen=True)
@@ -192,27 +181,29 @@ class Figure2Result:
 
     @classmethod
     def load_json(cls, path) -> "Figure2Result":
-        """Load a result previously written by :meth:`save_json`."""
+        """Load a result previously written by :meth:`save_json`.
+
+        Raises :class:`ValueError` naming ``path`` when the file is not a
+        JSON list of sweep rows (and :class:`OSError` when it cannot be read).
+        """
         import json
         from pathlib import Path
 
-        rows = json.loads(Path(path).read_text())
-        return cls(records=[SweepRecord.from_dict(row) for row in rows])
+        text = Path(path).read_text()
+        try:
+            return cls(records=[SweepRecord.from_dict(row)
+                                for row in json.loads(text)])
+        except (ValueError, TypeError, KeyError) as error:
+            raise ValueError(f"{path} is not a saved sweep (a JSON list of "
+                             f"sweep rows): {error!r}") from error
 
 
 # ----------------------------------------------------------------------
-def sweep_record_from_job(job, strategy: str,
-                          category: Optional[str] = None) -> SweepRecord:
-    """One :class:`SweepRecord` from a campaign :class:`JobResult`.
-
-    The single conversion point shared by :func:`run_figure2` and the
-    registered ``figure2``/``claims`` scenarios (whose analyses rebuild the
-    result from sink records) -- the numbers cannot diverge because they are
-    copied by the same code.
-    """
+def sweep_record_from_job(job, strategy: str) -> SweepRecord:
+    """One :class:`SweepRecord` from a campaign :class:`JobResult`."""
     return SweepRecord(
         problem=job.problem,
-        category=category if category is not None else job.category,
+        category=job.category,
         config_name=job.config_name,
         hardware_parallelism=job.hardware_parallelism,
         strategy=strategy,
@@ -223,93 +214,3 @@ def sweep_record_from_job(job, strategy: str,
         lane_utilization=job.lane_utilization,
         elapsed_seconds=job.elapsed_seconds,
     )
-
-
-def build_figure2_campaign(problem_names: Sequence[str],
-                           configs: Sequence[ArchConfig],
-                           scale: str = "bench",
-                           strategies: Optional[Mapping[str, MappingStrategy]] = None,
-                           call_simulation_limit: Optional[int] = DEFAULT_CALL_SIMULATION_LIMIT,
-                           seed: int = 0) -> Tuple[Campaign, List[Tuple[Problem, str]]]:
-    """Build the sweep grid as a campaign.
-
-    Returns the campaign plus, per submitted job, the ``(problem, label)``
-    pair it measures -- strategies are resolved to concrete lws values here,
-    so the specs are pure content-addressed simulation points.
-    """
-    chosen = dict(strategies) if strategies is not None else dict(PAPER_STRATEGIES)
-    if OURS not in chosen:
-        raise ValueError(f"strategies must include the {OURS!r} mapping")
-    campaign = Campaign(name="figure2")
-    jobs: List[Tuple[Problem, str]] = []
-    for problem_name in problem_names:
-        problem = make_problem(problem_name, scale=scale, seed=seed)
-        for config in configs:
-            for label, strategy in chosen.items():
-                lws = strategy.select_local_size(problem.global_size, config)
-                campaign.add(JobSpec(
-                    problem=problem_name,
-                    config=config,
-                    scale=scale,
-                    seed=seed,
-                    local_size=lws,
-                    call_simulation_limit=call_simulation_limit,
-                    label=f"{problem_name}/{config.name}/{label}",
-                ))
-                jobs.append((problem, label))
-    return campaign, jobs
-
-
-def run_figure2(problem_names: Sequence[str], configs: Sequence[ArchConfig],
-                scale: str = "bench",
-                strategies: Optional[Mapping[str, MappingStrategy]] = None,
-                call_simulation_limit: Optional[int] = DEFAULT_CALL_SIMULATION_LIMIT,
-                seed: int = 0,
-                progress: Optional[callable] = None,
-                runner: Optional[CampaignRunner] = None) -> Figure2Result:
-    """Execute the Figure-2 sweep through the campaign engine.
-
-    Parameters
-    ----------
-    problem_names:
-        Which workloads to sweep (names from :mod:`repro.workloads.problems`).
-    configs:
-        Hardware configurations (e.g. from :func:`repro.experiments.configs.paper_sweep`).
-    scale:
-        Problem scale: ``"paper"``, ``"bench"`` or ``"smoke"``.
-    strategies:
-        Mapping strategies keyed by report label; defaults to the paper's three.
-    call_simulation_limit:
-        Passed to the launcher; ``None`` simulates every kernel call exactly.
-    seed:
-        Single RNG seed threaded into every job spec; the input data of every
-        grid point is a pure function of ``(problem, scale, seed)``, so cached
-        and fresh runs of the same grid are bit-identical.
-    progress:
-        Optional callback ``progress(problem, config, strategy, cycles)`` invoked
-        after every measurement (used for logging in long sweeps).
-    runner:
-        The campaign runner to submit through; defaults to a serial runner
-        without a cache (hermetic).  Pass ``CampaignRunner(workers=N,
-        cache=ResultCache())`` for parallel, cache-served sweeps.
-    """
-    campaign, jobs = build_figure2_campaign(
-        problem_names, configs, scale=scale, strategies=strategies,
-        call_simulation_limit=call_simulation_limit, seed=seed)
-    runner = runner if runner is not None else CampaignRunner()
-
-    campaign_progress = None
-    if progress is not None:
-        def campaign_progress(index, total, spec, outcome):
-            if outcome.ok:
-                problem, label = jobs[index]
-                progress(problem.name, spec.config.name, label, outcome.cycles)
-
-    outcome = runner.run(campaign, progress=campaign_progress)
-    outcome.raise_on_failure()
-
-    result = Figure2Result()
-    for (problem, label), job in zip(jobs, outcome.results):
-        result.records.append(
-            sweep_record_from_job(job, label, category=problem.category))
-    return result

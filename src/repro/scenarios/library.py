@@ -3,10 +3,10 @@
 Importing this module registers every built-in scenario in the process-wide
 :data:`~repro.scenarios.registry.REGISTRY`:
 
-* the four ported paper experiments -- ``figure1``, ``figure2``,
-  ``ablation``, ``claims`` -- which declare exactly the grids the hand-written
-  drivers in :mod:`repro.experiments` submit (sharing the grid constants and
-  record-conversion helpers, so the numbers are bit-identical), and
+* the four paper experiments -- ``figure1``, ``figure2``, ``ablation``,
+  ``claims`` -- whose grid constants, record types and renderers live in
+  :mod:`repro.experiments` (grid expansion is frozen by
+  ``tests/golden/experiments_smoke.json``), and
 * four sweeps the declarative layer makes cheap -- ``scaling`` (cores 1..32
   at fixed gws), ``scheduler-sweep`` (RR vs GTO across kernels),
   ``engine-compare`` (reference vs fast vs batch wall time on identical grids) and
@@ -45,10 +45,22 @@ from repro.experiments.report import (
 from repro.scenarios.registry import register
 from repro.scenarios.spec import GridAxes, RUNTIME_STRATEGY, Scenario, ScenarioContext
 from repro.sim.config import FIGURE1_CONFIG, ArchConfig
+from repro.trace.render import render_issue_timeline, render_section_waveform
 
 #: The default workload set of the sweep-style scenarios (the CLI's
 #: ``--kernels`` default); the paper's five math kernels.
 DEFAULT_SWEEP_PROBLEMS = ("vecadd", "relu", "saxpy", "sgemm", "knn")
+
+#: Default number of kernel calls simulated exactly before extrapolating the
+#: rest; keeps the lws=1 arm of the sweeps tractable (see launcher docs).
+DEFAULT_CALL_SIMULATION_LIMIT = 3
+
+#: Column width of the Figure-1 waveforms and issue timelines.
+_FIGURE1_WIDTH = 96
+
+
+def _call_limit(context: ScenarioContext) -> Optional[int]:
+    return None if context.exact_calls else DEFAULT_CALL_SIMULATION_LIMIT
 
 
 def figure2_result_from_run(run) -> Figure2Result:
@@ -76,21 +88,32 @@ def _figure1_grid(context: ScenarioContext) -> GridAxes:
 
 
 def _figure1_analyze(run) -> str:
-    lines = [
-        f"Figure 1 reproduction: vecadd, {run.records[0].result.global_size} "
-        f"elements on {run.records[0].result.config_name}",
-        "(numbers from sink records; `repro figure1` renders the timelines)",
-        "",
-    ]
-    best: Optional[Tuple[int, int]] = None
+    """Caption lines per lws; plus, when the records carry trace events (the
+    ``repro figure1`` run -- sinks and the cache store summaries only), each
+    launch's section waveform and issue timeline."""
+    first = run.records[0].result
+    traced = first.events is not None
+    lines = [f"Figure 1 reproduction: vecadd, {first.global_size} "
+             f"elements on {first.config_name}"]
+    if not traced:
+        lines.append("(numbers from sink records; `repro figure1` renders "
+                     "the timelines)")
+    lines.append("")
     for record in run.records:
         job = record.result
         lines.append(summarize_figure1_launch(
             job.local_size, job.cycles, job.num_calls, job.num_workgroups,
             job.lane_utilization))
-        if best is None or job.cycles < best[1]:
-            best = (job.local_size, job.cycles)
-    lines.extend(["", f"best lws: {best[0]} ({best[1]} cycles)"])
+        if traced:
+            lines.extend([
+                render_section_waveform(job.events, width=_FIGURE1_WIDTH),
+                render_issue_timeline(job.events, width=_FIGURE1_WIDTH,
+                                      title=f"lws={job.local_size}"),
+                "",
+            ])
+    if not traced:
+        best = min(run.results(), key=lambda job: job.cycles)
+        lines.extend(["", f"best lws: {best.local_size} ({best.cycles} cycles)"])
     return "\n".join(lines)
 
 
@@ -99,7 +122,7 @@ def _figure2_grid(context: ScenarioContext) -> GridAxes:
         problems=context.problems if context.problems else DEFAULT_SWEEP_PROBLEMS,
         configs=tuple(sweep_by_name(context.sweep if context.sweep else "smoke")),
         strategies=("lws=1", "lws=32", "ours"),
-        call_simulation_limit=None if context.exact_calls else 3,
+        call_simulation_limit=_call_limit(context),
     )
 
 
@@ -118,7 +141,7 @@ def _ablation_grid(context: ScenarioContext) -> List[GridAxes]:
             problems=("vecadd",),
             configs=(replace(OVERHEAD_BASE_CONFIG, kernel_launch_overhead=overhead),),
             strategies=("naive-lws1", "hardware-aware"),
-            call_simulation_limit=3,
+            call_simulation_limit=DEFAULT_CALL_SIMULATION_LIMIT,
             tags=(("study", "overhead"), ("overhead", overhead)),
         )
         for overhead in DEFAULT_OVERHEADS
@@ -181,7 +204,7 @@ def _scaling_grid(context: ScenarioContext) -> GridAxes:
         configs=tuple(ArchConfig(cores=c, warps_per_core=8, threads_per_warp=8)
                       for c in SCALING_CORES),
         strategies=("ours",),
-        call_simulation_limit=None if context.exact_calls else 3,
+        call_simulation_limit=_call_limit(context),
     )
 
 
@@ -214,7 +237,7 @@ def _scheduler_grid(context: ScenarioContext) -> List[GridAxes]:
             problems=problems,
             configs=(replace(base, warp_scheduler=policy),),
             strategies=("ours",),
-            call_simulation_limit=None if context.exact_calls else 3,
+            call_simulation_limit=_call_limit(context),
             tags=(("scheduler", policy),),
         )
         for policy in ("rr", "gto")
@@ -245,7 +268,7 @@ def _engine_grid(context: ScenarioContext) -> GridAxes:
         configs=(ArchConfig(cores=4, warps_per_core=8, threads_per_warp=8),),
         strategies=("ours",),
         engines=("reference", "fast", "batch"),
-        call_simulation_limit=None if context.exact_calls else 3,
+        call_simulation_limit=_call_limit(context),
     )
 
 
@@ -314,7 +337,7 @@ def _cache_grid(context: ScenarioContext) -> List[GridAxes]:
             problems=problems,
             configs=(replace(base, l1_size_words=l1, l2_size_words=l2),),
             strategies=("ours",),
-            call_simulation_limit=None if context.exact_calls else 3,
+            call_simulation_limit=_call_limit(context),
             tags=(("l1_words", l1), ("l2_words", l2)),
         )
         for l1, l2 in CACHE_SWEEP_POINTS

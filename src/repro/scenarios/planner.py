@@ -139,12 +139,13 @@ class Planner:
         """Expand the grid into one planned job per grid point, in grid order.
 
         Axis order is ``seed > problem > size > config > strategy > engine``
-        (matching the hand-written drivers, so ported scenarios submit their
-        grids in the identical order).  Points whose specs coincide -- two
-        strategies resolving to the same lws on some machine -- all stay in
-        the plan (each carries its own meta tags for analysis); execution
-        dedups them by key (:meth:`unique_jobs`), so every distinct point is
-        simulated once and the sink holds exactly one record per key.
+        (frozen for the paper scenarios by
+        ``tests/golden/experiments_smoke.json``).  Points whose specs
+        coincide -- two strategies resolving to the same lws on some
+        machine -- all stay in the plan (each carries its own meta tags for
+        analysis); execution dedups them by key (:meth:`unique_jobs`), so
+        every distinct point is simulated once and the sink holds exactly
+        one record per key.
         """
         context = context if context is not None else ScenarioContext(
             scale=scenario.default_scale)

@@ -4,11 +4,10 @@ One :class:`Recorder` instance (:data:`RECORDER`) exists per process.  It is
 **disabled by default** and every recording call is a no-op behind a single
 ``self.enabled`` check, so an un-instrumented-feeling fast path survives in
 instrumented code -- the hot sites in the simulation engines guard with
-``if RECORDER.enabled:`` before even reading a clock, and
-``benchmarks/bench_telemetry.py`` gates that disabled-path cost at <= 2% of a
-launch.  Enabling happens through the ``REPRO_TELEMETRY`` environment
-variable (any of ``1/true/on/yes``) or the CLI's ``--telemetry`` flag, which
-sets the variable so campaign worker processes inherit it.
+``if RECORDER.enabled:`` before even reading a clock.  Enabling happens
+through the ``REPRO_TELEMETRY`` environment variable (any of
+``1/true/on/yes``) or the CLI's ``--telemetry`` flag, which sets the
+variable so campaign worker processes inherit it.
 
 Three metric kinds live in the registry:
 

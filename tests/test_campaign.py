@@ -30,11 +30,12 @@ from repro.campaign import (
     execute_job,
 )
 from repro.campaign.cache import CACHE_DIR_ENV, default_cache_dir
-from repro.experiments.figure2 import run_figure2
 from repro.isa.latencies import FunctionalUnit, OpTiming
 from repro.isa.opcodes import Opcode
 from repro.sim.config import ArchConfig
 from repro.workloads.problems import UnknownProblemError, make_problem
+
+from scenario_helpers import run_sweep
 
 CONFIG = ArchConfig.from_name("2c2w4t")
 
@@ -388,29 +389,26 @@ class TestExperimentsThroughCampaign:
     CONFIGS = [ArchConfig.from_name("1c2w2t"), ArchConfig.from_name("2c4w4t")]
 
     def test_figure2_second_run_is_fully_cache_served(self, tmp_path):
-        kwargs = dict(scale="smoke", call_simulation_limit=3, seed=0)
         cold_runner = CampaignRunner(cache=ResultCache(tmp_path))
-        cold = run_figure2(["vecadd"], self.CONFIGS, runner=cold_runner, **kwargs)
+        cold = run_sweep(["vecadd"], self.CONFIGS, runner=cold_runner)
         warm_runner = CampaignRunner(cache=ResultCache(tmp_path))
-        warm = run_figure2(["vecadd"], self.CONFIGS, runner=warm_runner, **kwargs)
+        warm = run_sweep(["vecadd"], self.CONFIGS, runner=warm_runner)
         assert warm_runner.cache.misses == 0             # every point served
         assert [r.as_dict() for r in warm.records] == [r.as_dict() for r in cold.records]
 
     def test_figure2_parallel_matches_serial(self):
-        kwargs = dict(scale="smoke", call_simulation_limit=3, seed=0)
-        serial = run_figure2(["vecadd", "relu"], self.CONFIGS,
-                             runner=CampaignRunner(workers=1), **kwargs)
-        parallel = run_figure2(["vecadd", "relu"], self.CONFIGS,
-                               runner=CampaignRunner(workers=4), **kwargs)
+        serial = run_sweep(["vecadd", "relu"], self.CONFIGS,
+                           runner=CampaignRunner(workers=1))
+        parallel = run_sweep(["vecadd", "relu"], self.CONFIGS,
+                             runner=CampaignRunner(workers=4))
         assert [r.as_dict() for r in serial.records] \
             == [r.as_dict() for r in parallel.records]
 
     def test_figure2_seed_changes_the_grid_points(self, tmp_path):
         cache = ResultCache(tmp_path)
-        kwargs = dict(scale="smoke", call_simulation_limit=3)
         runner = CampaignRunner(cache=cache)
-        run_figure2(["vecadd"], self.CONFIGS[:1], seed=0, runner=runner, **kwargs)
-        run_figure2(["vecadd"], self.CONFIGS[:1], seed=7, runner=runner, **kwargs)
+        run_sweep(["vecadd"], self.CONFIGS[:1], seed=0, runner=runner)
+        run_sweep(["vecadd"], self.CONFIGS[:1], seed=7, runner=runner)
         assert cache.hits == 0                           # different seed, no reuse
 
 

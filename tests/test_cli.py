@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from scenario_helpers import check_golden
+
 
 def test_parser_lists_all_subcommands():
     parser = build_parser()
@@ -70,11 +72,23 @@ def test_run_command_rejects_unknown_problem():
         main(["run", "not_a_kernel"])
 
 
-def test_figure1_command(capsys):
+def test_figure1_command(capsys, update_golden):
+    """stdout is byte-identical to what the deleted trace-study driver printed."""
+    assert main(["figure1"]) == 0
+    default = capsys.readouterr().out
     assert main(["figure1", "--length", "64", "--lws", "1", "8"]) == 0
-    out = capsys.readouterr().out
-    assert "Figure 1 reproduction" in out
-    assert "lws=" in out
+    short = capsys.readouterr().out
+    assert "Figure 1 reproduction" in short
+    assert short.count("core 0 warp 0") == 2           # one timeline per lws
+    check_golden("figure1_stdout",
+                 {"default": default, "length64_lws_1_8": short}, update_golden)
+
+
+def test_figure1_requires_at_least_one_lws(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["figure1", "--lws"])
+    assert exit_info.value.code == 2
+    assert "--lws" in capsys.readouterr().err
 
 
 def test_sweep_and_report_round_trip(tmp_path, capsys):
@@ -91,6 +105,34 @@ def test_sweep_and_report_round_trip(tmp_path, capsys):
     second = capsys.readouterr().out
     assert "lws=1/ours avg" in second
     assert "C4" in second
+
+
+def test_report_rejects_a_missing_file(tmp_path, capsys):
+    assert main(["report", str(tmp_path / "missing.json")]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "missing.json" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_report_rejects_json_that_is_not_a_saved_sweep(tmp_path, capsys):
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text('"valid JSON, not sweep rows"')
+    assert main(["report", str(bogus)]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "bogus.json is not a saved sweep" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep"], ["campaign", "run", "--no-cache"], ["scenario", "run", "scaling"]])
+def test_grid_commands_reject_unknown_kernels(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_SCENARIO_DIR", str(tmp_path / "runs"))
+    assert main(command + ["--kernels", "vecadd,nosuch", "--scale", "smoke"]) == 2
+    captured = capsys.readouterr()
+    assert "error: unknown kernel(s) nosuch" in captured.err
+    assert "vecadd" in captured.err                  # the error lists what exists
+    assert captured.out == ""
+    assert not (tmp_path / "runs").exists()         # rejected before any set-up
 
 
 def test_campaign_run_status_and_clear_cache(tmp_path, capsys):

@@ -1,23 +1,27 @@
-"""Tests for the Figure-1 / Figure-2 harnesses, claims, ablations and reports.
+"""Tests for the Figure-1 / Figure-2 scenarios, claims, ablations and reports.
 
-These run real (tiny) sweeps on the simulator, so they use smoke-scale
-problems and the smallest configuration grids.
+These run real (tiny) sweeps on the simulator through the planner, so they
+use smoke-scale problems and the smallest configuration grids.
 """
+
+from dataclasses import replace
 
 import pytest
 
-from repro.experiments.ablation import boundedness_study, overhead_sensitivity
+from repro.core.analysis import MappingAnalyzer
+from repro.experiments.ablation import boundedness_record_from_job, overhead_records
 from repro.experiments.claims import evaluate_claims
-from repro.experiments.configs import smoke_sweep
-from repro.experiments.figure1 import FIGURE1_LWS_VALUES, run_figure1
-from repro.experiments.figure2 import Figure2Result, SweepRecord, run_figure2
+from repro.experiments.figure2 import SweepRecord
 from repro.experiments.report import (
     render_figure2_table,
     render_markdown_report,
     render_speedup_summary,
     render_table,
 )
+from repro.scenarios import REGISTRY, Planner, ScenarioContext
 from repro.sim.config import ArchConfig
+
+from scenario_helpers import run_sweep, sweep_scenario
 
 
 # ----------------------------------------------------------------------
@@ -25,42 +29,67 @@ from repro.sim.config import ArchConfig
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def figure1():
-    return run_figure1(lws_values=(1, 16, 32, 64), length=128)
+    """The figure1 scenario with tracing on -- what ``repro figure1`` runs."""
+    scenario = REGISTRY.get("figure1")
+    (axes,) = scenario.axes(ScenarioContext())
+    return Planner().run(replace(scenario, grid=replace(axes, collect_trace=True)))
+
+
+@pytest.fixture(scope="module")
+def figure1_jobs(figure1):
+    return {job.local_size: job for job in figure1.results()}
 
 
 class TestFigure1:
-    def test_all_requested_lws_values_are_traced(self, figure1):
-        assert set(figure1.traces) == {1, 16, 32, 64}
-        assert figure1.config_name == "1c2w4t"
-        assert figure1.global_size == 128
+    def test_all_requested_lws_values_are_traced(self, figure1_jobs):
+        assert set(figure1_jobs) == {1, 16, 32, 64}
+        assert {job.config_name for job in figure1_jobs.values()} == {"1c2w4t"}
+        assert {job.global_size for job in figure1_jobs.values()} == {128}
 
-    def test_lws16_is_the_fastest_as_in_the_paper(self, figure1):
-        assert figure1.best_local_size() == 16
-        cycles = {lws: t.cycles for lws, t in figure1.traces.items()}
-        assert cycles[16] < cycles[1]
-        assert cycles[16] < cycles[32]
-        assert cycles[16] < cycles[64]
+    def test_lws16_is_the_fastest_as_in_the_paper(self, figure1_jobs):
+        cycles = {lws: job.cycles for lws, job in figure1_jobs.items()}
+        assert min(cycles, key=cycles.get) == 16
+        # lws=1 pays 16 launches; larger lws leave ever more lanes idle
+        assert cycles[64] > cycles[32] > cycles[16] < cycles[1]
 
-    def test_call_counts_match_the_three_regimes(self, figure1):
-        assert figure1.traces[1].num_calls == 16
-        assert figure1.traces[16].num_calls == 1
-        assert figure1.traces[32].num_calls == 1
-        assert figure1.traces[64].num_calls == 1
+    def test_call_counts_match_the_three_regimes(self, figure1_jobs):
+        assert figure1_jobs[1].num_calls == 16
+        assert figure1_jobs[16].num_calls == 1
+        assert figure1_jobs[32].num_calls == 1
+        assert figure1_jobs[64].num_calls == 1
 
-    def test_under_utilised_mappings_report_reduced_lane_utilisation(self, figure1):
-        assert figure1.traces[16].lane_utilization == pytest.approx(1.0)
-        assert figure1.traces[32].lane_utilization == pytest.approx(0.5)
-        assert figure1.traces[64].lane_utilization == pytest.approx(0.25)
+    def test_under_utilised_mappings_report_reduced_lane_utilisation(self, figure1_jobs):
+        assert figure1_jobs[16].lane_utilization == pytest.approx(1.0)
+        assert figure1_jobs[32].lane_utilization == pytest.approx(0.5)
+        assert figure1_jobs[64].lane_utilization == pytest.approx(0.25)
 
-    def test_traces_contain_events_and_renderings(self, figure1):
-        for trace in figure1.traces.values():
-            assert len(trace.events) > 0
-            assert "core 0 warp 0" in trace.timeline
-            assert "init" in trace.waveform
-            assert "lws=" in trace.summary()
-        rendered = figure1.render()
+    def test_traces_contain_events_and_renderings(self, figure1, figure1_jobs):
+        for job in figure1_jobs.values():
+            assert len(job.events) > 0
+        rendered = figure1.report()
         assert "Figure 1" in rendered
         assert rendered.count("lws=") >= 4
+        assert rendered.count("core 0 warp 0") == 4      # one timeline per lws
+        assert rendered.count("init") >= 4               # one waveform per lws
+        assert "sink records" not in rendered
+
+    def test_simulated_cycles_order_the_three_regimes(self):
+        """Section 2's analysis, on a multi-core machine: the balanced lws is
+        the fastest; more calls and idle lanes both cost simulated cycles."""
+        config = ArchConfig.from_name("2c2w4t")          # hp = 16, Eq. 1 -> 4
+        run = Planner().run(
+            sweep_scenario(["vecadd"], [config],
+                           strategies=("lws=1", "lws=2", "ours", "lws=16", "lws=64")),
+            ScenarioContext(scale="smoke"))
+        analyzer = MappingAnalyzer(config)
+        jobs = {job.local_size: job for job in run.results()}
+        regimes = {lws: analyzer.analyze(job.global_size, lws).regime
+                   for lws, job in jobs.items()}
+        assert regimes == {1: "multiple-calls", 2: "multiple-calls", 4: "balanced",
+                           16: "under-utilised", 64: "under-utilised"}
+        assert jobs[4].num_calls == 1
+        assert min(jobs, key=lambda lws: jobs[lws].cycles) == 4
+        assert jobs[1].cycles > jobs[4].cycles < jobs[64].cycles
 
 
 # ----------------------------------------------------------------------
@@ -70,8 +99,7 @@ class TestFigure1:
 def figure2():
     configs = [ArchConfig.from_name("1c2w2t"), ArchConfig.from_name("2c4w4t"),
                ArchConfig.from_name("8c8w8t")]
-    return run_figure2(["vecadd", "sgemm"], configs, scale="smoke",
-                       call_simulation_limit=3)
+    return run_sweep(["vecadd", "sgemm"], configs)
 
 
 class TestFigure2:
@@ -108,18 +136,6 @@ class TestFigure2:
             figure2.cycles("vecadd", "1c2w2t", "lws=99")
         with pytest.raises(KeyError):
             figure2.ratios("vecadd", "lws=99")
-
-    def test_strategies_must_include_ours(self):
-        from repro.core.mapper import NaiveMapping
-        with pytest.raises(ValueError, match="ours"):
-            run_figure2(["vecadd"], [ArchConfig.from_name("1c2w2t")], scale="smoke",
-                        strategies={"lws=1": NaiveMapping()})
-
-    def test_progress_callback_is_invoked(self):
-        seen = []
-        run_figure2(["vecadd"], [ArchConfig.from_name("1c2w2t")], scale="smoke",
-                    progress=lambda *args: seen.append(args))
-        assert len(seen) == 3
 
 
 # ----------------------------------------------------------------------
@@ -158,19 +174,29 @@ class TestClaimsAndReports:
         assert len(lines) == 4
         assert all(line.startswith("|") and line.endswith("|") for line in lines)
 
-    def test_overhead_sensitivity_ablation_is_monotone(self):
-        records = overhead_sensitivity("vecadd", scale="smoke",
-                                       config=ArchConfig.from_name("2c2w4t"),
-                                       overheads=(0, 64, 512))
+    def test_overhead_ablation_is_monotone(self):
+        base = ArchConfig.from_name("2c2w4t")
+        overheads = (0, 64, 512)
+        run = Planner().run(
+            sweep_scenario(["vecadd"],
+                           [replace(base, kernel_launch_overhead=overhead)
+                            for overhead in overheads],
+                           strategies=("naive-lws1", "hardware-aware")),
+            ScenarioContext(scale="smoke"))
+        cycles = [job.cycles for job in run.results()]
+        records = overhead_records(overheads, list(zip(cycles[::2], cycles[1::2])))
         assert len(records) == 3
         ratios = [r.ratio for r in records]
         # more launch overhead -> the naive lws=1 mapping falls further behind
         assert ratios[0] <= ratios[1] <= ratios[2]
         assert records[0].naive_cycles > 0
 
-    def test_boundedness_study_classifies_each_problem(self):
-        records = boundedness_study(["vecadd", "sgemm"], scale="smoke",
-                                    config=ArchConfig.from_name("1c2w4t"))
+    def test_boundedness_classifies_each_problem(self):
+        run = Planner().run(
+            sweep_scenario(["vecadd", "sgemm"], [ArchConfig.from_name("1c2w4t")],
+                           strategies=("runtime",)),
+            ScenarioContext(scale="smoke"))
+        records = [boundedness_record_from_job(job) for job in run.results()]
         by_name = {r.problem: r for r in records}
         assert set(by_name) == {"vecadd", "sgemm"}
         for record in records:

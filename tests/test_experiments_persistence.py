@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.experiments.figure2 import Figure2Result, SweepRecord, run_figure2
+from repro.experiments.figure2 import Figure2Result, SweepRecord
 from repro.sim.config import ArchConfig
+
+from scenario_helpers import run_sweep
 
 
 def _tiny_result() -> Figure2Result:
     configs = [ArchConfig.from_name("1c2w2t"), ArchConfig.from_name("2c2w4t")]
-    return run_figure2(["vecadd"], configs, scale="smoke", call_simulation_limit=3)
+    return run_sweep(["vecadd"], configs)
 
 
 def test_sweep_record_dict_round_trip():
@@ -48,3 +50,12 @@ def test_loaded_result_supports_claims_and_reports(tmp_path):
     assert "vecadd" in table
     claims = evaluate_claims(loaded)
     assert claims.by_id("C4").holds
+
+
+@pytest.mark.parametrize("content", ['"a string"', '{"problem": "vecadd"}',
+                                     '[{"problem": "vecadd"}]', '[1, 2]', 'not json'])
+def test_load_json_rejects_files_that_are_not_saved_sweeps(tmp_path, content):
+    path = tmp_path / "bogus.json"
+    path.write_text(content)
+    with pytest.raises(ValueError, match="bogus.json is not a saved sweep"):
+        Figure2Result.load_json(path)

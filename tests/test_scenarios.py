@@ -2,27 +2,23 @@
 
 Covers the registry round-trip, planner grid expansion and execution dedup,
 kill-and-resume from a half-written JSONL sink, and -- most importantly --
-bit-identical equality of the ported figure1/figure2/ablation/claims
-scenarios against the pre-refactor experiment drivers.
+bit-identical equality of the figure1/figure2/ablation/claims scenarios
+against what the pre-refactor experiment drivers submitted and returned
+(frozen in ``tests/golden/experiments_smoke.json``).
 """
 
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.runner import CampaignRunner
-from repro.experiments.ablation import (
-    boundedness_record_from_job,
-    boundedness_study,
-    overhead_sensitivity,
-)
+from repro.experiments.ablation import boundedness_record_from_job
 from repro.experiments.claims import evaluate_claims
-from repro.experiments.configs import smoke_sweep
-from repro.experiments.figure1 import run_figure1
-from repro.experiments.figure2 import run_figure2
+from repro.experiments.figure1 import summarize_figure1_launch
 from repro.scenarios import (
     GridAxes,
     Planner,
@@ -35,8 +31,10 @@ from repro.scenarios import (
     SinkRecord,
     UnknownScenarioError,
 )
-from repro.scenarios.library import DEFAULT_SWEEP_PROBLEMS, figure2_result_from_run
+from repro.scenarios.library import figure2_result_from_run
 from repro.sim.config import ArchConfig
+
+from scenario_helpers import check_golden
 
 SMOKE = ScenarioContext(scale="smoke", sweep="smoke")
 
@@ -259,62 +257,66 @@ class TestSinkResume:
 
 
 # ----------------------------------------------------------------------
-# Ported scenarios reproduce the pre-refactor driver numbers
+# The paper scenarios reproduce the pre-refactor driver numbers
 # ----------------------------------------------------------------------
+def _hashes(jobs):
+    return [job.spec.content_hash() for job in jobs]
+
+
 class TestPortedScenarioEquality:
+    """Each paper scenario submits the specs, in the order, and returns the
+    records that the hand-written driver loops did before they were deleted."""
+
     @pytest.fixture(scope="class")
     def planner(self):
         return Planner()
 
-    def test_figure1_numbers_match_the_driver(self, planner):
+    def test_figure1_numbers_match_the_driver(self, planner, update_golden):
         run = planner.run(REGISTRY.get("figure1"), SMOKE)
-        driver = run_figure1()
-        assert len(run.records) == len(driver.traces)
-        for record in run.records:
-            trace = driver.traces[record.result.local_size]
-            assert record.result.cycles == trace.cycles
-            assert record.result.num_calls == trace.num_calls
-            assert record.result.num_workgroups == trace.num_workgroups
-            assert record.result.lane_utilization == trace.lane_utilization
+        records = [
+            {"local_size": job.local_size, "cycles": job.cycles,
+             "num_calls": job.num_calls, "num_workgroups": job.num_workgroups,
+             "lane_utilization": job.lane_utilization}
+            for job in run.results()]
+        check_golden("figure1", {"hashes": _hashes(run.plan), "records": records},
+                     update_golden)
+        for record in records:
             # the driver's caption line appears verbatim in the report
-            assert trace.summary() in run.report()
+            assert summarize_figure1_launch(**record) in run.report()
 
-    def test_figure2_records_match_the_driver_bit_for_bit(self, planner):
+    def test_figure2_records_match_the_driver_bit_for_bit(self, planner, update_golden):
         run = planner.run(REGISTRY.get("figure2"), SMOKE)
-        scenario_result = figure2_result_from_run(run)
-        driver_result = run_figure2(list(DEFAULT_SWEEP_PROBLEMS), smoke_sweep(),
-                                    scale="smoke", call_simulation_limit=3)
-        assert [r.as_dict() for r in scenario_result.records] == \
-               [r.as_dict() for r in driver_result.records]
+        check_golden("figure2", {
+            "hashes": _hashes(run.plan),
+            "records": [r.as_dict() for r in figure2_result_from_run(run).records],
+        }, update_golden)
 
-    def test_claims_match_the_driver(self, planner):
+    def test_claims_match_the_driver(self, planner, update_golden):
         run = planner.run(REGISTRY.get("claims"), SMOKE)
-        scenario_claims = evaluate_claims(figure2_result_from_run(run))
-        driver_claims = evaluate_claims(
-            run_figure2(list(DEFAULT_SWEEP_PROBLEMS), smoke_sweep(),
-                        scale="smoke", call_simulation_limit=3))
-        assert scenario_claims.render() == driver_claims.render()
-        assert scenario_claims.render() == run.report()
+        rendered = evaluate_claims(figure2_result_from_run(run)).render()
+        check_golden("claims", rendered, update_golden)
+        assert rendered == run.report()
 
-    def test_ablation_matches_both_driver_studies(self, planner):
+    def test_ablation_matches_both_driver_studies(self, planner, update_golden):
         run = planner.run(REGISTRY.get("ablation"), ScenarioContext(scale="smoke"))
-        overhead_driver = overhead_sensitivity(scale="smoke")
         cycles = {}
         for record in run.records:
             if record.meta["study"] == "overhead":
                 cycles.setdefault(int(record.meta["overhead"]), {})[
                     record.meta["strategy"]] = record.result.cycles
-        for driver_record in overhead_driver:
-            measured = cycles[driver_record.launch_overhead]
-            assert measured["naive-lws1"] == driver_record.naive_cycles
-            assert measured["hardware-aware"] == driver_record.ours_cycles
-
-        boundedness_driver = boundedness_study(list(DEFAULT_SWEEP_PROBLEMS),
-                                               scale="smoke")
-        scenario_bound = [boundedness_record_from_job(r.result)
-                          for r in run.records
-                          if r.meta["study"] == "boundedness"]
-        assert scenario_bound == boundedness_driver
+        check_golden("ablation", {
+            "overhead_hashes": _hashes(
+                job for job in run.plan if job.meta["study"] == "overhead"),
+            "overhead": [
+                {"overhead": overhead, "naive": measured["naive-lws1"],
+                 "ours": measured["hardware-aware"]}
+                for overhead, measured in cycles.items()],
+            "boundedness_hashes": _hashes(
+                job for job in run.plan if job.meta["study"] == "boundedness"),
+            "boundedness": [asdict(boundedness_record_from_job(r.result))
+                            for r in run.records
+                            if r.meta["study"] == "boundedness"],
+        }, update_golden)
 
 
 # ----------------------------------------------------------------------
