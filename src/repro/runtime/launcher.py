@@ -91,7 +91,8 @@ def launch_kernel(device: Device, kernel: Kernel, arguments: Mapping[str, object
         Keep the uploaded buffers allocated (useful when the caller wants to
         relaunch with the same data); by default the allocator is reset.
     reset_memory:
-        Reset allocator and caches before the launch (cold-start semantics).
+        Release every allocation before the launch.  The caches and the DRAM
+        queue are invalidated either way (cold-start semantics), exactly once.
     """
     kernel.check_arguments(arguments)
     if local_size is None:
@@ -101,8 +102,9 @@ def launch_kernel(device: Device, kernel: Kernel, arguments: Mapping[str, object
     ndrange = NDRange(global_size, local_size)
 
     if reset_memory:
-        device.reset_memory()
-    device.gpu.reset_memory_system()
+        device.reset_memory()       # allocator and memory system
+    else:
+        device.gpu.reset_memory_system()
 
     buffers, argument_values = _prepare_arguments(device, kernel, arguments)
     program = build_workgroup_program(kernel)

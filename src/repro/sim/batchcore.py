@@ -37,7 +37,7 @@ sampling:
   the reference loop would have recorded for them.
 * Everything the guards cannot prove -- divergent PCs, barriers, masked or
   out-of-bounds memory, GTO scheduling, drained warps -- falls back to a
-  verbatim copy of the fast engine's event-skipping loop, which is itself
+  copy of the fast engine's event-skipping loop body, which is itself
   proven bit-identical to the reference.
 
 The differential suite, the golden counters and the fuzzing oracle
@@ -147,8 +147,7 @@ class BatchSimtCore(FastSimtCore):
         reg_ready = np.zeros((n, num_regs), dtype=np.int64)
         for k, w in enumerate(warps):
             stack[:num_regs, k, :] = w.regs
-            w.regs = stack[:num_regs, k, :]
-            w.rows = [stack[r, k] for r in range(num_regs)]
+            w.bind_rows(stack[:num_regs, k, :])     # drops the warp's views
             for reg, ready in enumerate(w.reg_ready):
                 if ready:
                     reg_ready[k, reg] = ready
@@ -203,11 +202,7 @@ class BatchSimtCore(FastSimtCore):
             mask2d = self._mask2d
             mask2d[:] = False
             for k, w in enumerate(warps):
-                sel = w.selection()
-                if sel is None:
-                    mask2d[k] = True
-                else:
-                    mask2d[k, sel] = True
+                mask2d[k, w.active_lanes()] = True
 
     def _round_slots(self, start: int):
         """(order, slots): warp indices in issue order for rotation ``start``
@@ -1124,7 +1119,8 @@ def run_batch(active_cores: List[BatchSimtCore], counters: PerfCounters,
                     busy = [core for core, _ in pairs]
                     hints = [hint for _, hint in pairs]
                 continue
-        # ---- one visited cycle: the fast engine's loop body, verbatim ----
+        # ---- one visited cycle: the fast engine's loop body (which reads
+        # these core attributes from a tuple built once per call) ----
         issued = 0
         drained = False
         next_hint = NEVER
@@ -1139,15 +1135,7 @@ def run_batch(active_cores: List[BatchSimtCore], counters: PerfCounters,
             warps = core.warps
             num_warps = len(warps)
             if core._is_rr:
-                orders = core._rr_orders
-                if orders is None:
-                    n = core._rr_n
-                    orders = core._rr_orders = [
-                        [index for offset in range(n)
-                         if (index := (start + offset) % n) < num_warps]
-                        for start in range(n)
-                    ]
-                order = orders[core._rr_next]
+                order = (core._rr_orders or core.rotations())[core._rr_next]
             else:
                 order = [w for w in core._scheduler.priority_order()
                          if w < num_warps]

@@ -11,10 +11,15 @@ per-instruction Python overhead:
   registers to check, the functional-unit index and the timing -- the
   per-issue path never touches enum hashing, ``timing_for`` or tuple
   concatenation again.
-* **Vectorized lanes.**  ALU/FPU/comparison/FMA execution, load/store address
-  generation and the coalescer run as numpy operations over the warp's
-  active-lane selection (:meth:`~repro.sim.warp.FastWarp.selection`) instead
-  of per-lane Python loops.  All register state is float64 in both engines,
+* **Vectorized lanes, at the width that is active.**  ALU/FPU/comparison/FMA
+  execution, load/store address generation and the coalescer run as numpy
+  operations instead of per-lane Python loops -- on register-row views of
+  exactly the active width while the mask is a contiguous lane prefix
+  (:meth:`~repro.sim.warp.FastWarp.refresh`), through a lane index array
+  only under true divergence.  A 1- or 2-lane load/store, where numpy's
+  fixed per-call cost is several times the arithmetic, does its address,
+  line and bounds arithmetic in Python ints (:func:`_narrow_access`).
+  All register state is float64 in both engines,
   and only operations whose numpy semantics match the scalar reference
   bit-for-bit are vectorized: ``FEXP``/``FLOG`` stay on
   ``math.exp``/``math.log`` (libm and numpy transcendentals may differ in
@@ -48,7 +53,7 @@ from __future__ import annotations
 
 import math
 from time import perf_counter as _perf_counter
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -82,19 +87,17 @@ def _pymax(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(b > a, b, a)
 
 
-def _bool_f64(a: np.ndarray) -> np.ndarray:
-    return a.astype(np.float64)
-
-
-#: Binary opcodes with an exactly-equivalent numpy implementation.
+#: Binary opcodes with an exactly-equivalent numpy implementation.  The
+#: comparisons return the bool row itself: storing it into a float64 register
+#: row writes exactly 1.0 / 0.0, without a converted temporary in between.
 _BINARY_NP = {
     Opcode.ADD: np.add,
     Opcode.SUB: np.subtract,
     Opcode.MUL: np.multiply,
-    Opcode.SLT: lambda a, b: _bool_f64(a < b),
-    Opcode.SLE: lambda a, b: _bool_f64(a <= b),
-    Opcode.SEQ: lambda a, b: _bool_f64(a == b),
-    Opcode.SNE: lambda a, b: _bool_f64(a != b),
+    Opcode.SLT: lambda a, b: a < b,
+    Opcode.SLE: lambda a, b: a <= b,
+    Opcode.SEQ: lambda a, b: a == b,
+    Opcode.SNE: lambda a, b: a != b,
     Opcode.MIN: _pymin,
     Opcode.MAX: _pymax,
     Opcode.FADD: np.add,
@@ -102,9 +105,9 @@ _BINARY_NP = {
     Opcode.FMUL: np.multiply,
     Opcode.FMIN: _pymin,
     Opcode.FMAX: _pymax,
-    Opcode.FLT: lambda a, b: _bool_f64(a < b),
-    Opcode.FLE: lambda a, b: _bool_f64(a <= b),
-    Opcode.FEQ: lambda a, b: _bool_f64(a == b),
+    Opcode.FLT: lambda a, b: a < b,
+    Opcode.FLE: lambda a, b: a <= b,
+    Opcode.FEQ: lambda a, b: a == b,
 }
 
 #: Binary opcodes that route per-lane values through Python ``int``: kept as
@@ -192,13 +195,28 @@ class _Decoded:
 # ----------------------------------------------------------------------
 # decode: program -> list of _Decoded (shared by every core and call)
 # ----------------------------------------------------------------------
-def decode_program(program: Program, config: ArchConfig) -> List[_Decoded]:
-    """Decode ``program`` once for ``config``.
+#: (program id, line words, timing overrides) -> (program, its decode).  The
+#: stored program reference pins the id against reuse.
+_DECODE_MEMO: Dict[tuple, tuple] = {}
 
-    The result is immutable and core-independent (handlers receive the core
-    at run time), so one decode serves every core of every kernel call of a
-    launch.  :class:`~repro.sim.gpu.Gpu` memoises it per program.
+
+def decode_program(program: Program, config: ArchConfig) -> List[_Decoded]:
+    """Decode ``program`` for ``config``, once per process.
+
+    The result is immutable and independent of the core and of the machine
+    shape: handlers receive the core and the warp at run time, and of the
+    whole ``config`` only ``timing_overrides`` (latencies, intervals, unit
+    binding) and ``l1_line_words`` (the memory handlers' line arithmetic) are
+    baked in.  So one decode serves every core, call, launch and ``Device``
+    that runs the same :class:`Program` object -- and
+    :func:`~repro.kernels.wrapper.build_workgroup_program` hands out one per
+    kernel for the life of the process.
     """
+    key = (id(program), config.l1_line_words,
+           frozenset(config.timing_overrides.items()))
+    cached = _DECODE_MEMO.get(key)
+    if cached is not None and cached[0] is program:
+        return cached[1]
     decoded = [_decode_one(program[pc], config) for pc in range(len(program))]
     # A functional unit only ever *blocks* an issue if some instruction of
     # this program can mark it busy (initiation interval > 1, or the
@@ -210,6 +228,9 @@ def decode_program(program: Program, config: ArchConfig) -> List[_Decoded]:
         d.fu_check = d.unit_index in busyable
         d.tup = (d.run, d.dst, d.check_regs, d.default_latency,
                  d.initiation_interval, d.unit_index, d.fu_check, d.is_mem)
+    if len(_DECODE_MEMO) >= 64:      # one-off programs (fuzzing) must not pile up
+        _DECODE_MEMO.clear()
+    _DECODE_MEMO[key] = (program, decoded)
     return decoded
 
 
@@ -275,33 +296,36 @@ def _compile(instr: Instruction, config: ArchConfig) -> Callable:
 
 # ----------------------------------------------------------------------
 # compiled handlers (instruction constants baked in at decode time)
+#
+# Every lane-parallel handler has two paths.  ``warp.vrows`` is the register
+# file as row views of exactly the active width whenever the mask is a
+# contiguous lane prefix (a partial warp is just a narrower warp; all lanes
+# active is the widest case), and the handler runs whole-array numpy on
+# them.  Only true divergence (``vrows is None``) indexes full rows with the
+# lane index array ``warp.sel``.
 # ----------------------------------------------------------------------
 def _c_binary(instr: Instruction, np_fn: Callable) -> Callable:
     s0, s1 = instr.srcs
     dst = instr.dst
     if isinstance(np_fn, np.ufunc):
-        # True ufuncs write straight into the destination row (``None`` =
-        # all lanes) or row view (slice), saving a temporary and a copy.
+        # True ufuncs write straight into the destination view, saving a
+        # temporary and a copy.
         def run(core, warp, cycle):
-            rows = warp.rows
-            mask = warp.active_mask
-            sel = warp._sel_cache if mask == warp._sel_cache_mask else warp.selection()
-            if sel is None:
-                np_fn(rows[s0], rows[s1], out=rows[dst])
-            elif type(sel) is slice:
-                np_fn(rows[s0][sel], rows[s1][sel], out=rows[dst][sel])
+            vrows = warp.vrows if warp.active_mask == warp._view_mask else warp.refresh()
+            if vrows is not None:
+                np_fn(vrows[s0], vrows[s1], out=vrows[dst])
             else:
+                rows, sel = warp.rows, warp.sel
                 rows[dst][sel] = np_fn(rows[s0][sel], rows[s1][sel])
             warp.pc += 1
         return run
 
     def run(core, warp, cycle):
-        rows = warp.rows
-        mask = warp.active_mask
-        sel = warp._sel_cache if mask == warp._sel_cache_mask else warp.selection()
-        if sel is None:
-            rows[dst][:] = np_fn(rows[s0], rows[s1])
+        vrows = warp.vrows if warp.active_mask == warp._view_mask else warp.refresh()
+        if vrows is not None:
+            vrows[dst][:] = np_fn(vrows[s0], vrows[s1])
         else:
+            rows, sel = warp.rows, warp.sel
             rows[dst][sel] = np_fn(rows[s0][sel], rows[s1][sel])
         warp.pc += 1
     return run
@@ -333,17 +357,16 @@ def _c_divlike(instr: Instruction, opcode: Opcode) -> Callable:
         return _c_binary_scalar(instr, fn)
 
     def run(core, warp, cycle):
-        rows = warp.rows
-        mask = warp.active_mask
-        sel = warp._sel_cache if mask == warp._sel_cache_mask else warp.selection()
-        if sel is None:
-            a, b = rows[s0], rows[s1]
+        vrows = warp.vrows if warp.active_mask == warp._view_mask else warp.refresh()
+        if vrows is not None:
+            a, b = vrows[s0], vrows[s1]
         else:
+            rows, sel = warp.rows, warp.sel
             a, b = rows[s0][sel], rows[s1][sel]
         if np.any(b == 0.0):
             raise SimulationError("floating-point division by zero")
-        if sel is None:
-            rows[dst][:] = a / b
+        if vrows is not None:
+            np.divide(a, b, out=vrows[dst])
         else:
             rows[dst][sel] = a / b
         warp.pc += 1
@@ -355,25 +378,21 @@ def _c_unary(instr: Instruction, np_fn: Callable) -> Callable:
     dst = instr.dst
     if isinstance(np_fn, np.ufunc):
         def run(core, warp, cycle):
-            rows = warp.rows
-            mask = warp.active_mask
-            sel = warp._sel_cache if mask == warp._sel_cache_mask else warp.selection()
-            if sel is None:
-                np_fn(rows[s0], out=rows[dst])
-            elif type(sel) is slice:
-                np_fn(rows[s0][sel], out=rows[dst][sel])
+            vrows = warp.vrows if warp.active_mask == warp._view_mask else warp.refresh()
+            if vrows is not None:
+                np_fn(vrows[s0], out=vrows[dst])
             else:
+                rows, sel = warp.rows, warp.sel
                 rows[dst][sel] = np_fn(rows[s0][sel])
             warp.pc += 1
         return run
 
     def run(core, warp, cycle):
-        rows = warp.rows
-        mask = warp.active_mask
-        sel = warp._sel_cache if mask == warp._sel_cache_mask else warp.selection()
-        if sel is None:
-            rows[dst][:] = np_fn(rows[s0])
+        vrows = warp.vrows if warp.active_mask == warp._view_mask else warp.refresh()
+        if vrows is not None:
+            vrows[dst][:] = np_fn(vrows[s0])
         else:
+            rows, sel = warp.rows, warp.sel
             rows[dst][sel] = np_fn(rows[s0][sel])
         warp.pc += 1
     return run
@@ -397,18 +416,13 @@ def _c_fma(instr: Instruction) -> Callable:
     dst = instr.dst
 
     def run(core, warp, cycle):
-        rows = warp.rows
-        mask = warp.active_mask
-        sel = warp._sel_cache if mask == warp._sel_cache_mask else warp.selection()
-        if sel is None:
-            scratch = warp.scratch
-            np.multiply(rows[s0], rows[s1], out=scratch)
-            np.add(scratch, rows[s2], out=rows[dst])
-        elif type(sel) is slice:
-            scratch = warp.scratch[sel]
-            np.multiply(rows[s0][sel], rows[s1][sel], out=scratch)
-            np.add(scratch, rows[s2][sel], out=rows[dst][sel])
+        vrows = warp.vrows if warp.active_mask == warp._view_mask else warp.refresh()
+        if vrows is not None:
+            scratch = warp.vscratch
+            np.multiply(vrows[s0], vrows[s1], out=scratch)
+            np.add(scratch, vrows[s2], out=vrows[dst])
         else:
+            rows, sel = warp.rows, warp.sel
             rows[dst][sel] = rows[s0][sel] * rows[s1][sel] + rows[s2][sel]
         warp.pc += 1
     return run
@@ -419,12 +433,11 @@ def _c_li(instr: Instruction) -> Callable:
     dst = instr.dst
 
     def run(core, warp, cycle):
-        mask = warp.active_mask
-        sel = warp._sel_cache if mask == warp._sel_cache_mask else warp.selection()
-        if sel is None:
-            warp.rows[dst].fill(value)
+        vrows = warp.vrows if warp.active_mask == warp._view_mask else warp.refresh()
+        if vrows is not None:
+            vrows[dst].fill(value)
         else:
-            warp.rows[dst][sel] = value
+            warp.rows[dst][warp.sel] = value
         warp.pc += 1
     return run
 
@@ -434,15 +447,24 @@ def _c_mov(instr: Instruction) -> Callable:
     dst = instr.dst
 
     def run(core, warp, cycle):
-        rows = warp.rows
-        mask = warp.active_mask
-        sel = warp._sel_cache if mask == warp._sel_cache_mask else warp.selection()
-        if sel is None:
-            rows[dst][:] = rows[src]
+        vrows = warp.vrows if warp.active_mask == warp._view_mask else warp.refresh()
+        if vrows is not None:
+            vrows[dst][:] = vrows[src]
         else:
+            rows, sel = warp.rows, warp.sel
             rows[dst][sel] = rows[src][sel]
         warp.pc += 1
     return run
+
+
+def _fill_lanes(warp, dst: int, value: float) -> None:
+    """``dst <- value`` on the active lanes (the warp-uniform CSR reads)."""
+    vrows = warp.vrows if warp.active_mask == warp._view_mask else warp.refresh()
+    if vrows is not None:
+        vrows[dst].fill(value)
+    else:
+        warp.rows[dst][warp.sel] = value
+    warp.pc += 1
 
 
 def _c_csrr(instr: Instruction) -> Callable:
@@ -454,70 +476,40 @@ def _c_csrr(instr: Instruction) -> Callable:
     """
     csr_number = int(instr.imm)
     dst = instr.dst
-    if csr_number == Csr.THREAD_ID:
-        def run(core, warp, cycle):
-            mask = warp.active_mask
-            sel = warp._sel_cache if mask == warp._sel_cache_mask else warp.selection()
-            if sel is None:
-                warp.rows[dst][:] = warp.lane_ids
-            else:
-                warp.rows[dst][sel] = warp.lane_ids[sel]
-            warp.pc += 1
-        return run
-    if csr_number in (Csr.WORKGROUP_ID, Csr.LOCAL_COUNT):
-        attr = "workgroup_ids" if csr_number == Csr.WORKGROUP_ID else "local_counts"
+    if csr_number in (Csr.THREAD_ID, Csr.WORKGROUP_ID, Csr.LOCAL_COUNT):
+        attr = {Csr.WORKGROUP_ID: "workgroup_ids",
+                Csr.LOCAL_COUNT: "local_counts"}.get(csr_number)
 
         def run(core, warp, cycle):
-            values = getattr(warp.csr, attr)
-            row = np.zeros(warp.lane_count, dtype=np.float64)
-            row[:len(values)] = values
-            mask = warp.active_mask
-            sel = warp._sel_cache if mask == warp._sel_cache_mask else warp.selection()
-            if sel is None:
-                warp.rows[dst][:] = row
+            if attr is None:
+                row = warp.lane_ids
             else:
-                warp.rows[dst][sel] = row[sel]
+                # Zero-padded to the warp width in the warp's own scratch
+                # row: no allocation per issue and nothing kept per warp.
+                values = getattr(warp.csr, attr)
+                row = warp.scratch
+                row[:len(values)] = values
+                row[len(values):] = 0.0
+            vrows = warp.vrows if warp.active_mask == warp._view_mask else warp.refresh()
+            if vrows is not None:
+                vrows[dst][:] = row[:warp.width]
+            else:
+                warp.rows[dst][warp.sel] = row[warp.sel]
             warp.pc += 1
         return run
 
     attr = _UNIFORM_CSR_ATTRS.get(csr_number)
     if attr is not None:
-        def run(core, warp, cycle):
-            value = getattr(warp.csr, attr)
-            mask = warp.active_mask
-            sel = warp._sel_cache if mask == warp._sel_cache_mask else warp.selection()
-            if sel is None:
-                warp.rows[dst].fill(value)
-            else:
-                warp.rows[dst][sel] = value
-            warp.pc += 1
-        return run
+        return lambda core, warp, cycle: _fill_lanes(
+            warp, dst, getattr(warp.csr, attr))
     if Csr.ARG_BASE <= csr_number < Csr.ARG_BASE + NUM_ARG_SLOTS:
         slot = csr_number - Csr.ARG_BASE
-
-        def run(core, warp, cycle):
-            value = warp.csr.args.get(slot, 0.0)
-            mask = warp.active_mask
-            sel = warp._sel_cache if mask == warp._sel_cache_mask else warp.selection()
-            if sel is None:
-                warp.rows[dst].fill(value)
-            else:
-                warp.rows[dst][sel] = value
-            warp.pc += 1
-        return run
-
-    def run(core, warp, cycle):
-        # Unknown CSR: read() raises exactly like the reference's per-lane
-        # read would.
-        value = warp.csr.read(csr_number, 0)
-        mask = warp.active_mask
-        sel = warp._sel_cache if mask == warp._sel_cache_mask else warp.selection()
-        if sel is None:
-            warp.rows[dst].fill(value)
-        else:
-            warp.rows[dst][sel] = value
-        warp.pc += 1
-    return run
+        return lambda core, warp, cycle: _fill_lanes(
+            warp, dst, warp.csr.args.get(slot, 0.0))
+    # Unknown CSR: read() raises exactly like the reference's per-lane read
+    # would.
+    return lambda core, warp, cycle: _fill_lanes(
+        warp, dst, warp.csr.read(csr_number, 0))
 
 
 # -- memory ---------------------------------------------------------------
@@ -543,39 +535,74 @@ def _lines_in_bounds(lines, full_lines: int) -> bool:
     return min(lines) >= 0 and max(lines) < full_lines
 
 
+def _narrow_access(addr_row: np.ndarray, offset: int, line_words: int,
+                   full_lines: int):
+    """``(first address, last address, lines)`` of a 1- or 2-lane access in
+    Python ints, or ``None`` when the general path must run it.
+
+    Two lanes is the widest access whose coalescing is one comparison, and at
+    that width numpy's fixed per-call cost is several times the arithmetic.
+    Anything that could raise -- a line outside ``[0, full_lines)``, a NaN or
+    infinite address register -- is left to the general path, so every error
+    comes from the same code whatever the width.  (A finite value at or
+    beyond 2**63 converts fine here and then fails the line bound.)
+    """
+    values = addr_row.tolist()
+    try:
+        first = int(values[0]) + offset
+        last = int(values[-1]) + offset
+    except (ValueError, OverflowError):
+        return None
+    line0 = first // line_words
+    line1 = last // line_words
+    if not (0 <= line0 < full_lines and 0 <= line1 < full_lines):
+        return None
+    return first, last, ((line0,) if line0 == line1 else (line0, line1))
+
+
 def _c_load(instr: Instruction, config: ArchConfig) -> Callable:
     (addr_reg,) = instr.srcs
     offset = int(instr.imm or 0)
     dst = instr.dst
-    to_lines = _line_math(config.l1_line_words)
+    line_words = config.l1_line_words
+    to_lines = _line_math(line_words)
 
     def run(core, warp, cycle):
-        rows = warp.rows
-        mask = warp.active_mask
-        sel = warp._sel_cache if mask == warp._sel_cache_mask else warp.selection()
-        if sel is None:
-            addresses = rows[addr_reg].astype(np.int64)
+        vrows = warp.vrows if warp.active_mask == warp._view_mask else warp.refresh()
+        memory = core.memory
+        narrow = (_narrow_access(vrows[addr_reg], offset, line_words, core._full_lines)
+                  if vrows is not None and warp.width <= 2 else None)
+        if narrow is not None:
+            first, last, lines = narrow
+            data = memory._data
+            out = vrows[dst]
+            out[0] = data[first]
+            if warp.width == 2:
+                out[1] = data[last]
         else:
-            addresses = rows[addr_reg][sel].astype(np.int64)
-        if offset:
-            addresses += offset
-        # Dedup to unique lines in first-appearance order (same request order
-        # and count as the reference coalescer); iterated as dict keys.
-        lines = dict.fromkeys(to_lines(addresses).tolist())
+            if vrows is not None:
+                addresses = vrows[addr_reg].astype(np.int64)
+            else:
+                addresses = warp.rows[addr_reg][warp.sel].astype(np.int64)
+            if offset:
+                addresses += offset
+            # Dedup to unique lines in first-appearance order (same request
+            # order and count as the reference coalescer); iterated as dict
+            # keys.
+            lines = dict.fromkeys(to_lines(addresses).tolist())
+            if _lines_in_bounds(lines, core._full_lines):
+                if vrows is not None:
+                    memory.gather_unchecked(addresses, out=vrows[dst])
+                else:
+                    warp.rows[dst][warp.sel] = memory.gather_unchecked(addresses)
+            else:
+                values = memory.gather(addresses)  # exact per-batch check, may raise
+                if vrows is not None:
+                    vrows[dst][:] = values
+                else:
+                    warp.rows[dst][warp.sel] = values
         num_lines = len(lines)
         core._last_line_count = num_lines
-        memory = core.memory
-        if _lines_in_bounds(lines, core._full_lines):
-            if sel is None:
-                memory.gather_unchecked(addresses, out=rows[dst])
-            else:
-                rows[dst][sel] = memory.gather_unchecked(addresses)
-        else:
-            values = memory.gather(addresses)  # exact per-batch check, may raise
-            if sel is None:
-                rows[dst][:] = values
-            else:
-                rows[dst][sel] = values
         # No per-access _count_memory_level here: the cache/DRAM counters are
         # overwritten from the hierarchy's own statistics when the call ends
         # (Gpu._fold_memory_statistics), so per-access increments are unused.
@@ -598,28 +625,38 @@ def _c_load(instr: Instruction, config: ArchConfig) -> Callable:
 def _c_store(instr: Instruction, config: ArchConfig) -> Callable:
     value_reg, addr_reg = instr.srcs
     offset = int(instr.imm or 0)
-    to_lines = _line_math(config.l1_line_words)
+    line_words = config.l1_line_words
+    to_lines = _line_math(line_words)
 
     def run(core, warp, cycle):
-        rows = warp.rows
-        mask = warp.active_mask
-        sel = warp._sel_cache if mask == warp._sel_cache_mask else warp.selection()
-        if sel is None:
-            addresses = rows[addr_reg].astype(np.int64)
-            values = rows[value_reg]
+        vrows = warp.vrows if warp.active_mask == warp._view_mask else warp.refresh()
+        memory = core.memory
+        narrow = (_narrow_access(vrows[addr_reg], offset, line_words, core._full_lines)
+                  if vrows is not None and warp.width <= 2 else None)
+        if narrow is not None:
+            first, last, lines = narrow
+            data = memory._data
+            values = vrows[value_reg]
+            data[first] = values[0]
+            if warp.width == 2:
+                data[last] = values[1]      # ascending lanes: lane 1 wins
         else:
-            addresses = rows[addr_reg][sel].astype(np.int64)
-            values = rows[value_reg][sel]
-        if offset:
-            addresses += offset
-        lines = dict.fromkeys(to_lines(addresses).tolist())
+            if vrows is not None:
+                addresses = vrows[addr_reg].astype(np.int64)
+                values = vrows[value_reg]
+            else:
+                rows, sel = warp.rows, warp.sel
+                addresses = rows[addr_reg][sel].astype(np.int64)
+                values = rows[value_reg][sel]
+            if offset:
+                addresses += offset
+            lines = dict.fromkeys(to_lines(addresses).tolist())
+            if _lines_in_bounds(lines, core._full_lines):
+                memory.scatter_unchecked(addresses, values)
+            else:
+                memory.scatter(addresses, values)  # exact per-batch check, may raise
         num_lines = len(lines)
         core._last_line_count = num_lines
-        memory = core.memory
-        if _lines_in_bounds(lines, core._full_lines):
-            memory.scatter_unchecked(addresses, values)
-        else:
-            memory.scatter(addresses, values)  # exact per-batch check, may raise
         if RECORDER.enabled:
             walk_started = _perf_counter()
             core.hierarchy.store_lines_fast(core.core_id, lines, cycle)
@@ -640,13 +677,19 @@ def _c_store(instr: Instruction, config: ArchConfig) -> Callable:
 def _nonzero_mask(warp, cond_reg: int) -> int:
     """Mask of active lanes whose ``cond_reg`` is non-zero.
 
-    Compares the whole register row (stale values in inactive lanes are
-    masked off by ``active_mask``), then packs the boolean vector into an
-    int.  Warps narrow enough for the mask to fit a float64 mantissa use a
-    dot product with per-lane powers of two (one numpy call, exact because
-    the sum of distinct powers below 2**52 is exactly representable); wider
-    warps fall back to ``packbits``.
+    Under a contiguous mask only the active view is compared -- one scalar
+    test for a single lane -- and packed into an int by a dot product with
+    per-lane powers of two (one numpy call, exact because the sum of distinct
+    powers below 2**52 is exactly representable).  A divergent mask compares
+    the whole row and masks the stale inactive lanes off; warps too wide for
+    the float64 mantissa pack with ``packbits``.
     """
+    vrows = warp.vrows if warp.active_mask == warp._view_mask else warp.refresh()
+    weights = warp.vweights
+    if weights is not None:
+        if warp.width == 1:
+            return 1 if vrows[cond_reg][0] != 0.0 else 0
+        return int((vrows[cond_reg] != 0.0).dot(weights))
     nonzero = warp.rows[cond_reg] != 0.0
     weights = warp.bit_weights
     if weights is not None:
@@ -734,13 +777,22 @@ class FastSimtCore(SimtCore):
             self._rr_n = self._scheduler.num_warps
             self._rr_next = 0
             self._is_rr = True
-            # Built lazily on the first issue attempt, once the warp count is
-            # known: each rotation is pre-filtered to existing warp indices so
-            # the scan never tests ``index >= num_warps``.
-            self._rr_orders: Optional[List[List[int]]] = None
+            self._rr_orders: Optional[List[List[int]]] = None   # see rotations()
         else:
             self._is_rr = False
             self._rr_orders = None
+
+    def rotations(self) -> List[List[int]]:
+        """``rotations()[start]``: the round-robin scan order from slot
+        ``start``, pre-filtered to attached warps so the scan never tests
+        ``index >= num_warps``.  Built on first use -- warps are all attached
+        before the first cycle -- and valid for the whole call."""
+        if self._rr_orders is None:
+            n, num_warps = self._rr_n, len(self.warps)
+            self._rr_orders = [[index for offset in range(n)
+                                if (index := (start + offset) % n) < num_warps]
+                               for start in range(n)]
+        return self._rr_orders
 
     # The per-issue logic lives inlined in :func:`run_fast` below -- one
     # Python call frame per issued instruction was the engine's largest
@@ -808,7 +860,11 @@ def run_fast(active_cores: List[FastSimtCore], counters: PerfCounters,
     Core-drain checks run only after an instruction that can halt a warp
     (``TMC``/``HALT`` set ``_drain_check`` at decode time).
     """
-    busy = [core for core in active_cores if core.busy]
+    # One tuple per busy core, unpacked once per issue attempt: everything
+    # the attempt reads from the core that cannot change during the call.
+    busy = [(core, core.warps, core.rotations() if core._is_rr else None,
+             core._decode, core._fu_busy, core._pc_issues, core._pc_lanes)
+            for core in active_cores if core.busy]
     # Cached per-core next_event_hint, parallel to ``busy``.  A negative
     # value means "unknown, must attempt an issue".
     hints = [-1.0] * len(busy)
@@ -823,32 +879,20 @@ def run_fast(active_cores: List[FastSimtCore], counters: PerfCounters,
         issued = 0
         drained = False
         next_hint = NEVER
-        for i, core in enumerate(busy):
+        for i, entry in enumerate(busy):
             hint = hints[i]
             if hint > cycle:
                 if hint < next_hint:
                     next_hint = hint
                 continue
+            core, warps, orders, decode, fu_busy, pc_issues, pc_lanes = entry
             # ---- one issue attempt for `core` (try_issue, inlined) ----
-            warps = core.warps
-            num_warps = len(warps)
-            if core._is_rr:
-                orders = core._rr_orders
-                if orders is None:
-                    # Warps are all attached before the first cycle, so the
-                    # filtered rotations stay valid for the whole call.
-                    n = core._rr_n
-                    orders = core._rr_orders = [
-                        [index for offset in range(n)
-                         if (index := (start + offset) % n) < num_warps]
-                        for start in range(n)
-                    ]
+            if orders is not None:
                 order = orders[core._rr_next]
             else:
+                num_warps = len(warps)
                 order = [w for w in core._scheduler.priority_order()
                          if w < num_warps]
-            decode = core._decode
-            fu_busy = core._fu_busy
             earliest = NEVER
             issued_here = False
             for index in order:
@@ -893,8 +937,8 @@ def run_fast(active_cores: List[FastSimtCore], counters: PerfCounters,
                     ready = own
                 if ready <= cycle:
                     # ---- issue ----
-                    core._pc_issues[pc] += 1
-                    core._pc_lanes[pc] += warp.active_mask.bit_count()
+                    pc_issues[pc] += 1
+                    pc_lanes[pc] += warp.active_mask.bit_count()
                     if tracer is not None:
                         instr = decode[pc].instr
                         tracer.record(cycle=cycle, core=core.core_id,
@@ -919,7 +963,7 @@ def run_fast(active_cores: List[FastSimtCore], counters: PerfCounters,
                     # decision or a hint (readiness is a max against future
                     # constraints), and each slot is overwritten on its next
                     # write, so the list stays bounded by the register count.
-                    if core._is_rr:
+                    if orders is not None:
                         core._rr_next = (index + 1) % core._rr_n
                     else:
                         core._scheduler.issued(index)
@@ -948,9 +992,9 @@ def run_fast(active_cores: List[FastSimtCore], counters: PerfCounters,
             active_cycles += 1
             cycle += 1
             if drained:
-                pairs = [(core, hints[i]) for i, core in enumerate(busy)
-                         if core.busy]
-                busy = [core for core, _ in pairs]
+                pairs = [(entry, hints[i]) for i, entry in enumerate(busy)
+                         if entry[0].busy]
+                busy = [entry for entry, _ in pairs]
                 hints = [hint for _, hint in pairs]
         else:
             if next_hint is NEVER or next_hint <= cycle:

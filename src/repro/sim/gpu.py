@@ -71,10 +71,10 @@ class Gpu:
         self.hierarchy = MemoryHierarchy(config)
         self.tracer = tracer
         self.engine = resolve_engine(engine)
-        # program id -> (program, decoded-or-compiled) kept by the fast and
-        # batch engines so a program is decoded (and, for batch, compiled)
-        # once per launch instead of once per core per call (the program
-        # reference pins the id against reuse).
+        # program id -> (program, compiled) kept by the batch engine so a
+        # program is compiled once per launch instead of once per core per
+        # call (the program reference pins the id against reuse).  The fast
+        # engine's decode is memoised per process by ``decode_program``.
         self._decode_cache: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
@@ -210,13 +210,7 @@ class Gpu:
         if self.engine == "fast":
             from repro.sim.fastcore import FastSimtCore, decode_program
             core_cls, warp_cls = FastSimtCore, FastWarp
-            cached = self._decode_cache.get(id(program))
-            if cached is None or cached[0] is not program:
-                if len(self._decode_cache) > 8:
-                    self._decode_cache.clear()
-                cached = (program, decode_program(program, self.config))
-                self._decode_cache[id(program)] = cached
-            decoded = cached[1]
+            decoded = decode_program(program, self.config)   # memoised per process
         elif self.engine == "batch":
             from repro.sim.batchcore import BatchSimtCore
             from repro.sim.compile import compile_program

@@ -10,7 +10,8 @@ scoreboard tracking in-flight register writes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,7 +60,7 @@ class Warp:
         self.lane_count = lane_count
         self.pc = 0
         self.active_mask = mask_of(active)
-        self.regs: List[List[float]] = [[0.0] * num_registers for _ in range(lane_count)]
+        self.regs = self._new_regs(lane_count, num_registers)
         self.simt_stack: List[Tuple] = []
         self.csr = csr
         self.halted = False
@@ -67,10 +68,14 @@ class Warp:
         self.next_issue_cycle = 0
         # register index -> cycle at which the pending write completes
         self.scoreboard: Dict[int, int] = {}
-        self._lanes_cache: List[int] = lanes_of(self.active_mask)
-        self._lanes_cache_mask = self.active_mask
+        self._lanes_cache: List[int] = []      # filled by active_lanes()
+        self._lanes_cache_mask = 0
 
     # ------------------------------------------------------------------
+    def _new_regs(self, lane_count: int, num_registers: int):
+        """The zeroed register file, ``regs[lane][register]``."""
+        return [[0.0] * num_registers for _ in range(lane_count)]
+
     def active_lanes(self) -> List[int]:
         """Indices of currently active lanes (cached per mask value)."""
         if self.active_mask != self._lanes_cache_mask:
@@ -106,6 +111,25 @@ class Warp:
                 f"{state})")
 
 
+@lru_cache(maxsize=None)
+def _lane_constants(lane_count: int):
+    """Read-only ``(lane_ids, bit_weights)`` shared by every warp this wide.
+
+    ``lane_ids`` is the lane index as float64 (the vectorised THREAD_ID CSR
+    read).  ``bit_weights`` is ``2.0 ** lane``: a bool-row dot product with it
+    packs a lane predicate into a mask integer in one numpy call.  That is
+    exact only while the sum fits a float64 mantissa; wider warps get ``None``
+    and fall back to ``np.packbits``.
+    """
+    lane_ids = np.arange(lane_count, dtype=np.float64)
+    lane_ids.flags.writeable = False
+    if lane_count > 52:
+        return lane_ids, None
+    bit_weights = np.power(2.0, lane_ids)
+    bit_weights.flags.writeable = False
+    return lane_ids, bit_weights
+
+
 class FastWarp(Warp):
     """Warp with a numpy register file, used by the ``fast`` engine.
 
@@ -114,34 +138,28 @@ class FastWarp(Warp):
     row and lane-parallel execution becomes a handful of numpy operations.
     Register values are float64 in both layouts, so the two engines perform
     bit-identical arithmetic.
+
+    A warp under a contiguous prefix mask is a narrower warp: ``vrows`` holds
+    the register rows as views of exactly the active width (``rows`` itself
+    when every lane is active), so handlers run the same whole-array code for
+    one active lane as for thirty-two.  Only a truly divergent mask has
+    ``vrows is None`` and an index array in ``sel``.  The view attributes
+    follow ``_view_mask``; a handler that finds ``active_mask`` moved calls
+    :meth:`refresh`.
     """
 
-    __slots__ = ("_sel_cache", "_sel_cache_mask", "scratch", "lane_ids",
-                 "_d_cache", "_own_ready", "reg_ready", "rows", "bit_weights")
+    __slots__ = ("scratch", "lane_ids", "bit_weights", "_d_cache", "_own_ready",
+                 "reg_ready", "rows", "_views", "_view_mask", "vrows", "width",
+                 "vscratch", "vweights", "sel")
 
     def __init__(self, warp_id: int, lane_count: int, num_registers: int,
                  csr: CsrFile, active_lanes: Optional[int] = None):
         super().__init__(warp_id, lane_count, num_registers, csr,
                          active_lanes=active_lanes)
-        self.regs = np.zeros((num_registers, lane_count), dtype=np.float64)
-        #: Pre-built views of each register row: ``rows[r]`` is
-        #: ``regs[r]`` without paying ndarray ``__getitem__`` on every access
-        #: (list indexing is several times cheaper, and handlers touch 2-4
-        #: rows per issued instruction).
-        self.rows = list(self.regs)
-        #: Per-warp temporary row reused by multi-step operations (FMA).
+        self.bind_rows(self.regs)
+        #: Per-warp temporary row of multi-step operations (FMA, per-lane CSRs).
         self.scratch = np.zeros(lane_count, dtype=np.float64)
-        #: Lane indices as float64 (the vectorised THREAD_ID CSR read).
-        self.lane_ids = np.arange(lane_count, dtype=np.float64)
-        #: ``2.0 ** lane`` per lane: a bool-row dot product with this packs a
-        #: lane predicate into a mask integer in one numpy call.  Exact only
-        #: while the sum fits a float64 mantissa; wider warps use ``None``
-        #: and fall back to ``np.packbits``.
-        self.bit_weights = (
-            np.power(2.0, np.arange(lane_count)) if lane_count <= 52 else None
-        )
-        self._sel_cache_mask = -1
-        self._sel_cache: Union[slice, np.ndarray] = slice(0, 0)
+        self.lane_ids, self.bit_weights = _lane_constants(lane_count)
         #: Readiness cache consulted by the fast issue path: the decoded
         #: tuple (``_Decoded.tup``) at the current PC plus the warp's own
         #: ready cycle.  ``None`` means "recompute"; invalidated on
@@ -154,21 +172,42 @@ class FastWarp(Warp):
         #: passed never constrains, so entries are only ever overwritten.
         self.reg_ready = [0] * num_registers
 
-    def selection(self) -> Union[None, slice, np.ndarray]:
-        """Numpy index selecting the active lanes (cached per mask value).
+    def _new_regs(self, lane_count: int, num_registers: int):
+        return np.zeros((num_registers, lane_count), dtype=np.float64)
 
-        ``None`` means *every* lane is active (the common, convergent case):
-        handlers then operate on whole register rows without building any
-        index object.  A contiguous lane prefix (partial warps) is returned
-        as a ``slice`` so register rows index as cheap views; arbitrary
-        divergent masks fall back to an integer index array.
+    def bind_rows(self, regs: np.ndarray) -> None:
+        """Make ``regs`` (``num_registers x lane_count``) the register file.
+
+        ``rows[r]`` is ``regs[r]`` without paying ndarray ``__getitem__`` on
+        every access (list indexing is several times cheaper, and handlers
+        touch 2-4 rows per issued instruction).  Every cached view pointed
+        into the old storage, so all of them are dropped.
         """
-        mask = self.active_mask
-        if mask != self._sel_cache_mask:
-            self._sel_cache_mask = mask
-            if mask & (mask + 1) == 0:
-                width = mask.bit_length()
-                self._sel_cache = None if width == self.lane_count else slice(0, width)
+        self.regs = regs
+        self.rows = list(regs)
+        self._views: Dict[int, tuple] = {}
+        self._view_mask = -1
+
+    def refresh(self) -> Optional[List[np.ndarray]]:
+        """Point the view attributes at ``active_mask``; returns ``vrows``.
+
+        The views of each mask value are built once per warp and kept, so a
+        loop that narrows and re-widens the mask only swaps attributes.
+        """
+        mask = self._view_mask = self.active_mask
+        views = self._views.get(mask)
+        if views is None:
+            width = mask.bit_length()
+            weights = self.bit_weights
+            if mask & (mask + 1):
+                views = (None, width, None, None,
+                         np.fromiter(self.active_lanes(), dtype=np.intp))
+            elif width == self.lane_count:
+                views = (self.rows, width, self.scratch, weights, None)
             else:
-                self._sel_cache = np.fromiter(lanes_of(mask), dtype=np.intp)
-        return self._sel_cache
+                views = ([row[:width] for row in self.rows], width,
+                         self.scratch[:width],
+                         None if weights is None else weights[:width], None)
+            self._views[mask] = views
+        self.vrows, self.width, self.vscratch, self.vweights, self.sel = views
+        return self.vrows

@@ -254,8 +254,8 @@ def run_engines(kernel: Kernel, arguments, config: ArchConfig, global_size: int,
 
 
 def assert_engines_identical(results, label: str) -> None:
-    """Every engine must match ``reference`` bit-for-bit: cycles, every
-    PerfCounters field, per-call cycles and every output buffer."""
+    """Every engine must match ``reference`` bit-for-bit: launch geometry,
+    cycles, every PerfCounters field, per-call cycles and every output buffer."""
     reference = results["reference"]
     ref_counters = reference.counters.as_dict()
     for engine, result in results.items():
@@ -264,8 +264,10 @@ def assert_engines_identical(results, label: str) -> None:
         assert result.cycles == reference.cycles, (
             f"{label}: {engine} cycles {result.cycles} != "
             f"reference {reference.cycles}")
-        assert result.sim_cycles == reference.sim_cycles, f"{label}: {engine}"
-        assert result.call_cycles == reference.call_cycles, f"{label}: {engine}"
+        for field in ("sim_cycles", "overhead_cycles", "call_cycles",
+                      "local_size", "num_calls"):
+            assert getattr(result, field) == getattr(reference, field), (
+                f"{label}: {engine} {field}")
         counters = result.counters.as_dict()
         for field, ref_value in ref_counters.items():
             assert counters[field] == ref_value, (
@@ -282,6 +284,10 @@ def run_fuzz_case(spec: Mapping[str, object]) -> None:
     kernel = make_fuzz_kernel(spec)
     config = fuzz_config(spec)
     lws = spec.get("lws")
+    if spec.get("active_lanes") is not None:
+        # One lane runs one work-group, so this few work-groups leave every
+        # warp launched with at most ``active_lanes`` of its lanes active.
+        lws = -(-int(spec["gws"]) // int(spec["active_lanes"]))
     results = run_engines(kernel, fuzz_arguments(spec), config,
                           int(spec["gws"]),
                           local_size=None if lws is None else int(lws))

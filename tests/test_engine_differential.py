@@ -13,6 +13,9 @@ library kernel:
 * identical *issue traces*: event skipping may jump the clock and batch
   streaming may commit whole uniform rounds at once, but neither may reorder
   or retime a single instruction issue;
+* the same matrix on the narrow-warp shapes of the paper's Figure-2 grid
+  under forced ``lws`` 1 and 32 and the runtime mapping (most of a sweep's
+  warp-instructions run with one or two active lanes);
 * the divergence-stress fixtures (``tests/engine_fixtures.py``) run the same
   grid, hammering the batch engine's fallback transitions;
 * identical campaign content hashes: the engine is a presentation/performance
@@ -43,6 +46,10 @@ from repro.workloads.problems import available_problems, make_problem
 #: partial warps and divergent selections differently than 4 or 8).
 CONFIG_NAMES = ("1c2w4t", "4c4w8t", "2c8w16t")
 
+#: Shapes of the paper's Figure-2 grid where warps run narrow: 2 threads per
+#: warp, and a 32-lane warp that a forced lws fills with one or two lanes.
+NARROW_CONFIG_NAMES = ("1c8w2t", "4c8w2t", "4c8w32t")
+
 ALL_PROBLEMS = tuple(available_problems())
 
 
@@ -62,38 +69,29 @@ def test_grid_covers_all_library_kernels():
     assert len(ALL_PROBLEMS) == 9
 
 
+def assert_problem_bit_identical(problem_name, config_name, local_size=None):
+    """One problem on one machine shape under every engine."""
+    results = {engine: run_problem(problem_name, config_name, engine,
+                                   local_size=local_size)
+               for engine in ENGINES}
+    assert_engines_identical(
+        results, f"{problem_name}/{config_name}/lws={local_size}")
+
+
 @pytest.mark.parametrize("config_name", CONFIG_NAMES)
 @pytest.mark.parametrize("problem_name", ALL_PROBLEMS)
 def test_engines_bit_identical(problem_name, config_name):
     """The full 9-kernel x 3-shape x 3-engine matrix."""
-    results = {engine: run_problem(problem_name, config_name, engine)
-               for engine in ENGINES}
-    reference = results["reference"]
-    ref_counters = reference.counters.as_dict()
-    for engine in ENGINES:
-        if engine == "reference":
-            continue
-        result = results[engine]
-        assert result.cycles == reference.cycles
-        assert result.sim_cycles == reference.sim_cycles
-        assert result.overhead_cycles == reference.overhead_cycles
-        assert result.call_cycles == reference.call_cycles
-        assert result.local_size == reference.local_size
-        assert result.num_calls == reference.num_calls
+    assert_problem_bit_identical(problem_name, config_name)
 
-        counters = result.counters.as_dict()
-        for field, ref_value in ref_counters.items():
-            assert counters[field] == ref_value, (
-                f"{problem_name}/{config_name}: counter {field!r} diverged "
-                f"(reference={ref_value}, {engine}={counters[field]})"
-            )
 
-        assert set(result.outputs) == set(reference.outputs)
-        for name, ref_array in reference.outputs.items():
-            assert np.array_equal(result.outputs[name], ref_array), (
-                f"{problem_name}/{config_name}: output buffer {name!r} "
-                f"diverged under {engine}"
-            )
+@pytest.mark.parametrize("local_size", [1, 32, None], ids=["lws1", "lws32", "runtime"])
+@pytest.mark.parametrize("config_name", NARROW_CONFIG_NAMES)
+@pytest.mark.parametrize("problem_name", ALL_PROBLEMS)
+def test_engines_bit_identical_on_narrow_traffic(problem_name, config_name, local_size):
+    """The Figure-2 grid's own traffic: 2-lane machines, and the lws=1 /
+    lws=32 strawmen that leave one or two lanes of a warp active."""
+    assert_problem_bit_identical(problem_name, config_name, local_size)
 
 
 @pytest.mark.parametrize("problem_name", ["vecadd", "sgemm", "gaussian"])

@@ -10,8 +10,8 @@ Three layers:
 * a hypothesis sweep drawing specs at random (a quick always-on pass plus a
   ``slow``-marked deep pass; together they clear well over 200 distinct
   programs per run);
-* a fixed corpus of 20 specs under ``tests/fuzz_corpus/`` replayed
-  deterministically -- these are the CI smoke set and regression anchors
+* a fixed corpus of specs under ``tests/fuzz_corpus/`` (20 general ones plus
+  the narrow-warp ones, ``*_narrow.json``) replayed deterministically -- these are the CI smoke set and regression anchors
   (a spec that ever found a divergence gets frozen here);
 * generator self-checks (same spec => same instruction stream) so corpus
   replays actually pin the program, not just the seed.
@@ -32,13 +32,13 @@ CORPUS_FILES = tuple(sorted(CORPUS_DIR.glob("*.json")))
 
 #: The spec space: small machines and launches keep the reference engine
 #: (the slow oracle) affordable while still covering multi-core dispatch,
-#: partial warps, forced tiny lws (many sequential calls) and both warp
-#: schedulers.
-spec_strategy = st.fixed_dictionaries({
+#: partial warps, forced tiny lws (many sequential calls), both warp
+#: schedulers, and the two ends of the warp-width range (1 and 32 lanes).
+_base_specs = st.fixed_dictionaries({
     "seed": st.integers(min_value=0, max_value=2**31 - 1),
     "cores": st.integers(min_value=1, max_value=2),
     "warps": st.integers(min_value=1, max_value=4),
-    "threads": st.sampled_from([2, 4, 8]),
+    "threads": st.sampled_from([1, 2, 4, 8, 32]),
     "gws": st.integers(min_value=4, max_value=64),
     "lws": st.sampled_from([None, 1, 2, 3, 5]),
     "scheduler": st.sampled_from(["rr", "gto"]),
@@ -46,11 +46,23 @@ spec_strategy = st.fixed_dictionaries({
 })
 
 
+@st.composite
+def spec_strategy(draw):
+    """A base spec, half the time launched with fewer work-groups than a warp
+    has lanes (``active_lanes`` < ``threads``, which replaces ``lws``): the
+    under-utilised regime of the paper's Figure 1, where every warp runs its
+    whole program under a narrow prefix mask."""
+    spec = draw(_base_specs)
+    if spec["threads"] > 1 and draw(st.booleans()):
+        spec["active_lanes"] = draw(st.integers(1, spec["threads"] - 1))
+    return spec
+
+
 # ----------------------------------------------------------------------
 # hypothesis sweeps
 # ----------------------------------------------------------------------
 @settings(max_examples=60)
-@given(spec=spec_strategy)
+@given(spec=spec_strategy())
 def test_fuzzed_programs_bit_identical(spec):
     """Always-on sweep: 60 random programs through all three engines."""
     run_fuzz_case(spec)
@@ -58,7 +70,7 @@ def test_fuzzed_programs_bit_identical(spec):
 
 @pytest.mark.slow
 @settings(max_examples=200)
-@given(spec=spec_strategy)
+@given(spec=spec_strategy())
 def test_fuzzed_programs_bit_identical_deep(spec):
     """Deep sweep (>=200 programs); deselect with ``-m "not slow"``."""
     run_fuzz_case(spec)
@@ -71,6 +83,15 @@ def test_corpus_is_populated():
     assert len(CORPUS_FILES) >= 20, (
         "tests/fuzz_corpus/ must hold at least 20 frozen specs"
     )
+
+
+def test_corpus_holds_narrow_warp_specs():
+    """The frozen narrow cases cover both ends of the warp-width range."""
+    narrow = [json.loads(path.read_text()) for path in CORPUS_FILES
+              if path.stem.endswith("_narrow")]
+    assert {spec["threads"] for spec in narrow} >= {1, 32}
+    assert any(spec.get("active_lanes", spec["threads"]) < spec["threads"]
+               for spec in narrow)
 
 
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.stem)

@@ -157,3 +157,28 @@ def test_device_reset_memory_releases_allocations():
     assert device.allocator.allocated_words > 0
     device.reset_memory()
     assert device.allocator.allocated_words == 0
+
+
+@pytest.mark.parametrize("reset_memory", [True, False])
+def test_launch_invalidates_the_memory_system_exactly_once(monkeypatch, reset_memory):
+    """Cold caches for every launch, one cache walk to get there -- and
+    ``reset_memory=False`` keeps the allocations while still doing it."""
+    device = Device(CONFIG)
+    args, expected = _vecadd_args(32)
+    if not reset_memory:
+        args = {name: device.upload(value, name=name) for name, value in args.items()}
+    allocated = device.allocator.allocated_words
+    launch_kernel(device, VECADD, dict(args), 32, local_size=4,
+                  reset_memory=reset_memory, keep_buffers=True)   # warms the caches
+    calls = []
+    invalidate = device.gpu.hierarchy.invalidate
+    monkeypatch.setattr(device.gpu.hierarchy, "invalidate",
+                        lambda: (calls.append(1), invalidate())[1])
+    second = launch_kernel(device, VECADD, dict(args), 32, local_size=4,
+                           reset_memory=reset_memory, keep_buffers=True)
+    assert len(calls) == 1
+    assert second.counters.l1_hits + second.counters.l1_misses > 0
+    assert second.counters.l2_hits == 0              # nothing survived the reset
+    np.testing.assert_allclose(second.outputs["c"], expected)
+    if not reset_memory:
+        assert device.allocator.allocated_words == allocated

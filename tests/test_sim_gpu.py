@@ -148,3 +148,28 @@ def test_memory_system_reset_between_launches():
     gpu.reset_memory_system()
     cold = gpu.run_call(program, [WarpLaunch(0, 0, _csr(config), 2)])
     assert cold.cycles == first.cycles           # reset restored cold-cache behaviour
+
+
+def test_decode_is_shared_by_every_device_running_the_same_program():
+    """One decode per (program, line size, timing) for the whole process:
+    the machine shape does not enter it, what the handlers bake in does."""
+    from repro.isa.latencies import timing_for
+    from repro.sim.fastcore import decode_program
+
+    program = _store_core_id_program()
+    small = ArchConfig(cores=1, warps_per_core=2, threads_per_warp=2)
+    large = ArchConfig(cores=4, warps_per_core=8, threads_per_warp=32)
+    decoded = decode_program(program, small)
+    assert decode_program(program, large) is decoded
+    for config in (small, large):
+        gpu = Gpu(config, engine="fast")
+        gpu.run_call(program, [WarpLaunch(0, 0, _csr(config), config.threads_per_warp)])
+        assert decode_program(program, config) is decoded
+
+    other_line = ArchConfig(l1_line_words=32, l2_line_words=32)
+    slow_add = ArchConfig(timing_overrides={
+        Opcode.ADD: timing_for(Opcode.MUL, {})})
+    assert decode_program(program, other_line) is not decoded
+    assert decode_program(program, slow_add) is not decoded
+    # An equal but distinct Program object is decoded on its own.
+    assert decode_program(_store_core_id_program(), small) is not decoded

@@ -75,3 +75,26 @@ def test_runnable_reflects_halt_and_barrier():
     warp.at_barrier = False
     warp.halted = True
     assert not warp.runnable
+
+
+# ----------------------------------------------------------------------
+# FastWarp construction
+# ----------------------------------------------------------------------
+def test_fast_warp_allocates_only_its_numpy_register_file():
+    import numpy as np
+
+    from repro.sim.warp import FastWarp
+
+    first = FastWarp(0, lane_count=4, num_registers=3, csr=_csr(), active_lanes=3)
+    second = FastWarp(1, lane_count=4, num_registers=3, csr=_csr())
+    assert isinstance(first.regs, np.ndarray) and first.regs.shape == (3, 4)
+    assert first.active_mask == 0b111 and first.active_lanes() == [0, 1, 2]
+    assert all(np.shares_memory(row, first.regs) for row in first.rows)
+    # The lane constants are one read-only pair per warp width.
+    assert first.lane_ids is second.lane_ids and first.bit_weights is second.bit_weights
+    assert first.lane_ids.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert first.bit_weights.tolist() == [1.0, 2.0, 4.0, 8.0]
+    assert not first.lane_ids.flags.writeable and not first.bit_weights.flags.writeable
+    assert first.scratch is not second.scratch
+    with pytest.raises(ValueError):
+        FastWarp(0, lane_count=4, num_registers=1, csr=_csr(), active_lanes=5)
