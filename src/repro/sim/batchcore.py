@@ -36,9 +36,10 @@ sampling:
   cannot issue inside the window are carried as pure stallers -- exactly what
   the reference loop would have recorded for them.
 * Everything the guards cannot prove -- divergent PCs, barriers, masked or
-  out-of-bounds memory, GTO scheduling, drained warps -- falls back to a
-  copy of the fast engine's event-skipping loop body, which is itself
-  proven bit-identical to the reference.
+  out-of-bounds memory, GTO scheduling, drained warps -- is a visited cycle
+  of the fast engine's event-skipping loop, which is itself proven
+  bit-identical to the reference: streaming windows are a hook of
+  :func:`~repro.sim.fastcore.run_fast`, and the batch engine runs inside it.
 
 The differential suite, the golden counters and the fuzzing oracle
 (``tests/test_engine_fuzz.py``) hold the engine to that guarantee.
@@ -47,7 +48,7 @@ The differential suite, the golden counters and the fuzzing oracle
 from __future__ import annotations
 
 from time import perf_counter as _perf_counter
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -57,7 +58,12 @@ from repro.isa.registers import NUM_ARG_SLOTS, Csr
 from repro.sim.compile import CompiledProgram, compile_program
 from repro.sim.config import ArchConfig
 from repro.sim.core import NEVER, SimulationError
-from repro.sim.fastcore import FastSimtCore, _UNIFORM_CSR_ATTRS
+from repro.sim.fastcore import (
+    FastSimtCore,
+    _UNIFORM_CSR_ATTRS,
+    per_process,
+    run_fast,
+)
 from repro.sim.memory.hierarchy import MemoryHierarchy
 from repro.sim.memory.mainmem import MainMemory
 from repro.sim.stats import PerfCounters
@@ -70,6 +76,29 @@ from repro.telemetry.recorder import RECORDER
 _CORE_UNIFORM_CSRS = frozenset(
     csr for csr in _UNIFORM_CSR_ATTRS if csr is not Csr.WARP_ID
 )
+
+
+#: The batch compile of each program, per process (see :func:`compiled_program`).
+_COMPILE_MEMO: Dict[tuple, tuple] = {}
+
+
+def compiled_program(program: Program, config: ArchConfig) -> CompiledProgram:
+    """:func:`~repro.sim.compile.compile_program`, once per process.
+
+    A compile is built from the program and its decode alone, so it shares
+    :func:`~repro.sim.fastcore.decode_program`'s memo key and bound.
+    """
+    return per_process(_COMPILE_MEMO, program, config, _compile_observed)
+
+
+def _compile_observed(program: Program, config: ArchConfig) -> CompiledProgram:
+    if not RECORDER.enabled:
+        return compile_program(program, config)
+    started = _perf_counter()
+    compiled = compile_program(program, config)
+    RECORDER.observe("engine.batch.compile_seconds", _perf_counter() - started)
+    RECORDER.count("engine.batch.compiles")
+    return compiled
 
 
 def _fill_csr_slab(slab: np.ndarray, warps, csr_number: int) -> None:
@@ -120,12 +149,18 @@ class BatchSimtCore(FastSimtCore):
                  counters: PerfCounters, tracer=None,
                  compiled: Optional[CompiledProgram] = None):
         if compiled is None:
-            compiled = compile_program(program, config)
+            compiled = compiled_program(program, config)
         super().__init__(core_id, config, program, hierarchy, memory,
                          counters, tracer=tracer, decoded=compiled.decoded)
         self._compiled = compiled
         self._stream_enabled = False   # armed by _adopt, dropped on first halt
         self._no_stream_pc = -1        # memo: last PC planning refused statically
+
+    def _check_barrier_after_halt(self, cycle: int) -> None:
+        # A halted warp's stack rows go stale; the remaining warps finish on
+        # the exact path.  (A streamed HALT round drains the whole core.)
+        self._stream_enabled = False
+        super()._check_barrier_after_halt(cycle)
 
     # ------------------------------------------------------------------
     def _adopt(self) -> None:
@@ -233,6 +268,36 @@ def _sync_warps(core: BatchSimtCore) -> None:
         w.pc = pc
         w.next_issue_cycle = int(ni[k])
         w._d_cache = None
+
+
+def _issue_slots(core: BatchSimtCore, order, op, pc: int, cycle: int,
+                 spacing: int, tracer) -> int:
+    """Issue ``op`` for the warps of ``order`` through the fast per-warp
+    handler, slot ``k`` at ``cycle + k * spacing``, exactly as the issue loop
+    would; returns the active lanes issued."""
+    warps = core.warps
+    run = op.run
+    dst = op.dst
+    default_latency = op.latency
+    instr = op.instr
+    core_id = core.core_id
+    lanes_total = 0
+    for k, i in enumerate(order):
+        w = warps[i]
+        at = cycle + k * spacing
+        lanes_total += w.active_mask.bit_count()
+        if tracer is not None:
+            tracer.record(cycle=at, core=core_id, warp=w.warp_id, pc=pc,
+                          opcode=instr.opcode, mask=w.active_mask,
+                          section=instr.section)
+        latency = run(core, w, at)
+        if latency is None:
+            latency = default_latency
+        if dst is not None:
+            w.reg_ready[dst] = at + latency
+        w.next_issue_cycle = at + 1
+        w._d_cache = None
+    return lanes_total
 
 
 # ----------------------------------------------------------------------
@@ -347,40 +412,13 @@ class _ScalarPlan:
         if control is not None and tracer is None:
             lanes_total = _COMMIT_CONTROL[control](self, cycle)
         else:
-            lanes_total = self._commit_generic(cycle, tracer)
+            lanes_total = _issue_slots(core, self.order, op, self.pc, cycle,
+                                       1, tracer)
         core._pc_issues[self.pc] += self.n
         core._pc_lanes[self.pc] += lanes_total
         core._rr_next = (self.order[-1] + 1) % core._rr_n
         # Control handlers may have moved masks; rebuild lazily next round.
         core._masks_key = None
-
-    def _commit_generic(self, cycle: int, tracer) -> int:
-        core = self.core
-        warps = core.warps
-        op = self.op
-        run = op.run
-        dst = op.dst
-        default_latency = op.latency
-        pc = self.pc
-        instr = op.instr
-        core_id = core.core_id
-        lanes_total = 0
-        for k, i in enumerate(self.order):
-            w = warps[i]
-            at = cycle + k
-            lanes_total += w.active_mask.bit_count()
-            if tracer is not None:
-                tracer.record(cycle=at, core=core_id, warp=w.warp_id, pc=pc,
-                              opcode=instr.opcode, mask=w.active_mask,
-                              section=instr.section)
-            latency = run(core, w, at)
-            if latency is None:
-                latency = default_latency
-            if dst is not None:
-                w.reg_ready[dst] = at + latency
-            w.next_issue_cycle = at + 1
-            w._d_cache = None
-        return lanes_total
 
     # -- batched control rounds -----------------------------------------
     # Inline replicas of the reference control handlers with the per-lane
@@ -604,34 +642,12 @@ class _SfuPlan:
     def commit(self, cycle: int, rounds: int, tracer) -> None:
         core = self.core
         _sync_warps(core)        # the fast handlers read and write warp state
-        warps = core.warps
-        op = self.op
-        run = op.run
-        dst = op.dst
-        default_latency = op.latency
         interval = self.interval
-        pc = self.pc
-        instr = op.instr
-        core._pc_issues[pc] += self.n
-        core_id = core.core_id
-        lanes_total = 0
-        for k, i in enumerate(self.order):
-            w = warps[i]
-            at = cycle + k * interval
-            lanes_total += w.active_mask.bit_count()
-            if tracer is not None:
-                tracer.record(cycle=at, core=core_id, warp=w.warp_id, pc=pc,
-                              opcode=instr.opcode, mask=w.active_mask,
-                              section=instr.section)
-            latency = run(core, w, at)
-            if latency is None:
-                latency = default_latency
-            if dst is not None:
-                w.reg_ready[dst] = at + latency
-            w.next_issue_cycle = at + 1
-            w._d_cache = None
-        core._fu_busy[op.unit_index] = cycle + (self.n - 1) * interval + interval
-        core._pc_lanes[pc] += lanes_total
+        lanes_total = _issue_slots(core, self.order, self.op, self.pc, cycle,
+                                   interval, tracer)
+        core._fu_busy[self.op.unit_index] = cycle + self.n * interval
+        core._pc_issues[self.pc] += self.n
+        core._pc_lanes[self.pc] += lanes_total
         core._rr_next = (self.order[-1] + 1) % core._rr_n
         core._masks_key = None
 
@@ -992,266 +1008,108 @@ def run_batch(active_cores: List[BatchSimtCore], counters: PerfCounters,
               max_cycles: Optional[int], tracer) -> int:
     """Simulate one kernel call and return its cycle count.
 
-    Alternates between committed streaming windows and verbatim fast-engine
-    visited cycles for everything the planner cannot prove.  A window needs
-    every busy core accounted for: either it streams a plan, or its cached
-    event hint proves it cannot issue before the window ends (a pure staller,
-    charged exactly the stalls the reference loop would record).  Tracing
-    restricts streaming to single-core calls so records interleave in the
-    reference's (cycle, core) order.
+    The fast engine's loop (:func:`~repro.sim.fastcore.run_fast`) with
+    streaming windows plugged in: before each visited cycle,
+    :func:`_stream_window` tries to commit a window of cycles at once, and
+    every cycle it cannot prove is visited by the fast loop itself.
     """
-    busy = [core for core in active_cores if core.busy]
-    for core in busy:
-        core._adopt()
-    hints = [-1.0] * len(busy)
-    cycle = 0
-    issue_cycles = stall_cycles = active_cycles = 0
-    while busy:
-        if max_cycles is not None and cycle > max_cycles:
-            raise SimulationError(
-                f"kernel call exceeded max_cycles={max_cycles} "
-                f"({len(busy)} cores still busy)"
-            )
-        # ---- streaming attempt -------------------------------------------
-        if len(busy) == 1:
-            # Single-core calls skip the multi-core window bookkeeping: the
-            # sole core either streams its plan or falls through verbatim.
-            core = busy[0]
-            if hints[0] <= cycle and core._stream_enabled and (
+    for core in active_cores:
+        if core.busy:
+            core._adopt()
+    return run_fast(active_cores, counters, max_cycles, tracer,
+                    windows=_stream_window)
+
+
+def _stream_window(busy, hints, cycle: int, jumped: bool,
+                   max_cycles: Optional[int], tracer):
+    """One streaming attempt at ``cycle`` (the ``windows`` hook of
+    :func:`~repro.sim.fastcore.run_fast`).
+
+    A window needs every busy core accounted for: either it streams a plan,
+    or its cached event hint proves it cannot issue before the window ends (a
+    pure staller, charged exactly the stalls the reference loop would
+    record).  Tracing restricts streaming to single-core calls so records
+    interleave in the reference's (cycle, core) order.  Returns ``(window,
+    issues, active_cycles, stalls, drained)`` for a committed window, else
+    ``None`` with every lazy core synced back into its warps.
+    """
+    if jumped:
+        # Stalls compress warp spacing; divergent cores may have
+        # reconverged, so let everyone re-attempt a plan once.
+        for entry in busy:
+            entry[0]._probe = True
+    window = 0
+    if tracer is None or len(busy) == 1:
+        plans = []
+        planned = []
+        idle = 0
+        min_idle_hint = NEVER
+        for i, entry in enumerate(busy):
+            if hints[i] > cycle:
+                # Cannot issue now; may still be idle for the window.
+                idle += 1
+                if hints[i] < min_idle_hint:
+                    min_idle_hint = hints[i]
+                continue
+            core = entry[0]
+            if core._stream_enabled and (
                     core._lazy or not core._div_gate or core._probe
                     or core._rr_next == core._probe_rr):
                 core._probe = False
                 plan = _plan_core(core, cycle)
-                if plan is not None:
-                    rounds = plan.rounds
-                    window = plan.window(rounds)
-                    if max_cycles is None or cycle + window - 1 <= max_cycles:
-                        _commit_window((plan,), cycle, rounds, tracer)
-                        if plan.ragged or plan.gaps:
-                            n0 = plan.n
-                            issue_cycles += n0
-                            active_cycles += n0
-                            stall_cycles += plan.gaps
-                        else:
-                            issue_cycles += window
-                            active_cycles += window
-                        cycle += window
-                        if type(plan) is _HaltPlan:
-                            busy = []
-                            hints = []
-                        else:
-                            hints[0] = -1.0
-                        continue
-        elif tracer is None:
-            plans = []
-            planned = []
-            idle = 0
-            min_idle_hint = NEVER
-            for i, core in enumerate(busy):
-                if hints[i] > cycle:
-                    # Cannot issue now; may still be idle for the window.
-                    idle += 1
-                    if hints[i] < min_idle_hint:
-                        min_idle_hint = hints[i]
-                    continue
-                if core._stream_enabled and (
-                        core._lazy or not core._div_gate or core._probe
-                        or core._rr_next == core._probe_rr):
-                    core._probe = False
-                    plan = _plan_core(core, cycle)
-                else:
-                    plan = None
-                if plan is None or (plans and plan.n != plans[0].n):
-                    plans = None
-                    break
-                plans.append(plan)
-                planned.append(i)
-            window = 0
-            if plans:
-                if len(plans) == 1:
-                    plan = plans[0]
-                    rounds = plan.rounds
-                    window = plan.window(rounds)
-                    gaps = plan.gaps
-                else:
-                    # Multi-core windows stay cycle-aligned: every streaming
-                    # core must issue on every cycle of the window.
-                    rounds = min(plan.rounds for plan in plans)
-                    window = 0 if any(plan.ragged for plan in plans) \
-                        else rounds * plans[0].n
-                    gaps = 0
-                if window and idle and min_idle_hint < cycle + window:
-                    # Shrink uniform windows until the stalled cores provably
-                    # sleep through them; ragged windows cannot shrink.
-                    if gaps == 0 and not plans[0].ragged:
-                        n0 = plans[0].n
-                        fit = int((min_idle_hint - cycle) // n0)
-                        rounds = min(rounds, fit)
-                        window = rounds * n0 if rounds >= 1 else 0
-                    else:
-                        window = 0
-                if window and max_cycles is not None \
-                        and cycle + window - 1 > max_cycles:
-                    window = 0            # let the fallback raise on schedule
-            if window:
-                _commit_window(plans, cycle, rounds, tracer)
-                if gaps or plans[0].ragged:
-                    # Ragged single plan: the reference visits each issue
-                    # cycle (the streamer issues, everyone else stalls) plus
-                    # the cycle right after each multi-cycle FU hold (nobody
-                    # issues, every busy core stalls) before event-jumping.
+            else:
+                plan = None
+            if plan is None or (plans and plan.n != plans[0].n):
+                plans = None
+                break
+            plans.append(plan)
+            planned.append(i)
+        if plans:
+            if len(plans) == 1:
+                plan = plans[0]
+                rounds = plan.rounds
+                window = plan.window(rounds)
+                gaps = plan.gaps
+            else:
+                # Multi-core windows stay cycle-aligned: every streaming
+                # core must issue on every cycle of the window.
+                rounds = min(plan.rounds for plan in plans)
+                window = 0 if any(plan.ragged for plan in plans) \
+                    else rounds * plans[0].n
+                gaps = 0
+            if window and idle and min_idle_hint < cycle + window:
+                # Shrink uniform windows until the stalled cores provably
+                # sleep through them; ragged windows cannot shrink.
+                if gaps == 0 and not plans[0].ragged:
                     n0 = plans[0].n
-                    issue_cycles += n0
-                    active_cycles += n0
-                    stall_cycles += gaps * len(busy) + (len(busy) - 1) * n0
+                    fit = int((min_idle_hint - cycle) // n0)
+                    rounds = min(rounds, fit)
+                    window = rounds * n0 if rounds >= 1 else 0
                 else:
-                    # Uniform window: every cycle is visited, every streaming
-                    # core issues on each of them, idle cores stall through.
-                    issue_cycles += window * len(plans)
-                    active_cycles += window
-                    stall_cycles += window * idle
-                cycle += window
-                for i in planned:
-                    hints[i] = -1.0
-                if any(type(plan) is _HaltPlan for plan in plans):
-                    pairs = [(core, hints[i]) for i, core in enumerate(busy)
-                             if core.busy]
-                    busy = [core for core, _ in pairs]
-                    hints = [hint for _, hint in pairs]
-                continue
-        # ---- one visited cycle: the fast engine's loop body (which reads
-        # these core attributes from a tuple built once per call) ----
-        issued = 0
-        drained = False
-        next_hint = NEVER
-        for i, core in enumerate(busy):
-            hint = hints[i]
-            if hint > cycle:
-                if hint < next_hint:
-                    next_hint = hint
-                continue
-            if core._lazy:
-                _sync_warps(core)
-            warps = core.warps
-            num_warps = len(warps)
-            if core._is_rr:
-                order = (core._rr_orders or core.rotations())[core._rr_next]
-            else:
-                order = [w for w in core._scheduler.priority_order()
-                         if w < num_warps]
-            decode = core._decode
-            fu_busy = core._fu_busy
-            earliest = NEVER
-            issued_here = False
-            for index in order:
-                warp = warps[index]
-                if warp.halted or warp.at_barrier:
-                    continue
-                d = warp._d_cache
-                if d is None:
-                    pc = warp.pc
-                    try:
-                        d = decode[pc].tup
-                    except IndexError:
-                        raise SimulationError(
-                            f"core {core.core_id} warp {warp.warp_id}: "
-                            f"PC {pc} ran off the program"
-                        ) from None
-                    (run, dst, check_regs, default_latency, interval,
-                     unit_index, fu_check, is_mem) = d
-                    own = warp.next_issue_cycle
-                    reg_ready = warp.reg_ready
-                    for reg in check_regs:
-                        pending = reg_ready[reg]
-                        if pending > own:
-                            own = pending
-                else:
-                    own = warp._own_ready
-                    pc = warp.pc
-                    (run, dst, check_regs, default_latency, interval,
-                     unit_index, fu_check, is_mem) = d
-                if fu_check:
-                    fu_free = fu_busy[unit_index]
-                    ready = own if own >= fu_free else fu_free
-                else:
-                    ready = own
-                if ready <= cycle:
-                    core._pc_issues[pc] += 1
-                    core._pc_lanes[pc] += warp.active_mask.bit_count()
-                    if tracer is not None:
-                        instr = decode[pc].instr
-                        tracer.record(cycle=cycle, core=core.core_id,
-                                      warp=warp.warp_id, pc=pc,
-                                      opcode=instr.opcode,
-                                      mask=warp.active_mask,
-                                      section=instr.section)
-                    latency = run(core, warp, cycle)
-                    if latency is None:
-                        latency = default_latency
-                    if dst is not None:
-                        warp.reg_ready[dst] = cycle + latency
-                    fu_hold = interval
-                    if is_mem and core._last_line_count > fu_hold:
-                        fu_hold = core._last_line_count
-                    if fu_hold > 1:
-                        fu_busy[unit_index] = cycle + fu_hold
-                    warp.next_issue_cycle = cycle + 1
-                    warp._d_cache = None
-                    if core._is_rr:
-                        core._rr_next = (index + 1) % core._rr_n
-                    else:
-                        core._scheduler.issued(index)
-                    issued_here = True
-                    break
-                warp._d_cache = d
-                warp._own_ready = own
-                if ready < earliest:
-                    earliest = ready
-            if issued_here:
-                issued += 1
-                hints[i] = -1.0
-                if core._drain_check:
-                    core._drain_check = False
-                    if core._stream_enabled:
-                        for w in warps:
-                            if w.halted:
-                                # A halted warp's stack rows go stale; the
-                                # remaining warps finish on the exact path.
-                                core._stream_enabled = False
-                                break
-                    if not core.busy:
-                        drained = True
-            else:
-                hints[i] = earliest
-                if earliest < next_hint:
-                    next_hint = earliest
-        stall_cycles += len(busy) - issued
-        if issued:
-            issue_cycles += issued
-            active_cycles += 1
-            cycle += 1
-            if drained:
-                pairs = [(core, hints[i]) for i, core in enumerate(busy)
-                         if core.busy]
-                busy = [core for core, _ in pairs]
-                hints = [hint for _, hint in pairs]
-        else:
-            if next_hint is NEVER or next_hint <= cycle:
-                raise SimulationError(
-                    f"simulation deadlock at cycle {cycle}: no core can "
-                    f"make progress"
-                )
-            cycle = int(next_hint)
-            for core in busy:
-                # Stalls compress warp spacing; divergent cores may have
-                # reconverged, so let everyone re-attempt a plan once.
-                core._probe = True
-    counters.issue_cycles += issue_cycles
-    counters.stall_cycles += stall_cycles
-    counters.active_cycles += active_cycles
-    for core in active_cores:
-        core.flush_instruction_counters()
-    return cycle
+                    window = 0
+            if window and max_cycles is not None \
+                    and cycle + window - 1 > max_cycles:
+                window = 0            # let the visited cycles raise on schedule
+    if not window:
+        for entry in busy:
+            if entry[0]._lazy:
+                _sync_warps(entry[0])
+        return None
+    _commit_window(plans, cycle, rounds, tracer)
+    for i in planned:
+        hints[i] = -1.0
+    drained = any(type(plan) is _HaltPlan for plan in plans)
+    if gaps or plans[0].ragged:
+        # Ragged single plan: the reference visits each issue cycle (the
+        # streamer issues, everyone else stalls) plus the cycle right after
+        # each multi-cycle FU hold (nobody issues, every busy core stalls)
+        # before event-jumping.
+        n0 = plans[0].n
+        return (window, n0, n0, gaps * len(busy) + (len(busy) - 1) * n0,
+                drained)
+    # Uniform window: every cycle is visited, every streaming core issues on
+    # each of them, idle cores stall through.
+    return window, window * len(plans), window, window * idle, drained
 
 
 def _commit_window(plans, cycle: int, rounds: int, tracer) -> None:

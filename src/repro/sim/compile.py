@@ -358,7 +358,8 @@ def _classify(decoded: _Decoded, config: ArchConfig) -> BatchOp:
 
 def compile_program(program: Program, config: ArchConfig,
                     decoded: Optional[List[_Decoded]] = None) -> CompiledProgram:
-    """Compile ``program`` for ``config`` (once per launch, cached by the Gpu)."""
+    """Compile ``program`` for ``config``, uncached (the engine goes through
+    :func:`repro.sim.batchcore.compiled_program`, once per process)."""
     if decoded is None:
         decoded = decode_program(program, config)
     ops = [_classify(d, config) for d in decoded]

@@ -59,6 +59,68 @@ class SimulationError(RuntimeError):
     """Raised when a kernel performs an illegal operation (bad PC, div by zero...)."""
 
 
+# -- integer division helpers (truncate toward zero, as RISC-V does) ----------
+def _safe_div(a: float, b: float) -> float:
+    if b == 0:
+        raise SimulationError("integer division by zero")
+    return float(math.trunc(a / b))
+
+
+def _safe_fdiv(a: float, b: float) -> float:
+    if b == 0.0:
+        raise SimulationError("floating-point division by zero")
+    return a / b
+
+
+def _safe_rem(a: float, b: float) -> float:
+    if b == 0:
+        raise SimulationError("integer remainder by zero")
+    return float(a - math.trunc(a / b) * b)
+
+
+#: Per-lane semantics of every register-to-register opcode, written once.  The
+#: reference engine runs them lane by lane; the fast engine runs the opcodes
+#: numpy cannot reproduce bit-for-bit straight from these tables.
+UNARY_OPS: Dict[Opcode, Callable[[float], float]] = {
+    Opcode.I2F: float,
+    Opcode.F2I: lambda a: float(int(a)),
+    Opcode.ABS: abs,
+    Opcode.FABS: abs,
+    Opcode.NEG: lambda a: -a,
+    Opcode.FNEG: lambda a: -a,
+    Opcode.FSQRT: lambda a: math.sqrt(a) if a > 0.0 else 0.0,
+    Opcode.FEXP: math.exp,
+    Opcode.FLOG: lambda a: math.log(a) if a > 0.0 else float("-inf"),
+}
+BINARY_OPS: Dict[Opcode, Callable[[float, float], float]] = {
+    Opcode.ADD: lambda a, b: a + b,
+    Opcode.SUB: lambda a, b: a - b,
+    Opcode.MUL: lambda a, b: a * b,
+    Opcode.AND: lambda a, b: float(int(a) & int(b)),
+    Opcode.OR: lambda a, b: float(int(a) | int(b)),
+    Opcode.XOR: lambda a, b: float(int(a) ^ int(b)),
+    Opcode.SHL: lambda a, b: float(int(a) << int(b)),
+    Opcode.SHR: lambda a, b: float(int(a) >> int(b)),
+    Opcode.SLT: lambda a, b: 1.0 if a < b else 0.0,
+    Opcode.SLE: lambda a, b: 1.0 if a <= b else 0.0,
+    Opcode.SEQ: lambda a, b: 1.0 if a == b else 0.0,
+    Opcode.SNE: lambda a, b: 1.0 if a != b else 0.0,
+    Opcode.MIN: min,
+    Opcode.MAX: max,
+    Opcode.FADD: lambda a, b: a + b,
+    Opcode.FSUB: lambda a, b: a - b,
+    Opcode.FMUL: lambda a, b: a * b,
+    Opcode.FMIN: min,
+    Opcode.FMAX: max,
+    Opcode.FLT: lambda a, b: 1.0 if a < b else 0.0,
+    Opcode.FLE: lambda a, b: 1.0 if a <= b else 0.0,
+    Opcode.FEQ: lambda a, b: 1.0 if a == b else 0.0,
+    Opcode.DIV: _safe_div,
+    Opcode.FDIV: _safe_fdiv,
+    Opcode.REM: _safe_rem,
+}
+
+
 class SimtCore:
     """One SIMT core executing a single program on its warps."""
 
@@ -198,65 +260,12 @@ class SimtCore:
             O.NOP: self._exec_nop,
             O.HALT: self._exec_halt,
             O.FMA: self._exec_fma,
-            O.I2F: self._exec_unary(float),
-            O.F2I: self._exec_unary(lambda a: float(int(a))),
-            O.ABS: self._exec_unary(abs),
-            O.FABS: self._exec_unary(abs),
-            O.NEG: self._exec_unary(lambda a: -a),
-            O.FNEG: self._exec_unary(lambda a: -a),
-            O.FSQRT: self._exec_unary(lambda a: math.sqrt(a) if a > 0.0 else 0.0),
-            O.FEXP: self._exec_unary(math.exp),
-            O.FLOG: self._exec_unary(lambda a: math.log(a) if a > 0.0 else float("-inf")),
         }
-        binary_ops = {
-            O.ADD: lambda a, b: a + b,
-            O.SUB: lambda a, b: a - b,
-            O.MUL: lambda a, b: a * b,
-            O.AND: lambda a, b: float(int(a) & int(b)),
-            O.OR: lambda a, b: float(int(a) | int(b)),
-            O.XOR: lambda a, b: float(int(a) ^ int(b)),
-            O.SHL: lambda a, b: float(int(a) << int(b)),
-            O.SHR: lambda a, b: float(int(a) >> int(b)),
-            O.SLT: lambda a, b: 1.0 if a < b else 0.0,
-            O.SLE: lambda a, b: 1.0 if a <= b else 0.0,
-            O.SEQ: lambda a, b: 1.0 if a == b else 0.0,
-            O.SNE: lambda a, b: 1.0 if a != b else 0.0,
-            O.MIN: min,
-            O.MAX: max,
-            O.FADD: lambda a, b: a + b,
-            O.FSUB: lambda a, b: a - b,
-            O.FMUL: lambda a, b: a * b,
-            O.FMIN: min,
-            O.FMAX: max,
-            O.FLT: lambda a, b: 1.0 if a < b else 0.0,
-            O.FLE: lambda a, b: 1.0 if a <= b else 0.0,
-            O.FEQ: lambda a, b: 1.0 if a == b else 0.0,
-        }
-        for opcode, fn in binary_ops.items():
+        for opcode, fn in UNARY_OPS.items():
+            table[opcode] = self._exec_unary(fn)
+        for opcode, fn in BINARY_OPS.items():
             table[opcode] = self._exec_binary(fn)
-        table[O.DIV] = self._exec_binary(self._safe_div)
-        table[O.FDIV] = self._exec_binary(self._safe_fdiv)
-        table[O.REM] = self._exec_binary(self._safe_rem)
         return table
-
-    # -- integer division helpers (truncate toward zero, as RISC-V does) ----
-    @staticmethod
-    def _safe_div(a: float, b: float) -> float:
-        if b == 0:
-            raise SimulationError("integer division by zero")
-        return float(math.trunc(a / b))
-
-    @staticmethod
-    def _safe_fdiv(a: float, b: float) -> float:
-        if b == 0.0:
-            raise SimulationError("floating-point division by zero")
-        return a / b
-
-    @staticmethod
-    def _safe_rem(a: float, b: float) -> float:
-        if b == 0:
-            raise SimulationError("integer remainder by zero")
-        return float(a - math.trunc(a / b) * b)
 
     # -- generic ALU helpers -------------------------------------------------
     def _exec_binary(self, fn: Callable[[float, float], float]) -> Callable:

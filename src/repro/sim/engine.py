@@ -15,9 +15,10 @@ The simulator ships three engines that produce **bit-identical** results:
   classifies every PC and segments straight-line blocks; at run time whole
   *rounds* of warps execute each PC as a single 2-D numpy operation across
   all resident warps of a core (one gather/scatter per PC per core instead
-  of per warp), with cross-warp masking for divergence.  Any state the
-  compiler cannot prove schedule-exact falls back to the ``fast`` engine's
-  issue loop, so equivalence holds by construction.
+  of per warp), with cross-warp masking for divergence.  It runs inside the
+  ``fast`` engine's issue loop as a streaming hook: any cycle the compiler
+  cannot prove schedule-exact is visited by that loop itself, so
+  equivalence holds by construction.
 
 Because the engines are equivalent by construction *and by test*
 (``tests/test_engine_differential.py``, ``tests/test_engine_fuzz.py``), the

@@ -37,7 +37,8 @@ per-instruction Python overhead:
   to the reference engine's per-issue increments.
 
 The event-skipping loop itself is :func:`run_fast` at the bottom of this
-module (:class:`~repro.sim.gpu.Gpu` delegates to it): it caches each core's
+module, the one issue loop of both production engines (the ``batch`` engine
+plugs its streaming windows into it): it caches each core's
 ``next_event_hint`` so stalled cores are not re-scanned every cycle, and
 inlines the per-core issue attempt so no Python call frame is paid per
 instruction.  A cached hint stays valid until the core issues again because
@@ -51,7 +52,6 @@ Equivalence with the reference engine is enforced by
 
 from __future__ import annotations
 
-import math
 from time import perf_counter as _perf_counter
 from typing import Callable, Dict, List, Optional
 
@@ -63,7 +63,14 @@ from repro.isa.opcodes import Opcode, op_class
 from repro.isa.program import Program
 from repro.isa.registers import NUM_ARG_SLOTS, Csr
 from repro.sim.config import ArchConfig
-from repro.sim.core import CLASS_COUNTERS, NEVER, SimtCore, SimulationError
+from repro.sim.core import (
+    BINARY_OPS,
+    CLASS_COUNTERS,
+    NEVER,
+    UNARY_OPS,
+    SimtCore,
+    SimulationError,
+)
 from repro.sim.memory.hierarchy import MemoryHierarchy
 from repro.sim.memory.mainmem import MainMemory
 from repro.sim.scheduler import RoundRobinScheduler
@@ -111,18 +118,17 @@ _BINARY_NP = {
 }
 
 #: Binary opcodes that route per-lane values through Python ``int``: kept as
-#: scalar loops because int64 vectorization is *not* equivalent -- Python
-#: ints never wrap (SHL of 2.0 by 62 is exact where int64 left-shift wraps
-#: negative), a negative shift count must raise, and operands at or beyond
-#: 2**63 overflow the int64 cast.  These opcodes are cold (zero occurrences
-#: in the nine library kernels' programs), so exactness costs nothing.
-_BINARY_SCALAR = {
-    Opcode.AND: lambda a, b: float(int(a) & int(b)),
-    Opcode.OR: lambda a, b: float(int(a) | int(b)),
-    Opcode.XOR: lambda a, b: float(int(a) ^ int(b)),
-    Opcode.SHL: lambda a, b: float(int(a) << int(b)),
-    Opcode.SHR: lambda a, b: float(int(a) >> int(b)),
-}
+#: scalar loops over the reference's own definitions because int64
+#: vectorization is *not* equivalent -- Python ints never wrap (SHL of 2.0 by
+#: 62 is exact where int64 left-shift wraps negative), a negative shift count
+#: must raise, operands at or beyond 2**63 overflow the int64 cast, and
+#: DIV/REM truncate through ``math.trunc``, which raises on inf/NaN where
+#: ``np.trunc`` would propagate them.  The bitwise ops are cold (zero
+#: occurrences in the nine library kernels' programs), so exactness costs
+#: nothing.
+_BINARY_SCALAR = {op: BINARY_OPS[op] for op in (
+    Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.SHL, Opcode.SHR,
+    Opcode.DIV, Opcode.REM)}
 
 #: Unary opcodes vectorized with numpy (all bit-exact vs. the scalar path:
 #: sqrt is correctly rounded by IEEE 754, abs/neg are exact).
@@ -139,11 +145,8 @@ _UNARY_NP = {
 #: reference: libm exp/log may differ from numpy's in the last ulp, and F2I
 #: must raise on NaN/inf exactly like ``int(float)`` does (``np.trunc``
 #: would silently propagate them).
-_UNARY_SCALAR = {
-    Opcode.F2I: lambda a: float(int(a)),
-    Opcode.FEXP: math.exp,
-    Opcode.FLOG: lambda a: math.log(a) if a > 0.0 else float("-inf"),
-}
+_UNARY_SCALAR = {op: UNARY_OPS[op]
+                 for op in (Opcode.F2I, Opcode.FEXP, Opcode.FLOG)}
 
 #: Warp-uniform CSR numbers -> the :class:`~repro.isa.registers.CsrFile`
 #: attribute holding the value, resolved at decode time so the per-issue path
@@ -212,11 +215,30 @@ def decode_program(program: Program, config: ArchConfig) -> List[_Decoded]:
     :func:`~repro.kernels.wrapper.build_workgroup_program` hands out one per
     kernel for the life of the process.
     """
+    return per_process(_DECODE_MEMO, program, config, _decode_all)
+
+
+def per_process(memo: Dict[tuple, tuple], program: Program,
+                config: ArchConfig, build: Callable):
+    """``build(program, config)``, memoised in ``memo`` for the process.
+
+    Keyed by program identity and the only parts of ``config`` a decode
+    bakes in (see :func:`decode_program`), so anything built from the decode
+    and the program alone can share the key.
+    """
     key = (id(program), config.l1_line_words,
            frozenset(config.timing_overrides.items()))
-    cached = _DECODE_MEMO.get(key)
+    cached = memo.get(key)
     if cached is not None and cached[0] is program:
         return cached[1]
+    built = build(program, config)
+    if len(memo) >= 64:      # one-off programs (fuzzing) must not pile up
+        memo.clear()
+    memo[key] = (program, built)
+    return built
+
+
+def _decode_all(program: Program, config: ArchConfig) -> List[_Decoded]:
     decoded = [_decode_one(program[pc], config) for pc in range(len(program))]
     # A functional unit only ever *blocks* an issue if some instruction of
     # this program can mark it busy (initiation interval > 1, or the
@@ -228,9 +250,6 @@ def decode_program(program: Program, config: ArchConfig) -> List[_Decoded]:
         d.fu_check = d.unit_index in busyable
         d.tup = (d.run, d.dst, d.check_regs, d.default_latency,
                  d.initiation_interval, d.unit_index, d.fu_check, d.is_mem)
-    if len(_DECODE_MEMO) >= 64:      # one-off programs (fuzzing) must not pile up
-        _DECODE_MEMO.clear()
-    _DECODE_MEMO[key] = (program, decoded)
     return decoded
 
 
@@ -257,8 +276,8 @@ def _compile(instr: Instruction, config: ArchConfig) -> Callable:
         return _c_binary(instr, _BINARY_NP[opcode])
     if opcode in _BINARY_SCALAR:
         return _c_binary_scalar(instr, _BINARY_SCALAR[opcode])
-    if opcode in (O.DIV, O.FDIV, O.REM):
-        return _c_divlike(instr, opcode)
+    if opcode is O.FDIV:
+        return _c_fdiv(instr)
     if opcode in _UNARY_NP:
         return _c_unary(instr, _UNARY_NP[opcode])
     if opcode in _UNARY_SCALAR:
@@ -344,17 +363,9 @@ def _c_binary_scalar(instr: Instruction, fn: Callable) -> Callable:
     return run
 
 
-def _c_divlike(instr: Instruction, opcode: Opcode) -> Callable:
+def _c_fdiv(instr: Instruction) -> Callable:
     s0, s1 = instr.srcs
     dst = instr.dst
-
-    if opcode is not Opcode.FDIV:
-        # DIV/REM truncate through math.trunc, which raises on inf/NaN where
-        # np.trunc would silently propagate them -- so they stay per-lane
-        # scalar, reusing the reference handlers verbatim (same results,
-        # same divide-by-zero and non-finite errors).
-        fn = SimtCore._safe_div if opcode is Opcode.DIV else SimtCore._safe_rem
-        return _c_binary_scalar(instr, fn)
 
     def run(core, warp, cycle):
         vrows = warp.vrows if warp.active_mask == warp._view_mask else warp.refresh()
@@ -836,13 +847,19 @@ class FastSimtCore(SimtCore):
 
 
 # ----------------------------------------------------------------------
-# the event-skipping issue loop (Gpu delegates here for the fast engine)
+# the event-skipping issue loop (the fast and batch engines run here)
 # ----------------------------------------------------------------------
+def _still_busy(busy: list, hints: list):
+    """``busy`` and the parallel ``hints`` without the cores that drained."""
+    keep = [i for i, entry in enumerate(busy) if entry[0].busy]
+    return [busy[i] for i in keep], [hints[i] for i in keep]
+
+
 def run_fast(active_cores: List[FastSimtCore], counters: PerfCounters,
-             max_cycles: Optional[int], tracer) -> int:
+             max_cycles: Optional[int], tracer, windows=None) -> int:
     """Simulate one kernel call on ``active_cores`` and return its cycle count.
 
-    Identical cycle arithmetic to :meth:`repro.sim.gpu.Gpu._run_reference` --
+    Identical cycle arithmetic to :func:`repro.sim.gpu._run_reference` --
     same visited cycles, same issue order, same stall accounting -- with two
     structural accelerations:
 
@@ -859,6 +876,14 @@ def run_fast(active_cores: List[FastSimtCore], counters: PerfCounters,
 
     Core-drain checks run only after an instruction that can halt a warp
     (``TMC``/``HALT`` set ``_drain_check`` at decode time).
+
+    ``windows`` is the batch engine's streaming hook
+    (:func:`repro.sim.batchcore._stream_window`), offered every cycle before
+    it is visited as ``windows(busy, hints, cycle, jumped, max_cycles,
+    tracer)`` -- ``jumped`` is True when the clock event-jumped to ``cycle``.
+    It either commits a window of cycles and returns ``(window, issues,
+    active_cycles, stalls, drained)`` for the loop to account, or returns
+    ``None`` with every warp object current, and the cycle is visited here.
     """
     # One tuple per busy core, unpacked once per issue attempt: everything
     # the attempt reads from the core that cannot change during the call.
@@ -870,12 +895,25 @@ def run_fast(active_cores: List[FastSimtCore], counters: PerfCounters,
     hints = [-1.0] * len(busy)
     cycle = 0
     issue_cycles = stall_cycles = active_cycles = 0
+    jumped = False
     while busy:
         if max_cycles is not None and cycle > max_cycles:
             raise SimulationError(
                 f"kernel call exceeded max_cycles={max_cycles} "
                 f"({len(busy)} cores still busy)"
             )
+        if windows is not None:
+            streamed = windows(busy, hints, cycle, jumped, max_cycles, tracer)
+            jumped = False
+            if streamed is not None:
+                window, issues, active, stalls, drained = streamed
+                cycle += window
+                issue_cycles += issues
+                active_cycles += active
+                stall_cycles += stalls
+                if drained:
+                    busy, hints = _still_busy(busy, hints)
+                continue
         issued = 0
         drained = False
         next_hint = NEVER
@@ -992,10 +1030,7 @@ def run_fast(active_cores: List[FastSimtCore], counters: PerfCounters,
             active_cycles += 1
             cycle += 1
             if drained:
-                pairs = [(entry, hints[i]) for i, entry in enumerate(busy)
-                         if entry[0].busy]
-                busy = [entry for entry, _ in pairs]
-                hints = [hint for _, hint in pairs]
+                busy, hints = _still_busy(busy, hints)
         else:
             if next_hint is NEVER or next_hint <= cycle:
                 raise SimulationError(
@@ -1003,6 +1038,7 @@ def run_fast(active_cores: List[FastSimtCore], counters: PerfCounters,
                     f"make progress"
                 )
             cycle = int(next_hint)
+            jumped = True
     counters.issue_cycles += issue_cycles
     counters.stall_cycles += stall_cycles
     counters.active_cycles += active_cycles

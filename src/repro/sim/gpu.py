@@ -16,17 +16,18 @@ Three interchangeable engines drive the loop (see :mod:`repro.sim.engine`):
 the ``reference`` engine re-scans every busy core every cycle, the ``fast``
 engine additionally caches each stalled core's ``next_event_hint`` and runs
 lane execution vectorised (:mod:`repro.sim.fastcore`), and the ``batch``
-engine compiles each (program, config) once and streams whole rounds of warps
-per core as single 2-D numpy operations (:mod:`repro.sim.batchcore`).  All
-three produce bit-identical cycles, counters and memory contents -- the
-differential test suite holds them to that.
+engine runs inside the fast loop, compiling each program once per process and
+streaming whole rounds of warps per core as single 2-D numpy operations
+(:mod:`repro.sim.batchcore`).  All three produce bit-identical cycles,
+counters and memory contents -- the differential test suite holds them to
+that.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.program import Program
 from repro.isa.registers import CsrFile
@@ -71,11 +72,6 @@ class Gpu:
         self.hierarchy = MemoryHierarchy(config)
         self.tracer = tracer
         self.engine = resolve_engine(engine)
-        # program id -> (program, compiled) kept by the batch engine so a
-        # program is compiled once per launch instead of once per core per
-        # call (the program reference pins the id against reuse).  The fast
-        # engine's decode is memoised per process by ``decode_program``.
-        self._decode_cache: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     def reset_memory_system(self) -> None:
@@ -97,140 +93,44 @@ class Gpu:
         # cache contents persist across the calls of one launch on purpose.
         self.hierarchy.dram.reset()
         # Phase timers are pure observers -- wall-clock reads behind a single
-        # enabled check, never touching the cycle arithmetic, so both engines
-        # stay bit-identical with telemetry on or off.
-        if not RECORDER.enabled:
-            cores = self._build_cores(program, launches, counters)
-            active_cores: List[SimtCore] = list(cores.values())
-            if self.engine == "fast":
-                cycle = self._run_fast(active_cores, counters, max_cycles)
-            elif self.engine == "batch":
-                cycle = self._run_batch(active_cores, counters, max_cycles)
-            else:
-                cycle = self._run_reference(active_cores, counters, max_cycles)
-            counters.cycles = cycle
-            counters.warps_launched = len(launches)
-            self._fold_memory_statistics(counters)
-            return CallResult(cycles=cycle, counters=counters)
-
-        t0 = time.perf_counter()
-        cores = self._build_cores(program, launches, counters)
-        active_cores = list(cores.values())
-        t1 = time.perf_counter()
-        if self.engine == "fast":
-            cycle = self._run_fast(active_cores, counters, max_cycles)
-        elif self.engine == "batch":
-            cycle = self._run_batch(active_cores, counters, max_cycles)
-        else:
-            cycle = self._run_reference(active_cores, counters, max_cycles)
-        t2 = time.perf_counter()
+        # enabled check, never touching the cycle arithmetic, so every engine
+        # stays bit-identical with telemetry on or off.
+        timed = RECORDER.enabled
+        t0 = time.perf_counter() if timed else 0.0
+        cores, run_loop = self._build_cores(program, launches, counters)
+        t1 = time.perf_counter() if timed else 0.0
+        cycle = run_loop(cores, counters, max_cycles, self.tracer)
+        t2 = time.perf_counter() if timed else 0.0
         counters.cycles = cycle
         counters.warps_launched = len(launches)
         self._fold_memory_statistics(counters)
-        t3 = time.perf_counter()
-        prefix = f"engine.{self.engine}"
-        RECORDER.observe(f"{prefix}.build_cores_seconds", t1 - t0)
-        RECORDER.observe(f"{prefix}.issue_loop_seconds", t2 - t1)
-        RECORDER.observe(f"{prefix}.fold_stats_seconds", t3 - t2)
-        RECORDER.count(f"{prefix}.calls")
-        RECORDER.count(f"{prefix}.cycles", cycle)
+        if timed:
+            prefix = f"engine.{self.engine}"
+            RECORDER.observe(f"{prefix}.build_cores_seconds", t1 - t0)
+            RECORDER.observe(f"{prefix}.issue_loop_seconds", t2 - t1)
+            RECORDER.observe(f"{prefix}.fold_stats_seconds",
+                             time.perf_counter() - t2)
+            RECORDER.count(f"{prefix}.calls")
+            RECORDER.count(f"{prefix}.cycles", cycle)
         return CallResult(cycles=cycle, counters=counters)
-
-    def _run_reference(self, active_cores: List[SimtCore], counters: PerfCounters,
-                       max_cycles: Optional[int]) -> int:
-        """The straight-line reference loop: scan every busy core every cycle."""
-        cycle = 0
-        while True:
-            busy_cores = [core for core in active_cores if core.busy]
-            if not busy_cores:
-                break
-            if max_cycles is not None and cycle > max_cycles:
-                raise SimulationError(
-                    f"kernel call exceeded max_cycles={max_cycles} "
-                    f"({len(busy_cores)} cores still busy)"
-                )
-            issued_any = False
-            next_hint = NEVER
-            for core in busy_cores:
-                if core.try_issue(cycle):
-                    issued_any = True
-                    counters.issue_cycles += 1
-                else:
-                    counters.stall_cycles += 1
-                    if core.next_event_hint < next_hint:
-                        next_hint = core.next_event_hint
-            if issued_any:
-                counters.active_cycles += 1
-                cycle += 1
-            else:
-                if next_hint is NEVER or next_hint <= cycle:
-                    # No progress is possible and no future event is pending:
-                    # this indicates a deadlock (e.g. a barrier never released).
-                    raise SimulationError(
-                        f"simulation deadlock at cycle {cycle}: no core can make progress"
-                    )
-                cycle = int(next_hint)
-        return cycle
-
-    def _run_fast(self, active_cores: List[SimtCore], counters: PerfCounters,
-                  max_cycles: Optional[int]) -> int:
-        """Event-skipping loop used by the ``fast`` engine.
-
-        Identical cycle arithmetic to :meth:`_run_reference` -- same visited
-        cycles, same issue order, same stall accounting -- but a core whose
-        cached ``next_event_hint`` lies in the future is charged its stall
-        without being re-scanned, and the per-core issue attempt is inlined
-        into the loop.  Lives in :func:`repro.sim.fastcore.run_fast` with the
-        rest of the fast engine.
-        """
-        from repro.sim.fastcore import run_fast
-
-        return run_fast(active_cores, counters, max_cycles, self.tracer)
-
-    def _run_batch(self, active_cores: List[SimtCore], counters: PerfCounters,
-                   max_cycles: Optional[int]) -> int:
-        """Streaming loop used by the ``batch`` engine.
-
-        Commits whole rounds of warps per core where a vectorized guard proves
-        the exact reference schedule, and falls back to the fast engine's
-        visited-cycle body everywhere else.  Lives in
-        :func:`repro.sim.batchcore.run_batch`.
-        """
-        from repro.sim.batchcore import run_batch
-
-        return run_batch(active_cores, counters, max_cycles, self.tracer)
 
     # ------------------------------------------------------------------ helpers
     def _build_cores(self, program: Program, launches: Sequence[WarpLaunch],
-                     counters: PerfCounters) -> Dict[int, SimtCore]:
+                     counters: PerfCounters) -> Tuple[List[SimtCore], Callable]:
+        """The call's cores, and the issue loop of the engine that runs them."""
         from repro.sim.warp import FastWarp, Warp  # local import to avoid a cycle in docs builds
 
-        decoded = None
-        compiled = None
         if self.engine == "fast":
-            from repro.sim.fastcore import FastSimtCore, decode_program
-            core_cls, warp_cls = FastSimtCore, FastWarp
-            decoded = decode_program(program, self.config)   # memoised per process
+            from repro.sim.fastcore import FastSimtCore, decode_program, run_fast
+            core_cls, warp_cls, run_loop = FastSimtCore, FastWarp, run_fast
+            prepared = {"decoded": decode_program(program, self.config)}
         elif self.engine == "batch":
-            from repro.sim.batchcore import BatchSimtCore
-            from repro.sim.compile import compile_program
-            core_cls, warp_cls = BatchSimtCore, FastWarp
-            cached = self._decode_cache.get(id(program))
-            if cached is None or cached[0] is not program:
-                if len(self._decode_cache) > 8:
-                    self._decode_cache.clear()
-                if RECORDER.enabled:
-                    t0 = time.perf_counter()
-                    cached = (program, compile_program(program, self.config))
-                    RECORDER.observe("engine.batch.compile_seconds",
-                                     time.perf_counter() - t0)
-                    RECORDER.count("engine.batch.compiles")
-                else:
-                    cached = (program, compile_program(program, self.config))
-                self._decode_cache[id(program)] = cached
-            compiled = cached[1]
+            from repro.sim.batchcore import BatchSimtCore, compiled_program, run_batch
+            core_cls, warp_cls, run_loop = BatchSimtCore, FastWarp, run_batch
+            prepared = {"compiled": compiled_program(program, self.config)}
         else:
-            core_cls, warp_cls = SimtCore, Warp
+            core_cls, warp_cls, run_loop = SimtCore, Warp, _run_reference
+            prepared = {}
 
         cores: Dict[int, SimtCore] = {}
         for launch in launches:
@@ -246,18 +146,9 @@ class Gpu:
                 )
             core = cores.get(launch.core_id)
             if core is None:
-                if compiled is not None:
-                    core = core_cls(launch.core_id, self.config, program,
-                                    self.hierarchy, self.memory, counters,
-                                    tracer=self.tracer, compiled=compiled)
-                elif decoded is not None:
-                    core = core_cls(launch.core_id, self.config, program,
-                                    self.hierarchy, self.memory, counters,
-                                    tracer=self.tracer, decoded=decoded)
-                else:
-                    core = core_cls(launch.core_id, self.config, program,
-                                    self.hierarchy, self.memory, counters,
-                                    tracer=self.tracer)
+                core = core_cls(launch.core_id, self.config, program,
+                                self.hierarchy, self.memory, counters,
+                                tracer=self.tracer, **prepared)
                 cores[launch.core_id] = core
             warp = warp_cls(
                 warp_id=launch.warp_id,
@@ -267,7 +158,7 @@ class Gpu:
                 active_lanes=launch.active_lanes,
             )
             core.add_warp(warp)
-        return cores
+        return list(cores.values()), run_loop
 
     def _fold_memory_statistics(self, counters: PerfCounters) -> None:
         """Pick up cache/DRAM statistics accumulated since the last snapshot."""
@@ -276,8 +167,8 @@ class Gpu:
         counters.l1_misses = stats["l1_misses"]
         counters.l2_hits = stats["l2_hits"]
         counters.l2_misses = stats["l2_misses"]
-        # dram_lines / queue cycles are already folded in per access by the core;
-        # keep the hierarchy's view as the authoritative one for lines.
+        # The hierarchy is the authoritative source for every level: only the
+        # reference core also counts per access, and those counts are replaced.
         counters.dram_lines = stats["dram_lines"]
         counters.dram_queue_cycles = stats["dram_queue_cycles"]
         # Statistics are cumulative inside the hierarchy; reset so the next call
@@ -287,3 +178,43 @@ class Gpu:
         self.hierarchy.l2.reset_statistics()
         self.hierarchy.dram.lines_transferred = 0
         self.hierarchy.dram.total_queue_cycles = 0
+
+
+def _run_reference(active_cores: List[SimtCore], counters: PerfCounters,
+                   max_cycles: Optional[int], tracer) -> int:
+    """The straight-line reference loop: scan every busy core every cycle.
+
+    ``tracer`` is unused: reference cores record through their own.
+    """
+    cycle = 0
+    while True:
+        busy_cores = [core for core in active_cores if core.busy]
+        if not busy_cores:
+            break
+        if max_cycles is not None and cycle > max_cycles:
+            raise SimulationError(
+                f"kernel call exceeded max_cycles={max_cycles} "
+                f"({len(busy_cores)} cores still busy)"
+            )
+        issued_any = False
+        next_hint = NEVER
+        for core in busy_cores:
+            if core.try_issue(cycle):
+                issued_any = True
+                counters.issue_cycles += 1
+            else:
+                counters.stall_cycles += 1
+                if core.next_event_hint < next_hint:
+                    next_hint = core.next_event_hint
+        if issued_any:
+            counters.active_cycles += 1
+            cycle += 1
+        else:
+            if next_hint is NEVER or next_hint <= cycle:
+                # No progress is possible and no future event is pending:
+                # this indicates a deadlock (e.g. a barrier never released).
+                raise SimulationError(
+                    f"simulation deadlock at cycle {cycle}: no core can make progress"
+                )
+            cycle = int(next_hint)
+    return cycle

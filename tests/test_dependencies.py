@@ -56,6 +56,19 @@ def test_experiments_package_never_runs_a_simulation():
     assert runners == []
 
 
+def test_the_issue_loop_is_written_once_per_engine_family():
+    """The loop's guards and its stall charge live in the reference loop
+    (``core.py`` / ``gpu.py``) and in ``run_fast`` only: the batch engine
+    runs inside ``run_fast`` instead of carrying a copy of its body."""
+    sim = SRC / "repro" / "sim"
+    for needle in ("simulation deadlock", "ran off the program",
+                   "stall_cycles +="):
+        owners = {path.name for path in sim.rglob("*.py")
+                  if needle in path.read_text()}
+        assert "fastcore.py" in owners, needle
+        assert owners <= {"core.py", "gpu.py", "fastcore.py"}, (needle, owners)
+
+
 def test_the_harness_is_the_only_benchmark_code():
     strays = sorted(str(path.relative_to(ROOT))
                     for path in ROOT.rglob("bench_*.py")

@@ -9,6 +9,7 @@ from repro.isa.registers import Csr, CsrFile
 from repro.kernels.builder import KernelBuilder
 from repro.sim.config import ArchConfig
 from repro.sim.core import SimulationError
+from repro.sim.engine import ENGINES
 from repro.sim.gpu import CallResult, Gpu, WarpLaunch
 
 
@@ -94,6 +95,39 @@ def test_max_cycles_guard_triggers():
         gpu.run_call(program, [WarpLaunch(0, 0, _csr(config), 2)], max_cycles=100)
 
 
+def _guard_error(engine, program, max_cycles=None):
+    """The message a two-core call with two round-robin warps per core --
+    a shape the batch engine streams -- raises under ``engine``."""
+    config = ArchConfig(cores=2, warps_per_core=2, threads_per_warp=2)
+    gpu = Gpu(config, engine=engine)
+    launches = [WarpLaunch(c, w, _csr(config, core_id=c, warp_id=w), 2)
+                for c in range(2) for w in range(2)]
+    with pytest.raises(SimulationError) as raised:
+        gpu.run_call(program, launches, max_cycles=max_cycles)
+    return str(raised.value)
+
+
+def test_loop_guards_raise_the_same_error_under_every_engine():
+    spin = Program.link(
+        "spin",
+        [Instruction(Opcode.JMP, target=0), Instruction(Opcode.HALT)],
+        labels={}, num_registers=0)
+    # The only HALT is jumped over, so the warps run off the end.
+    no_halt = Program.link(
+        "no_halt",
+        [Instruction(Opcode.JMP, target=2), Instruction(Opcode.HALT),
+         Instruction(Opcode.LI, dst=0, imm=1.0),
+         Instruction(Opcode.ADD, dst=1, srcs=(0, 0))],
+        labels={}, num_registers=2)
+    spun = {engine: _guard_error(engine, spin, max_cycles=100)
+            for engine in ENGINES}
+    assert "max_cycles=100" in spun["reference"]
+    assert set(spun.values()) == {spun["reference"]}
+    ran_off = {engine: _guard_error(engine, no_halt) for engine in ENGINES}
+    assert "ran off the program" in ran_off["reference"]
+    assert set(ran_off.values()) == {ran_off["reference"]}
+
+
 def test_counters_are_populated():
     config = ArchConfig(cores=2, warps_per_core=1, threads_per_warp=4)
     gpu = Gpu(config)
@@ -173,3 +207,21 @@ def test_decode_is_shared_by_every_device_running_the_same_program():
     assert decode_program(program, slow_add) is not decoded
     # An equal but distinct Program object is decoded on its own.
     assert decode_program(_store_core_id_program(), small) is not decoded
+
+
+def test_batch_compile_is_shared_like_the_decode():
+    from repro.sim.batchcore import compiled_program
+    from repro.sim.compile import compile_program
+
+    program = _store_core_id_program()
+    small = ArchConfig(cores=1, warps_per_core=2, threads_per_warp=2)
+    large = ArchConfig(cores=4, warps_per_core=8, threads_per_warp=32)
+    compiled = compiled_program(program, small)
+    for config in (small, large):
+        Gpu(config, engine="batch").run_call(
+            program, [WarpLaunch(0, 0, _csr(config), config.threads_per_warp)])
+        assert compiled_program(program, config) is compiled
+    assert compiled_program(program, ArchConfig(l1_line_words=32,
+                                                l2_line_words=32)) is not compiled
+    # compile_program itself stays uncached (the harness times it cold).
+    assert compile_program(program, small) is not compiled
