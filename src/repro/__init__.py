@@ -33,11 +33,10 @@ from repro.core import (
     MappingStrategy,
     NaiveMapping,
     TuningAdvisor,
-    exhaustive_search,
     hardware_parallelism,
     optimal_local_size,
 )
-from repro.kernels import Kernel, KernelBuilder, available_kernels, get_kernel
+from repro.kernels import Kernel, KernelBuilder, get_kernel
 from repro.runtime import CommandQueue, Context, Device, LaunchResult, NDRange, launch_kernel
 from repro.sim import ArchConfig, Gpu, PerfCounters
 from repro.trace import Tracer, analyze_trace, render_issue_timeline
@@ -73,9 +72,7 @@ __all__ = [
     "TuningAdvisor",
     "__version__",
     "analyze_trace",
-    "available_kernels",
     "available_problems",
-    "exhaustive_search",
     "get_kernel",
     "hardware_parallelism",
     "launch_kernel",

@@ -457,12 +457,6 @@ class DistributedExecutor:
         for thread in self._threads:
             thread.join(timeout=5.0)      # backstop; every loop was woken
 
-    def __enter__(self) -> "DistributedExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def __del__(self):  # best-effort: don't leak sockets or processes
         try:
             self.close()

@@ -36,21 +36,13 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Protocol, Sequence, Union, runtime_checkable
 
 from repro.campaign.result import JobFailure, JobResult
 from repro.campaign.spec import JobSpec
 from repro.campaign.worker import execute_job
 
 Outcome = Union[JobResult, JobFailure]
-
-try:  # pragma: no cover - Protocol exists on every supported Python
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[no-redef]
-        return cls
 
 
 @dataclass(frozen=True)
@@ -205,12 +197,6 @@ class LocalExecutor:
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-
-    def __enter__(self) -> "LocalExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def __del__(self):  # best-effort: don't leak worker processes
         try:

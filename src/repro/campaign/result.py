@@ -51,10 +51,6 @@ class JobResult:
     events: Optional[Tuple] = None        # trace events; in-memory only
     telemetry: Optional[Dict] = None      # worker recorder payload; in-memory only
 
-    @property
-    def ok(self) -> bool:
-        return True
-
     def perf_counters(self) -> PerfCounters:
         """The counters as a :class:`PerfCounters` instance."""
         return PerfCounters.from_dict(self.counters)
@@ -132,10 +128,6 @@ class JobFailure:
     host: str = ""                        # where the job was running, if known
     last_heartbeat: Optional[float] = None  # worker's last sign of life (wall)
     telemetry: Optional[Dict] = None      # worker recorder payload; in-memory only
-
-    @property
-    def ok(self) -> bool:
-        return False
 
     def summary(self) -> str:
         """One-line rendering for progress output and reports."""

@@ -58,12 +58,6 @@ class RunStats:
     failed: int
     elapsed_seconds: float
 
-    def render(self) -> str:
-        """One-line summary for logs and the CLI."""
-        return (f"{self.total} job(s): {self.cache_hits} cached, "
-                f"{self.executed} simulated, {self.deduplicated} deduplicated, "
-                f"{self.failed} failed in {self.elapsed_seconds:.2f}s")
-
 
 @dataclass
 class CampaignOutcome:

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.isa.latencies import FunctionalUnit, OpTiming
 from repro.isa.opcodes import Opcode
@@ -172,10 +172,6 @@ class JobSpec:
         kwargs["config"] = config_from_dict(kwargs["config"])
         return cls(**kwargs)
 
-    def with_label(self, label: str) -> "JobSpec":
-        """A copy with a different display label (same content hash)."""
-        return replace(self, label=label)
-
 
 # ----------------------------------------------------------------------
 @dataclass
@@ -190,15 +186,8 @@ class Campaign:
         self.specs.append(spec)
         return spec
 
-    def extend(self, specs: Iterable[JobSpec]) -> None:
-        """Append several specs."""
-        self.specs.extend(specs)
-
     def __len__(self) -> int:
         return len(self.specs)
-
-    def __iter__(self) -> Iterator[JobSpec]:
-        return iter(self.specs)
 
     def unique_hashes(self) -> List[str]:
         """Distinct content hashes in first-seen order (the work to execute)."""

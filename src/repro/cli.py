@@ -98,7 +98,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.library import figure2_result_from_run
 from repro.service.queue import SERVICE_DIR_ENV
-from repro.sim.config import ArchConfig
+from repro.sim.config import ArchConfig, ConfigError
 from repro.sim.engine import DEFAULT_ENGINE, ENGINE_ENV, ENGINES
 from repro.telemetry.export import (
     render_summary as render_telemetry_summary,
@@ -142,6 +142,34 @@ _LOG = get_logger("cli")
 
 
 # ----------------------------------------------------------------------
+# Argument types: a bad value is a usage error (exit 2), never a traceback
+# ----------------------------------------------------------------------
+def _int_at_least(minimum: int):
+    """An argparse ``type=`` accepting integers ``>= minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
+def _machine(text: str) -> ArchConfig:
+    """An argparse ``type=`` for a machine name such as ``4c8w8t``."""
+    try:
+        return ArchConfig.from_name(text)
+    except ConfigError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
+# ----------------------------------------------------------------------
 # Shared option groups (argparse parent parsers)
 # ----------------------------------------------------------------------
 def _grid_options() -> argparse.ArgumentParser:
@@ -158,7 +186,7 @@ def _grid_options() -> argparse.ArgumentParser:
                         help="hardware-configuration grid")
     parent.add_argument("--scale", default="bench", choices=("smoke", "bench", "paper"),
                         help="problem sizes")
-    parent.add_argument("--seed", type=int, default=0,
+    parent.add_argument("--seed", type=_int_at_least(0), default=0,
                         help="single RNG seed threaded into every grid point")
     parent.add_argument("--exact-calls", action="store_true",
                         help="simulate every sequential kernel call (no extrapolation)")
@@ -232,21 +260,24 @@ def build_parser() -> argparse.ArgumentParser:
     executor = _executor_options()
 
     info = sub.add_parser("info", help="describe a machine and the Eq.-1 mapping for a launch")
-    info.add_argument("--config", default="4c8w8t", help="machine shape, e.g. 4c8w8t")
-    info.add_argument("--gws", type=int, default=None, help="global work size to map")
+    info.add_argument("--config", type=_machine, default="4c8w8t",
+                      help="machine shape, e.g. 4c8w8t")
+    info.add_argument("--gws", type=_positive_int, default=None,
+                      help="global work size to map")
 
     run = sub.add_parser("run", help="run one workload on one machine")
     run.add_argument("problem", choices=available_problems())
-    run.add_argument("--config", default="4c8w8t", help="machine shape, e.g. 4c8w8t")
+    run.add_argument("--config", type=_machine, default="4c8w8t",
+                     help="machine shape, e.g. 4c8w8t")
     run.add_argument("--scale", default="bench", choices=("smoke", "bench", "paper"))
-    run.add_argument("--lws", type=int, default=None,
+    run.add_argument("--lws", type=_positive_int, default=None,
                      help="local work size (omit to use the runtime Eq.-1 choice)")
     run.add_argument("--trace", action="store_true", help="print an issue timeline")
     run.add_argument("--advise", action="store_true", help="print the tuning-advisor report")
 
     figure1 = sub.add_parser("figure1", help="reproduce the paper's Figure-1 trace study")
     figure1.add_argument("--length", type=int, default=128)
-    figure1.add_argument("--lws", type=int, nargs="+", default=[1, 16, 32, 64])
+    figure1.add_argument("--lws", type=_positive_int, nargs="+", default=[1, 16, 32, 64])
 
     sweep = sub.add_parser("sweep", parents=[grid],
                            help="run a Figure-2 style sweep (alias of the "
@@ -275,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", parents=[grid, cache, executor],
         help="run a Figure-2 style sweep as a campaign (alias of the "
              "'figure2' scenario)")
-    crun.add_argument("--workers", type=int, default=1,
+    crun.add_argument("--workers", type=_positive_int, default=1,
                       help="worker processes for fresh points (default 1)")
     crun.add_argument("--claims", action="store_true",
                       help="also evaluate the Section-3 claims")
@@ -322,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
                                           help=help_text)
         sparser.set_defaults(kernels=None, sweep=None, scale=None)
         sparser.add_argument("name", help="registered scenario name (see 'scenario list')")
-        sparser.add_argument("--workers", type=int, default=1,
+        sparser.add_argument("--workers", type=_positive_int, default=1,
                              help="worker processes for fresh points (default 1)")
         sparser.add_argument("--sink", default=None,
                              help="JSONL sink path (default: "
@@ -517,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ----------------------------------------------------------------------
 def _cmd_info(args) -> int:
-    config = ArchConfig.from_name(args.config)
+    config = args.config
     print(config.describe())
     if args.gws is not None:
         lws = optimal_local_size(args.gws, config)
@@ -530,7 +561,7 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = ArchConfig.from_name(args.config)
+    config = args.config
     problem = make_problem(args.problem, scale=args.scale)
     tracer = Tracer(max_events=500_000) if args.trace else None
     device = Device(config, tracer=tracer)

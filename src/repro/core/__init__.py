@@ -9,7 +9,8 @@ paper proposes, together with the baselines it is compared against:
 * :class:`~repro.core.mapper.HardwareAwareMapping` and the baseline
   :class:`~repro.core.mapper.NaiveMapping` (``lws = 1``) and
   :class:`~repro.core.mapper.FixedMapping` (``lws = 32``) strategies used in
-  the paper's Figure 2, plus an exhaustive-search oracle.
+  the paper's Figure 2.  The exhaustive lws search that checks Eq. 1 against
+  the best candidate is the ``lws-search`` scenario.
 * :class:`~repro.core.analysis.MappingAnalyzer` -- static analysis of a
   (kernel, machine, lws) triple: regime, number of kernel calls, utilisation.
 * :class:`~repro.core.advisor.TuningAdvisor` -- combines the static analysis
@@ -18,8 +19,6 @@ paper proposes, together with the baselines it is compared against:
 
 from repro.core.advisor import TuningAdvisor, TuningReport
 from repro.core.analysis import MappingAnalysis, MappingAnalyzer
-from repro.core.autotuner import ExhaustiveSearchResult, exhaustive_search
-from repro.core.extensions import BandwidthAwareMapping, MemoryProfile
 from repro.core.mapper import (
     FixedMapping,
     HardwareAwareMapping,
@@ -31,10 +30,7 @@ from repro.core.mapper import (
 from repro.core.optimizer import hardware_parallelism, optimal_local_size
 
 __all__ = [
-    "BandwidthAwareMapping",
-    "ExhaustiveSearchResult",
     "FixedMapping",
-    "MemoryProfile",
     "HardwareAwareMapping",
     "MappingAnalysis",
     "MappingAnalyzer",
@@ -43,7 +39,6 @@ __all__ = [
     "PAPER_STRATEGIES",
     "TuningAdvisor",
     "TuningReport",
-    "exhaustive_search",
     "hardware_parallelism",
     "optimal_local_size",
     "strategy_by_name",

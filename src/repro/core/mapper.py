@@ -10,8 +10,8 @@ A :class:`MappingStrategy` turns a (global work size, machine) pair into a
 * :class:`HardwareAwareMapping` -- the paper's Equation 1, evaluated at
   runtime from the device's micro-architecture parameters.
 
-An exhaustive-search oracle (see :mod:`repro.core.autotuner`) provides an
-upper bound for validation.
+The ``lws-search`` scenario runs every candidate lws through the planner and
+checks Eq. 1 against the best of them.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ device query and the launch size), which is what makes the technique a
 from __future__ import annotations
 
 import math
-from typing import Union
+from typing import Tuple, Union
 
 from repro.sim.config import ArchConfig
 
@@ -59,6 +59,22 @@ def optimal_local_size(global_size: int, config: Union[ArchConfig, int]) -> int:
         raise ValueError(f"global size must be positive, got {global_size}")
     hp = hardware_parallelism(config)
     return max(1, math.ceil(global_size / hp))
+
+
+def candidate_set(global_size: int, config: Union[ArchConfig, int]) -> Tuple[int, ...]:
+    """The lws values an exhaustive search tries, ascending: every power of
+    two below ``gws``, ``gws`` itself and the Eq.-1 value.
+
+    The set is logarithmic in ``gws`` (no registered problem at any scale
+    yields more than 19 values on any of the 450 paper machines), so it is
+    searched whole.
+    """
+    candidates = {global_size, optimal_local_size(global_size, config)}
+    value = 1
+    while value < global_size:
+        candidates.add(value)
+        value *= 2
+    return tuple(sorted(candidates))
 
 
 def workgroups_for(global_size: int, local_size: int) -> int:

@@ -42,7 +42,7 @@ from repro.experiments.ablation import (
     boundedness_record_from_job,
     overhead_records,
 )
-from repro.experiments.report import render_figure2_table, render_markdown_report
+from repro.experiments.report import render_figure2_table
 
 __all__ = [
     "BoundednessRecord",
@@ -59,7 +59,6 @@ __all__ = [
     "paper_sweep",
     "ratio_stats",
     "render_figure2_table",
-    "render_markdown_report",
     "smoke_sweep",
     "summarize_figure1_launch",
     "sweep_by_name",

@@ -1,18 +1,16 @@
-"""Report rendering: the paper's data tables and a full markdown report.
+"""Report rendering: the paper's data tables as markdown.
 
 The Figure-2 data tables print, per workload and per baseline, the average
 ratio, the fraction of configurations where the baseline was faster ("worse")
 and the worst ratio.  :func:`render_figure2_table` reproduces that table in
-markdown/ASCII; :func:`render_markdown_report` assembles the complete
-experiment report (figures, claims, ablations) that EXPERIMENTS.md is built
-from.
+markdown/ASCII and :func:`render_speedup_summary` adds the average speed-ups
+the paper quotes; the scenarios' analyses print both.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.experiments.claims import ClaimResults
 from repro.experiments.figure2 import BASELINES, Figure2Result
 from repro.experiments.stats import RatioStats
 
@@ -70,21 +68,3 @@ def render_speedup_summary(result: Figure2Result) -> str:
         except ValueError:
             continue
     return "\n".join(lines)
-
-
-def render_markdown_report(figure2: Figure2Result,
-                           claims: Optional[ClaimResults] = None,
-                           figure1_text: Optional[str] = None,
-                           title: str = "Experiment report") -> str:
-    """Assemble a complete markdown report from experiment results."""
-    sections: List[str] = [f"# {title}", ""]
-    if figure1_text:
-        sections.extend(["## Figure 1 -- execution traces", "", "```", figure1_text, "```", ""])
-    sections.extend([
-        "## Figure 2 -- mapping comparison across hardware configurations", "",
-        render_figure2_table(figure2), "",
-        render_speedup_summary(figure2), "",
-    ])
-    if claims is not None:
-        sections.extend(["## Section-3 claims", "", "```", claims.render(), "```", ""])
-    return "\n".join(sections)

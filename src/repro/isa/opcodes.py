@@ -136,14 +136,6 @@ OP_CLASS: dict[Opcode, OpClass] = {
     Opcode.HALT: OpClass.PSEUDO,
 }
 
-#: Opcodes that read or write memory.
-MEMORY_OPS = frozenset({Opcode.LOAD, Opcode.STORE})
-
-#: Opcodes that may change the program counter of a warp.
-CONTROL_OPS = frozenset(
-    {Opcode.JMP, Opcode.SPLIT, Opcode.JOIN, Opcode.LOOP_BEGIN, Opcode.LOOP_END, Opcode.HALT}
-)
-
 #: Opcodes that write a destination register.
 WRITEBACK_OPS = frozenset(
     op
@@ -155,16 +147,6 @@ WRITEBACK_OPS = frozenset(
 def op_class(opcode: Opcode) -> OpClass:
     """Return the :class:`OpClass` of ``opcode``."""
     return OP_CLASS[opcode]
-
-
-def is_memory(opcode: Opcode) -> bool:
-    """True when ``opcode`` accesses the memory hierarchy."""
-    return opcode in MEMORY_OPS
-
-
-def is_control(opcode: Opcode) -> bool:
-    """True when ``opcode`` may redirect a warp's program counter."""
-    return opcode in CONTROL_OPS
 
 
 def writes_register(opcode: Opcode) -> bool:

@@ -13,7 +13,7 @@ filter), ``gcn_aggregate``, ``gcn_layer`` and ``conv2d`` (the ResNet20 layer).
 
 from repro.kernels.builder import BuildError, KernelBuilder
 from repro.kernels.kernel import Kernel, KernelArgumentError
-from repro.kernels.registry import available_kernels, get_kernel, register_kernel
+from repro.kernels.registry import get_kernel, register_kernel
 from repro.kernels.signature import BufferParam, ScalarParam
 from repro.kernels.values import Value
 from repro.kernels.wrapper import build_workgroup_program
@@ -29,7 +29,6 @@ __all__ = [
     "KernelBuilder",
     "ScalarParam",
     "Value",
-    "available_kernels",
     "build_workgroup_program",
     "get_kernel",
     "register_kernel",

@@ -8,7 +8,7 @@ additional kernels with :func:`register_kernel`.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.kernels.kernel import Kernel
 
@@ -37,10 +37,3 @@ def get_kernel(name: str) -> Kernel:
     except KeyError:
         known = ", ".join(sorted(_REGISTRY)) or "<none>"
         raise UnknownKernelError(f"unknown kernel {name!r}; known kernels: {known}") from None
-
-
-def available_kernels(tag: str | None = None) -> List[str]:
-    """Names of all registered kernels, optionally filtered by ``tag``."""
-    if tag is None:
-        return sorted(_REGISTRY)
-    return sorted(name for name, kernel in _REGISTRY.items() if tag in kernel.tags)

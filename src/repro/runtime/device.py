@@ -84,9 +84,5 @@ class Device:
         return launch_kernel(self, kernel, arguments, global_size,
                              local_size=local_size, **kwargs)
 
-    def set_tracer(self, tracer) -> None:
-        """Attach (or detach with ``None``) an instruction-issue tracer."""
-        self.gpu.tracer = tracer
-
     def __repr__(self) -> str:  # pragma: no cover - convenience
         return f"Device({self.name}, hp={self.hardware_parallelism})"

@@ -18,9 +18,10 @@ The scenario subsystem sits on top of the campaign engine and below the CLI:
   record per completed job, so an interrupted run resumes without
   re-simulating finished points.
 * :mod:`~repro.scenarios.library` -- the built-in scenarios: the four ported
-  paper experiments (``figure1``, ``figure2``, ``ablation``, ``claims``) and
-  the sweeps the abstraction makes cheap (``scaling``, ``scheduler-sweep``,
-  ``engine-compare``, ``cache-sensitivity``).
+  paper experiments (``figure1``, ``figure2``, ``ablation``, ``claims``), the
+  exhaustive lws search (``lws-search``) and the sweeps the abstraction
+  makes cheap (``scaling``, ``scheduler-sweep``, ``engine-compare``,
+  ``cache-sensitivity``).
 
 Quick start::
 

@@ -6,7 +6,9 @@ Importing this module registers every built-in scenario in the process-wide
 * the four paper experiments -- ``figure1``, ``figure2``, ``ablation``,
   ``claims`` -- whose grid constants, record types and renderers live in
   :mod:`repro.experiments` (grid expansion is frozen by
-  ``tests/golden/experiments_smoke.json``), and
+  ``tests/golden/experiments_smoke.json``),
+* ``lws-search``, which runs every candidate lws of each (kernel, machine)
+  point and checks Eq. 1 against the best of them, and
 * four sweeps the declarative layer makes cheap -- ``scaling`` (cores 1..32
   at fixed gws), ``scheduler-sweep`` (RR vs GTO across kernels),
   ``engine-compare`` (reference vs fast vs batch wall time on identical grids) and
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.optimizer import candidate_set, optimal_local_size
 from repro.experiments.ablation import (
     BOUNDEDNESS_CONFIG,
     DEFAULT_OVERHEADS,
@@ -46,6 +49,7 @@ from repro.scenarios.registry import register
 from repro.scenarios.spec import GridAxes, RUNTIME_STRATEGY, Scenario, ScenarioContext
 from repro.sim.config import FIGURE1_CONFIG, ArchConfig
 from repro.trace.render import render_issue_timeline, render_section_waveform
+from repro.workloads.problems import problem_global_size
 
 #: The default workload set of the sweep-style scenarios (the CLI's
 #: ``--kernels`` default); the paper's five math kernels.
@@ -189,6 +193,58 @@ def _ablation_analyze(run) -> str:
         ["kernel", "category", "bound", "mem intensity", "L1 hit", "cycles"],
         bound_rows))
     return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# The exhaustive lws search: Eq. 1 against every candidate
+# ----------------------------------------------------------------------
+def _lws_search_grid(context: ScenarioContext) -> List[GridAxes]:
+    """One cross product per (problem, machine): every lws of its
+    :func:`~repro.core.optimizer.candidate_set`, Eq. 1's value included."""
+    axes = []
+    for problem in context.problems if context.problems else DEFAULT_SWEEP_PROBLEMS:
+        gws = problem_global_size(problem, scale=context.scale, seed=context.seed)
+        for config in sweep_by_name(context.sweep if context.sweep else "smoke"):
+            axes.append(GridAxes(
+                problems=(problem,),
+                configs=(config,),
+                strategies=tuple(f"lws={lws}" for lws in candidate_set(gws, config)),
+                call_simulation_limit=_call_limit(context),
+            ))
+    return axes
+
+
+def _lws_search_analyze(run) -> str:
+    points: Dict[Tuple[str, str], list] = {}
+    for record in run.records:
+        key = (str(record.meta["problem"]), str(record.meta["config"]))
+        points.setdefault(key, []).append(record.result)
+    rows = []
+    behind = []
+    for (problem, machine), jobs in points.items():
+        # Jobs ascend in lws, so a tie makes the smaller lws the best
+        # candidate and the larger one the worst.
+        best = min(jobs, key=lambda job: job.cycles)
+        worst = max(reversed(jobs), key=lambda job: job.cycles)
+        eq1_lws = optimal_local_size(best.global_size, best.hardware_parallelism)
+        eq1 = next(job for job in jobs if job.local_size == eq1_lws)
+        gap = eq1.cycles / best.cycles
+        if eq1.cycles > best.cycles:
+            behind.append((gap, f"{problem} on {machine}"))
+        rows.append([problem, machine, str(best.hardware_parallelism), str(len(jobs)),
+                     str(best.local_size), str(best.cycles),
+                     str(eq1.local_size), str(eq1.cycles), f"{gap:.3f}x",
+                     str(worst.local_size), f"{worst.cycles / best.cycles:.1f}x"])
+    verdict = (f"Eq. 1 picks the best candidate on {len(rows) - len(behind)} "
+               f"of {len(rows)} point(s)")
+    if behind:
+        gap, point = max(behind)
+        verdict += f"; largest gap {gap:.3f}x ({point})"
+    return ("Exhaustive lws search: Eq. 1 against the best candidate lws\n"
+            + render_table(["kernel", "machine", "hp", "candidates", "best lws",
+                            "best cycles", "Eq.1 lws", "Eq.1 cycles", "gap",
+                            "worst lws", "worst/best"], rows)
+            + f"\n\n{verdict}")
 
 
 # ----------------------------------------------------------------------
@@ -389,6 +445,13 @@ CLAIMS_SCENARIO = register(Scenario(
     description="the Section-3 claims (C1-C4) evaluated on the Figure-2 grid",
     grid=_figure2_grid,
     analyze=_claims_analyze,
+))
+
+LWS_SEARCH_SCENARIO = register(Scenario(
+    name="lws-search",
+    description="every candidate lws per (kernel, machine): Eq. 1 against the best",
+    grid=_lws_search_grid,
+    analyze=_lws_search_analyze,
 ))
 
 SCALING_SCENARIO = register(Scenario(

@@ -181,6 +181,3 @@ class JobQueue:
         for job in self._jobs.values():
             counts[job.state] += 1
         return counts
-
-    def __len__(self) -> int:
-        return len(self._jobs)

@@ -159,8 +159,8 @@ def validate_request(data: object) -> JobRequest:
         raise ValidationError(f"scale must be one of {', '.join(SCALES)}, "
                               f"got {scale!r}")
     seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
     if scenario is not None:
         if not isinstance(scenario, str) or scenario not in REGISTRY:

@@ -42,8 +42,3 @@ class DramModel:
         self._next_free = 0.0
         self.lines_transferred = 0
         self.total_queue_cycles = 0
-
-    @property
-    def busy_until(self) -> float:
-        """Cycle at which the DRAM channel next becomes free."""
-        return self._next_free

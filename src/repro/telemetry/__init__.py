@@ -17,7 +17,6 @@ The observability substrate for the whole campaign pipeline.  Four pieces:
 """
 
 from repro.telemetry.export import (
-    from_chrome_trace,
     lint_prometheus,
     render_summary,
     summarize,
@@ -44,7 +43,6 @@ from repro.telemetry.recorder import (
     TELEMETRY_ENV,
     Recorder,
     env_enabled,
-    get_recorder,
 )
 
 __all__ = [
@@ -60,9 +58,7 @@ __all__ = [
     "default_telemetry_dir",
     "env_enabled",
     "flush",
-    "from_chrome_trace",
     "get_logger",
-    "get_recorder",
     "is_current_telemetry_record",
     "iter_telemetry_records",
     "lint_prometheus",

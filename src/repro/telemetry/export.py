@@ -254,30 +254,6 @@ def to_chrome_trace(records: Iterable[Dict]) -> Dict[str, object]:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def from_chrome_trace(trace: Dict[str, object]) -> List[Dict]:
-    """Inverse of :func:`to_chrome_trace` (modulo the epoch shift).
-
-    Used by the round-trip tests: every exported event maps back to a span
-    record with the same name/duration/tags.
-    """
-    spans = []
-    for event in trace.get("traceEvents", ()):
-        if event.get("ph") != "X":
-            continue
-        args = dict(event.get("args", {}))
-        spans.append({
-            "kind": "span",
-            "id": args.pop("span_id", None),
-            "parent": args.pop("parent", None),
-            "name": event["name"],
-            "start": event["ts"] / 1e6,
-            "duration": event["dur"] / 1e6,
-            "pid": event.get("pid", 0),
-            "tags": args,
-        })
-    return spans
-
-
 def to_json(summary: Dict[str, object]) -> str:
     """The summary as stable, sorted JSON text."""
     return json.dumps(summary, sort_keys=True, indent=2)

@@ -288,8 +288,3 @@ class Recorder:
 #: object (its identity never changes), so hot paths may bind it at import
 #: time and still observe later ``enable``/``configure_from_env`` flips.
 RECORDER = Recorder()
-
-
-def get_recorder() -> Recorder:
-    """The process-wide :class:`Recorder`."""
-    return RECORDER

@@ -12,7 +12,6 @@ package provides the same capability for the simulator:
   annotate Figure 2.
 * :mod:`~repro.trace.render` -- ASCII timelines reproducing the structure of
   the paper's Figure 1 in a terminal.
-* :mod:`~repro.trace.export` -- JSON/CSV round-tripping of traces.
 """
 
 from repro.trace.analysis import (
@@ -23,7 +22,6 @@ from repro.trace.analysis import (
     section_wavefronts,
 )
 from repro.trace.events import TraceEvent
-from repro.trace.export import events_from_json, events_to_csv, events_to_json
 from repro.trace.render import render_issue_timeline, render_section_waveform, render_summary
 from repro.trace.tracer import Tracer
 
@@ -33,9 +31,6 @@ __all__ = [
     "Tracer",
     "analyze_trace",
     "classify_boundedness",
-    "events_from_json",
-    "events_to_csv",
-    "events_to_json",
     "occupancy_timeline",
     "render_issue_timeline",
     "render_section_waveform",

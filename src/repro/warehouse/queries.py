@@ -266,8 +266,5 @@ class WarehouseSinkView:
         self.store = store
         self.path = Path(path)
 
-    def exists(self) -> bool:
-        return self.path.exists()
-
     def load(self) -> Dict[str, SinkRecord]:
         return sink_records(self.store, self.path)

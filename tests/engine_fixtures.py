@@ -4,9 +4,10 @@ Two families of *unregistered* kernels back the differential and fuzz suites
 (unregistered on purpose: the library registry stays at its nine paper
 workloads, and ``test_grid_covers_all_library_kernels`` pins that):
 
-* hand-written divergence-stress kernels -- an irregular nested-branch storm
-  and a strided-gather kernel -- built to defeat the batch engine's
-  uniform-PC streaming so its per-warp fallback path is exercised hard;
+* hand-written stress kernels -- an irregular nested-branch storm and a
+  strided-gather kernel, built to defeat the batch engine's uniform-PC
+  streaming so its per-warp fallback path is exercised hard, and a barrier
+  kernel, the only program under the oracle that issues ``BAR``;
 * :func:`make_fuzz_kernel`, a deterministic random-program generator.  A
   small JSON-able *spec* (seed, machine shape, launch geometry, program
   depth) fully determines the kernel, so every case can be replayed
@@ -119,6 +120,40 @@ def make_strided_gather_kernel(size: int, stride: int = 7) -> Kernel:
         description="strided multi-line gather (memory-divergence stress "
                     "fixture, not registered)",
         tags=("fixture", "divergence", "memory"),
+    )
+
+
+def make_barrier_kernel() -> Kernel:
+    """Per-lane loops of unequal length (``gid % 5`` trips), then two
+    barriers back to back.
+
+    The warps of a core reach the first barrier at different cycles, so the
+    early ones park there and the last arrival releases them all; the second
+    barrier releases them again at once.  With several work-items per lane
+    the pattern repeats per item, and a warp that halts early shrinks the
+    set of warps the others wait for.
+    """
+
+    def _body(b: KernelBuilder, gid: Value, args: Mapping[str, Value]) -> None:
+        with b.section("skew"):
+            acc = b.copy(b.load(args["a"], gid))
+            with b.for_range(b.rem(gid, b.const(5))) as i:
+                b.move(acc, b.fma(acc, b.const(0.5), b.to_float(i)))
+
+        with b.section("sync"):
+            b.barrier()
+            b.barrier()
+
+        with b.section("store"):
+            b.store(acc, args["c"], gid)
+
+    return Kernel(
+        name="barrier_skew",
+        params=(BufferParam("a"), BufferParam("c", writable=True)),
+        body=_body,
+        description="unequal per-lane loops then two barriers (barrier "
+                    "fixture, not registered)",
+        tags=("fixture", "barrier"),
     )
 
 

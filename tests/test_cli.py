@@ -135,6 +135,32 @@ def test_grid_commands_reject_unknown_kernels(command, tmp_path, capsys, monkeyp
     assert not (tmp_path / "runs").exists()         # rejected before any set-up
 
 
+@pytest.mark.parametrize("argv", [
+    ["info", "--gws", "0"],
+    ["info", "--gws", "-5"],
+    ["info", "--config", "banana"],
+    ["info", "--config", "0c1w1t"],
+    ["run", "vecadd", "--config", "banana"],
+    ["run", "vecadd", "--lws", "0"],
+    ["campaign", "run", "--workers", "0"],
+    ["scenario", "run", "scaling", "--workers", "0"],
+    ["figure1", "--lws", "0"],
+    ["sweep", "--seed", "-1"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_numbers_and_machine_names_are_usage_errors(argv, tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setenv("REPRO_SCENARIO_DIR", str(tmp_path / "runs"))
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"error: argument {argv[-2]}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "cache").exists()        # rejected before any set-up
+    assert not (tmp_path / "runs").exists()
+
+
 def test_campaign_run_status_and_clear_cache(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
     base = ["campaign", "run", "--kernels", "vecadd", "--sweep", "smoke",
@@ -164,8 +190,9 @@ def test_campaign_run_status_and_clear_cache(tmp_path, capsys):
 def test_scenario_list_shows_all_registered_scenarios(capsys):
     assert main(["scenario", "list"]) == 0
     out = capsys.readouterr().out
-    for name in ("figure1", "figure2", "ablation", "claims", "scaling",
-                 "scheduler-sweep", "engine-compare", "cache-sensitivity"):
+    for name in ("figure1", "figure2", "ablation", "claims", "lws-search",
+                 "scaling", "scheduler-sweep", "engine-compare",
+                 "cache-sensitivity"):
         assert name in out
     import re
     count = int(re.search(r"(\d+) scenario\(s\) registered", out).group(1))

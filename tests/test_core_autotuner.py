@@ -1,92 +1,64 @@
-"""Tests for the exhaustive-search oracle (repro.core.autotuner)."""
+"""Tests for the exhaustive lws search: ``candidate_set`` and the
+``lws-search`` scenario that runs every candidate through the planner."""
 
-import pytest
+from dataclasses import replace
 
-from repro.core.autotuner import (
-    ExhaustiveSearchResult,
-    candidate_set,
-    default_candidates,
-    exhaustive_search,
-)
-from repro.core.optimizer import optimal_local_size
-from repro.runtime.device import Device
+from repro.core.optimizer import candidate_set, optimal_local_size
+from repro.experiments.configs import paper_sweep
+from repro.scenarios import REGISTRY, Planner, ScenarioContext
 from repro.sim.config import ArchConfig
-from repro.workloads.problems import make_problem
+from repro.workloads.problems import SCALES, available_problems, problem_global_size
 
 CONFIG = ArchConfig(cores=2, warps_per_core=2, threads_per_warp=4)   # hp = 16
 
 
 def test_default_candidates_cover_extremes_and_eq1():
-    candidates = default_candidates(128, CONFIG)
-    assert 1 in candidates
-    assert 128 in candidates
+    candidates = candidate_set(128, CONFIG)
+    assert candidates == (1, 2, 4, 8, 16, 32, 64, 128)
     assert optimal_local_size(128, CONFIG) in candidates
-    assert candidates == sorted(candidates)
-    assert all(1 <= c <= 128 for c in candidates)
+    # A non-power-of-two Eq.-1 value (ceil(100 / 12) = 9) and gws join the
+    # powers of two.
+    hp12 = ArchConfig(cores=3, warps_per_core=2, threads_per_warp=2)
+    assert candidate_set(100, hp12) == (1, 2, 4, 8, 9, 16, 32, 64, 100)
 
 
 def test_default_candidates_respect_the_cap():
-    candidates = default_candidates(1 << 20, CONFIG, max_candidates=10)
-    assert len(candidates) <= 12          # cap plus the guaranteed Eq.-1 value
-    assert optimal_local_size(1 << 20, CONFIG) in candidates
+    """The set is searched whole because it is small: logarithmic in gws, at
+    most 19 values for every registered problem at every scale on every one
+    of the 450 paper machines."""
+    largest = max(len(candidate_set(problem_global_size(problem, scale=scale), config))
+                  for problem in available_problems() for scale in SCALES
+                  for config in paper_sweep())
+    assert largest <= 19
 
 
-def test_candidate_set_is_explicit_about_truncation():
-    full = candidate_set(128, CONFIG)
-    assert not full.truncated
-    assert full.dropped == ()
-
-    capped = candidate_set(1 << 20, CONFIG, max_candidates=10)
-    assert capped.truncated
-    assert capped.dropped                      # names exactly what was skipped
-    assert optimal_local_size(1 << 20, CONFIG) in capped.candidates
-    # nothing is silently lost: candidates + dropped == the uncapped set
-    uncapped = candidate_set(1 << 20, CONFIG, max_candidates=10_000)
-    assert sorted(capped.candidates + capped.dropped) == list(uncapped.candidates)
-
-
-def test_exhaustive_search_records_truncation_state():
-    problem = make_problem("vecadd", scale="smoke")
-    device = Device(CONFIG)
-    result = exhaustive_search(device, problem.kernel, problem.arguments,
-                               problem.global_size)
-    assert not result.truncated                # 64 elements fit under the cap
-    assert result.dropped_candidates == ()
-    assert result.search_coverage == 1.0
-
-    explicit = exhaustive_search(device, problem.kernel, problem.arguments,
-                                 problem.global_size, candidates=[1, 64])
-    assert not explicit.truncated              # caller-chosen sets are exact
-
-
-def test_search_coverage_reflects_dropped_candidates():
-    result = ExhaustiveSearchResult(
-        config_name="2c2w4t", global_size=1 << 20,
-        cycles_by_lws={1: 100, 64: 50}, best_local_size=64, best_cycles=50,
-        eq1_local_size=64, eq1_cycles=50,
-        truncated=True, dropped_candidates=(2, 4, 8, 16, 32, 128))
-    assert result.truncated
-    assert result.search_coverage == pytest.approx(2 / 8)
-
-
-def test_exhaustive_search_finds_eq1_competitive(vecadd_problem=None):
-    problem = make_problem("vecadd", scale="smoke")
-    device = Device(CONFIG)
-    result = exhaustive_search(device, problem.kernel, problem.arguments,
-                               problem.global_size, candidates=[1, 2, 4, 8, 16, 32, 64])
-    assert result.eq1_local_size == optimal_local_size(problem.global_size, CONFIG)
-    assert result.best_cycles <= result.eq1_cycles
-    # The paper's point: Eq. 1 is within a small factor of the oracle.
-    assert result.eq1_gap <= 1.25
-    assert result.cycles_by_lws[1] >= result.best_cycles
-    ranked = result.ranked()
-    assert ranked[0][1] == result.best_cycles
-    assert ranked[-1][1] == max(result.cycles_by_lws.values())
+def test_exhaustive_search_finds_eq1_competitive():
+    search = REGISTRY.get("lws-search")
+    context = ScenarioContext(scale="smoke", exact_calls=True, problems=("vecadd",),
+                              sweep="paper")
+    grid = [axes for axes in search.axes(context) if axes.configs[0] == CONFIG]
+    run = Planner().run(replace(search, grid=grid), context)
+    by_lws = {record.result.local_size: record.result.cycles for record in run.records}
+    assert sorted(by_lws) == [1, 2, 4, 8, 16, 32, 64]
+    best = min(by_lws.values())
+    eq1 = by_lws[optimal_local_size(64, CONFIG)]
+    # The paper's point: Eq. 1 is within a small factor of the best.
+    assert eq1 <= 1.25 * best
+    assert by_lws[1] >= best
+    row = next(line for line in run.report().splitlines() if "| 2c2w4t " in line)
+    assert f" {best} " in row and f" {eq1} " in row and f"{eq1 / best:.3f}x" in row
 
 
 def test_exhaustive_search_always_includes_eq1_value():
-    problem = make_problem("relu", scale="smoke")
-    device = Device(CONFIG)
-    result = exhaustive_search(device, problem.kernel, problem.arguments,
-                               problem.global_size, candidates=[1, 64])
-    assert optimal_local_size(problem.global_size, CONFIG) in result.cycles_by_lws
+    context = ScenarioContext(scale="smoke", problems=("relu", "sgemm"), sweep="bench")
+    plan = Planner().plan(REGISTRY.get("lws-search"), context)
+    points = {}
+    for job in plan:
+        points.setdefault((job.meta["problem"], job.meta["config"]), set()).add(
+            job.spec.local_size)
+    assert len(points) == 2 * 36
+    for (problem, machine), searched in points.items():
+        gws = problem_global_size(problem, scale="smoke")
+        config = ArchConfig.from_name(machine)
+        assert searched == set(candidate_set(gws, config))
+        assert optimal_local_size(gws, config) in searched

@@ -2,9 +2,11 @@
 
 An optional-dependency fork (an import-guarded second backend that no CI
 job installs and no benchmark measures) starts with one ``import``; this
-scan is where it gets noticed.  The same file pins two structural facts the
-same way: ``repro.experiments`` describes experiments and never runs one,
-and ``benchmarks/harness`` is the only benchmark code in the repository.
+scan is where it gets noticed.  The same file pins structural facts the same
+way: ``repro.experiments`` describes experiments and never runs one, the
+issue loop is written once per engine family, every public name of
+``repro`` and ``repro.core`` has a caller under ``src/``, and
+``benchmarks/harness`` is the only benchmark code in the repository.
 """
 
 import ast
@@ -67,6 +69,62 @@ def test_the_issue_loop_is_written_once_per_engine_family():
                   if needle in path.read_text()}
         assert "fastcore.py" in owners, needle
         assert owners <= {"core.py", "gpu.py", "fastcore.py"}, (needle, owners)
+
+
+#: Public names nothing under ``src/`` spells out, because user code only
+#: receives them from (or builds them through) the one place named here.
+_UNSPELLED_PUBLIC_NAMES = {
+    "CampaignOutcome",       # returned by CampaignRunner.run
+    "CommandQueue",          # built by Context.queue
+    "Context",               # the entry point of runtime/api.py (examples/gcn_inference.py)
+    "Problem",               # returned by make_problem
+    "TuningReport",          # returned by TuningAdvisor.advise
+    "NaiveMapping",          # built into PAPER_STRATEGIES, returned by strategy_by_name
+    "FixedMapping",          # built into PAPER_STRATEGIES, returned by strategy_by_name
+    "HardwareAwareMapping",  # built into PAPER_STRATEGIES, returned by strategy_by_name
+    "PAPER_STRATEGIES",      # read by strategy_by_name
+}
+
+
+def _module_names(path: Path):
+    """(names defined at top level, names referenced anywhere) of a module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return defined, used
+
+
+def test_every_public_name_has_a_caller_under_src():
+    """A name exported from ``repro`` or ``repro.core`` is used by some other
+    module under ``src/`` (the package ``__init__``s do not count): public API
+    that only tests reach is deleted, or it gains a caller."""
+    import repro
+    import repro.core
+
+    modules = {path: _module_names(path)
+               for path in sorted((SRC / "repro").rglob("*.py"))}
+    unused = []
+    for package in (repro, repro.core):
+        for name in package.__all__:
+            if name in _UNSPELLED_PUBLIC_NAMES:
+                continue
+            if not any(name in used and name not in defined
+                       and path.name != "__init__.py"
+                       for path, (defined, used) in modules.items()):
+                unused.append(f"{package.__name__}.{name}")
+    assert unused == []
 
 
 def test_the_harness_is_the_only_benchmark_code():

@@ -18,6 +18,8 @@ library kernel:
   warp-instructions run with one or two active lanes);
 * the divergence-stress fixtures (``tests/engine_fixtures.py``) run the same
   grid, hammering the batch engine's fallback transitions;
+* the barrier fixture -- the only program under the oracle that issues
+  ``BAR`` -- runs on every shape under both schedulers and four mappings;
 * identical campaign content hashes: the engine is a presentation/performance
   concern, so a result cached under one engine must be served under the other.
 
@@ -30,9 +32,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from engine_fixtures import (assert_engines_identical, make_branch_storm_kernel,
-                             make_strided_gather_kernel, run_engines,
-                             stress_arguments)
+from engine_fixtures import (assert_engines_identical, make_barrier_kernel,
+                             make_branch_storm_kernel, make_strided_gather_kernel,
+                             run_engines, stress_arguments)
 from repro.campaign.spec import JobSpec
 from repro.runtime.device import Device
 from repro.runtime.launcher import launch_kernel
@@ -238,6 +240,23 @@ def test_divergence_stress_fixtures_forced_lws(local_size):
                           ArchConfig.from_name("1c2w4t"), _STRESS_SIZE,
                           local_size=local_size)
     assert_engines_identical(results, f"{kernel.name}/lws={local_size}")
+
+
+@pytest.mark.parametrize("local_size", [None, 1, 3, 8],
+                         ids=["runtime", "lws1", "lws3", "lws8"])
+@pytest.mark.parametrize("scheduler", ["rr", "gto"])
+@pytest.mark.parametrize("config_name", CONFIG_NAMES + NARROW_CONFIG_NAMES)
+def test_barrier_fixture_bit_identical(config_name, scheduler, local_size):
+    """Warps reach each barrier at different cycles, park, and are released
+    together; under small lws some halt while the rest still wait."""
+    config = dataclasses.replace(ArchConfig.from_name(config_name),
+                                 warp_scheduler=scheduler)
+    kernel = make_barrier_kernel()
+    results = run_engines(kernel, stress_arguments(_STRESS_SIZE), config,
+                          _STRESS_SIZE, local_size=local_size)
+    assert_engines_identical(
+        results, f"{kernel.name}/{config_name}/{scheduler}/lws={local_size}")
+    assert results["reference"].counters.barriers > 0
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,6 @@ from repro.experiments.claims import evaluate_claims
 from repro.experiments.figure2 import SweepRecord
 from repro.experiments.report import (
     render_figure2_table,
-    render_markdown_report,
     render_speedup_summary,
     render_table,
 )
@@ -162,11 +161,9 @@ class TestClaimsAndReports:
     def test_speedup_summary_and_markdown_report(self, figure2):
         summary = render_speedup_summary(figure2)
         assert "speed-up over lws=1" in summary
-        report = render_markdown_report(figure2, claims=evaluate_claims(figure2),
-                                        figure1_text="trace goes here", title="Tiny report")
-        assert report.startswith("# Tiny report")
-        assert "Figure 1" in report and "Figure 2" in report
-        assert "trace goes here" in report
+        table = render_figure2_table(figure2).splitlines()
+        assert table and all(line.startswith("|") for line in table)
+        assert any("vecadd" in line for line in table)
 
     def test_render_table_alignment(self):
         table = render_table(["a", "bb"], [["1", "2"], ["333", "4"]])

@@ -3,14 +3,10 @@
 import pytest
 
 from repro.isa.opcodes import (
-    CONTROL_OPS,
-    MEMORY_OPS,
     OP_CLASS,
     OpClass,
     Opcode,
     WRITEBACK_OPS,
-    is_control,
-    is_memory,
     op_class,
     writes_register,
 )
@@ -23,17 +19,15 @@ def test_every_opcode_has_a_class():
 
 
 def test_memory_ops_are_exactly_load_and_store():
-    assert MEMORY_OPS == {Opcode.LOAD, Opcode.STORE}
-    assert is_memory(Opcode.LOAD)
-    assert is_memory(Opcode.STORE)
-    assert not is_memory(Opcode.ADD)
+    memory = {op for op, cls in OP_CLASS.items() if cls is OpClass.MEMORY}
+    assert memory == {Opcode.LOAD, Opcode.STORE}
 
 
 def test_control_ops_include_branching_instructions():
-    for opcode in (Opcode.JMP, Opcode.SPLIT, Opcode.JOIN, Opcode.LOOP_END, Opcode.HALT):
-        assert opcode in CONTROL_OPS
-        assert is_control(opcode)
-    assert not is_control(Opcode.FMA)
+    for opcode in (Opcode.JMP, Opcode.SPLIT, Opcode.JOIN, Opcode.LOOP_BEGIN,
+                   Opcode.LOOP_END):
+        assert op_class(opcode) is OpClass.CONTROL
+    assert op_class(Opcode.FMA) is not OpClass.CONTROL
 
 
 def test_writeback_classification():

@@ -5,7 +5,6 @@ import pytest
 from repro.kernels.kernel import Kernel
 from repro.kernels.registry import (
     UnknownKernelError,
-    available_kernels,
     get_kernel,
     register_kernel,
 )
@@ -17,10 +16,9 @@ def _make_kernel(name: str) -> Kernel:
 
 
 def test_library_kernels_are_registered_on_import():
-    names = available_kernels()
     for expected in ("vecadd", "relu", "saxpy", "sgemm", "knn", "gaussian",
                      "gcn_aggregate", "gcn_layer", "conv2d"):
-        assert expected in names
+        assert get_kernel(expected).name == expected
 
 
 def test_get_kernel_returns_the_registered_object():
@@ -46,10 +44,3 @@ def test_register_duplicate_raises_unless_replace():
         # keep the global registry clean for other tests
         from repro.kernels import registry as registry_module
         registry_module._REGISTRY.pop("test_registry_dup", None)
-
-
-def test_available_kernels_filters_by_tag():
-    math_kernels = available_kernels(tag="math")
-    ml_kernels = available_kernels(tag="ml")
-    assert "vecadd" in math_kernels and "vecadd" not in ml_kernels
-    assert "gcn_layer" in ml_kernels and "gcn_layer" not in math_kernels

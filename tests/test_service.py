@@ -67,6 +67,7 @@ class TestValidation:
         {"problems": ["vecadd"], "configs": ["2c2w4t"], "lws": [0]},
         {"problems": ["vecadd"], "configs": ["2c2w4t"], "frobnicate": 1},
         {"scenario": "figure1", "sweep": "gigantic"},
+        {"problems": ["vecadd"], "configs": ["2c2w4t"], "seed": -1},
     ])
     def test_unrunnable_requests_are_rejected(self, bad):
         with pytest.raises(ValidationError):

@@ -23,7 +23,6 @@ from repro.telemetry import (
     TELEMETRY_ENV,
     Recorder,
     flush,
-    from_chrome_trace,
     get_logger,
     iter_telemetry_records,
     lint_prometheus,
@@ -367,14 +366,17 @@ class TestExports:
         trace = to_chrome_trace(records)
         assert trace["traceEvents"] and all(
             e["ph"] == "X" for e in trace["traceEvents"])
-        back = from_chrome_trace(trace)
-        assert [(s["name"], s["tags"]) for s in back] == \
-               [(s["name"], s["tags"]) for s in spans]
-        for original, roundtripped in zip(spans, back):
-            assert roundtripped["duration"] == pytest.approx(
+        # Every span comes back from its event: name, duration, id,
+        # parent and tags (the args minus the two id fields).
+        events = trace["traceEvents"]
+        assert [e["name"] for e in events] == [s["name"] for s in spans]
+        for original, event in zip(spans, events):
+            args = dict(event["args"])
+            assert args.pop("span_id") == original["id"]
+            assert args.pop("parent") == original["parent"]
+            assert args == original["tags"]
+            assert event["dur"] / 1e6 == pytest.approx(
                 original["duration"], abs=1e-9)
-            assert roundtripped["id"] == original["id"]
-            assert roundtripped["parent"] == original["parent"]
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,4 @@
-"""Tests for the trace layer: events, tracer, analysis, rendering, export."""
-
-import json
+"""Tests for the trace layer: events, tracer, analysis, rendering."""
 
 import pytest
 
@@ -17,7 +15,6 @@ from repro.trace.analysis import (
     section_wavefronts,
 )
 from repro.trace.events import TraceEvent
-from repro.trace.export import events_from_json, events_to_csv, events_to_json
 from repro.trace.render import render_issue_timeline, render_section_waveform, render_summary
 from repro.trace.tracer import Tracer
 from repro.workloads.problems import make_problem
@@ -205,20 +202,3 @@ def test_render_summary_flags_a_truncated_trace():
     assert "TRUNCATED" in text
     assert "17 event(s) dropped" in text
     assert "partial trace" in text
-
-
-def test_json_and_csv_export_round_trip(tmp_path):
-    tracer, _ = _traced_launch()
-    events = tracer.events[:50]
-    payload = events_to_json(events)
-    assert json.loads(payload)
-    restored = events_from_json(payload)
-    assert list(restored) == list(events)
-
-    json_path = tmp_path / "trace.json"
-    events_to_json(events, path=json_path)
-    assert events_from_json(json_path) == list(events)
-
-    csv_text = events_to_csv(events, path=tmp_path / "trace.csv")
-    assert csv_text.splitlines()[0].startswith("cycle,core,warp,pc,opcode")
-    assert len(csv_text.splitlines()) == len(events) + 1
