@@ -7,7 +7,9 @@ core/warp/thread identifiers the runtime publishes to kernels).
 
 The public surface is:
 
-* :class:`~repro.isa.opcodes.Opcode` -- every instruction kind.
+* :class:`~repro.isa.opcodes.Opcode` -- every instruction kind, and
+  :data:`~repro.isa.opcodes.OPS` -- its class, arity and semantics, the one
+  definition all three simulation engines derive their handlers from.
 * :class:`~repro.isa.instruction.Instruction` -- a single decoded instruction.
 * :class:`~repro.isa.program.Program` -- an executable program (instruction
   list + resolved labels + register count + section map).
@@ -19,7 +21,7 @@ The public surface is:
 
 from repro.isa.instruction import Instruction
 from repro.isa.latencies import DEFAULT_LATENCIES, FunctionalUnit, OpTiming, timing_for
-from repro.isa.opcodes import Opcode, OpClass
+from repro.isa.opcodes import OPS, Opcode, OpClass
 from repro.isa.program import Program, ProgramError
 from repro.isa.registers import Csr
 
@@ -28,6 +30,7 @@ __all__ = [
     "DEFAULT_LATENCIES",
     "FunctionalUnit",
     "Instruction",
+    "OPS",
     "OpClass",
     "Opcode",
     "OpTiming",

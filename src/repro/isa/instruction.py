@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
-from repro.isa.opcodes import Opcode, op_class, writes_register
+from repro.isa.opcodes import OPS, Opcode
 
 
 @dataclass(frozen=True)
@@ -58,15 +58,19 @@ class Instruction:
     comment: str = ""
 
     def __post_init__(self) -> None:
-        if self.dst is None and writes_register(self.opcode):
+        spec = OPS[self.opcode]
+        if self.dst is None and spec.writes:
             raise ValueError(f"{self.opcode.name} requires a destination register")
-        if self.dst is not None and not writes_register(self.opcode):
+        if self.dst is not None and not spec.writes:
             raise ValueError(f"{self.opcode.name} does not write a register (dst={self.dst})")
+        if len(self.srcs) != spec.srcs:
+            raise ValueError(f"{self.opcode.name} takes {spec.srcs} source register(s), "
+                             f"got {len(self.srcs)}")
 
     @property
     def op_class(self):
         """The :class:`~repro.isa.opcodes.OpClass` this instruction belongs to."""
-        return op_class(self.opcode)
+        return OPS[self.opcode].cls
 
     def with_section(self, section: str) -> "Instruction":
         """Return a copy tagged with ``section``."""

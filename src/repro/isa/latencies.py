@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
-from repro.isa.opcodes import OpClass, Opcode, op_class
+from repro.isa.opcodes import OPS, OpClass, Opcode
 
 
 class FunctionalUnit(enum.Enum):
@@ -58,7 +58,7 @@ _CLASS_UNIT: Dict[OpClass, FunctionalUnit] = {
 def _default_table() -> Dict[Opcode, OpTiming]:
     table: Dict[Opcode, OpTiming] = {}
     for opcode in Opcode:
-        cls = op_class(opcode)
+        cls = OPS[opcode].cls
         unit = _CLASS_UNIT[cls]
         if cls is OpClass.INT_ALU:
             timing = OpTiming(unit, latency=1)

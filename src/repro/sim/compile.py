@@ -9,12 +9,14 @@ cross-warp hazard structure is solved in closed form at compile time.
 Classification (:attr:`BatchOp.kind`):
 
 ``"ewise"``
-    Pure register-to-register lane arithmetic (ALU/FPU binaries, unaries,
-    FMA, LI, MOV) whose numpy implementation is elementwise and
-    exception-free.  One such PC executes for a whole round of warps as a
-    single 2-D ufunc over the core's stacked register file -- with an
-    optional boolean mask for divergent rounds (compute the full slab, then
-    ``np.copyto(..., where=mask)`` only the active lanes).
+    Register-to-register lane arithmetic whose :data:`~repro.isa.opcodes.OPS`
+    row has a ``rows`` form, plus ``LI``.  A ``rows`` form equals the
+    per-lane ``lane`` form bit for bit on every float64 input and never
+    raises, so one such PC executes for a whole round of warps as a single
+    2-D ufunc over the core's stacked register file -- with an optional
+    boolean mask for divergent rounds (compute the full slab, stale inactive
+    lanes included, then ``np.copyto(..., where=mask)`` only the active
+    lanes).
 ``"load"`` / ``"store"``
     Memory ops with initiation interval 1.  A round whose every warp
     coalesces to a *single* in-bounds cache line executes as one 2-D
@@ -57,29 +59,15 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import OPS, Opcode
 from repro.isa.program import Program
 from repro.isa.registers import NUM_ARG_SLOTS, Csr
 from repro.sim.config import ArchConfig
-from repro.sim.fastcore import (
-    _BINARY_NP,
-    _Decoded,
-    _UNARY_NP,
-    _UNIFORM_CSR_ATTRS,
-    _line_math,
-    decode_program,
-)
+from repro.sim.fastcore import _Decoded, _UNIFORM_CSR_ATTRS, _line_math, decode_program
 
 #: Opcodes that stop streaming outright: they park/halt warps or drain the
 #: core, so every round guard around them would be unsound.
 _STOP_OPS = (Opcode.BAR, Opcode.TMC, Opcode.HALT)
-
-#: Element-wise opcodes whose full-slab evaluation is exception-free on any
-#: float64 input (stale values in masked-off lanes included), making the
-#: compute-then-masked-copy strategy exact.  FSQRT/FEXP/FLOG/DIV/FDIV/REM are
-#: SFU ops (initiation interval > 1) and never reach this table.
-_EWISE_BINARY = dict(_BINARY_NP)
-_EWISE_UNARY = {op: fn for op, fn in _UNARY_NP.items() if op is not Opcode.FSQRT}
 
 
 class BatchOp:
@@ -170,8 +158,8 @@ class CompiledProgram:
 # 2-D handlers: one numpy call over the (warps, lanes) register slab.
 # ``sel`` is None when every warp's mask is full, else a bool (warps, lanes)
 # mask.  Masked rounds compute the whole slab into ``scratch`` and copy back
-# only the active lanes -- bit-identical because every table entry is an
-# elementwise, exception-free map (subsetting commutes with the ufunc).
+# only the active lanes -- bit-identical because a ``rows`` form is an
+# elementwise, exception-free map (subsetting commutes with it).
 # ----------------------------------------------------------------------
 def _b_binary(instr: Instruction, np_fn: Callable) -> Callable:
     s0, s1 = instr.srcs
@@ -214,6 +202,7 @@ def _b_unary(instr: Instruction, np_fn: Callable) -> Callable:
 
 
 def _b_fma(instr: Instruction) -> Callable:
+    """``FMA``'s row form, the product staged in ``scratch``."""
     s0, s1, s2 = instr.srcs
     dst = instr.dst
 
@@ -227,8 +216,7 @@ def _b_fma(instr: Instruction) -> Callable:
     return run2d
 
 
-def _b_li(instr: Instruction) -> Callable:
-    value = float(instr.imm)
+def _b_li(instr: Instruction, value: float) -> Callable:
     dst = instr.dst
 
     def run2d(slabs, scratch, sel):
@@ -236,18 +224,6 @@ def _b_li(instr: Instruction) -> Callable:
             slabs[dst].fill(value)
         else:
             np.copyto(slabs[dst], value, where=sel)
-    return run2d
-
-
-def _b_mov(instr: Instruction) -> Callable:
-    (src,) = instr.srcs
-    dst = instr.dst
-
-    def run2d(slabs, scratch, sel):
-        if sel is None:
-            slabs[dst][...] = slabs[src]
-        else:
-            np.copyto(slabs[dst], slabs[src], where=sel)
     return run2d
 
 
@@ -296,17 +272,13 @@ def _promote_csrr(ops: List[BatchOp], num_regs: int) -> Dict[int, int]:
 
 
 def _ewise_handler(instr: Instruction) -> Optional[Callable]:
-    opcode = instr.opcode
-    if opcode in _EWISE_BINARY:
-        return _b_binary(instr, _EWISE_BINARY[opcode])
-    if opcode in _EWISE_UNARY:
-        return _b_unary(instr, _EWISE_UNARY[opcode])
-    if opcode is Opcode.FMA:
-        return _b_fma(instr)
-    if opcode is Opcode.LI:
-        return _b_li(instr)
-    if opcode is Opcode.MOV:
-        return _b_mov(instr)
+    spec = OPS[instr.opcode]
+    if spec.rows is not None:
+        if spec.srcs == 3:
+            return _b_fma(instr)
+        return (_b_unary if spec.srcs == 1 else _b_binary)(instr, spec.rows)
+    if spec.lane is not None and spec.srcs == 0:
+        return _b_li(instr, spec.lane(instr.imm))
     return None
 
 

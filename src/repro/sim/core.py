@@ -19,13 +19,12 @@ hierarchy to obtain their latency.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Callable, Dict, List, Optional
 
 from repro.isa.instruction import Instruction
 from repro.isa.latencies import FunctionalUnit, timing_for
-from repro.isa.opcodes import OpClass, Opcode
+from repro.isa.opcodes import OPS, OpClass, Opcode, SimulationError
 from repro.isa.program import Program
 from repro.sim.config import ArchConfig
 from repro.sim.memory.coalescer import coalesce
@@ -55,70 +54,52 @@ CLASS_COUNTERS: Dict[OpClass, Optional[str]] = {
 }
 
 
-class SimulationError(RuntimeError):
-    """Raised when a kernel performs an illegal operation (bad PC, div by zero...)."""
+# -- register-to-register opcodes: an OPS row's ``lane`` run per active lane ---
+def _exec_immediate(fn: Callable) -> Callable:
+    def run(warp: Warp, instr: Instruction, cycle: int):
+        value = fn(instr.imm)
+        dst = instr.dst
+        for lane in warp.active_lanes():
+            warp.regs[lane][dst] = value
+        warp.pc += 1
+    return run
 
 
-# -- integer division helpers (truncate toward zero, as RISC-V does) ----------
-def _safe_div(a: float, b: float) -> float:
-    if b == 0:
-        raise SimulationError("integer division by zero")
-    return float(math.trunc(a / b))
+def _exec_unary(fn: Callable) -> Callable:
+    def run(warp: Warp, instr: Instruction, cycle: int):
+        (s0,) = instr.srcs
+        dst = instr.dst
+        for lane in warp.active_lanes():
+            lane_regs = warp.regs[lane]
+            lane_regs[dst] = fn(lane_regs[s0])
+        warp.pc += 1
+    return run
 
 
-def _safe_fdiv(a: float, b: float) -> float:
-    if b == 0.0:
-        raise SimulationError("floating-point division by zero")
-    return a / b
+def _exec_binary(fn: Callable) -> Callable:
+    def run(warp: Warp, instr: Instruction, cycle: int):
+        s0, s1 = instr.srcs
+        dst = instr.dst
+        regs = warp.regs
+        for lane in warp.active_lanes():
+            lane_regs = regs[lane]
+            lane_regs[dst] = fn(lane_regs[s0], lane_regs[s1])
+        warp.pc += 1
+    return run
 
 
-def _safe_rem(a: float, b: float) -> float:
-    if b == 0:
-        raise SimulationError("integer remainder by zero")
-    return float(a - math.trunc(a / b) * b)
+def _exec_lanes(fn: Callable) -> Callable:
+    def run(warp: Warp, instr: Instruction, cycle: int):
+        srcs, dst = instr.srcs, instr.dst
+        for lane in warp.active_lanes():
+            lane_regs = warp.regs[lane]
+            lane_regs[dst] = fn(*[lane_regs[s] for s in srcs])
+        warp.pc += 1
+    return run
 
 
-#: Per-lane semantics of every register-to-register opcode, written once.  The
-#: reference engine runs them lane by lane; the fast engine runs the opcodes
-#: numpy cannot reproduce bit-for-bit straight from these tables.
-UNARY_OPS: Dict[Opcode, Callable[[float], float]] = {
-    Opcode.I2F: float,
-    Opcode.F2I: lambda a: float(int(a)),
-    Opcode.ABS: abs,
-    Opcode.FABS: abs,
-    Opcode.NEG: lambda a: -a,
-    Opcode.FNEG: lambda a: -a,
-    Opcode.FSQRT: lambda a: math.sqrt(a) if a > 0.0 else 0.0,
-    Opcode.FEXP: math.exp,
-    Opcode.FLOG: lambda a: math.log(a) if a > 0.0 else float("-inf"),
-}
-BINARY_OPS: Dict[Opcode, Callable[[float, float], float]] = {
-    Opcode.ADD: lambda a, b: a + b,
-    Opcode.SUB: lambda a, b: a - b,
-    Opcode.MUL: lambda a, b: a * b,
-    Opcode.AND: lambda a, b: float(int(a) & int(b)),
-    Opcode.OR: lambda a, b: float(int(a) | int(b)),
-    Opcode.XOR: lambda a, b: float(int(a) ^ int(b)),
-    Opcode.SHL: lambda a, b: float(int(a) << int(b)),
-    Opcode.SHR: lambda a, b: float(int(a) >> int(b)),
-    Opcode.SLT: lambda a, b: 1.0 if a < b else 0.0,
-    Opcode.SLE: lambda a, b: 1.0 if a <= b else 0.0,
-    Opcode.SEQ: lambda a, b: 1.0 if a == b else 0.0,
-    Opcode.SNE: lambda a, b: 1.0 if a != b else 0.0,
-    Opcode.MIN: min,
-    Opcode.MAX: max,
-    Opcode.FADD: lambda a, b: a + b,
-    Opcode.FSUB: lambda a, b: a - b,
-    Opcode.FMUL: lambda a, b: a * b,
-    Opcode.FMIN: min,
-    Opcode.FMAX: max,
-    Opcode.FLT: lambda a, b: 1.0 if a < b else 0.0,
-    Opcode.FLE: lambda a, b: 1.0 if a <= b else 0.0,
-    Opcode.FEQ: lambda a, b: 1.0 if a == b else 0.0,
-    Opcode.DIV: _safe_div,
-    Opcode.FDIV: _safe_fdiv,
-    Opcode.REM: _safe_rem,
-}
+#: Handler builder per source count; any other arity takes :func:`_exec_lanes`.
+_LANE_HANDLERS = {0: _exec_immediate, 1: _exec_unary, 2: _exec_binary}
 
 
 class SimtCore:
@@ -142,6 +123,7 @@ class SimtCore:
         self._fu_busy_until: Dict[FunctionalUnit, int] = {unit: 0 for unit in FunctionalUnit}
         self._barrier_waiting = 0
         self._next_event_hint: float = 0
+        self._last_line_count = 1    # lines of the last memory access
         self._exec_table: Dict[Opcode, Callable] = self._build_exec_table()
 
     # ------------------------------------------------------------------ setup
@@ -225,9 +207,9 @@ class SimtCore:
         if instr.dst is not None:
             warp.scoreboard[instr.dst] = cycle + latency
         busy = timing.initiation_interval
-        if instr.opcode in (Opcode.LOAD, Opcode.STORE):
+        if instr.op_class is OpClass.MEMORY:
             # the LSU stays busy one cycle per coalesced line request
-            busy = max(busy, getattr(self, "_last_line_count", 1))
+            busy = max(busy, self._last_line_count)
         if busy > 1:
             self._fu_busy_until[timing.unit] = cycle + busy
         warp.next_issue_cycle = cycle + 1
@@ -245,8 +227,6 @@ class SimtCore:
     def _build_exec_table(self) -> Dict[Opcode, Callable]:
         O = Opcode
         table: Dict[Opcode, Callable] = {
-            O.LI: self._exec_li,
-            O.MOV: self._exec_mov,
             O.CSRR: self._exec_csrr,
             O.LOAD: self._exec_load,
             O.STORE: self._exec_store,
@@ -259,63 +239,11 @@ class SimtCore:
             O.TMC: self._exec_tmc,
             O.NOP: self._exec_nop,
             O.HALT: self._exec_halt,
-            O.FMA: self._exec_fma,
         }
-        for opcode, fn in UNARY_OPS.items():
-            table[opcode] = self._exec_unary(fn)
-        for opcode, fn in BINARY_OPS.items():
-            table[opcode] = self._exec_binary(fn)
+        for opcode, spec in OPS.items():
+            if spec.lane is not None:
+                table[opcode] = _LANE_HANDLERS.get(spec.srcs, _exec_lanes)(spec.lane)
         return table
-
-    # -- generic ALU helpers -------------------------------------------------
-    def _exec_binary(self, fn: Callable[[float, float], float]) -> Callable:
-        def run(warp: Warp, instr: Instruction, cycle: int):
-            s0, s1 = instr.srcs
-            dst = instr.dst
-            regs = warp.regs
-            for lane in warp.active_lanes():
-                lane_regs = regs[lane]
-                lane_regs[dst] = fn(lane_regs[s0], lane_regs[s1])
-            warp.pc += 1
-            return None
-        return run
-
-    def _exec_unary(self, fn: Callable[[float], float]) -> Callable:
-        def run(warp: Warp, instr: Instruction, cycle: int):
-            (s0,) = instr.srcs
-            dst = instr.dst
-            for lane in warp.active_lanes():
-                lane_regs = warp.regs[lane]
-                lane_regs[dst] = fn(lane_regs[s0])
-            warp.pc += 1
-            return None
-        return run
-
-    def _exec_fma(self, warp: Warp, instr: Instruction, cycle: int):
-        s0, s1, s2 = instr.srcs
-        dst = instr.dst
-        for lane in warp.active_lanes():
-            lane_regs = warp.regs[lane]
-            lane_regs[dst] = lane_regs[s0] * lane_regs[s1] + lane_regs[s2]
-        warp.pc += 1
-        return None
-
-    def _exec_li(self, warp: Warp, instr: Instruction, cycle: int):
-        value = float(instr.imm)
-        dst = instr.dst
-        for lane in warp.active_lanes():
-            warp.regs[lane][dst] = value
-        warp.pc += 1
-        return None
-
-    def _exec_mov(self, warp: Warp, instr: Instruction, cycle: int):
-        (src,) = instr.srcs
-        dst = instr.dst
-        for lane in warp.active_lanes():
-            lane_regs = warp.regs[lane]
-            lane_regs[dst] = lane_regs[src]
-        warp.pc += 1
-        return None
 
     def _exec_csrr(self, warp: Warp, instr: Instruction, cycle: int):
         csr = int(instr.imm)

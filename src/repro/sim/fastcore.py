@@ -19,14 +19,10 @@ per-instruction Python overhead:
   only under true divergence.  A 1- or 2-lane load/store, where numpy's
   fixed per-call cost is several times the arithmetic, does its address,
   line and bounds arithmetic in Python ints (:func:`_narrow_access`).
-  All register state is float64 in both engines,
-  and only operations whose numpy semantics match the scalar reference
-  bit-for-bit are vectorized: ``FEXP``/``FLOG`` stay on
-  ``math.exp``/``math.log`` (libm and numpy transcendentals may differ in
-  the last ulp), and the ops that route values through Python ``int``
-  (``AND``/``OR``/``XOR``/``SHL``/``SHR``/``F2I``) stay per-lane scalar
-  (arbitrary-precision ints never wrap where int64 would, and ``int()``
-  raises on NaN/inf where ``np.trunc`` propagates).
+  All register state is float64 in both engines, and an opcode is
+  vectorized exactly when its :data:`~repro.isa.opcodes.OPS` row has a
+  ``rows`` form (bit-identical to the per-lane ``lane`` form by contract);
+  the rest loop ``lane`` over the active lanes.
 * **Cached readiness.**  A warp's own readiness (issue spacing + scoreboard)
   only changes when the warp itself issues or a barrier releases it, so it is
   computed once per stall episode instead of every visited cycle; the shared
@@ -59,18 +55,11 @@ import numpy as np
 
 from repro.isa.instruction import Instruction
 from repro.isa.latencies import FunctionalUnit, timing_for
-from repro.isa.opcodes import Opcode, op_class
+from repro.isa.opcodes import OPS, OpClass, Opcode, SimulationError, checked_fdiv
 from repro.isa.program import Program
 from repro.isa.registers import NUM_ARG_SLOTS, Csr
 from repro.sim.config import ArchConfig
-from repro.sim.core import (
-    BINARY_OPS,
-    CLASS_COUNTERS,
-    NEVER,
-    UNARY_OPS,
-    SimtCore,
-    SimulationError,
-)
+from repro.sim.core import CLASS_COUNTERS, NEVER, SimtCore
 from repro.sim.memory.hierarchy import MemoryHierarchy
 from repro.sim.memory.mainmem import MainMemory
 from repro.sim.scheduler import RoundRobinScheduler
@@ -79,74 +68,6 @@ from repro.telemetry.recorder import RECORDER
 
 _UNIT_INDEX = {unit: index for index, unit in enumerate(FunctionalUnit)}
 
-
-def _pymin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Python's ``min(a, b)`` (returns ``a`` unless ``b < a``), vectorized.
-
-    ``np.minimum`` differs from Python ``min`` for NaNs and signed zeros;
-    ``np.where`` reproduces the scalar semantics exactly.
-    """
-    return np.where(b < a, b, a)
-
-
-def _pymax(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Python's ``max(a, b)``, vectorized (see :func:`_pymin`)."""
-    return np.where(b > a, b, a)
-
-
-#: Binary opcodes with an exactly-equivalent numpy implementation.  The
-#: comparisons return the bool row itself: storing it into a float64 register
-#: row writes exactly 1.0 / 0.0, without a converted temporary in between.
-_BINARY_NP = {
-    Opcode.ADD: np.add,
-    Opcode.SUB: np.subtract,
-    Opcode.MUL: np.multiply,
-    Opcode.SLT: lambda a, b: a < b,
-    Opcode.SLE: lambda a, b: a <= b,
-    Opcode.SEQ: lambda a, b: a == b,
-    Opcode.SNE: lambda a, b: a != b,
-    Opcode.MIN: _pymin,
-    Opcode.MAX: _pymax,
-    Opcode.FADD: np.add,
-    Opcode.FSUB: np.subtract,
-    Opcode.FMUL: np.multiply,
-    Opcode.FMIN: _pymin,
-    Opcode.FMAX: _pymax,
-    Opcode.FLT: lambda a, b: a < b,
-    Opcode.FLE: lambda a, b: a <= b,
-    Opcode.FEQ: lambda a, b: a == b,
-}
-
-#: Binary opcodes that route per-lane values through Python ``int``: kept as
-#: scalar loops over the reference's own definitions because int64
-#: vectorization is *not* equivalent -- Python ints never wrap (SHL of 2.0 by
-#: 62 is exact where int64 left-shift wraps negative), a negative shift count
-#: must raise, operands at or beyond 2**63 overflow the int64 cast, and
-#: DIV/REM truncate through ``math.trunc``, which raises on inf/NaN where
-#: ``np.trunc`` would propagate them.  The bitwise ops are cold (zero
-#: occurrences in the nine library kernels' programs), so exactness costs
-#: nothing.
-_BINARY_SCALAR = {op: BINARY_OPS[op] for op in (
-    Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.SHL, Opcode.SHR,
-    Opcode.DIV, Opcode.REM)}
-
-#: Unary opcodes vectorized with numpy (all bit-exact vs. the scalar path:
-#: sqrt is correctly rounded by IEEE 754, abs/neg are exact).
-_UNARY_NP = {
-    Opcode.I2F: lambda a: a,
-    Opcode.ABS: np.abs,
-    Opcode.FABS: np.abs,
-    Opcode.NEG: np.negative,
-    Opcode.FNEG: np.negative,
-    Opcode.FSQRT: lambda a: np.sqrt(np.where(a > 0.0, a, 0.0)),
-}
-
-#: Unary opcodes kept scalar so the fast engine cannot drift from the
-#: reference: libm exp/log may differ from numpy's in the last ulp, and F2I
-#: must raise on NaN/inf exactly like ``int(float)`` does (``np.trunc``
-#: would silently propagate them).
-_UNARY_SCALAR = {op: UNARY_OPS[op]
-                 for op in (Opcode.F2I, Opcode.FEXP, Opcode.FLOG)}
 
 #: Warp-uniform CSR numbers -> the :class:`~repro.isa.registers.CsrFile`
 #: attribute holding the value, resolved at decode time so the per-issue path
@@ -262,8 +183,9 @@ def _decode_one(instr: Instruction, config: ArchConfig) -> _Decoded:
     d.default_latency = timing.latency if timing.latency is not None else 1
     d.initiation_interval = timing.initiation_interval
     d.unit_index = _UNIT_INDEX[timing.unit]
-    d.is_mem = instr.opcode in (Opcode.LOAD, Opcode.STORE)
-    d.bucket = CLASS_COUNTERS[op_class(instr.opcode)]
+    cls = OPS[instr.opcode].cls
+    d.is_mem = cls is OpClass.MEMORY
+    d.bucket = CLASS_COUNTERS[cls]
     d.run = _compile(instr, config)
     return d
 
@@ -272,22 +194,17 @@ def _compile(instr: Instruction, config: ArchConfig) -> Callable:
     """Build the ``run(core, warp, cycle)`` closure for one instruction."""
     O = Opcode
     opcode = instr.opcode
-    if opcode in _BINARY_NP:
-        return _c_binary(instr, _BINARY_NP[opcode])
-    if opcode in _BINARY_SCALAR:
-        return _c_binary_scalar(instr, _BINARY_SCALAR[opcode])
-    if opcode is O.FDIV:
+    spec = OPS[opcode]
+    if spec.lane is checked_fdiv:
         return _c_fdiv(instr)
-    if opcode in _UNARY_NP:
-        return _c_unary(instr, _UNARY_NP[opcode])
-    if opcode in _UNARY_SCALAR:
-        return _c_unary_scalar(instr, _UNARY_SCALAR[opcode])
-    if opcode is O.FMA:
-        return _c_fma(instr)
-    if opcode is O.LI:
-        return _c_li(instr)
-    if opcode is O.MOV:
-        return _c_mov(instr)
+    if spec.rows is not None:
+        if spec.srcs == 3:
+            return _c_fma(instr)
+        return (_c_unary if spec.srcs == 1 else _c_binary)(instr, spec.rows)
+    if spec.lane is not None:
+        if spec.srcs == 0:
+            return _c_li(instr, spec.lane(instr.imm))
+        return (_c_unary_scalar if spec.srcs == 1 else _c_binary_scalar)(instr, spec.lane)
     if opcode is O.CSRR:
         return _c_csrr(instr)
     if opcode is O.LOAD:
@@ -364,6 +281,7 @@ def _c_binary_scalar(instr: Instruction, fn: Callable) -> Callable:
 
 
 def _c_fdiv(instr: Instruction) -> Callable:
+    """``FDIV``: raise if any active divisor is zero, then one ``np.divide``."""
     s0, s1 = instr.srcs
     dst = instr.dst
 
@@ -423,6 +341,8 @@ def _c_unary_scalar(instr: Instruction, fn: Callable) -> Callable:
 
 
 def _c_fma(instr: Instruction) -> Callable:
+    """``FMA``'s row form, the product staged in the warp's scratch row so
+    ``dst`` may alias a source without a temporary."""
     s0, s1, s2 = instr.srcs
     dst = instr.dst
 
@@ -439,8 +359,7 @@ def _c_fma(instr: Instruction) -> Callable:
     return run
 
 
-def _c_li(instr: Instruction) -> Callable:
-    value = float(instr.imm)
+def _c_li(instr: Instruction, value: float) -> Callable:
     dst = instr.dst
 
     def run(core, warp, cycle):
@@ -449,21 +368,6 @@ def _c_li(instr: Instruction) -> Callable:
             vrows[dst].fill(value)
         else:
             warp.rows[dst][warp.sel] = value
-        warp.pc += 1
-    return run
-
-
-def _c_mov(instr: Instruction) -> Callable:
-    (src,) = instr.srcs
-    dst = instr.dst
-
-    def run(core, warp, cycle):
-        vrows = warp.vrows if warp.active_mask == warp._view_mask else warp.refresh()
-        if vrows is not None:
-            vrows[dst][:] = vrows[src]
-        else:
-            rows, sel = warp.rows, warp.sel
-            rows[dst][sel] = rows[src][sel]
         warp.pc += 1
     return run
 
@@ -773,7 +677,6 @@ class FastSimtCore(SimtCore):
         super().__init__(core_id, config, program, hierarchy, memory,
                          counters, tracer=tracer)
         self._fu_busy: List[int] = [0] * len(_UNIT_INDEX)
-        self._last_line_count = 1
         #: Number of cache lines that lie *entirely* inside device memory.  A
         #: coalesced line index in ``[0, _full_lines)`` proves every word
         #: address of that line is in bounds, letting loads/stores take the

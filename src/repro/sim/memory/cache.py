@@ -19,9 +19,8 @@ class Cache:
     name:
         Label used in statistics (e.g. ``"L1D(core3)"``).
     size_words / line_words / ways:
-        Geometry; the number of sets is derived and must be a power of two
-        free positive integer (any positive integer works, sets are selected
-        by modulo).
+        Geometry; the number of sets is derived and may be any positive
+        integer, because sets are selected by modulo.
     """
 
     __slots__ = ("name", "line_words", "ways", "num_sets", "_sets", "_tick",

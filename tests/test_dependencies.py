@@ -4,7 +4,8 @@ An optional-dependency fork (an import-guarded second backend that no CI
 job installs and no benchmark measures) starts with one ``import``; this
 scan is where it gets noticed.  The same file pins structural facts the same
 way: ``repro.experiments`` describes experiments and never runs one, the
-issue loop is written once per engine family, every public name of
+issue loop is written once per engine family, each opcode's semantics are
+written once in ``repro.isa``, every public name of
 ``repro`` and ``repro.core`` has a caller under ``src/``, and
 ``benchmarks/harness`` is the only benchmark code in the repository.
 """
@@ -69,6 +70,33 @@ def test_the_issue_loop_is_written_once_per_engine_family():
                   if needle in path.read_text()}
         assert "fastcore.py" in owners, needle
         assert owners <= {"core.py", "gpu.py", "fastcore.py"}, (needle, owners)
+
+
+def test_opcode_semantics_are_defined_once_in_the_isa():
+    """``repro.isa.opcodes.OPS`` is the one per-opcode table: no module keeps
+    an opcode table of its own, and the engines under ``sim/`` name no
+    register-to-register opcode -- they build those handlers from the rows."""
+    from repro.isa.opcodes import OPS
+
+    tables = {"UNARY_OPS", "BINARY_OPS", "_BINARY_NP", "_UNARY_NP",
+              "_BINARY_SCALAR", "_UNARY_SCALAR", "_EWISE_BINARY", "_EWISE_UNARY"}
+    lane_ops = {opcode.name for opcode, spec in OPS.items() if spec.lane is not None}
+    found = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        in_sim = path.relative_to(SRC / "repro").parts[0] == "sim"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+                if in_sim and node.attr in lane_ops:
+                    found.append(f"{path.name}: {node.attr}")
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            found.extend(f"{path.name}: {name}" for name in names & tables)
+    assert found == []
 
 
 #: Public names nothing under ``src/`` spells out, because user code only

@@ -61,3 +61,18 @@ def test_disassembly_of_float_immediate():
 def test_disassembly_of_branch_targets():
     instr = Instruction(Opcode.JMP, target="loop_3")
     assert "@loop_3" in instr.disassemble()
+
+
+@pytest.mark.parametrize("opcode, dst, srcs", [
+    (Opcode.ADD, 2, (0,)),          # binary with one source
+    (Opcode.FMA, 2, (0, 1)),        # ternary with two
+    (Opcode.FSQRT, 2, (0, 1)),      # unary with two
+    (Opcode.LI, 2, (0,)),           # immediate with a source
+    (Opcode.STORE, None, (0,)),     # store without its address register
+    (Opcode.HALT, None, (0,)),
+], ids=lambda value: value.name if isinstance(value, Opcode) else "")
+def test_wrong_source_count_is_rejected_at_construction(opcode, dst, srcs):
+    """Every engine would otherwise fail differently on it, and only once
+    the bad PC issues."""
+    with pytest.raises(ValueError, match=opcode.name):
+        Instruction(opcode, dst=dst, srcs=srcs)
