@@ -743,41 +743,26 @@ class _MemPlan:
         core = self.core
         if self.single:
             if self.is_load:
-                self.latencies[self.order[k]] = core.hierarchy.load_lines_fast(
+                self.latencies[self.order[k]] = core.hierarchy.load(
                     core.core_id, (self.lines[k],), cycle + k)
             else:
-                core.hierarchy.store_lines_fast(core.core_id,
-                                                (self.lines[k],), cycle + k)
+                core.hierarchy.store(core.core_id, (self.lines[k],), cycle + k)
             return
         i = self.order[k]
         if self.is_load:
-            self.latencies[i] = core.hierarchy.load_lines_fast(
+            self.latencies[i] = core.hierarchy.load(
                 core.core_id, self.lines[i], cycle + int(self.offsets[i]))
         else:
-            core.hierarchy.store_lines_fast(core.core_id, self.lines[i],
-                                            cycle + int(self.offsets[i]))
+            core.hierarchy.store(core.core_id, self.lines[i],
+                                 cycle + int(self.offsets[i]))
 
     def walks(self, cycle: int) -> None:
-        hierarchy = self.core.hierarchy
-        core_id = self.core.core_id
-        lines = self.lines
-        if self.single:
-            if self.is_load:
-                hierarchy.load_round_fast(core_id, lines, self.latencies,
-                                          self.order, cycle)
-            else:
-                hierarchy.store_lines_fast(core_id, lines, cycle)
+        if self.single and not self.is_load:
+            # Slot k stores line k at cycle + k: one walk covers the round.
+            self.core.hierarchy.store(self.core.core_id, self.lines, cycle)
             return
-        offsets = self.offsets
-        if self.is_load:
-            latencies = self.latencies
-            walk = hierarchy.load_lines_fast
-            for i in self.order:
-                latencies[i] = walk(core_id, lines[i], cycle + int(offsets[i]))
-        else:
-            walk = hierarchy.store_lines_fast
-            for i in self.order:
-                walk(core_id, lines[i], cycle + int(offsets[i]))
+        for k in range(self.n):
+            self.walk_one(k, cycle)
 
     def bookkeep(self, cycle: int, tracer) -> None:
         core = self.core

@@ -74,8 +74,15 @@ class ArchConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        if self.issue_width != 1:
+            raise ConfigError(f"issue_width must be 1 (the core is single-issue), "
+                              f"got {self.issue_width}")
         if self.l1_line_words < 1 or self.l2_line_words < 1:
             raise ConfigError("cache line sizes must be positive")
+        if self.l2_line_words != self.l1_line_words:
+            raise ConfigError(f"l2_line_words ({self.l2_line_words}) must equal "
+                              f"l1_line_words ({self.l1_line_words}): the L2 is "
+                              f"indexed by L1 line")
         if self.l1_size_words % (self.l1_line_words * self.l1_ways) != 0:
             raise ConfigError("l1_size_words must be a multiple of line size * ways")
         if self.l2_size_words % (self.l2_line_words * self.l2_ways) != 0:

@@ -12,9 +12,12 @@ warps) issues at most one instruction.  An instruction can issue when
 
 Issued instructions execute functionally right away (registers and memory are
 updated with real values) and their latency is charged through the scoreboard,
-so dependent instructions wait the correct number of cycles.  Memory
-instructions are coalesced into cache-line requests and walk the memory
-hierarchy to obtain their latency.
+so dependent instructions wait the correct number of cycles.  A memory
+instruction coalesces its lanes into one line list and walks it in one
+:meth:`~repro.sim.memory.hierarchy.MemoryHierarchy.load` / ``store`` call --
+the walk the fast and batch engines take too.  The hierarchy keeps the
+cache/DRAM counters; :class:`~repro.sim.gpu.Gpu` drains them into
+:class:`PerfCounters` when the call ends.
 """
 
 from __future__ import annotations
@@ -266,15 +269,11 @@ class SimtCore:
             warp.regs[lane][dst] = self.memory.read(address)
         lines = coalesce(addresses, self.hierarchy.line_words)
         self._last_line_count = len(lines)
-        latency = 1
         # The walk timer is an accumulate-only counter (not a histogram) kept
         # behind one enabled check: cheap enough for the per-instruction path,
         # and a pure wall-clock observer of the unchanged cycle arithmetic.
         walk_started = time.perf_counter() if RECORDER.enabled else 0.0
-        for index, (line, _) in enumerate(lines):
-            result = self.hierarchy.load_line(self.core_id, line, cycle + index)
-            latency = max(latency, index + result.latency)
-            self._count_memory_level(result.level, result.queue_cycles)
+        latency = self.hierarchy.load(self.core_id, lines, cycle)
         if RECORDER.enabled:
             RECORDER.count("engine.memory.walk_seconds",
                            time.perf_counter() - walk_started)
@@ -296,8 +295,7 @@ class SimtCore:
         lines = coalesce(addresses, self.hierarchy.line_words)
         self._last_line_count = len(lines)
         walk_started = time.perf_counter() if RECORDER.enabled else 0.0
-        for index, (line, _) in enumerate(lines):
-            self.hierarchy.store_line(self.core_id, line, cycle + index)
+        self.hierarchy.store(self.core_id, lines, cycle)
         if RECORDER.enabled:
             RECORDER.count("engine.memory.walk_seconds",
                            time.perf_counter() - walk_started)
@@ -306,19 +304,6 @@ class SimtCore:
         self.counters.store_lines += len(lines)
         warp.pc += 1
         return 1
-
-    def _count_memory_level(self, level: str, queue_cycles: int) -> None:
-        c = self.counters
-        if level == "l1":
-            c.l1_hits += 1
-        elif level == "l2":
-            c.l1_misses += 1
-            c.l2_hits += 1
-        elif level == "dram":
-            c.l1_misses += 1
-            c.l2_misses += 1
-            c.dram_lines += 1
-            c.dram_queue_cycles += queue_cycles
 
     # -- control flow ----------------------------------------------------------
     def _exec_jmp(self, warp: Warp, instr: Instruction, cycle: int):

@@ -518,17 +518,14 @@ def _c_load(instr: Instruction, config: ArchConfig) -> Callable:
                     warp.rows[dst][warp.sel] = values
         num_lines = len(lines)
         core._last_line_count = num_lines
-        # No per-access _count_memory_level here: the cache/DRAM counters are
-        # overwritten from the hierarchy's own statistics when the call ends
-        # (Gpu._fold_memory_statistics), so per-access increments are unused.
         if RECORDER.enabled:
             walk_started = _perf_counter()
-            latency = core.hierarchy.load_lines_fast(core.core_id, lines, cycle)
+            latency = core.hierarchy.load(core.core_id, lines, cycle)
             RECORDER.count("engine.memory.walk_seconds",
                            _perf_counter() - walk_started)
             RECORDER.count("engine.memory.walks")
         else:
-            latency = core.hierarchy.load_lines_fast(core.core_id, lines, cycle)
+            latency = core.hierarchy.load(core.core_id, lines, cycle)
         counters = core.counters
         counters.loads += 1
         counters.load_lines += num_lines
@@ -574,12 +571,12 @@ def _c_store(instr: Instruction, config: ArchConfig) -> Callable:
         core._last_line_count = num_lines
         if RECORDER.enabled:
             walk_started = _perf_counter()
-            core.hierarchy.store_lines_fast(core.core_id, lines, cycle)
+            core.hierarchy.store(core.core_id, lines, cycle)
             RECORDER.count("engine.memory.walk_seconds",
                            _perf_counter() - walk_started)
             RECORDER.count("engine.memory.walks")
         else:
-            core.hierarchy.store_lines_fast(core.core_id, lines, cycle)
+            core.hierarchy.store(core.core_id, lines, cycle)
         counters = core.counters
         counters.stores += 1
         counters.store_lines += num_lines

@@ -161,23 +161,13 @@ class Gpu:
         return list(cores.values()), run_loop
 
     def _fold_memory_statistics(self, counters: PerfCounters) -> None:
-        """Pick up cache/DRAM statistics accumulated since the last snapshot."""
-        stats = self.hierarchy.statistics()
-        counters.l1_hits = stats["l1_hits"]
-        counters.l1_misses = stats["l1_misses"]
-        counters.l2_hits = stats["l2_hits"]
-        counters.l2_misses = stats["l2_misses"]
-        # The hierarchy is the authoritative source for every level: only the
-        # reference core also counts per access, and those counts are replaced.
-        counters.dram_lines = stats["dram_lines"]
-        counters.dram_queue_cycles = stats["dram_queue_cycles"]
-        # Statistics are cumulative inside the hierarchy; reset so the next call
-        # of the same launch reports only its own accesses.
-        for cache in self.hierarchy.l1:
-            cache.reset_statistics()
-        self.hierarchy.l2.reset_statistics()
-        self.hierarchy.dram.lines_transferred = 0
-        self.hierarchy.dram.total_queue_cycles = 0
+        """Drain the hierarchy's cache/DRAM totals into ``counters``.
+
+        The hierarchy is the one source for every level, and draining leaves
+        the next call of the same launch only its own accesses.
+        """
+        for name, value in self.hierarchy.statistics().items():
+            setattr(counters, name, value)
 
 
 def _run_reference(active_cores: List[SimtCore], counters: PerfCounters,

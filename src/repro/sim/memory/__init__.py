@@ -6,20 +6,20 @@
   cache model used for both the per-core L1s and the shared L2.
 * :class:`~repro.sim.memory.dram.DramModel` -- latency + bandwidth-limited
   DRAM back end.
-* :class:`~repro.sim.memory.coalescer.coalesce` -- groups per-lane word
-  addresses into unique cache-line requests.
+* :class:`~repro.sim.memory.coalescer.coalesce` -- turns per-lane word
+  addresses into the unique cache lines of one request, in request order.
 * :class:`~repro.sim.memory.hierarchy.MemoryHierarchy` -- ties L1s, the L2 and
-  DRAM together and produces per-access latencies.
+  DRAM together.  Its ``load`` / ``store`` are the one memory walk all three
+  engines take, and its ``statistics()`` drains the counters the walk keeps.
 """
 
 from repro.sim.memory.cache import Cache
 from repro.sim.memory.coalescer import coalesce
 from repro.sim.memory.dram import DramModel
-from repro.sim.memory.hierarchy import AccessResult, MemoryHierarchy
+from repro.sim.memory.hierarchy import MemoryHierarchy
 from repro.sim.memory.mainmem import MainMemory, MemoryError_
 
 __all__ = [
-    "AccessResult",
     "Cache",
     "DramModel",
     "MainMemory",

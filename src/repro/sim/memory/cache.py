@@ -3,7 +3,9 @@
 The cache is *tag only*: it tracks which lines are resident to decide hits
 and misses, while actual data lives in :class:`~repro.sim.memory.mainmem.MainMemory`.
 Replacement is true LRU per set.  The model is used for both the per-core L1
-data caches and the shared L2.
+data caches and the shared L2.  It owns the geometry, the sets, the fill and
+evict step and the counters; the lookups that read and refresh the sets are
+the one walk in :class:`~repro.sim.memory.hierarchy.MemoryHierarchy`.
 """
 
 from __future__ import annotations
@@ -49,59 +51,16 @@ class Cache:
         self.evictions = 0
 
     # ------------------------------------------------------------------
-    def line_address(self, word_address: int) -> int:
-        """Cache-line index containing ``word_address``."""
-        return word_address // self.line_words
-
-    def _set_for(self, line_address: int) -> Dict[int, int]:
-        return self._sets[line_address % self.num_sets]
-
-    def lookup(self, line_address: int) -> bool:
-        """Return True if the line is resident (updates LRU state on hit)."""
-        self._tick += 1
-        entry = self._set_for(line_address)
-        if line_address in entry:
-            del entry[line_address]          # move to the LRU tail
-            entry[line_address] = self._tick
-            return True
-        return False
-
     def fill(self, line_address: int) -> None:
-        """Insert a line, evicting the LRU line of its set if necessary."""
+        """Insert a line that just missed, evicting the LRU line of its set
+        if the set is full."""
         self._tick += 1
-        entry = self._set_for(line_address)
-        if line_address in entry:
-            del entry[line_address]          # move to the LRU tail
-            entry[line_address] = self._tick
-            return
+        entry = self._sets[line_address % self.num_sets]
         if len(entry) >= self.ways:
             del entry[next(iter(entry))]     # first key = least recently used
             self.evictions += 1
         entry[line_address] = self._tick
         self.fills += 1
-
-    # ------------------------------------------------------------------ convenience
-    def access(self, line_address: int, write: bool = False, allocate_on_miss: bool = True) -> bool:
-        """One timing access; returns hit/miss and maintains statistics.
-
-        Reads allocate on miss by default (``allocate_on_miss``); writes are
-        write-through and never allocate (Vortex-style L1 behaviour), they only
-        refresh LRU state on hit.
-        """
-        hit = self.lookup(line_address)
-        if write:
-            if hit:
-                self.write_hits += 1
-            else:
-                self.write_misses += 1
-            return hit
-        if hit:
-            self.hits += 1
-        else:
-            self.misses += 1
-            if allocate_on_miss:
-                self.fill(line_address)
-        return hit
 
     def reset_statistics(self) -> None:
         """Zero all counters but keep cache contents."""
@@ -118,9 +77,3 @@ class Cache:
     def resident_lines(self) -> int:
         """Number of lines currently resident (for tests)."""
         return sum(len(entry) for entry in self._sets)
-
-    @property
-    def hit_rate(self) -> float:
-        """Read hit rate."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

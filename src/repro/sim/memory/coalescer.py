@@ -9,31 +9,12 @@ pays for.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 
-def coalesce(word_addresses: Sequence[int], line_words: int) -> "List[Tuple[int, List[int]]]":
-    """Group per-lane word addresses into unique cache-line requests.
-
-    Returns a list of ``(line_address, lanes)`` tuples in first-appearance
-    order, where ``lanes`` lists the positions in ``word_addresses`` that
-    access the line.
-    """
+def coalesce(word_addresses: Sequence[int], line_words: int) -> List[int]:
+    """The unique cache lines of per-lane word addresses, in first-appearance
+    order -- the request order of one memory instruction's walk."""
     if line_words <= 0:
         raise ValueError("line_words must be positive")
-    lines: Dict[int, List[int]] = {}
-    order: List[int] = []
-    for lane, address in enumerate(word_addresses):
-        line = address // line_words
-        if line not in lines:
-            lines[line] = []
-            order.append(line)
-        lines[line].append(lane)
-    return [(line, lines[line]) for line in order]
-
-
-def coalescing_factor(word_addresses: Sequence[int], line_words: int) -> float:
-    """Average lanes served per line request (1.0 = fully divergent, lanes = perfect)."""
-    if not word_addresses:
-        return 0.0
-    return len(word_addresses) / len(coalesce(word_addresses, line_words))
+    return list(dict.fromkeys(address // line_words for address in word_addresses))

@@ -5,7 +5,8 @@ job installs and no benchmark measures) starts with one ``import``; this
 scan is where it gets noticed.  The same file pins structural facts the same
 way: ``repro.experiments`` describes experiments and never runs one, the
 issue loop is written once per engine family, each opcode's semantics are
-written once in ``repro.isa``, every public name of
+written once in ``repro.isa``, the memory walk is written once in
+``repro.sim.memory``, every public name of
 ``repro`` and ``repro.core`` has a caller under ``src/``, and
 ``benchmarks/harness`` is the only benchmark code in the repository.
 """
@@ -97,6 +98,32 @@ def test_opcode_semantics_are_defined_once_in_the_isa():
                 continue
             found.extend(f"{path.name}: {name}" for name in names & tables)
     assert found == []
+
+
+def test_the_memory_walk_is_written_once():
+    """``MemoryHierarchy.load`` / ``store`` are the only walk entry points
+    (the harness finds walks by that prefix), ``Cache`` keeps no lookup of its
+    own, and no module outside ``sim/memory/`` reaches into the cache state
+    the walk keeps."""
+    memory = SRC / "repro" / "sim" / "memory"
+    methods = {}
+    for path in memory.glob("*.py"):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                methods[node.name] = {item.name for item in node.body
+                                      if isinstance(item, ast.FunctionDef)}
+    assert {name for name in methods["MemoryHierarchy"]
+            if name.startswith(("load", "store"))} == {"load", "store"}
+    assert not methods["Cache"] & {"access", "lookup"}
+    reads = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        if memory in path.parents:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("_sets", "_tick")
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
+                reads.append(f"{path.name}:{node.lineno}: {node.attr}")
+    assert reads == []
 
 
 #: Public names nothing under ``src/`` spells out, because user code only

@@ -5,8 +5,8 @@ randomly drawn launch geometries, machine shapes and access patterns:
 
 * the dispatcher assigns every workgroup exactly once, never overfills a warp
   and never spawns more calls than Eq. 1 predicts;
-* the coalescer conserves lanes and never produces more requests than lanes;
-* the LRU cache never holds more lines than its capacity;
+* the coalescer requests every lane's line exactly once, in first-appearance
+  order (the cache walk's own oracle is the model in ``test_sim_memory.py``);
 * kernel results do not depend on the chosen lws (mapping-independence of
   functional behaviour), checked on the simulator for random small launches.
 """
@@ -23,7 +23,6 @@ from repro.runtime.dispatcher import build_dispatch_plan
 from repro.runtime.launcher import launch_kernel
 from repro.runtime.ndrange import NDRange
 from repro.sim.config import ArchConfig
-from repro.sim.memory.cache import Cache
 from repro.sim.memory.coalescer import coalesce
 
 
@@ -81,34 +80,18 @@ def test_eq1_mapping_always_yields_a_single_fully_used_call(gws, cores, warps, t
 
 
 # ----------------------------------------------------------------------
-# coalescer and cache invariants
+# coalescer invariants
 # ----------------------------------------------------------------------
 @settings(max_examples=200, deadline=None)
 @given(addresses=st.lists(st.integers(min_value=0, max_value=100_000), min_size=1, max_size=64),
        line_words=st.sampled_from([4, 8, 16, 32]))
 def test_coalescer_conserves_lanes(addresses, line_words):
-    groups = coalesce(addresses, line_words)
-    lanes = [lane for _, group in groups for lane in group]
-    assert sorted(lanes) == list(range(len(addresses)))
-    assert 1 <= len(groups) <= len(addresses)
-    for line, group in groups:
-        for lane in group:
-            assert addresses[lane] // line_words == line
-
-
-@settings(max_examples=100, deadline=None)
-@given(accesses=st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=300),
-       ways=st.sampled_from([1, 2, 4]),
-       sets=st.sampled_from([2, 4, 8]))
-def test_cache_never_exceeds_capacity_and_stats_balance(accesses, ways, sets):
-    line_words = 16
-    cache = Cache("prop", size_words=line_words * ways * sets, line_words=line_words, ways=ways)
-    for line in accesses:
-        cache.access(line)
-    assert cache.resident_lines <= ways * sets
-    assert cache.hits + cache.misses == len(accesses)
-    assert cache.fills <= len(accesses)
-    assert cache.evictions <= cache.fills
+    lines = coalesce(addresses, line_words)
+    lane_lines = [address // line_words for address in addresses]
+    assert len(set(lines)) == len(lines)                  # one request per line
+    assert set(lines) == set(lane_lines)                  # every lane is served
+    assert lines == sorted(lines, key=lane_lines.index)   # first-appearance order
+    assert 1 <= len(lines) <= len(addresses)
 
 
 # ----------------------------------------------------------------------

@@ -48,6 +48,21 @@ def test_invalid_memory_geometry_rejected():
         ArchConfig(dram_lines_per_cycle=0)
 
 
+@pytest.mark.parametrize("field, overrides", [
+    ("l2_line_words", {"l2_line_words": 32}),          # the L2 is indexed by L1 line
+    ("l2_line_words", {"l1_line_words": 32, "l2_size_words": 32768}),
+    ("issue_width", {"issue_width": 2}),               # the core is single-issue
+])
+def test_values_the_model_would_ignore_are_rejected(field, overrides):
+    with pytest.raises(ConfigError, match=field):
+        ArchConfig(**overrides)
+
+
+def test_equal_line_sizes_still_build():
+    config = ArchConfig(l1_line_words=32, l2_line_words=32)
+    assert config.l2_line_words == config.l1_line_words == 32
+
+
 def test_negative_overheads_rejected():
     with pytest.raises(ConfigError):
         ArchConfig(kernel_launch_overhead=-1)

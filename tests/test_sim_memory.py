@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.config import ArchConfig
 from repro.sim.memory.cache import Cache
-from repro.sim.memory.coalescer import coalesce, coalescing_factor
+from repro.sim.memory.coalescer import coalesce
 from repro.sim.memory.dram import DramModel
 from repro.sim.memory.hierarchy import MemoryHierarchy
 from repro.sim.memory.mainmem import MainMemory, MemoryError_
@@ -54,68 +55,65 @@ class TestMainMemory:
 
 
 # ----------------------------------------------------------------------
-# Cache
+# Cache (driven through the one walk: MemoryHierarchy.load / store)
 # ----------------------------------------------------------------------
+def _hierarchy(**overrides):
+    config = ArchConfig(**overrides)
+    return config, MemoryHierarchy(config)
+
+
 class TestCache:
     def test_first_access_misses_then_hits(self):
-        cache = Cache("L1", size_words=256, line_words=16, ways=2)
-        assert cache.access(3) is False
-        assert cache.access(3) is True
-        assert cache.hits == 1 and cache.misses == 1
+        config, hierarchy = _hierarchy()
+        assert hierarchy.load(0, (3,), now=0) > config.l1_hit_latency + config.l2_hit_latency
+        assert hierarchy.load(0, (3,), now=200) == config.l1_hit_latency
+        stats = hierarchy.statistics()
+        assert stats["l1_hits"] == 1 and stats["l1_misses"] == 1
 
     def test_lru_eviction_within_a_set(self):
-        # 2 ways, 4 sets: lines 0, 4, 8 all map to set 0
-        cache = Cache("L1", size_words=128, line_words=16, ways=2)
-        assert cache.num_sets == 4
-        cache.access(0)
-        cache.access(4)
-        cache.access(0)        # refresh line 0 -> line 4 becomes LRU
-        cache.access(8)        # evicts line 4
-        assert cache.access(0) is True
-        assert cache.access(4) is False
-        assert cache.evictions >= 1
+        # 2 ways, 4 sets: lines 0, 4, 8 all map to set 0 of the L1
+        config, hierarchy = _hierarchy(l1_size_words=128, l1_ways=2)
+        assert hierarchy.l1[0].num_sets == 4
+        hierarchy.load(0, (0, 4), now=0)
+        hierarchy.load(0, (0,), now=300)   # refresh line 0 -> line 4 becomes LRU
+        hierarchy.load(0, (8,), now=300)   # evicts line 4 from the L1
+        hierarchy.statistics()
+        assert hierarchy.load(0, (0,), now=600) == config.l1_hit_latency
+        assert hierarchy.load(0, (4,), now=600) == config.l1_hit_latency + config.l2_hit_latency
+        assert hierarchy.l1[0].evictions >= 1
+        stats = hierarchy.statistics()
+        assert (stats["l1_hits"], stats["l1_misses"], stats["l2_hits"]) == (1, 1, 1)
 
     def test_writes_are_write_through_no_allocate(self):
-        cache = Cache("L1", size_words=256, line_words=16, ways=2)
-        assert cache.access(7, write=True) is False
-        assert cache.write_misses == 1
-        # the write did not allocate, so a later read still misses
-        assert cache.access(7) is False
+        config, hierarchy = _hierarchy()
+        hierarchy.store(0, (7,), now=0)
+        assert hierarchy.l1[0].write_misses == 1 and hierarchy.l2.write_misses == 1
+        # the write did not allocate at either level, so a later read misses both
+        assert hierarchy.load(0, (7,), now=300) > config.l1_hit_latency + config.l2_hit_latency
+        stats = hierarchy.statistics()
+        assert stats["l2_misses"] == 1
+        assert stats["dram_lines"] == 2          # the write still travelled to DRAM
 
     def test_invalidate_clears_contents(self):
-        cache = Cache("L1", size_words=256, line_words=16, ways=2)
-        cache.access(1)
-        cache.access(2)
-        assert cache.resident_lines == 2
-        cache.invalidate()
-        assert cache.resident_lines == 0
-        assert cache.access(1) is False
+        config, hierarchy = _hierarchy()
+        hierarchy.load(0, (1, 2), now=0)
+        assert hierarchy.l1[0].resident_lines == 2
+        hierarchy.invalidate()
+        assert hierarchy.l1[0].resident_lines == 0
+        assert hierarchy.load(0, (1,), now=0) > config.l1_hit_latency + config.l2_hit_latency
 
     def test_reset_statistics_keeps_contents(self):
-        cache = Cache("L1", size_words=256, line_words=16, ways=2)
-        cache.access(1)
-        cache.reset_statistics()
-        assert cache.hits == 0 and cache.misses == 0
-        assert cache.access(1) is True       # line still resident
-
-    def test_line_address_mapping(self):
-        cache = Cache("L1", size_words=256, line_words=16, ways=2)
-        assert cache.line_address(0) == 0
-        assert cache.line_address(15) == 0
-        assert cache.line_address(16) == 1
+        config, hierarchy = _hierarchy()
+        hierarchy.load(0, (1,), now=0)
+        hierarchy.statistics()                   # drains the counters ...
+        assert set(hierarchy.statistics().values()) == {0}
+        assert hierarchy.load(0, (1,), now=300) == config.l1_hit_latency   # ... not the lines
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
             Cache("bad", size_words=100, line_words=16, ways=3)
         with pytest.raises(ValueError):
             Cache("bad", size_words=0, line_words=16, ways=1)
-
-    def test_hit_rate(self):
-        cache = Cache("L1", size_words=256, line_words=16, ways=2)
-        cache.access(1)
-        cache.access(1)
-        cache.access(1)
-        assert cache.hit_rate == pytest.approx(2 / 3)
 
 
 # ----------------------------------------------------------------------
@@ -163,28 +161,16 @@ class TestDram:
 # ----------------------------------------------------------------------
 class TestCoalescer:
     def test_consecutive_addresses_coalesce_to_one_line(self):
-        lines = coalesce([0, 1, 2, 3], line_words=16)
-        assert len(lines) == 1
-        assert lines[0][0] == 0
-        assert lines[0][1] == [0, 1, 2, 3]
+        assert coalesce([0, 1, 2, 3], line_words=16) == [0]
 
     def test_strided_addresses_hit_multiple_lines(self):
-        lines = coalesce([0, 16, 32, 48], line_words=16)
-        assert [line for line, _ in lines] == [0, 1, 2, 3]
+        assert coalesce([0, 16, 32, 48], line_words=16) == [0, 1, 2, 3]
 
     def test_duplicate_addresses_share_a_request(self):
-        lines = coalesce([5, 5, 5], line_words=16)
-        assert len(lines) == 1
-        assert lines[0][1] == [0, 1, 2]
+        assert coalesce([5, 5, 5], line_words=16) == [0]
 
     def test_order_is_first_appearance(self):
-        lines = coalesce([32, 0, 33], line_words=16)
-        assert [line for line, _ in lines] == [2, 0]
-
-    def test_coalescing_factor(self):
-        assert coalescing_factor([0, 1, 2, 3], 16) == 4.0
-        assert coalescing_factor([0, 16, 32, 48], 16) == 1.0
-        assert coalescing_factor([], 16) == 0.0
+        assert coalesce([32, 0, 33], line_words=16) == [2, 0]
 
     def test_invalid_line_size_rejected(self):
         with pytest.raises(ValueError):
@@ -195,46 +181,163 @@ class TestCoalescer:
 # MemoryHierarchy
 # ----------------------------------------------------------------------
 class TestHierarchy:
-    def _hierarchy(self):
-        config = ArchConfig(cores=2, warps_per_core=2, threads_per_warp=4)
-        return config, MemoryHierarchy(config)
-
     def test_cold_load_goes_to_dram_then_hits_l1(self):
-        config, hierarchy = self._hierarchy()
-        first = hierarchy.load_line(0, 5, now=0)
-        assert first.level == "dram"
-        assert first.latency >= config.dram_latency
-        second = hierarchy.load_line(0, 5, now=200)
-        assert second.level == "l1"
-        assert second.latency == config.l1_hit_latency
+        config, hierarchy = _hierarchy(cores=2)
+        first = hierarchy.load(0, (5,), now=0)
+        assert first == config.l1_hit_latency + config.l2_hit_latency + config.dram_latency
+        second = hierarchy.load(0, (5,), now=200)
+        assert second == config.l1_hit_latency
+        stats = hierarchy.statistics()
+        assert (stats["l1_hits"], stats["l2_misses"], stats["dram_lines"]) == (1, 1, 1)
 
     def test_l2_is_shared_between_cores(self):
-        config, hierarchy = self._hierarchy()
-        hierarchy.load_line(0, 7, now=0)        # core 0 brings the line into L2
-        result = hierarchy.load_line(1, 7, now=300)
-        assert result.level == "l2"
-        assert result.latency == config.l1_hit_latency + config.l2_hit_latency
+        config, hierarchy = _hierarchy(cores=2)
+        hierarchy.load(0, (7,), now=0)           # core 0 brings the line into L2
+        hierarchy.statistics()
+        assert hierarchy.load(1, (7,), now=300) == config.l1_hit_latency + config.l2_hit_latency
+        stats = hierarchy.statistics()
+        assert (stats["l1_misses"], stats["l2_hits"], stats["dram_lines"]) == (1, 1, 0)
 
     def test_stores_never_stall(self):
-        _, hierarchy = self._hierarchy()
-        result = hierarchy.store_line(0, 9, now=0)
-        assert result.latency == 1
+        _, hierarchy = _hierarchy(cores=2)
+        assert hierarchy.store(0, (9, 10), now=0) is None
+        assert hierarchy.statistics()["dram_lines"] == 2
 
     def test_statistics_aggregate_all_levels(self):
-        _, hierarchy = self._hierarchy()
-        hierarchy.load_line(0, 1, now=0)
-        hierarchy.load_line(0, 1, now=300)
+        _, hierarchy = _hierarchy(cores=2)
+        hierarchy.load(0, (1,), now=0)
+        hierarchy.load(0, (1,), now=300)
         stats = hierarchy.statistics()
         assert stats["l1_hits"] == 1
         assert stats["l1_misses"] == 1
         assert stats["l2_misses"] == 1
         assert stats["dram_lines"] == 1
+        assert set(hierarchy.statistics().values()) == {0}     # drained
 
     def test_invalidate_resets_everything(self):
-        _, hierarchy = self._hierarchy()
-        hierarchy.load_line(0, 1, now=0)
+        config, hierarchy = _hierarchy(cores=2)
+        hierarchy.load(0, (1,), now=0)
         hierarchy.invalidate()
         stats = hierarchy.statistics()
         assert stats == {"l1_hits": 0, "l1_misses": 0, "l2_hits": 0, "l2_misses": 0,
                          "dram_lines": 0, "dram_queue_cycles": 0}
-        assert hierarchy.load_line(0, 1, now=0).level == "dram"
+        assert hierarchy.load(0, (1,), now=0) == (
+            config.l1_hit_latency + config.l2_hit_latency + config.dram_latency)
+
+
+# ----------------------------------------------------------------------
+# The walk's oracle: an independent model of load / store
+# ----------------------------------------------------------------------
+STAT_NAMES = ("l1_hits", "l1_misses", "l2_hits", "l2_misses", "dram_lines",
+              "dram_queue_cycles")
+
+
+class WalkModel:
+    """The walk written from its definition: each set is a list in LRU order
+    (least recent first), loads allocate at both levels, stores are
+    write-through and allocate at neither, and DRAM serves line ``i`` of a
+    call, issued at ``now + i``, at ``max(issue, next free slot)``."""
+
+    def __init__(self, config):
+        def sets(size, ways):
+            return [[] for _ in range(size // (config.l1_line_words * ways))]
+
+        self.config = config
+        self.l1 = [sets(config.l1_size_words, config.l1_ways) for _ in range(config.cores)]
+        self.l2 = sets(config.l2_size_words, config.l2_ways)
+        self.next_free = 0.0
+        self.stats = dict.fromkeys(STAT_NAMES, 0)
+
+    @staticmethod
+    def _touch(sets, line, ways, allocate):
+        lru = sets[line % len(sets)]
+        hit = line in lru
+        if hit:
+            lru.remove(line)
+        elif not allocate:
+            return False
+        elif len(lru) == ways:
+            lru.pop(0)
+        lru.append(line)
+        return hit
+
+    def _dram(self, issued):
+        start = max(float(issued), self.next_free)
+        self.next_free = start + 1.0 / self.config.dram_lines_per_cycle
+        self.stats["dram_lines"] += 1
+        self.stats["dram_queue_cycles"] += int(start - issued)
+        return int(start + self.config.dram_latency) - issued
+
+    def load(self, core, lines, now):
+        config, latency = self.config, 1
+        for i, line in enumerate(lines):
+            arrival = i + config.l1_hit_latency
+            if self._touch(self.l1[core], line, config.l1_ways, allocate=True):
+                self.stats["l1_hits"] += 1
+            elif self._touch(self.l2, line, config.l2_ways, allocate=True):
+                self.stats["l1_misses"] += 1
+                self.stats["l2_hits"] += 1
+                arrival += config.l2_hit_latency
+            else:
+                self.stats["l1_misses"] += 1
+                self.stats["l2_misses"] += 1
+                arrival += config.l2_hit_latency + self._dram(now + i)
+            latency = max(latency, arrival)
+        return latency
+
+    def store(self, core, lines, now):
+        for i, line in enumerate(lines):
+            self._touch(self.l1[core], line, self.config.l1_ways, allocate=False)
+            self._touch(self.l2, line, self.config.l2_ways, allocate=False)
+            self._dram(now + i)
+
+
+def _drained(model):
+    stats, model.stats = model.stats, dict.fromkeys(STAT_NAMES, 0)
+    return stats
+
+
+def _resident(cache):
+    return [list(entry) for entry in cache._sets]
+
+
+_calls = st.lists(
+    st.tuples(st.sampled_from(["load", "load", "store", "drain"]),
+              st.integers(min_value=0, max_value=2),                   # core (mod cores)
+              st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=6,
+                       unique=True),                                    # coalesced lines
+              st.integers(min_value=0, max_value=60)),                  # cycles since last call
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cores=st.integers(min_value=1, max_value=3),
+       l1=st.sampled_from([(1, 1), (2, 2), (4, 2), (2, 4)]),            # (sets, ways)
+       l2=st.sampled_from([(1, 4), (2, 2), (4, 4), (8, 2)]),
+       latencies=st.sampled_from([(1, 3, 0), (2, 20, 100), (3, 7, 11)]),  # l1, l2, dram
+       lines_per_cycle=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]),
+       calls=_calls)
+def test_walk_matches_an_independent_model(cores, l1, l2, latencies, lines_per_cycle,
+                                           calls):
+    line_words = 4
+    config = ArchConfig(cores=cores, l1_line_words=line_words, l2_line_words=line_words,
+                        l1_size_words=l1[0] * l1[1] * line_words, l1_ways=l1[1],
+                        l2_size_words=l2[0] * l2[1] * line_words, l2_ways=l2[1],
+                        l1_hit_latency=latencies[0], l2_hit_latency=latencies[1],
+                        dram_latency=latencies[2], dram_lines_per_cycle=lines_per_cycle)
+    hierarchy, model = MemoryHierarchy(config), WalkModel(config)
+    now = 0
+    for kind, core, lines, gap in calls:
+        core %= cores
+        now += gap
+        if kind == "drain":
+            assert hierarchy.statistics() == _drained(model)
+        elif kind == "load":
+            assert hierarchy.load(core, lines, now) == model.load(core, lines, now)
+        else:
+            assert hierarchy.store(core, lines, now) is None
+            model.store(core, lines, now)
+    assert hierarchy.statistics() == _drained(model)
+    assert _resident(hierarchy.l2) == model.l2
+    for cache, sets in zip(hierarchy.l1, model.l1):
+        assert _resident(cache) == sets
