@@ -10,6 +10,7 @@ machine, ``64c32w32t`` the largest Figure-2 machine).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
@@ -70,15 +71,23 @@ class ArchConfig:
 
     # ------------------------------------------------------------------
     def __post_init__(self):
-        for name in ("cores", "warps_per_core", "threads_per_warp", "issue_width"):
+        for name in ("cores", "warps_per_core", "threads_per_warp", "issue_width",
+                     "l1_size_words", "l1_line_words", "l1_ways",
+                     "l2_size_words", "l2_line_words", "l2_ways"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if self.issue_width != 1:
             raise ConfigError(f"issue_width must be 1 (the core is single-issue), "
                               f"got {self.issue_width}")
-        if self.l1_line_words < 1 or self.l2_line_words < 1:
-            raise ConfigError("cache line sizes must be positive")
+        for name in ("l1_hit_latency", "l2_hit_latency", "dram_latency",
+                     "kernel_launch_overhead", "warp_spawn_cost", "barrier_latency"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 0:
+                raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+        if not 0 < self.dram_lines_per_cycle < math.inf:
+            raise ConfigError(f"dram_lines_per_cycle must be positive and finite, "
+                              f"got {self.dram_lines_per_cycle!r}")
         if self.l2_line_words != self.l1_line_words:
             raise ConfigError(f"l2_line_words ({self.l2_line_words}) must equal "
                               f"l1_line_words ({self.l1_line_words}): the L2 is "
@@ -87,10 +96,6 @@ class ArchConfig:
             raise ConfigError("l1_size_words must be a multiple of line size * ways")
         if self.l2_size_words % (self.l2_line_words * self.l2_ways) != 0:
             raise ConfigError("l2_size_words must be a multiple of line size * ways")
-        if self.dram_lines_per_cycle <= 0:
-            raise ConfigError("dram_lines_per_cycle must be positive")
-        if self.kernel_launch_overhead < 0 or self.warp_spawn_cost < 0:
-            raise ConfigError("launch overheads cannot be negative")
         from repro.sim.scheduler import available_policies  # deferred: avoids an import cycle
         if self.warp_scheduler not in available_policies():
             raise ConfigError(

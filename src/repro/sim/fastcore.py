@@ -23,10 +23,10 @@ per-instruction Python overhead:
   vectorized exactly when its :data:`~repro.isa.opcodes.OPS` row has a
   ``rows`` form (bit-identical to the per-lane ``lane`` form by contract);
   the rest loop ``lane`` over the active lanes.
-* **Cached readiness.**  A warp's own readiness (issue spacing + scoreboard)
-  only changes when the warp itself issues or a barrier releases it, so it is
-  computed once per stall episode instead of every visited cycle; the shared
-  functional-unit constraint is the only part re-checked per attempt.
+* **Cached readiness.**  A warp that cannot issue caches a lower bound on its
+  next issue cycle (:attr:`~repro.sim.warp.FastWarp._ready_bound`) and costs
+  one comparison per attempt until the clock reaches it; halted and barrier
+  warps are parked until a release.
 * **Batched statistics.**  Instruction-mix counters accumulate per PC and are
   folded into :class:`~repro.sim.stats.PerfCounters` once per kernel call
   (:meth:`FastSimtCore.flush_instruction_counters`), yielding identical totals
@@ -67,6 +67,9 @@ from repro.sim.stats import PerfCounters
 from repro.telemetry.recorder import RECORDER
 
 _UNIT_INDEX = {unit: index for index, unit in enumerate(FunctionalUnit)}
+
+#: ``_d_cache`` of a parked (halted or barrier) warp; its bound is ``NEVER``.
+_PARKED = (None, None, (), 1, 1, 0, False, False)
 
 
 #: Warp-uniform CSR numbers -> the :class:`~repro.isa.registers.CsrFile`
@@ -714,7 +717,7 @@ class FastSimtCore(SimtCore):
             if w.at_barrier:
                 w.at_barrier = False
                 w.next_issue_cycle = cycle + self.config.barrier_latency
-                w._d_cache = None  # readiness changed: recompute on next visit
+                w._d_cache, w._ready_bound = None, 0     # un-park: recompute
         self._barrier_waiting = 0
 
     # ------------------------------------------------------------------ statistics
@@ -773,6 +776,10 @@ def run_fast(active_cores: List[FastSimtCore], counters: PerfCounters,
     * **inlined issue**: the per-core issue attempt (the fast counterpart of
       :meth:`~repro.sim.core.SimtCore.try_issue`) is inlined into the loop
       body, saving one Python call frame per issued instruction.
+    * **bounded warps**: a warp whose cached ``_ready_bound`` lies past the
+      cycle is skipped on one comparison; only when nothing issues does a
+      second pass compute the exact hint (each bound maxed with its unit's
+      busy-until now), so visited cycles and stall counts do not move.
 
     Core-drain checks run only after an instruction that can halt a warp
     (``TMC``/``HALT`` set ``_drain_check`` at decode time).
@@ -831,19 +838,17 @@ def run_fast(active_cores: List[FastSimtCore], counters: PerfCounters,
                 num_warps = len(warps)
                 order = [w for w in core._scheduler.priority_order()
                          if w < num_warps]
-            earliest = NEVER
-            issued_here = False
             for index in order:
                 warp = warps[index]
-                if warp.halted or warp.at_barrier:
+                # A stalled warp costs one comparison (FastWarp._ready_bound).
+                if warp._ready_bound > cycle:
                     continue
-                # A warp's own readiness (issue spacing + scoreboard) changes
-                # only when the warp issues or a barrier releases it, so it
-                # is cached on the warp across failed attempts; only the
-                # shared FU constraint is re-read.  The common
-                # immediate-issue case skips the cache writes entirely.
                 d = warp._d_cache
                 if d is None:
+                    if warp.halted or warp.at_barrier:
+                        warp._d_cache = _PARKED
+                        warp._ready_bound = NEVER
+                        continue
                     pc = warp.pc
                     try:
                         d = decode[pc].tup
@@ -857,71 +862,80 @@ def run_fast(active_cores: List[FastSimtCore], counters: PerfCounters,
                         ) from None
                     (run, dst, check_regs, default_latency, interval,
                      unit_index, fu_check, is_mem) = d
-                    own = warp.next_issue_cycle
+                    ready = warp.next_issue_cycle
                     reg_ready = warp.reg_ready
                     for reg in check_regs:
                         pending = reg_ready[reg]
-                        if pending > own:
-                            own = pending
+                        if pending > ready:
+                            ready = pending
+                    if fu_check and fu_busy[unit_index] > ready:
+                        ready = fu_busy[unit_index]
+                    if ready > cycle:
+                        # The common immediate-issue case skips these writes.
+                        warp._d_cache = d
+                        warp._ready_bound = ready
+                        continue
                 else:
-                    own = warp._own_ready
-                    pc = warp.pc
+                    # Own readiness has passed: only the unit can hold it back.
                     (run, dst, check_regs, default_latency, interval,
                      unit_index, fu_check, is_mem) = d
-                if fu_check:
-                    fu_free = fu_busy[unit_index]
-                    ready = own if own >= fu_free else fu_free
+                    if fu_check and fu_busy[unit_index] > cycle:
+                        warp._ready_bound = fu_busy[unit_index]
+                        continue
+                    pc = warp.pc
+                # ---- issue ----
+                pc_issues[pc] += 1
+                pc_lanes[pc] += warp.active_mask.bit_count()
+                if tracer is not None:
+                    instr = decode[pc].instr
+                    tracer.record(cycle=cycle, core=core.core_id,
+                                  warp=warp.warp_id, pc=pc,
+                                  opcode=instr.opcode,
+                                  mask=warp.active_mask,
+                                  section=instr.section)
+                latency = run(core, warp, cycle)
+                if latency is None:
+                    latency = default_latency
+                if dst is not None:
+                    warp.reg_ready[dst] = cycle + latency
+                fu_hold = interval
+                if is_mem and core._last_line_count > fu_hold:
+                    fu_hold = core._last_line_count
+                if fu_hold > 1:
+                    fu_busy[unit_index] = cycle + fu_hold
+                warp.next_issue_cycle = cycle + 1
+                warp._d_cache = None
+                # Completed scoreboard entries are *not* eagerly retired: an
+                # entry whose cycle has passed can never change a decision
+                # or a hint (readiness is a max against future constraints),
+                # and each slot is overwritten on its next write, so the list
+                # stays bounded by the register count.
+                if orders is not None:
+                    core._rr_next = (index + 1) % core._rr_n
                 else:
-                    ready = own
-                if ready <= cycle:
-                    # ---- issue ----
-                    pc_issues[pc] += 1
-                    pc_lanes[pc] += warp.active_mask.bit_count()
-                    if tracer is not None:
-                        instr = decode[pc].instr
-                        tracer.record(cycle=cycle, core=core.core_id,
-                                      warp=warp.warp_id, pc=pc,
-                                      opcode=instr.opcode,
-                                      mask=warp.active_mask,
-                                      section=instr.section)
-                    latency = run(core, warp, cycle)
-                    if latency is None:
-                        latency = default_latency
-                    if dst is not None:
-                        warp.reg_ready[dst] = cycle + latency
-                    fu_hold = interval
-                    if is_mem and core._last_line_count > fu_hold:
-                        fu_hold = core._last_line_count
-                    if fu_hold > 1:
-                        fu_busy[unit_index] = cycle + fu_hold
-                    warp.next_issue_cycle = cycle + 1
-                    warp._d_cache = None
-                    # Completed scoreboard entries are *not* eagerly retired:
-                    # an entry whose cycle has passed can never change a
-                    # decision or a hint (readiness is a max against future
-                    # constraints), and each slot is overwritten on its next
-                    # write, so the list stays bounded by the register count.
-                    if orders is not None:
-                        core._rr_next = (index + 1) % core._rr_n
-                    else:
-                        core._scheduler.issued(index)
-                    issued_here = True
-                    break
-                warp._d_cache = d
-                warp._own_ready = own
-                if ready < earliest:
-                    earliest = ready
-            if issued_here:
-                issued += 1
-                hints[i] = -1.0
-                if core._drain_check:
-                    core._drain_check = False
-                    if not core.busy:
-                        drained = True
+                    core._scheduler.issued(index)
+                break
             else:
+                # Nothing issued: every warp holds a bound; re-read its unit.
+                earliest = NEVER
+                for index in order:
+                    warp = warps[index]
+                    ready = warp._ready_bound
+                    d = warp._d_cache
+                    if d[6] and fu_busy[d[5]] > ready:     # fu_check, unit_index
+                        ready = fu_busy[d[5]]
+                    if ready < earliest:
+                        earliest = ready
                 hints[i] = earliest
                 if earliest < next_hint:
                     next_hint = earliest
+                continue
+            issued += 1
+            hints[i] = -1.0
+            if core._drain_check:
+                core._drain_check = False
+                if not core.busy:
+                    drained = True
         # Every busy core either issued or stalled this visited cycle -- the
         # same per-core accounting as the reference loop.
         stall_cycles += len(busy) - issued

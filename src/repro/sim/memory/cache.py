@@ -3,9 +3,9 @@
 The cache is *tag only*: it tracks which lines are resident to decide hits
 and misses, while actual data lives in :class:`~repro.sim.memory.mainmem.MainMemory`.
 Replacement is true LRU per set.  The model is used for both the per-core L1
-data caches and the shared L2.  It owns the geometry, the sets, the fill and
-evict step and the counters; the lookups that read and refresh the sets are
-the one walk in :class:`~repro.sim.memory.hierarchy.MemoryHierarchy`.
+data caches and the shared L2.  It owns the geometry, the sets and the load
+hit/miss counters; the lookup, fill and evict steps that read and refresh the
+sets are inlined in the one walk, :class:`~repro.sim.memory.hierarchy.MemoryHierarchy`.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ class Cache:
         integer, because sets are selected by modulo.
     """
 
-    __slots__ = ("name", "line_words", "ways", "num_sets", "_sets", "_tick",
-                 "hits", "misses", "write_hits", "write_misses", "fills", "evictions")
+    __slots__ = ("name", "line_words", "ways", "num_sets", "_sets", "hits", "misses")
 
     def __init__(self, name: str, size_words: int, line_words: int, ways: int):
         if size_words <= 0 or line_words <= 0 or ways <= 0:
@@ -37,36 +36,17 @@ class Cache:
         self.line_words = line_words
         self.ways = ways
         self.num_sets = size_words // (line_words * ways)
-        # Each set maps line_address -> last-use tick.  Dict insertion order
-        # doubles as the LRU order: every touch re-inserts the line at the
-        # end, so the victim is always the first key -- O(1) eviction with
-        # exactly the semantics of a min-scan over the ticks.
-        self._sets: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
-        self._tick = 0
+        # Each set maps resident line_address -> None.  Dict insertion order
+        # is the LRU order: every touch re-inserts the line at the end, so
+        # the victim is always the first key -- O(1) eviction, no timestamps.
+        self._sets: List[Dict[int, None]] = [dict() for _ in range(self.num_sets)]
         self.hits = 0
         self.misses = 0
-        self.write_hits = 0
-        self.write_misses = 0
-        self.fills = 0
-        self.evictions = 0
 
     # ------------------------------------------------------------------
-    def fill(self, line_address: int) -> None:
-        """Insert a line that just missed, evicting the LRU line of its set
-        if the set is full."""
-        self._tick += 1
-        entry = self._sets[line_address % self.num_sets]
-        if len(entry) >= self.ways:
-            del entry[next(iter(entry))]     # first key = least recently used
-            self.evictions += 1
-        entry[line_address] = self._tick
-        self.fills += 1
-
     def reset_statistics(self) -> None:
-        """Zero all counters but keep cache contents."""
+        """Zero the hit/miss counters but keep cache contents."""
         self.hits = self.misses = 0
-        self.write_hits = self.write_misses = 0
-        self.fills = self.evictions = 0
 
     def invalidate(self) -> None:
         """Drop every resident line (used between independent launches)."""

@@ -9,6 +9,11 @@ write-through and never allocate (they refresh LRU state on a hit and consume
 DRAM bandwidth but never stall the issuing warp, which matches the
 write-buffer behaviour of small GPU cores).  Line ``index`` of a call is
 issued at ``now + index``.
+
+The walk does only the work the model reads: the LRU fill/evict step and the
+DRAM slot arithmetic (:mod:`repro.sim.memory.dram`) are inlined, totals are
+kept in locals and added to the cache and DRAM counters once per call, and a
+load reads the L2 and DRAM state only once a line misses its L1.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ class MemoryHierarchy:
         ]
         self.l2 = Cache("L2", config.l2_size_words, config.l2_line_words, config.l2_ways)
         self.dram = DramModel(config.dram_latency, config.dram_lines_per_cycle)
+        self._l2_latency = config.l1_hit_latency + config.l2_hit_latency
 
     # ------------------------------------------------------------------
     @property
@@ -46,70 +52,84 @@ class MemoryHierarchy:
         ``index + its latency``.  ``lines`` is any iterable of line indices in
         request order (the fast engine passes its dedup dict).
         """
-        config = self.config
         l1 = self.l1[core_id]
-        l1_sets = l1._sets
-        l1_num_sets = l1.num_sets
-        l1_latency = config.l1_hit_latency
-        l2_latency = l1_latency + config.l2_hit_latency
-        latency = 1
+        l1_sets, l1_num_sets, l1_ways = l1._sets, l1.num_sets, l1.ways
+        latency, hits, index, last_hit, l2 = 1, 0, -1, -1, None
         for index, line_address in enumerate(lines):
-            l1._tick += 1
             entry = l1_sets[line_address % l1_num_sets]
             if line_address in entry:
                 del entry[line_address]      # move to the LRU tail
-                entry[line_address] = l1._tick
-                l1.hits += 1
-                arrival = index + l1_latency
+                entry[line_address] = None
+                hits += 1
+                last_hit = index
+                continue
+            if len(entry) >= l1_ways:
+                del entry[next(iter(entry))]     # first key = least recently used
+            entry[line_address] = None
+            if l2 is None:                   # the call's first L1 miss
+                l2, dram, l2_hits, queue = self.l2, self.dram, 0, 0
+                l2_sets, l2_num_sets, l2_ways = l2._sets, l2.num_sets, l2.ways
+                next_free, cycles_per_line = dram._next_free, dram.cycles_per_line
+                l2_latency, dram_latency = self._l2_latency, dram.latency
+            entry = l2_sets[line_address % l2_num_sets]
+            if line_address in entry:
+                del entry[line_address]
+                entry[line_address] = None
+                l2_hits += 1
+                arrival = index + l2_latency
             else:
-                l1.misses += 1
-                l1.fill(line_address)
-                l2 = self.l2
-                l2._tick += 1
-                entry = l2._sets[line_address % l2.num_sets]
-                if line_address in entry:
-                    del entry[line_address]  # move to the LRU tail
-                    entry[line_address] = l2._tick
-                    l2.hits += 1
-                    arrival = index + l2_latency
-                else:
-                    l2.misses += 1
-                    l2.fill(line_address)
-                    completion = self.dram.access(now + index)
-                    arrival = index + l2_latency + (completion - now - index)
+                if len(entry) >= l2_ways:
+                    del entry[next(iter(entry))]
+                entry[line_address] = None
+                issue = now + index
+                start = float(issue)
+                if next_free > start:
+                    queue += int(next_free - issue)
+                    start = next_free
+                next_free = start + cycles_per_line
+                arrival = l2_latency + int(start + dram_latency) - now
             if arrival > latency:
                 latency = arrival
+        if hits:
+            l1.hits += hits
+            latency = max(latency, last_hit + self.config.l1_hit_latency)
+        if l2 is not None:
+            misses = index + 1 - hits
+            l1.misses += misses
+            l2.hits += l2_hits
+            l2.misses += misses - l2_hits
+            dram._next_free = next_free
+            dram.lines_transferred += misses - l2_hits
+            dram.total_queue_cycles += queue
         return latency
 
     def store(self, core_id: int, lines, now: int) -> None:
-        """Walk the coalesced ``lines`` of one write-through store by
-        ``core_id`` (line ``index`` issued at ``now + index``; never stalls
-        the warp)."""
-        l1 = self.l1[core_id]
-        l1_sets = l1._sets
-        l1_num_sets = l1.num_sets
-        l2 = self.l2
-        l2_sets = l2._sets
-        l2_num_sets = l2.num_sets
-        dram = self.dram
+        """Walk the coalesced ``lines`` of one write-through store by ``core_id``
+        (line ``index`` issued at ``now + index``; never stalls the warp): a
+        resident line is refreshed, none is allocated, each takes a DRAM slot."""
+        l1, l2, dram = self.l1[core_id], self.l2, self.dram
+        l1_sets, l1_num_sets = l1._sets, l1.num_sets
+        l2_sets, l2_num_sets = l2._sets, l2.num_sets
+        next_free, cycles_per_line = dram._next_free, dram.cycles_per_line
+        index, queue = -1, 0
         for index, line_address in enumerate(lines):
-            l1._tick += 1
             entry = l1_sets[line_address % l1_num_sets]
             if line_address in entry:
                 del entry[line_address]      # move to the LRU tail
-                entry[line_address] = l1._tick
-                l1.write_hits += 1
-            else:
-                l1.write_misses += 1
-            l2._tick += 1
+                entry[line_address] = None
             entry = l2_sets[line_address % l2_num_sets]
             if line_address in entry:
-                del entry[line_address]      # move to the LRU tail
-                entry[line_address] = l2._tick
-                l2.write_hits += 1
-            else:
-                l2.write_misses += 1
-            dram.access(now + index)
+                del entry[line_address]
+                entry[line_address] = None
+            issue = now + index
+            start = float(issue)
+            if next_free > start:
+                queue += int(next_free - issue)
+                start = next_free
+            next_free = start + cycles_per_line
+        dram._next_free = next_free
+        dram.lines_transferred += index + 1
+        dram.total_queue_cycles += queue
 
     # ------------------------------------------------------------------
     def invalidate(self) -> None:

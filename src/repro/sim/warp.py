@@ -148,7 +148,7 @@ class FastWarp(Warp):
     :meth:`refresh`.
     """
 
-    __slots__ = ("scratch", "lane_ids", "bit_weights", "_d_cache", "_own_ready",
+    __slots__ = ("scratch", "lane_ids", "bit_weights", "_d_cache", "_ready_bound",
                  "reg_ready", "rows", "_views", "_view_mask", "vrows", "width",
                  "vscratch", "vweights", "sel")
 
@@ -160,12 +160,15 @@ class FastWarp(Warp):
         #: Per-warp temporary row of multi-step operations (FMA, per-lane CSRs).
         self.scratch = np.zeros(lane_count, dtype=np.float64)
         self.lane_ids, self.bit_weights = _lane_constants(lane_count)
-        #: Readiness cache consulted by the fast issue path: the decoded
-        #: tuple (``_Decoded.tup``) at the current PC plus the warp's own
-        #: ready cycle.  ``None`` means "recompute"; invalidated on
-        #: issue/barrier release.
+        #: The decoded tuple (``_Decoded.tup``) at the current PC, cached by the
+        #: fast issue path; ``None`` means "recompute" (every issue, barrier release).
         self._d_cache = None
-        self._own_ready = 0
+        #: Lower bound on the next issue cycle while ``_d_cache`` is set: own
+        #: readiness (spacing, scoreboard) maxed with the unit's busy-until when
+        #: last checked.  Valid because busy-until only moves forward: only an
+        #: issue on the unit writes it, needing it <= cycle and writing a later
+        #: cycle.  ``NEVER`` parks a halted warp or one at a barrier.
+        self._ready_bound = 0
         #: Flat scoreboard: cycle at which each register's pending write
         #: completes (0 / a past cycle = no constraint).  Replaces the dict
         #: scoreboard on the fast path -- a stale entry whose cycle has

@@ -6,8 +6,9 @@ workloads, and ``test_grid_covers_all_library_kernels`` pins that):
 
 * hand-written stress kernels -- an irregular nested-branch storm and a
   strided-gather kernel, built to defeat the batch engine's uniform-PC
-  streaming so its per-warp fallback path is exercised hard, and a barrier
-  kernel, the only program under the oracle that issues ``BAR``;
+  streaming so its per-warp fallback path is exercised hard, a barrier
+  kernel, the only program under the oracle that issues ``BAR``, and a
+  functional-unit contention kernel whose warps wait on a held SFU or LSU;
 * :func:`make_fuzz_kernel`, a deterministic random-program generator.  A
   small JSON-able *spec* (seed, machine shape, launch geometry, program
   depth) fully determines the kernel, so every case can be replayed
@@ -154,6 +155,48 @@ def make_barrier_kernel() -> Kernel:
         description="unequal per-lane loops then two barriers (barrier "
                     "fixture, not registered)",
         tags=("fixture", "barrier"),
+    )
+
+
+def make_fu_contention_kernel(size: int, stride: int = 17) -> Kernel:
+    """Functional-unit contention: back-to-back SFU ops, then wide strided loads.
+
+    Each warp issues four ``FSQRT`` / ``FDIV`` (the SFU accepts one every 12
+    cycles) with only short ``FADD`` steps between them, some fed by an
+    earlier SFU result.  So one warp's own readiness keeps landing while the
+    SFU is held -- by its own last issue or another warp's -- and the unit's
+    busy-until often moves past a bound a waiting warp cached a few cycles
+    earlier.  Then two loads whose lanes lie ``stride`` words apart (one more
+    than a 16-word line, so neighbouring lanes never share one) touch 8 or
+    more lines on 8- and 16-lane warps, and the LSU stays held for that many
+    cycles.  Operands are kept positive, so no operation can fault.
+    """
+
+    def _body(b: KernelBuilder, gid: Value, args: Mapping[str, Value]) -> None:
+        with b.section("sfu"):
+            x = b.abs(b.load(args["a"], gid))
+            r0 = b.sqrt(x)
+            r1 = b.div(x, b.add(r0, b.const(1.0)))
+            r2 = b.sqrt(b.add(x, b.const(2.0)))
+            r3 = b.div(r2, b.add(x, b.const(3.0)))
+
+        with b.section("strided"):
+            n = b.const(size)
+            idx = b.rem(b.mul(gid, b.const(stride)), n)
+            y = b.load(args["a"], idx)
+            z = b.load(args["a"], b.rem(b.add(idx, b.const(stride // 2)), n))
+
+        with b.section("store"):
+            acc = b.add(b.add(r0, r1), b.add(r2, r3))
+            b.store(b.fma(y, z, acc), args["c"], gid)
+
+    return Kernel(
+        name=f"fu_contention_{size}x{stride}",
+        params=(BufferParam("a"), BufferParam("c", writable=True)),
+        body=_body,
+        description="back-to-back SFU ops and multi-line strided loads "
+                    "(functional-unit contention fixture, not registered)",
+        tags=("fixture", "contention", "memory"),
     )
 
 

@@ -102,9 +102,10 @@ def test_opcode_semantics_are_defined_once_in_the_isa():
 
 def test_the_memory_walk_is_written_once():
     """``MemoryHierarchy.load`` / ``store`` are the only walk entry points
-    (the harness finds walks by that prefix), ``Cache`` keeps no lookup of its
-    own, and no module outside ``sim/memory/`` reaches into the cache state
-    the walk keeps."""
+    (the harness finds walks by that prefix), ``Cache`` keeps no lookup or
+    fill of its own and ``DramModel`` no per-line access (both are inlined in
+    the walk), and no module outside ``sim/memory/`` reaches into the cache
+    or DRAM queue state the walk keeps."""
     memory = SRC / "repro" / "sim" / "memory"
     methods = {}
     for path in memory.glob("*.py"):
@@ -114,13 +115,14 @@ def test_the_memory_walk_is_written_once():
                                       if isinstance(item, ast.FunctionDef)}
     assert {name for name in methods["MemoryHierarchy"]
             if name.startswith(("load", "store"))} == {"load", "store"}
-    assert not methods["Cache"] & {"access", "lookup"}
+    assert not methods["Cache"] & {"access", "lookup", "fill"}
+    assert "access" not in methods["DramModel"]
     reads = []
     for path in sorted((SRC / "repro").rglob("*.py")):
         if memory in path.parents:
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (isinstance(node, ast.Attribute) and node.attr in ("_sets", "_tick")
+            if (isinstance(node, ast.Attribute) and node.attr in ("_sets", "_next_free")
                     and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
                 reads.append(f"{path.name}:{node.lineno}: {node.attr}")
     assert reads == []

@@ -20,6 +20,9 @@ library kernel:
   grid, hammering the batch engine's fallback transitions;
 * the barrier fixture -- the only program under the oracle that issues
   ``BAR`` -- runs on every shape under both schedulers and four mappings;
+* the functional-unit contention fixture keeps warps waiting on a held SFU
+  or LSU, under both schedulers, and a guard list pins that a unit's
+  busy-until only moves forward (the fast loop's readiness bound needs it);
 * identical campaign content hashes: the engine is a presentation/performance
   concern, so a result cached under one engine must be served under the other.
 
@@ -33,13 +36,15 @@ import numpy as np
 import pytest
 
 from engine_fixtures import (assert_engines_identical, make_barrier_kernel,
-                             make_branch_storm_kernel, make_strided_gather_kernel,
-                             run_engines, stress_arguments)
+                             make_branch_storm_kernel, make_fu_contention_kernel,
+                             make_strided_gather_kernel, run_engines, stress_arguments)
 from repro.campaign.spec import JobSpec
 from repro.runtime.device import Device
 from repro.runtime.launcher import launch_kernel
 from repro.sim.config import ArchConfig
+from repro.sim.core import SimtCore
 from repro.sim.engine import DEFAULT_ENGINE, ENGINES, EngineError, resolve_engine
+from repro.sim.fastcore import FastSimtCore
 from repro.trace.tracer import Tracer
 from repro.workloads.problems import available_problems, make_problem
 
@@ -257,6 +262,87 @@ def test_barrier_fixture_bit_identical(config_name, scheduler, local_size):
     assert_engines_identical(
         results, f"{kernel.name}/{config_name}/{scheduler}/lws={local_size}")
     assert results["reference"].counters.barriers > 0
+
+
+_FU_SIZE = 256
+#: 8- and 16-lane warps, so each strided load holds the LSU for 8+ lines.
+_FU_CONFIG_NAMES = ("1c8w8t", "2c4w16t", "4c8w8t")
+
+
+def _count_fu_blocked_stalls(monkeypatch):
+    """Count the reference engine's failed issue attempts in which some
+    runnable warp's own readiness (issue spacing, scoreboard) had passed, so
+    only its busy functional unit held it back.  Returns a one-item list."""
+    blocked = [0]
+    try_issue = SimtCore.try_issue
+
+    def spy(self, cycle):
+        if try_issue(self, cycle):
+            return True
+        for warp in self.warps:
+            if warp.halted or warp.at_barrier:
+                continue
+            instr = self.program[warp.pc]
+            regs = instr.srcs if instr.dst is None else instr.srcs + (instr.dst,)
+            if max(warp.next_issue_cycle, warp.registers_ready_cycle(regs)) <= cycle:
+                blocked[0] += 1
+                break
+        return False
+
+    monkeypatch.setattr(SimtCore, "try_issue", spy)
+    return blocked
+
+
+@pytest.mark.parametrize("scheduler", ["rr", "gto"])
+@pytest.mark.parametrize("config_name", _FU_CONFIG_NAMES)
+def test_fu_contention_fixture_bit_identical(config_name, scheduler, monkeypatch):
+    """Warps stalled on a held SFU or LSU, the case the fast loop's cached
+    readiness bound skips on one comparison: the bound must never let a warp
+    issue early, and the hint pass must re-read the unit so no visited cycle
+    or stall count moves."""
+    config = dataclasses.replace(ArchConfig.from_name(config_name),
+                                 warp_scheduler=scheduler)
+    kernel = make_fu_contention_kernel(_FU_SIZE)
+    blocked = _count_fu_blocked_stalls(monkeypatch)
+    results = run_engines(kernel, stress_arguments(_FU_SIZE), config, _FU_SIZE)
+    assert_engines_identical(results, f"{kernel.name}/{config_name}/{scheduler}")
+    assert blocked[0] > 0
+    assert results["reference"].counters.sfu_instructions > 0
+
+
+class _ForwardOnly(list):
+    """A functional-unit busy-until list that fails on any write that does
+    not move its slot forward, and counts the writes it saw."""
+
+    writes = 0
+
+    def __setitem__(self, index, value):
+        assert value > self[index], (
+            f"unit {index} busy-until moved back from {self[index]} to {value}")
+        type(self).writes += 1
+        super().__setitem__(index, value)
+
+
+@pytest.mark.parametrize("engine", ["fast", "batch"])
+def test_unit_busy_until_only_moves_forward(engine, monkeypatch):
+    """The invariant the fast loop's readiness bound rests on: a unit's
+    busy-until is written only by an issue on it, which needs it at or below
+    the cycle and writes ``cycle + hold`` above it."""
+    init = FastSimtCore.__init__
+
+    def init_forward_only(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._fu_busy = _ForwardOnly(self._fu_busy)
+
+    monkeypatch.setattr(FastSimtCore, "__init__", init_forward_only)
+    monkeypatch.setattr(_ForwardOnly, "writes", 0)
+    for config_name in _FU_CONFIG_NAMES:
+        for kernel, size in ((make_fu_contention_kernel(_FU_SIZE), _FU_SIZE),
+                             (make_strided_gather_kernel(_STRESS_SIZE), _STRESS_SIZE),
+                             (make_barrier_kernel(), _STRESS_SIZE)):
+            run_engines(kernel, stress_arguments(size), ArchConfig.from_name(config_name),
+                        size, engines=(engine,))
+    assert _ForwardOnly.writes > 0
 
 
 # ----------------------------------------------------------------------

@@ -58,6 +58,25 @@ def test_values_the_model_would_ignore_are_rejected(field, overrides):
         ArchConfig(**overrides)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("l1_ways", 0),                       # used to divide by zero
+    ("l2_ways", 0),
+    ("l1_size_words", 0),                 # used to fail only when a Gpu was built
+    ("l2_size_words", -512),
+    ("dram_latency", -1),
+    ("dram_latency", 1.5),
+    ("l1_hit_latency", -1),               # used to be accepted silently
+    ("l2_hit_latency", -1),
+    ("barrier_latency", -1),
+    ("dram_lines_per_cycle", float("nan")),
+    ("dram_lines_per_cycle", float("inf")),
+    ("dram_lines_per_cycle", -2.0),
+])
+def test_bad_memory_and_latency_values_name_their_field(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ArchConfig(**{field: value})
+
+
 def test_equal_line_sizes_still_build():
     config = ArchConfig(l1_line_words=32, l2_line_words=32)
     assert config.l2_line_words == config.l1_line_words == 32

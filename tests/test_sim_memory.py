@@ -76,23 +76,31 @@ class TestCache:
         assert hierarchy.l1[0].num_sets == 4
         hierarchy.load(0, (0, 4), now=0)
         hierarchy.load(0, (0,), now=300)   # refresh line 0 -> line 4 becomes LRU
+        assert hierarchy.l1[0].resident_lines == 2
         hierarchy.load(0, (8,), now=300)   # evicts line 4 from the L1
+        assert hierarchy.l1[0].resident_lines == 2            # full set: one out, one in
+        assert list(hierarchy.l1[0]._sets[0]) == [0, 8]       # LRU first
         hierarchy.statistics()
         assert hierarchy.load(0, (0,), now=600) == config.l1_hit_latency
         assert hierarchy.load(0, (4,), now=600) == config.l1_hit_latency + config.l2_hit_latency
-        assert hierarchy.l1[0].evictions >= 1
         stats = hierarchy.statistics()
         assert (stats["l1_hits"], stats["l1_misses"], stats["l2_hits"]) == (1, 1, 1)
+        # the refill of line 4 evicted line 8, the LRU of the set after line 0's hit
+        assert list(hierarchy.l1[0]._sets[0]) == [0, 4]
 
     def test_writes_are_write_through_no_allocate(self):
         config, hierarchy = _hierarchy()
         hierarchy.store(0, (7,), now=0)
-        assert hierarchy.l1[0].write_misses == 1 and hierarchy.l2.write_misses == 1
+        assert hierarchy.l1[0].resident_lines == 0 and hierarchy.l2.resident_lines == 0
+        # stores are not load traffic: the hit/miss counters stay at zero
+        assert hierarchy.statistics() == {"l1_hits": 0, "l1_misses": 0, "l2_hits": 0,
+                                          "l2_misses": 0, "dram_lines": 1,
+                                          "dram_queue_cycles": 0}
         # the write did not allocate at either level, so a later read misses both
         assert hierarchy.load(0, (7,), now=300) > config.l1_hit_latency + config.l2_hit_latency
         stats = hierarchy.statistics()
         assert stats["l2_misses"] == 1
-        assert stats["dram_lines"] == 2          # the write still travelled to DRAM
+        assert stats["dram_lines"] == 1          # the load's line; the write's was drained
 
     def test_invalidate_clears_contents(self):
         config, hierarchy = _hierarchy()
@@ -120,40 +128,63 @@ class TestCache:
 # DRAM
 # ----------------------------------------------------------------------
 class TestDram:
+    """DRAM queueing, driven through the walk: every line a load misses at
+    both levels, and every line a store writes, takes one DRAM slot."""
+
+    @staticmethod
+    def _dram_hierarchy(latency, lines_per_cycle):
+        return _hierarchy(l1_hit_latency=1, l2_hit_latency=0, dram_latency=latency,
+                          dram_lines_per_cycle=lines_per_cycle)[1]
+
     def test_single_access_latency(self):
-        dram = DramModel(latency=100, lines_per_cycle=2.0)
-        assert dram.access(10) == 110
+        hierarchy = self._dram_hierarchy(100, 2.0)
+        assert hierarchy.load(0, (0,), now=10) == 1 + 100
+        assert hierarchy.statistics()["dram_lines"] == 1
 
     def test_bandwidth_queueing_builds_up(self):
-        dram = DramModel(latency=100, lines_per_cycle=0.5)   # one line every 2 cycles
-        first = dram.access(0)
-        second = dram.access(0)
-        third = dram.access(0)
-        assert first == 100
-        assert second == 102
-        assert third == 104
-        assert dram.lines_transferred == 3
-        assert dram.total_queue_cycles >= 4
+        hierarchy = self._dram_hierarchy(100, 0.5)    # one line every 2 cycles
+        # line i is issued at cycle i and served at 2 * i: it arrives at
+        # index i + (2 * i + 100 - i) + 1 = 2 * i + 101
+        assert hierarchy.load(0, (0, 1, 2), now=0) == 2 * 2 + 101
+        stats = hierarchy.statistics()
+        assert stats["dram_lines"] == 3
+        assert stats["dram_queue_cycles"] == 0 + 1 + 2
+        # a store issued at cycle 0 waits for the slot after the load's lines
+        hierarchy.store(0, (3, 4), now=0)
+        stats = hierarchy.statistics()
+        assert (stats["dram_lines"], stats["dram_queue_cycles"]) == (2, 6 + 7)
+        assert hierarchy.load(0, (5,), now=0) == 10 + 101
 
     def test_idle_gaps_do_not_accumulate_credit(self):
-        dram = DramModel(latency=10, lines_per_cycle=1.0)
-        dram.access(0)
+        hierarchy = self._dram_hierarchy(10, 1.0)
+        hierarchy.store(0, (0,), now=0)
         # long idle gap; the next access at cycle 100 must not be early
-        assert dram.access(100) == 110
+        assert hierarchy.load(0, (1,), now=100) == 1 + 10
+        assert hierarchy.statistics()["dram_queue_cycles"] == 0
+
+    def test_fractional_slots_accumulate_exactly(self):
+        hierarchy = self._dram_hierarchy(0, 3.0)      # a third of a cycle per line
+        hierarchy.store(0, range(6), now=0)            # all free: line i issued at i
+        assert hierarchy.dram._next_free == 5 + 1.0 / 3.0
+        hierarchy.store(0, range(6, 12), now=0)        # each waits for the slot
+        # Slots are a running float sum, truncated per line: the third and
+        # sixth land just below 6.0 and 7.0 (exact thirds would queue 20).
+        assert hierarchy.statistics()["dram_queue_cycles"] == 5 + 4 + 3 + 3 + 2 + 1
 
     def test_reset_clears_queue_and_statistics(self):
-        dram = DramModel(latency=10, lines_per_cycle=0.1)
-        dram.access(0)
-        dram.access(0)
-        dram.reset()
-        assert dram.lines_transferred == 0
-        assert dram.access(0) == 10
+        hierarchy = self._dram_hierarchy(10, 0.1)
+        hierarchy.load(0, (0, 1), now=0)
+        hierarchy.invalidate()
+        assert hierarchy.statistics()["dram_lines"] == 0
+        assert hierarchy.load(0, (0,), now=0) == 1 + 10
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             DramModel(latency=-1, lines_per_cycle=1)
         with pytest.raises(ValueError):
             DramModel(latency=1, lines_per_cycle=0)
+        with pytest.raises(ValueError):
+            DramModel(latency=1, lines_per_cycle=float("nan"))
 
 
 # ----------------------------------------------------------------------
