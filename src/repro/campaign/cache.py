@@ -2,14 +2,15 @@
 
 Results are stored as one JSON object per line in ``results.jsonl`` under the
 cache directory -- append-only between loads, human greppable, and robust to
-partial writes (corrupt lines are skipped on load).  When a load finds the
-same hash on several lines (concurrent campaigns can both simulate a point
-before either sees the other's write), the journal is compacted in place --
-rewritten atomically keeping the last record per hash -- so duplicates never
-accumulate.  Every record carries the simulator
-version and cache schema version it was produced under; records from a
-different simulator release are ignored at load time, so bumping
-``repro.__version__`` invalidates the whole cache without touching the file.
+partial writes (lines the read rule :func:`read_cache_line` refuses are
+skipped on load).  When a load finds the same key on several lines
+(concurrent campaigns can both simulate a point before either sees the
+other's write), the journal is compacted in place -- rewritten atomically
+keeping the last record per key -- so duplicates never accumulate.  Every
+record carries the simulator version and cache schema version it was
+produced under; records from a different simulator release are not served,
+so bumping ``repro.__version__`` invalidates the whole cache without
+touching the file.
 
 The cache directory resolves, in order, to:
 
@@ -20,20 +21,14 @@ The cache directory resolves, in order, to:
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.campaign.journal import (
-    JournalWriter,
-    is_current_record,
-    iter_journal_entries,
-    iter_journal_lines,
-)
+from repro.campaign.journal import Journal, stamped_key
 from repro.campaign.result import JobResult
 from repro.campaign.spec import CACHE_SCHEMA_VERSION, JobSpec, simulator_version
 from repro.telemetry.recorder import RECORDER
@@ -52,6 +47,24 @@ def default_cache_dir() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
     return base / "repro"
+
+
+def read_cache_line(record: Mapping, end: int,
+                    ) -> Optional[Tuple[Tuple[str, str, int], JobResult]]:
+    """The cache journal's read rule: ``(hash, simulator, schema) -> result``.
+
+    Keyed by all three: in normal operation the hash already embeds the
+    version (two releases never collide on a hash), but a tampered or
+    hand-merged journal must not let a stale record shadow -- and
+    compaction then delete -- a usable one.
+    """
+    key = stamped_key(record, "hash")
+    if key is None:
+        return None
+    try:
+        return key, JobResult.from_dict(record["result"])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
 
 
 @dataclass(frozen=True)
@@ -115,12 +128,8 @@ class ResultCache:
         self.directory = Path(path).expanduser() if path is not None else default_cache_dir()
         self.hits = 0
         self.misses = 0
-        self._stale = 0
-        self._compacted = 0
-        self._journal_lines = 0
         # No fsync: a cache entry lost to a crash costs one re-simulation.
-        self._writer = JournalWriter(self.journal_path, fsync=False)
-        self._index: Dict[str, JobResult] = {}
+        self._journal = Journal(self.journal_path, read_cache_line, fsync=False)
         # One instance may be shared between the runner's thread and a
         # CacheServer's connection handlers; all index/journal mutation
         # happens under this lock.
@@ -133,100 +142,29 @@ class ResultCache:
         return self.directory / CACHE_FILE_NAME
 
     def _load(self) -> None:
-        """Read the journal, indexing records usable under this simulator.
+        """Fold the journal, indexing the records of this release by hash.
 
-        The journal is append-only, so the same hash can appear several times
+        The journal is append-only, so the same key can appear several times
         (e.g. two concurrent campaigns simulating the same fresh point); the
-        last record per hash wins, and when superseded duplicates are found
+        last record per key wins, and when superseded duplicates are found
         the journal is compacted -- rewritten atomically with one line per
-        hash -- instead of growing forever.  Corrupt lines never survive a
-        compaction; they are only preserved (and counted as stale) when the
-        journal needs no rewrite.
+        key -- instead of growing forever.  Lines the read rule refuses never
+        survive a compaction; they are only preserved (and counted as stale)
+        when the journal needs no rewrite.
         """
-        self._index.clear()
-        self._stale = 0
+        fold = self._journal.fold()
+        self._index: Dict[str, JobResult] = fold.current()
+        self._stale = len(fold.entries) - len(self._index)
         self._compacted = 0
-        self._journal_lines = 0
-        if not self.journal_path.exists():
-            return
-        # Keyed by (hash, simulator, schema): in normal operation the hash
-        # already embeds the version (two releases never collide on a hash),
-        # but a tampered or hand-merged journal must not let a stale record
-        # shadow -- and compaction then delete -- a usable one.
-        kept: Dict[tuple, Dict] = {}
-        superseded = 0
-        corrupt = 0
-        snapshot_size = self.journal_path.stat().st_size
-        for record in iter_journal_lines(self.journal_path):
-            if record is None or "hash" not in record:
-                corrupt += 1       # half-written line: count it, keep loading
-                continue
-            key = (record["hash"], record.get("simulator"), record.get("schema"))
-            if key in kept:
-                superseded += 1
-                del kept[key]                 # re-insert so the last write wins
-            kept[key] = record
-        for (job_hash, _, _), record in kept.items():
-            try:
-                if not is_current_record(record):
-                    self._stale += 1
-                    continue
-                self._index[job_hash] = JobResult.from_dict(record["result"])
-            except (KeyError, TypeError, ValueError):
-                self._stale += 1
-        if superseded and self._compact(kept.values(), snapshot_size):
-            self._compacted = superseded + corrupt
-            self._journal_lines = len(kept)
+        if fold.superseded and self._journal.compact(fold):
+            self._compacted = fold.superseded + fold.rejected
+            self._journal_lines = len(fold.entries)
         else:
             # No rewrite happened (nothing superseded, or compaction aborted):
             # every physical line is still in the journal.
-            self._stale += corrupt
-            self._journal_lines = len(kept) + corrupt + superseded
-
-    def _compact(self, records, snapshot_size: int) -> bool:
-        """Atomically rewrite the journal with one line per (hash, version).
-
-        Compaction is strictly best-effort: the cache is shared between
-        processes and the journal is otherwise append-only, so rewriting from
-        a snapshot could drop a record another campaign appended after we
-        read the file.  The window is narrowed by re-checking the journal
-        size immediately before the atomic replace -- if it grew, skip and
-        let the next load retry -- and *any* filesystem error (read-only
-        cache directory, journal cleared concurrently) aborts the rewrite
-        instead of failing the load.  A record lost to the residual race
-        costs one re-simulation, never a wrong result.
-        """
-        tmp_path = self.journal_path.with_name(
-            f"{CACHE_FILE_NAME}.{os.getpid()}.tmp")
-        try:
-            with tmp_path.open("w") as tmp:
-                for record in records:
-                    tmp.write(json.dumps(record, sort_keys=True) + "\n")
-            if self.journal_path.stat().st_size != snapshot_size:
-                tmp_path.unlink()             # someone appended meanwhile
-                return False
-            os.replace(tmp_path, self.journal_path)
-            return True
-        except OSError:
-            tmp_path.unlink(missing_ok=True)
-            return False
-
-    # ------------------------------------------------------------------
-    def iter_entries(self, start: int = 0):
-        """Stream ``(record, end_offset)`` per usable journal line, in order.
-
-        Yields every parseable record carrying a ``hash`` -- including ones
-        written under other simulator versions -- one line at a time, so a
-        million-entry journal is never materialised in memory.  Corrupt
-        lines are skipped.  Last-wins semantics are the consumer's job: the
-        same hash may appear on several lines and the later one supersedes
-        (exactly how :meth:`_load` and the warehouse ingest treat the file).
-        ``end_offset`` is the byte offset after each line, usable as
-        ``start`` of a later incremental pass.
-        """
-        for record, offset in iter_journal_entries(self.journal_path, start):
-            if record is not None and "hash" in record:
-                yield record, offset
+            self._stale += fold.rejected
+            self._journal_lines = (len(fold.entries) + fold.rejected
+                                   + fold.superseded)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -300,33 +238,23 @@ class ResultCache:
                 "result": result.to_dict(),
             }
             # (A torn tail terminated here was already counted by ``_load``.)
-            self._writer.append([record])
+            self._journal.append([record])
             self._journal_lines += 1
 
     def clear(self) -> int:
         """Delete the journal; returns how many usable entries were dropped.
 
-        Also sweeps any ``results.jsonl.<pid>.tmp`` left by a concurrent
-        load's compaction (its ``os.replace`` loses the race with the unlink
-        and the temp file would otherwise sit in the directory forever) and
-        re-arms the tail check: the next append writes to a brand-new file,
-        and if another process re-creates the journal with a partial tail in
-        between, it must be repaired again, not trusted.
+        :meth:`Journal.reset` also sweeps the temp files of a concurrent
+        compaction and re-arms the tail check: if another process re-creates
+        the journal with a partial tail, it is repaired again, not trusted.
         """
         with self._lock:
             dropped = len(self._index)
-            if self.journal_path.exists():
-                self.journal_path.unlink()
-            for stale_tmp in self.directory.glob(f"{CACHE_FILE_NAME}.*.tmp"):
-                try:
-                    stale_tmp.unlink()
-                except OSError:
-                    pass                  # already gone, or not ours to remove
+            self._journal.reset()
             self._index.clear()
             self._stale = 0
             self._compacted = 0
             self._journal_lines = 0
-            self._writer.rearm()
             return dropped
 
     def stats(self) -> CacheStats:

@@ -1,20 +1,25 @@
-"""Shared JSONL-journal helpers.
+"""The one JSONL journal: append, tail repair, offset reads, fold, compaction.
 
 Every append-only journal in the repository -- the campaign
 :class:`~repro.campaign.cache.ResultCache`, the scenario
 :class:`~repro.scenarios.sink.ResultSink`, the service
-:class:`~repro.service.queue.JobQueue` and the telemetry journal -- shares
-its on-disk behaviour: one JSON object per line, corrupt lines tolerated (a
-killed writer's half-written tail), and records filtered by schema and
-simulator version on load.  That behaviour lives here once so the journals
-cannot diverge; :class:`JournalWriter` is the package's only append path.
+:class:`~repro.service.queue.JobQueue` and the telemetry journal -- is a
+:class:`Journal`: one canonical JSON object per line, appended only by
+:meth:`Journal.append` and read only through :meth:`Journal.read`.
 
-Iteration is *streaming*: :func:`iter_journal_entries` reads the file one
-line at a time (never the whole journal into memory) and reports the byte
-offset each line ends at, which is what the results warehouse
-(:mod:`repro.warehouse`) uses to sync incrementally -- a journal synced to
-offset N resumes ingesting at byte N, touching none of the already-ingested
-prefix.
+Each client declares one *read rule* next to its writer: a function
+``(record, end_offset) -> (key, value) | None`` that turns one parsed line
+into the value its loader serves, keyed the way the journal folds, or
+refuses the line (version stamps of the wrong type, missing fields, a
+malformed payload).  The client's own loader and the results warehouse
+(:mod:`repro.warehouse`) both read through that one rule, so they cannot
+disagree about which lines count.  Records of another release are not
+refused: their key says which release wrote them, and "current" is a
+comparison on the key (:func:`current_stamps`).
+
+Reads stream one line at a time (never the whole journal into memory) and
+report the byte offset each line ends at, which is what the warehouse uses
+to sync incrementally -- a journal synced to offset N resumes at byte N.
 """
 
 from __future__ import annotations
@@ -22,123 +27,79 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Hashable, Iterator, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.campaign.spec import CACHE_SCHEMA_VERSION, simulator_version
 
+#: What a read rule makes of one accepted line.
+Read = Tuple[Hashable, Any]
+#: ``(record, end_offset) -> (key, value)``, or ``None`` to refuse the line.
+ReadRule = Callable[[Dict, int], Optional[Read]]
 
-def _parse_line(raw: bytes) -> Optional[Dict]:
-    """One journal line -> parsed JSON object, or ``None`` when corrupt."""
+
+def parse_line(raw: Union[bytes, str]) -> Optional[Dict]:
+    """One journal line -> its JSON object, or ``None`` when blank or corrupt."""
     try:
-        record = json.loads(raw.decode("utf-8"))
+        record = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
     except (ValueError, UnicodeDecodeError):
         return None
     return record if isinstance(record, dict) else None
 
 
-def iter_journal_entries(path: Path, start: int = 0,
-                         complete_only: bool = False,
-                         ) -> Iterator[Tuple[Optional[Dict], int]]:
-    """Stream ``(record_or_None, end_offset)`` per journal line from ``start``.
+def stamped_key(record: Mapping, name: str) -> Optional[Tuple[str, str, int]]:
+    """``(record[name], simulator, schema)`` when typed str, str, int, else None.
 
-    The journal is read incrementally (one line at a time, binary mode), so
-    arbitrarily large journals never materialise in memory.  ``end_offset``
-    is the byte offset immediately after the line's newline -- feeding it
-    back as ``start`` resumes iteration exactly where this one stopped.
-
-    A line that is not a JSON object (the classic half-written tail of a
-    dead process) yields ``None`` so callers can count it without crashing;
-    blank lines also yield ``None`` -- they carry no record, but consumers
-    that persist the consumed offset (the warehouse sync) must see the
-    offset advance past them, or a journal with trailing blank lines would
-    be re-hashed and re-read on every subsequent pass.  The final line of a
-    journal whose writer died mid-record has no terminating newline: with
-    ``complete_only=True`` (the warehouse ingest mode) it is *not* yielded
-    and not consumed -- the offset stops before it, and a later sync picks
-    it up once the tail is terminated or overwritten; with the default
-    ``complete_only=False`` it is parsed like any other line (matching the
-    historical whole-file read).
+    The key the cache and sink journals fold on.  A ``bool`` is not an int,
+    and nothing is coerced: a ``"schema": "1"`` line is refused, not served.
     """
-    if not path.exists():
-        return
-    offset = start
-    with path.open("rb") as journal:
-        journal.seek(start)
-        for raw in journal:
-            offset += len(raw)
-            if not raw.endswith(b"\n"):
-                # Unterminated tail: a writer may still be mid-append.
-                if complete_only:
-                    return
-                stripped = raw.strip()
-                if stripped:
-                    yield _parse_line(stripped), offset
-                return
-            stripped = raw.strip()
-            if not stripped:
-                yield None, offset
-                continue
-            yield _parse_line(stripped), offset
+    key = (record.get(name), record.get("simulator"), record.get("schema"))
+    if type(key[0]) is str and type(key[1]) is str and type(key[2]) is int:
+        return key
+    return None
 
 
-def iter_journal_lines(path: Path) -> Iterator[Optional[Dict]]:
-    """Yield one parsed JSON object per journal line, ``None`` when corrupt.
-
-    Streaming wrapper over :func:`iter_journal_entries` for callers that do
-    not care about byte offsets (the cache and sink loaders).
-    """
-    for record, _ in iter_journal_entries(path):
-        yield record
+def current_stamps() -> Tuple[str, int]:
+    """``(simulator, schema)`` of this release: a key's tail when current."""
+    return simulator_version(), CACHE_SCHEMA_VERSION
 
 
-def is_current_record(record: Dict) -> bool:
-    """True when ``record`` was written under this schema and simulator.
+@dataclass
+class Fold:
+    """A journal folded last-wins on its read rule's key."""
 
-    Records from other versions are unusable (the cycle model may have
-    changed) but are preserved on disk -- bumping ``repro.__version__``
-    invalidates without rewriting.
-    """
-    return (record.get("schema") == CACHE_SCHEMA_VERSION
-            and record.get("simulator") == simulator_version())
+    entries: Dict[Hashable, Any] = field(default_factory=dict)
+    ends: Dict[Hashable, int] = field(default_factory=dict)  # key -> last line's end
+    rejected: int = 0         # lines the rule refused: blank, corrupt, torn
+    superseded: int = 0       # accepted lines a later line with their key replaced
+    end: int = 0              # bytes read
 
-
-def terminate_partial_tail(path: Path) -> None:
-    """Append a newline if ``path`` ends mid-line (a killed writer's tail).
-
-    No-op when the file is missing, empty, or already newline-terminated.
-    """
-    if not path.exists() or path.stat().st_size == 0:
-        return
-    with path.open("rb") as journal:
-        journal.seek(-1, os.SEEK_END)
-        ends_clean = journal.read(1) == b"\n"
-    if not ends_clean:
-        with path.open("a") as journal:
-            journal.write("\n")
+    def current(self) -> Dict[str, Any]:
+        """``{name: value}`` of this release's entries (:func:`stamped_key` keys)."""
+        stamps = current_stamps()
+        return {key[0]: value for key, value in self.entries.items()
+                if key[1:] == stamps}
 
 
-class JournalWriter:
-    """The one append path of every journal: a batch of records, one commit.
+class Journal:
+    """One append-only JSONL journal and the read rule its client declared.
 
-    :meth:`append` lands the records (canonical ``sort_keys`` JSON, one per
-    line) with a single write and -- where the client's fixed policy asks for
-    durability (sink, queue, telemetry: yes; cache: no, a lost entry costs one
-    re-simulation) -- a single ``fsync``.  A single record is a batch of one.
-
-    A tail that a killed writer left without its newline is terminated before
-    the first append (a record merged into it would corrupt both), once per
-    writer; a client that unlinks its journal calls :meth:`rearm`, because
-    another process may re-create the file with a partial tail.
+    :meth:`append` lands a batch of records (canonical ``sort_keys`` JSON, one
+    per line) with a single write and -- where the client's fixed policy asks
+    for durability (sink, queue, telemetry: yes; cache: no, a lost entry costs
+    one re-simulation) -- a single ``fsync``.  A tail that a killed writer left
+    without its newline is terminated before the first append (a record merged
+    into it would corrupt both), once per instance and again after
+    :meth:`reset`, because another process may re-create the file with a
+    partial tail.
     """
 
-    def __init__(self, path: Path, fsync: bool):
+    def __init__(self, path: Path, rule: ReadRule, fsync: bool = False):
         self.path = path
+        self.rule = rule
         self.fsync = fsync
-        self._tail_checked = False
-
-    def rearm(self) -> None:
-        """Repair the tail again before the next append (journal unlinked)."""
         self._tail_checked = False
 
     def append(self, records: Sequence[Mapping[str, object]]) -> float:
@@ -146,7 +107,7 @@ class JournalWriter:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if not self._tail_checked:
             self._tail_checked = True
-            terminate_partial_tail(self.path)
+            self._repair_tail()
         lines = "".join(json.dumps(record, sort_keys=True) + "\n"
                         for record in records)
         with self.path.open("a") as journal:
@@ -157,3 +118,103 @@ class JournalWriter:
             started = time.perf_counter()
             os.fsync(journal.fileno())
             return time.perf_counter() - started
+
+    def _repair_tail(self) -> None:
+        """Append a newline if the journal ends mid-line (a killed writer's)."""
+        if not self.path.exists() or self.path.stat().st_size == 0:
+            return
+        with self.path.open("rb") as journal:
+            journal.seek(-1, os.SEEK_END)
+            ends_clean = journal.read(1) == b"\n"
+        if not ends_clean:
+            with self.path.open("a") as journal:
+                journal.write("\n")
+
+    def read(self, start: int = 0, complete_only: bool = False,
+             ) -> Iterator[Tuple[Optional[Dict], Optional[Read], int]]:
+        """Stream ``(record, read, end_offset)`` per line from byte ``start``.
+
+        ``record`` is the parsed line (``None`` when blank or corrupt) and
+        ``read`` what the rule made of it (``None`` when refused).
+        ``end_offset`` is the byte offset after the line's newline -- feeding
+        it back as ``start`` resumes exactly where this read stopped, and
+        blank lines advance it too, so a consumer that persists it never
+        re-reads them.  The last line of a journal whose writer died
+        mid-record has no newline: with ``complete_only=True`` (the warehouse)
+        it is neither yielded nor consumed, and a later read picks it up once
+        terminated; by default (the loaders) it is read like any other line.
+        """
+        if not self.path.exists():
+            return
+        rule = self.rule
+        offset = start
+        with self.path.open("rb") as journal:
+            journal.seek(start)
+            for raw in journal:
+                offset += len(raw)
+                if complete_only and not raw.endswith(b"\n"):
+                    return            # a writer may still be mid-append
+                record = parse_line(raw)
+                yield record, None if record is None else rule(record, offset), offset
+
+    def fold(self, complete_only: bool = False) -> Fold:
+        """The whole journal folded last-wins per key (first-seen key order)."""
+        fold = Fold()
+        for _, read, end in self.read(0, complete_only):
+            fold.end = end
+            if read is None:
+                fold.rejected += 1
+                continue
+            key, value = read
+            if key in fold.entries:
+                fold.superseded += 1
+            fold.entries[key] = value
+            fold.ends[key] = end
+        return fold
+
+    def compact(self, fold: Fold) -> bool:
+        """Atomically rewrite the journal as ``fold``'s last line per key.
+
+        Lines keep their bytes and their order; refused and superseded lines
+        are dropped.  Strictly best-effort: the journal may be shared between
+        processes, so a rewrite from a snapshot could drop a record another
+        process appended after :meth:`fold` read the file.  The window is
+        narrowed by re-checking the size immediately before the atomic
+        replace -- if it moved, skip and let the next load retry -- and *any*
+        filesystem error (read-only directory, journal removed concurrently)
+        aborts the rewrite instead of failing the load.
+        """
+        keep = set(fold.ends.values())
+        tmp_path = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
+        try:
+            with self.path.open("rb") as journal, tmp_path.open("wb") as tmp:
+                offset = 0
+                for raw in journal:
+                    offset += len(raw)
+                    if offset > fold.end:
+                        break
+                    if offset in keep:
+                        tmp.write(raw if raw.endswith(b"\n") else raw + b"\n")
+            if self.path.stat().st_size != fold.end:
+                tmp_path.unlink()             # someone appended meanwhile
+                return False
+            os.replace(tmp_path, self.path)
+            return True
+        except OSError:
+            tmp_path.unlink(missing_ok=True)
+            return False
+
+    def reset(self) -> None:
+        """Delete the journal and re-arm the tail check for the next file.
+
+        Also sweeps any ``<name>.<pid>.tmp`` left by a concurrent compaction
+        (its ``os.replace`` loses the race with the unlink, and the temp file
+        would otherwise sit in the directory forever).
+        """
+        self.path.unlink(missing_ok=True)
+        for stale_tmp in self.path.parent.glob(f"{self.path.name}.*.tmp"):
+            try:
+                stale_tmp.unlink()
+            except OSError:
+                pass                      # already gone, or not ours to remove
+        self._tail_checked = False

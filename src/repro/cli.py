@@ -393,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "JSONL journals (campaign cache + scenario sinks).  The "
                     "journals stay the source of truth: sync ingests them "
                     "incrementally by byte offset, rebuild re-derives the "
-                    "whole store and proves the rows bit-equal to the "
-                    "journals' last-wins view.",
+                    "whole store and proves the rows equal to the "
+                    "journals' last-wins fold.",
         epilog="The store is stdlib sqlite.  The database lives next to "
                "the cache (warehouse.sqlite) unless --db or "
                "REPRO_WAREHOUSE_PATH says otherwise.  `counters` is a view "
@@ -802,8 +802,8 @@ def _cmd_warehouse(args) -> int:
                         detail = "\n".join(mismatches)
                         _LOG.error(f"parity check FAILED:\n{detail}")
                         return 1
-                    print("parity check passed: warehouse rows bit-equal to "
-                          "the journals' last-wins view")
+                    print("parity check passed: warehouse rows equal to "
+                          "the journals' last-wins fold")
             return 0
 
         if args.warehouse_command == "status":

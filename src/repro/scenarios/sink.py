@@ -7,11 +7,12 @@ file, fsynced under the contract :meth:`ResultSink.append` states -- so a
 run killed mid-grid leaves a readable journal behind, and a subsequent
 ``repro scenario resume`` executes only the jobs whose keys are not yet
 present.  A partially written trailing line (the usual artefact of a hard
-kill) is skipped on load, exactly like the campaign cache journal.
+kill) is refused by the sink's read rule :func:`read_sink_line` and skipped
+on load, exactly like the campaign cache journal.
 
 The sink is scoped per ``(scenario, scale)`` pair by default (see
 :func:`default_sink_path`); records written under a different simulator
-version are ignored on load, so a version bump forces re-simulation without
+version are skipped on load, so a version bump forces re-simulation without
 touching the file.
 """
 
@@ -21,13 +22,9 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, Mapping, Sequence, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.campaign.journal import (
-    JournalWriter,
-    is_current_record,
-    iter_journal_lines,
-)
+from repro.campaign.journal import Journal, stamped_key
 from repro.campaign.result import JobResult
 from repro.campaign.spec import CACHE_SCHEMA_VERSION, simulator_version
 from repro.telemetry.recorder import RECORDER
@@ -101,6 +98,18 @@ class SinkRecord:
         )
 
 
+def read_sink_line(record: Mapping, end: int,
+                   ) -> Optional[Tuple[Tuple[str, str, int], SinkRecord]]:
+    """The sink journal's read rule: ``(key, simulator, schema) -> record``."""
+    key = stamped_key(record, "key")
+    if key is None:
+        return None
+    try:
+        return key, SinkRecord.from_dict(record)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+
+
 class ResultSink:
     """Append-only JSONL store of :class:`SinkRecord` objects."""
 
@@ -111,43 +120,22 @@ class ResultSink:
         self.path = path if path.is_absolute() else Path.cwd() / path
         self.appended = 0          # records written by this instance
         self.skipped = 0           # unusable lines seen by the last load()
-        self._writer = JournalWriter(self.path, fsync=True)
+        self._journal = Journal(self.path, read_sink_line, fsync=True)
 
     # ------------------------------------------------------------------
     def exists(self) -> bool:
         return self.path.exists()
 
-    def iter_records(self) -> Iterator[SinkRecord]:
-        """Stream every usable record in journal (append) order.
-
-        The journal is read one line at a time -- a million-record sink never
-        materialises in memory.  Lines that are corrupt (partial writes),
-        from another simulator version or from another cache schema are
-        counted in ``skipped`` (reset when iteration starts) and otherwise
-        ignored.  The same key may be yielded more than once; the *last*
-        record per key is the journal's truth (:meth:`load` applies that
-        fold, streaming consumers such as the warehouse ingest apply it
-        themselves via upserts).
-        """
-        self.skipped = 0
-        for data in iter_journal_lines(self.path):
-            try:
-                if data is None or not is_current_record(data):
-                    self.skipped += 1
-                    continue
-                yield SinkRecord.from_dict(data)
-            except (KeyError, TypeError, ValueError):
-                self.skipped += 1      # half-written line from a killed run
-
     def load(self) -> Dict[str, SinkRecord]:
         """Read the journal into ``{key: record}`` (last record per key wins).
 
-        Streaming fold over :meth:`iter_records`; ``skipped`` counts the
-        unusable lines seen.
+        A streaming fold: the journal is read one line at a time.
+        ``skipped`` counts the lines the read rule refused (corrupt, partial
+        writes) plus the records of another simulator or schema version.
         """
-        records: Dict[str, SinkRecord] = {}
-        for record in self.iter_records():
-            records[record.key] = record
+        fold = self._journal.fold()
+        records = fold.current()
+        self.skipped = fold.rejected + len(fold.entries) - len(records)
         return records
 
     def append(self, records: Union[SinkRecord, Sequence[SinkRecord]]) -> None:
@@ -166,7 +154,7 @@ class ResultSink:
         if isinstance(records, SinkRecord):
             records = (records,)
         started = time.perf_counter() if RECORDER.enabled else 0.0
-        fsync_seconds = self._writer.append(
+        fsync_seconds = self._journal.append(
             [record.to_dict() for record in records])
         if RECORDER.enabled:
             RECORDER.observe("sink.fsync_seconds", fsync_seconds)
@@ -178,6 +166,4 @@ class ResultSink:
     def reset(self) -> None:
         """Delete the journal (``repro scenario run --fresh``); like
         ``ResultCache.clear`` it re-arms the tail check for the next file."""
-        if self.path.exists():
-            self.path.unlink()
-        self._writer.rearm()
+        self._journal.reset()

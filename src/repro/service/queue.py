@@ -1,15 +1,17 @@
 """The persistent job queue: one append-only JSONL journal of state changes.
 
 Every lifecycle transition of every job appends exactly one JSON object to
-``jobs.jsonl`` -- the same storage discipline (and the same shared helpers:
-:class:`~repro.campaign.journal.JournalWriter` fsynced appends with tail
-repair, :func:`~repro.campaign.journal.iter_journal_lines` tolerant reads)
-as the campaign cache and scenario sinks, so a ``kill -9``'d server can at
-worst lose the line it was mid-writing, never corrupt the file.
+``jobs.jsonl`` -- the same :class:`~repro.campaign.journal.Journal` (fsynced
+appends with tail repair, tolerant reads) as the campaign cache and scenario
+sinks, so a ``kill -9``'d server can at worst lose the line it was
+mid-writing, never corrupt the file.
 
-Loading folds the journal last-wins per job id: the first ``pending`` record
-carries the (pre-validated) request, later records update the state.  A job
-that was ``running`` when the process died folds back to ``pending`` --
+Each line is read through :func:`read_queue_line`, which keys it by job id
+and refuses it -- like the other journals' rules refuse theirs -- unless it
+is a well-typed transition.  Loading merges the transitions per job id: the
+first ``pending`` record carries the (pre-validated) request, later records
+update the state.  A job that was ``running`` when the process died folds
+back to ``pending`` --
 **that is the resume path**: a restarted server re-enqueues every job that
 never reached a terminal state, in original submission order, and simply
 keeps going.  Completed jobs keep their terminal record (result payload
@@ -21,12 +23,13 @@ sink's: the daemon may change its working directory after opening the queue.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
-from repro.campaign.journal import JournalWriter, iter_journal_lines
+from repro.campaign.journal import Journal
 from repro.service.schemas import Job, JobRequest, new_job_id
 from repro.telemetry.recorder import RECORDER
 
@@ -39,6 +42,8 @@ SERVICE_DIR_ENV = "REPRO_SERVICE_DIR"
 DEFAULT_SERVICE_DIR = "service"
 #: Queue journal file name inside the service directory.
 QUEUE_FILE_NAME = "jobs.jsonl"
+#: Every state a job can be journaled in.
+STATES = ("pending", "running", "done", "failed")
 
 
 def default_service_dir() -> Path:
@@ -53,6 +58,50 @@ def default_queue_path() -> Path:
     return default_service_dir() / QUEUE_FILE_NAME
 
 
+class Transition(NamedTuple):
+    """One validated queue journal line."""
+
+    state: str
+    time: float
+    request: Optional[JobRequest] = None   # pending lines only
+    client: str = ""
+    result: object = None
+    error: Optional[str] = None
+
+
+def read_queue_line(record: Mapping, end: int,
+                    ) -> Optional[Tuple[str, Transition]]:
+    """The queue journal's read rule: ``job id -> transition``.
+
+    Refuses a line from another queue schema, without a string job id or a
+    known state, whose ``time`` is not a finite number, or -- for a pending
+    line -- whose request does not parse.
+    """
+    job_id, state = record.get("job"), record.get("state")
+    stamp = record.get("time", 0.0)
+    if (type(record.get("queue_schema")) is not int
+            or record["queue_schema"] != QUEUE_SCHEMA_VERSION
+            or type(job_id) is not str or state not in STATES
+            or type(stamp) not in (int, float)):
+        return None
+    try:
+        stamp = float(stamp)
+        if not math.isfinite(stamp):
+            return None
+        if state != "pending":
+            error = record.get("error")
+            return job_id, Transition(state, stamp, result=record.get("result"),
+                                      error=None if error is None else str(error))
+        request = record.get("request") or {}
+        if not isinstance(request, dict):
+            return None
+        return job_id, Transition(state, stamp,
+                                  request=JobRequest.from_dict(request),
+                                  client=str(record.get("client", "")))
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 class JobQueue:
     """Journal-backed FIFO of service jobs, resumable across restarts."""
 
@@ -61,46 +110,34 @@ class JobQueue:
         self.path = path if path.is_absolute() else Path.cwd() / path
         self._jobs: Dict[str, Job] = {}
         self._pending: List[str] = []
-        self._writer = JournalWriter(self.path, fsync=True)
+        self._journal = Journal(self.path, read_queue_line, fsync=True)
         self.recovered = 0              # jobs folded running -> pending on load
         self._load()
 
     # ------------------------------------------------------------------
     def _load(self) -> None:
-        """Fold the journal into current job state (last record per id wins)."""
+        """Merge the journal's transitions into current job state."""
         self._jobs.clear()
         self._pending.clear()
         self.recovered = 0
-        for record in iter_journal_lines(self.path):
-            if record is None or record.get("queue_schema") != QUEUE_SCHEMA_VERSION:
+        for _, read, _ in self._journal.read():
+            if read is None:
                 continue
-            job_id = record.get("job")
-            state = record.get("state")
-            if not isinstance(job_id, str) or state not in (
-                    "pending", "running", "done", "failed"):
-                continue
-            if state == "pending":
-                try:
-                    request = JobRequest.from_dict(record.get("request") or {})
-                except (TypeError, ValueError):
-                    continue
-                self._jobs[job_id] = Job(
-                    id=job_id, request=request, state="pending",
-                    client=str(record.get("client", "")),
-                    submitted=float(record.get("time", 0.0)))
+            job_id, step = read
+            if step.state == "pending":
+                self._jobs[job_id] = Job(id=job_id, request=step.request,
+                                         client=step.client, submitted=step.time)
                 continue
             job = self._jobs.get(job_id)
             if job is None:
                 continue               # transition without a pending record
-            job.state = state
-            stamp = float(record.get("time", 0.0))
-            if state == "running":
-                job.started = stamp
+            job.state = step.state
+            if step.state == "running":
+                job.started = step.time
             else:
-                job.finished = stamp
-                job.result = record.get("result")
-                error = record.get("error")
-                job.error = None if error is None else str(error)
+                job.finished = step.time
+                job.result = step.result
+                job.error = step.error
         for job in self._jobs.values():
             if job.state == "running":
                 # The previous server died mid-job: nothing terminal was ever
@@ -115,7 +152,7 @@ class JobQueue:
     def _append(self, record: Dict[str, object]) -> None:
         record = {"queue_schema": QUEUE_SCHEMA_VERSION,
                   "time": time.time(), **record}
-        self._writer.append([record])
+        self._journal.append([record])
 
     # ------------------------------------------------------------------
     def submit(self, request: JobRequest, client: str = "") -> Job:
@@ -177,7 +214,7 @@ class JobQueue:
 
     def counts(self) -> Dict[str, int]:
         """Jobs per state (the health endpoint's queue summary)."""
-        counts = {state: 0 for state in ("pending", "running", "done", "failed")}
+        counts = {state: 0 for state in STATES}
         for job in self._jobs.values():
             counts[job.state] += 1
         return counts

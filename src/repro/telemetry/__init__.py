@@ -30,7 +30,6 @@ from repro.telemetry.journal import (
     default_journal_path,
     default_telemetry_dir,
     flush,
-    is_current_telemetry_record,
     iter_telemetry_records,
     new_run_id,
     payload_records,
@@ -59,7 +58,6 @@ __all__ = [
     "env_enabled",
     "flush",
     "get_logger",
-    "is_current_telemetry_record",
     "iter_telemetry_records",
     "lint_prometheus",
     "new_run_id",

@@ -3,11 +3,11 @@
 Telemetry persists exactly like results do -- one JSON object per line in an
 append-only journal, written only by the parent CLI process (workers buffer
 in their recorder scope and ship payloads back on the job result).  The file
-shares the campaign journals' one append path
-(:class:`~repro.campaign.journal.JournalWriter`: tail repair, one fsync per
-flush), so a killed run cannot corrupt the next append, and the warehouse
-ingests it incrementally by byte offset just like the cache and sink
-journals.
+is a :class:`~repro.campaign.journal.Journal` like the campaign journals (tail
+repair, one fsync per flush), so a killed run cannot corrupt the next append,
+and the warehouse ingests it incrementally by byte offset just like the cache
+and sink journals.  Its read rule, :func:`read_telemetry_line`, keys each
+line by its end offset: the journal is append-only and never folded.
 
 Two record kinds share the file:
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import time
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 # NOTE: repro.campaign.{journal,spec} are imported lazily inside the
 # functions that need them.  The campaign layer (via repro.sim) imports the
@@ -93,10 +93,44 @@ def payload_records(payload: Dict[str, object], run: str,
     return records
 
 
-def is_current_telemetry_record(record: Dict) -> bool:
-    """True when ``record`` was written under this telemetry schema."""
-    return (record.get("schema") == TELEMETRY_SCHEMA_VERSION
-            and record.get("kind") in ("span", "metric"))
+def _int(value) -> bool:
+    """An int (not a bool) that fits the warehouse's 64-bit columns."""
+    return type(value) is int and -2 ** 63 <= value < 2 ** 63
+
+
+def _number(value) -> bool:
+    return type(value) is float or _int(value)
+
+
+def read_telemetry_line(record: Mapping, end: int,
+                        ) -> Optional[Tuple[int, Mapping]]:
+    """The telemetry journal's read rule: ``end offset -> record``.
+
+    A line counts when it carries this telemetry schema (an int), a
+    simulator stamp (a str) and the fields of its kind with their types: a
+    span its int ``id`` (and ``parent``, when set), ``name``, ``start`` and
+    ``duration``; a metric its ``name`` and the value(s) of its type.
+    """
+    if (type(record.get("schema")) is not int
+            or record["schema"] != TELEMETRY_SCHEMA_VERSION
+            or type(record.get("simulator")) is not str
+            or type(record.get("name")) is not str):
+        return None
+    kind, metric = record.get("kind"), record.get("type")
+    if kind == "span":
+        parent = record.get("parent")
+        usable = (_int(record.get("id")) and (parent is None or _int(parent))
+                  and _number(record.get("start"))
+                  and _number(record.get("duration"))
+                  and isinstance(record.get("tags") or {}, dict))
+    elif kind == "metric" and metric in ("counter", "gauge"):
+        usable = _number(record.get("value"))
+    elif kind == "metric" and metric == "histogram":
+        usable = (_number(record.get("sum")) and _int(record.get("count"))
+                  and isinstance(record.get("buckets"), list))
+    else:
+        usable = False
+    return (end, record) if usable else None
 
 
 def flush(recorder: Optional[Recorder] = None,
@@ -108,7 +142,7 @@ def flush(recorder: Optional[Recorder] = None,
     the journal file is then not even created).  The scope restarts empty,
     so back-to-back flushes journal deltas, never duplicates.
     """
-    from repro.campaign.journal import JournalWriter
+    from repro.campaign.journal import Journal
 
     recorder = RECORDER if recorder is None else recorder
     payload = recorder.drain()
@@ -116,17 +150,16 @@ def flush(recorder: Optional[Recorder] = None,
     if not records:
         return 0
     target = Path(path).expanduser() if path else default_journal_path()
-    JournalWriter(target, fsync=True).append(records)
+    Journal(target, read_telemetry_line, fsync=True).append(records)
     return len(records)
 
 
 def iter_telemetry_records(path: Optional[Union[str, Path]] = None,
                            ) -> Iterator[Dict]:
-    """Stream every usable telemetry record from the journal."""
-    from repro.campaign.journal import iter_journal_lines
+    """Stream every record of the journal its read rule accepts."""
+    from repro.campaign.journal import Journal
 
     target = Path(path).expanduser() if path else default_journal_path()
-    for record in iter_journal_lines(target):
-        if record is None or not is_current_telemetry_record(record):
-            continue
-        yield record
+    for _, read, _ in Journal(target, read_telemetry_line).read():
+        if read is not None:
+            yield read[1]

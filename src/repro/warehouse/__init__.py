@@ -17,7 +17,8 @@ tables to make analytics tractable).
 * :mod:`~repro.warehouse.ingest` -- streaming journal ingest: incremental
   :func:`sync` via per-journal byte offsets (rewrites detected by prefix
   hash), idempotent full :func:`rebuild`, and :func:`parity_check` proving
-  warehouse rows bit-equal to the journals' last-wins view.
+  the warehouse rows equal to the loaders' own last-wins fold.  Every row is
+  read through the rule the journal's client declares.
 * :mod:`~repro.warehouse.queries` -- canned analytics (``best-lws``,
   ``speedup``, ``cache-trends``, ``scenarios``), guarded raw SQL, status
   rendering, and the warehouse-backed sink view ``scenario report`` serves

@@ -1,7 +1,8 @@
 """Journal -> warehouse ingest: incremental sync, full rebuild, parity proof.
 
-The JSONL journals (campaign cache + scenario sinks) remain the append-only
-source of truth; this module derives the relational warehouse from them.
+The JSONL journals (campaign cache, scenario sinks, telemetry) remain the
+append-only source of truth; this module derives the relational warehouse
+from them.
 
 *Incremental sync* keeps a per-journal byte offset plus a hash of the entire
 ingested prefix.  A sync re-hashes the prefix (cheap: no JSON parsing) --
@@ -11,17 +12,22 @@ in place, a sink was reset), that journal's rows are dropped and re-ingested
 from byte zero.  Either way the result is identical to a fresh rebuild --
 "sync then sync again" is a provable no-op, which the tests assert.
 
-*Last-wins* mirrors the journals' own load semantics: records upsert on the
-same key the loaders deduplicate by -- ``(hash, simulator, schema)`` for
-cache records, ``(key, simulator, schema)`` for sink records -- in journal
-order, so the later line wins exactly as in
-:meth:`~repro.campaign.cache.ResultCache._load` and
-:meth:`~repro.scenarios.sink.ResultSink.load`.
+*Last-wins* is the journals' own read rule, not a copy of it: each kind
+maps to the rule its client declared next to its writer
+(:func:`~repro.campaign.cache.read_cache_line`,
+:func:`~repro.scenarios.sink.read_sink_line`,
+:func:`~repro.telemetry.journal.read_telemetry_line`), and every row is
+slotted by the rule's key -- ``(hash, simulator, schema)`` for cache
+records, ``(key, simulator, schema)`` for sink records, the line's end
+offset for telemetry -- in journal order, so the later line wins exactly as
+in the loaders' :meth:`~repro.campaign.journal.Journal.fold`.  A line the
+rule refuses is counted as skipped and never becomes a row.
 
-*Parity* (:func:`parity_check`) recomputes the journals' last-wins view
-(complete, parseable lines only -- a half-written tail is invisible to both
-sides) and compares it bit-for-bit against the warehouse rows via their
-canonical JSON.  ``repro warehouse rebuild`` runs it by default.
+*Parity* (:func:`parity_check`) folds each journal exactly as its loader
+does (complete lines only -- a half-written tail is invisible to both
+sides) and compares the result with what the rule reads back from each
+warehouse row's stored line: a missing, phantom or differing row is a
+mismatch.  ``repro warehouse rebuild`` runs it by default.
 """
 
 from __future__ import annotations
@@ -31,16 +37,15 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
+                    Tuple, Union)
 
-from repro.campaign.cache import CACHE_FILE_NAME, default_cache_dir
-from repro.campaign.journal import iter_journal_entries
+from repro.campaign.cache import (CACHE_FILE_NAME, default_cache_dir,
+                                  read_cache_line)
+from repro.campaign.journal import Journal, ReadRule, parse_line
 from repro.campaign.result import JobResult
-from repro.scenarios.sink import default_sink_dir
-from repro.telemetry.journal import (
-    default_telemetry_dir,
-    is_current_telemetry_record,
-)
+from repro.scenarios.sink import SinkRecord, default_sink_dir, read_sink_line
+from repro.telemetry.journal import default_telemetry_dir, read_telemetry_line
 from repro.warehouse.schema import (
     KIND_CACHE,
     KIND_SINK,
@@ -152,27 +157,10 @@ def _canonical(record: Dict) -> str:
     return json.dumps(record, sort_keys=True)
 
 
-def _usable(kind: str, jid: str,
-            record: Dict) -> Optional[Tuple[tuple, JobResult]]:
-    """``(slot key, parsed result)`` of one cache/sink record, or None.
-
-    The one acceptance test ingest and the parity view share: both version
-    stamps, the key the journal's own loader folds on (``hash`` for cache
-    records, ``key`` for sink records) and a well-formed result.
-    """
-    if kind == KIND_SINK and not ("hash" in record and "scenario" in record):
-        return None
-    try:
-        slot = (jid, str(record["hash" if kind == KIND_CACHE else "key"]),
-                str(record["simulator"]), int(record["schema"]))
-        return slot, JobResult.from_dict(record["result"])
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def _job_row(slot: tuple, result: JobResult, record: Dict) -> tuple:
-    """One usable cache record -> its ``jobs`` row."""
-    return slot + (
+def _job_row(jid: str, key: tuple, result: JobResult,
+             record: Dict) -> Tuple[str, tuple]:
+    """One cache record -> its ``jobs`` row."""
+    return _JOBS_SQL, (jid,) + key + (
         result.problem, result.category, result.config_name,
         result.hardware_parallelism, result.global_size, result.local_size,
         result.num_workgroups, result.num_calls, result.cycles,
@@ -184,16 +172,17 @@ def _job_row(slot: tuple, result: JobResult, record: Dict) -> tuple:
 def _int_or_none(value) -> Optional[int]:
     try:
         return None if value is None else int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return None
 
 
-def _run_row(slot: tuple, result: JobResult, record: Dict) -> tuple:
-    """One usable sink record -> its ``scenario_runs`` row."""
-    meta = record.get("meta") or {}
+def _run_row(jid: str, key: tuple, run: SinkRecord,
+             record: Dict) -> Tuple[str, tuple]:
+    """One sink record -> its ``scenario_runs`` row."""
+    meta, result = run.meta, run.result
     engine = meta.get("engine")
-    return slot + (
-        str(record["scenario"]), str(record["hash"]), result.problem,
+    return _RUNS_SQL, (jid,) + key + (
+        run.scenario, run.job_hash, result.problem,
         result.category, result.config_name,
         str(meta["strategy"]) if "strategy" in meta else None,
         None if engine is None else str(engine),
@@ -205,6 +194,30 @@ def _run_row(slot: tuple, result: JobResult, record: Dict) -> tuple:
     )
 
 
+def _telemetry_row(jid: str, end: int, record: Dict,
+                   _: Dict) -> Tuple[str, tuple]:
+    """One telemetry record -> its ``spans`` or ``metrics`` row.
+
+    Keyed by ``(journal, end_offset)``: the journal is append-only and never
+    compacted, so a line's end offset is a stable identity that makes
+    incremental sync a pure append.
+    """
+    head = (jid, end, str(record.get("run", "")),
+            _int_or_none(record.get("pid")) or 0)
+    if record["kind"] == "span":
+        return _SPANS_SQL, head + (
+            record["id"], record.get("parent"), record["name"],
+            float(record["start"]), float(record["duration"]),
+            _canonical(record.get("tags") or {}), _canonical(record))
+    if record["type"] == "histogram":
+        return _METRICS_SQL, head + (
+            "histogram", record["name"], None, float(record["sum"]),
+            record["count"], _canonical(record["buckets"]), _canonical(record))
+    return _METRICS_SQL, head + (
+        record["type"], record["name"], float(record["value"]), None, None,
+        None, _canonical(record))
+
+
 _JOBS_SQL = ("INSERT OR REPLACE INTO jobs VALUES (" + ",".join("?" * 19) + ")")
 _RUNS_SQL = ("INSERT OR REPLACE INTO scenario_runs VALUES ("
              + ",".join("?" * 20) + ")")
@@ -214,50 +227,24 @@ _METRICS_SQL = ("INSERT OR REPLACE INTO metrics VALUES ("
                 + ",".join("?" * 11) + ")")
 
 
-def _telemetry_row(jid: str, record: Dict, end: int) -> Optional[Tuple[str, tuple]]:
-    """One telemetry record -> ``(insert_sql, row)`` or None.
+@dataclass(frozen=True)
+class _Kind:
+    """How one journal kind is read and where its rows live."""
 
-    Telemetry rows are keyed by ``(journal, end_offset)``: the journal is
-    append-only and never compacted, so a line's end offset is a stable
-    identity that makes incremental sync a pure append.
-    """
-    if not is_current_telemetry_record(record):
-        return None
-    run = str(record.get("run", ""))
-    pid = _int_or_none(record.get("pid")) or 0
-    try:
-        if record["kind"] == "span":
-            return _SPANS_SQL, (
-                jid, end, run, pid, int(record["id"]),
-                _int_or_none(record.get("parent")), str(record["name"]),
-                float(record["start"]), float(record["duration"]),
-                _canonical(record.get("tags") or {}), _canonical(record))
-        metric_type = str(record["type"])
-        if metric_type == "histogram":
-            return _METRICS_SQL, (
-                jid, end, run, pid, metric_type, str(record["name"]),
-                None, float(record["sum"]), int(record["count"]),
-                _canonical(list(record["buckets"])), _canonical(record))
-        if metric_type not in ("counter", "gauge"):
-            return None
-        return _METRICS_SQL, (
-            jid, end, run, pid, metric_type, str(record["name"]),
-            float(record["value"]), None, None, None, _canonical(record))
-    except (KeyError, TypeError, ValueError):
-        return None
+    rule: ReadRule
+    row: Callable[[str, Hashable, Any, Dict], Tuple[str, tuple]]
+    tables: Tuple[str, ...]
+    key_columns: str          # the rule's key, as columns of ``tables``
 
 
-def _row(kind: str, jid: str, record: Dict,
-         end: int) -> Optional[Tuple[str, tuple]]:
-    """One journal record -> ``(insert_sql, row)``, or None when unusable."""
-    if kind == KIND_TELEMETRY:
-        return _telemetry_row(jid, record, end)
-    usable = _usable(kind, jid, record)
-    if usable is None:
-        return None
-    if kind == KIND_CACHE:
-        return _JOBS_SQL, _job_row(*usable, record)
-    return _RUNS_SQL, _run_row(*usable, record)
+_KINDS = {
+    KIND_CACHE: _Kind(read_cache_line, _job_row, ("jobs",),
+                      "hash, simulator, schema_version"),
+    KIND_SINK: _Kind(read_sink_line, _run_row, ("scenario_runs",),
+                     "key, simulator, schema_version"),
+    KIND_TELEMETRY: _Kind(read_telemetry_line, _telemetry_row,
+                          ("spans", "metrics"), "offset"),
+}
 
 
 def _delete_journal_rows(store: ResultStore, jid: str) -> None:
@@ -298,19 +285,20 @@ def _sync_journal(store: ResultStore, path: Path, kind: str,
     # destination statement (a telemetry journal feeds spans and metrics).
     ingested = skipped = 0
     batches: Dict[str, List[tuple]] = {}
+    row = _KINDS[kind].row
 
     def flush() -> None:
         for sql, rows in batches.items():
             store.executemany(sql, rows)
         batches.clear()
 
-    for record, end in iter_journal_entries(path, offset, complete_only=True):
-        built = None if record is None else _row(kind, jid, record, end)
-        if built is None:
+    journal = Journal(path, _KINDS[kind].rule)
+    for record, read, end in journal.read(offset, complete_only=True):
+        if read is None:
             skipped += 1
         else:
-            sql, row = built
-            batches.setdefault(sql, []).append(row)
+            sql, values = row(jid, *read, record)
+            batches.setdefault(sql, []).append(values)
             ingested += 1
             if ingested % BATCH_SIZE == 0:
                 flush()
@@ -387,101 +375,41 @@ def rebuild(store: ResultStore,
 
 
 # ----------------------------------------------------------------------
-def _journal_view(path: Path, kind: str) -> Dict[tuple, Tuple[str, int]]:
-    """The journal's last-wins view: slot key -> (canonical JSON, #counters).
-
-    Complete, parseable, usable lines only -- the same records ingest
-    accepts -- folded last-wins on the same slot key ingest upserts on.
-    This is recomputed straight from the journal bytes, sharing no code
-    path with the warehouse contents it is compared against.
-    """
-    jid = journal_id(path)
-    view: Dict[tuple, Tuple[str, int]] = {}
-    for record, _ in iter_journal_entries(path, 0, complete_only=True):
-        usable = None if record is None else _usable(kind, jid, record)
-        if usable is not None:
-            slot, result = usable
-            view[slot] = (_canonical(record), len(result.counters))
-    return view
-
-
-def _telemetry_view(path: Path) -> Dict[int, str]:
-    """The telemetry journal's view: line end offset -> canonical JSON.
-
-    The journal is append-only (no last-wins fold): every complete, usable
-    line is exactly one warehouse row, identified by its end offset.
-    """
-    view: Dict[int, str] = {}
-    for record, end in iter_journal_entries(path, 0, complete_only=True):
-        if record is not None and is_current_telemetry_record(record):
-            view[end] = _canonical(record)
-    return view
-
-
-def _telemetry_parity(store: ResultStore, path: Path,
-                      mismatches: List[str]) -> None:
-    """Compare one telemetry journal against its spans + metrics rows."""
-    jid = journal_id(path)
-    expected = _telemetry_view(path) if path.exists() else {}
-    got: Dict[int, str] = {}
-    for table in ("spans", "metrics"):
-        for offset, raw in store.query(
-                f"SELECT offset, raw FROM {table} WHERE journal = ?",
-                (jid,)).rows:
-            got[int(offset)] = raw
-    for offset in expected.keys() - got.keys():
-        mismatches.append(f"{jid}: missing telemetry row @ offset {offset}")
-    for offset in got.keys() - expected.keys():
-        mismatches.append(f"{jid}: phantom telemetry row @ offset {offset}")
-    for offset in expected.keys() & got.keys():
-        if expected[offset] != got[offset]:
-            mismatches.append(f"{jid}: telemetry row @ offset {offset} "
-                              f"differs from the journal line")
-
-
 def parity_check(store: ResultStore,
                  cache_dir: Optional[Union[str, Path]] = None,
                  scenario_dir: Optional[Union[str, Path]] = None,
                  telemetry_dir: Optional[Union[str, Path]] = None,
                  journals: Optional[Iterable[JournalSpec]] = None) -> List[str]:
-    """Prove warehouse rows bit-equal to the journals' last-wins view.
+    """Prove the warehouse rows equal to the loaders' own fold of the journals.
 
-    Returns a list of human-readable mismatches (empty = parity holds):
-    missing rows, phantom rows, rows whose canonical JSON differs, and
-    counter rows whose count disagrees with the journal's records.
-    Telemetry journals compare per line (offset-keyed, no last-wins fold).
+    Each journal is folded last-wins through its kind's read rule (complete
+    lines only), and each of its rows is read back through the same rule
+    from its stored line.  Returns human-readable mismatches (empty = parity
+    holds): a key the fold has and no row does (missing), a row the fold
+    does not have (phantom, e.g. one whose stored line the rule refuses),
+    and a row whose key or value disagrees with the fold's.
     """
     specs = list(journals) if journals is not None else discover_journals(
         cache_dir, scenario_dir, telemetry_dir)
     mismatches: List[str] = []
     for path, kind in specs:
-        path = Path(path)
         jid = journal_id(path)
-        if kind == KIND_TELEMETRY:
-            _telemetry_parity(store, path, mismatches)
-            continue
-        expected = _journal_view(path, kind) if path.exists() else {}
-        table = "jobs" if kind == KIND_CACHE else "scenario_runs"
-        key_col = "hash" if kind == KIND_CACHE else "key"
-        got = {
-            (jid, row[0], row[1], int(row[2])): row[3]
-            for row in store.query(
-                f"SELECT {key_col}, simulator, schema_version, raw "
-                f"FROM {table} WHERE journal = ?", (jid,)).rows
-        }
-        for slot in expected.keys() - got.keys():
-            mismatches.append(f"{jid}: missing {table} row {slot[1]}")
-        for slot in got.keys() - expected.keys():
-            mismatches.append(f"{jid}: phantom {table} row {slot[1]}")
-        for slot in expected.keys() & got.keys():
-            if expected[slot][0] != got[slot]:
-                mismatches.append(f"{jid}: {table} row {slot[1]} differs "
-                                  f"from the journal's last-wins record")
-        expected_counters = sum(count for _, count in expected.values())
-        counted = store.query(
-            "SELECT COUNT(*) FROM counters WHERE journal = ?", (jid,)).rows[0][0]
-        if counted != expected_counters:
-            mismatches.append(
-                f"{jid}: {counted} counter row(s) vs {expected_counters} "
-                f"in the journal view")
+        spec = _KINDS[kind]
+        expected = Journal(Path(path), spec.rule).fold(complete_only=True).entries
+        for table in spec.tables:
+            for *key, raw in store.query(
+                    f"SELECT {spec.key_columns}, raw FROM {table} "
+                    f"WHERE journal = ?", (jid,)).rows:
+                key = tuple(key) if len(key) > 1 else key[0]
+                if key not in expected:
+                    mismatches.append(f"{jid}: phantom {kind} row {key}")
+                    continue
+                record = parse_line(raw)
+                # Only the telemetry rule reads the end offset: its key.
+                end = key if kind == KIND_TELEMETRY else 0
+                value = expected.pop(key)
+                if record is None or spec.rule(record, end) != (key, value):
+                    mismatches.append(f"{jid}: {kind} row {key} differs from "
+                                      f"the journal's last-wins record")
+        mismatches.extend(f"{jid}: missing {kind} row {key}" for key in expected)
     return mismatches

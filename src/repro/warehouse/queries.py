@@ -15,12 +15,11 @@ mode, so the guarantee does not rest on string inspection.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.campaign.spec import CACHE_SCHEMA_VERSION, simulator_version
+from repro.campaign.journal import current_stamps, parse_line
 from repro.scenarios.sink import SinkRecord
 from repro.warehouse.ingest import journal_id
 from repro.warehouse.schema import RECORD_TABLES, VIEWS
@@ -35,10 +34,6 @@ class CannedQuery:
     description: str
     sql: str
     params: Callable[[], tuple] = tuple
-
-
-def _current() -> tuple:
-    return (simulator_version(), CACHE_SCHEMA_VERSION)
 
 
 CANNED: Dict[str, CannedQuery] = {q.name: q for q in (
@@ -59,7 +54,7 @@ CANNED: Dict[str, CannedQuery] = {q.name: q for q in (
             GROUP BY j.problem, j.config_name, j.cycles
             ORDER BY j.problem, j.config_name
         """,
-        params=lambda: _current() * 2,
+        params=lambda: current_stamps() * 2,
     ),
     CannedQuery(
         name="speedup",
@@ -84,7 +79,7 @@ CANNED: Dict[str, CannedQuery] = {q.name: q for q in (
             GROUP BY o.problem, b.strategy
             ORDER BY o.problem, b.strategy
         """,
-        params=_current,
+        params=current_stamps,
     ),
     CannedQuery(
         name="cache-trends",
@@ -129,7 +124,7 @@ CANNED: Dict[str, CannedQuery] = {q.name: q for q in (
             GROUP BY scenario
             ORDER BY scenario
         """,
-        params=_current,
+        params=current_stamps,
     ),
 )}
 
@@ -250,8 +245,8 @@ def sink_records(store: ResultStore, path: Union[str, Path]) -> Dict[str, SinkRe
     rows = store.query(
         "SELECT key, raw FROM scenario_runs "
         "WHERE journal = ? AND simulator = ? AND schema_version = ?",
-        (journal_id(path),) + _current()).rows
-    return {key: SinkRecord.from_dict(json.loads(raw)) for key, raw in rows}
+        (journal_id(path),) + current_stamps()).rows
+    return {key: SinkRecord.from_dict(parse_line(raw)) for key, raw in rows}
 
 
 class WarehouseSinkView:

@@ -29,7 +29,8 @@ from repro.campaign import (
     config_to_dict,
     execute_job,
 )
-from repro.campaign.cache import CACHE_DIR_ENV, default_cache_dir
+from repro.campaign.cache import CACHE_DIR_ENV, default_cache_dir, read_cache_line
+from repro.campaign.journal import Journal
 from repro.isa.latencies import FunctionalUnit, OpTiming
 from repro.isa.opcodes import Opcode
 from repro.sim.config import ArchConfig
@@ -431,44 +432,34 @@ class TestSizeOverride:
 # ----------------------------------------------------------------------
 # streaming journal access (warehouse ingest rides on these)
 # ----------------------------------------------------------------------
-class TestStreamingJournal:
-    def test_iter_entries_yields_records_with_resume_offsets(self, tmp_path):
-        from repro.campaign.journal import iter_journal_entries
+def cache_journal(cache):
+    return Journal(cache.journal_path, read_cache_line)
 
+
+class TestStreamingJournal:
+    def test_read_yields_records_with_resume_offsets(self, tmp_path):
         cache = ResultCache(tmp_path)
         for lws in (1, 2, 4):
             job = spec(local_size=lws)
             cache.put(job, execute_job(job))
 
-        entries = list(cache.iter_entries())
+        entries = list(cache_journal(cache).read())
         assert len(entries) == 3
-        hashes = [record["hash"] for record, _ in entries]
+        hashes = [read[0][0] for _, read, _ in entries]
         assert len(set(hashes)) == 3
+        assert [record["hash"] for record, _, _ in entries] == hashes
         # offsets are line-end byte positions: resuming from any of them
         # yields exactly the remaining records
-        _, first_offset = entries[0]
-        rest = list(iter_journal_entries(cache.journal_path,
-                                         start=first_offset))
-        assert [r["hash"] for r, _ in rest] == hashes[1:]
-        assert entries[-1][1] == cache.journal_path.stat().st_size
-
-    def test_iter_entries_streams_the_same_view_load_builds(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        job = spec(local_size=4)
-        cache.put(job, execute_job(job))
-        with cache.journal_path.open("a") as journal:
-            journal.write("{corrupt\n")
-        streamed = {record["hash"]: record for record, _ in
-                    ResultCache(tmp_path).iter_entries()}
-        assert set(streamed) == {job.content_hash()}
+        first_offset = entries[0][2]
+        rest = list(cache_journal(cache).read(start=first_offset))
+        assert [read[0][0] for _, read, _ in rest] == hashes[1:]
+        assert entries[-1][2] == cache.journal_path.stat().st_size
 
     def test_terminated_blank_lines_advance_the_offset(self, tmp_path):
         # A blank (but newline-terminated) line carries no record, yet the
         # iteration must still report the offset past it: consumers that
         # persist the consumed offset (warehouse sync) would otherwise stall
         # before trailing blank lines and re-read them on every pass.
-        from repro.campaign.journal import iter_journal_entries
-
         cache = ResultCache(tmp_path)
         job = spec(local_size=4)
         cache.put(job, execute_job(job))
@@ -476,17 +467,14 @@ class TestStreamingJournal:
             journal.write("\n\n")
         size = cache.journal_path.stat().st_size
 
-        entries = list(iter_journal_entries(cache.journal_path))
-        assert [record is None for record, _ in entries] == [False, True, True]
-        assert entries[-1][1] == size
+        entries = list(cache_journal(cache).read())
+        assert [read is None for _, read, _ in entries] == [False, True, True]
+        assert entries[-1][2] == size
         # complete_only (the warehouse ingest mode) consumes them too
-        guarded = list(iter_journal_entries(cache.journal_path,
-                                            complete_only=True))
-        assert guarded[-1][1] == size
+        guarded = list(cache_journal(cache).read(complete_only=True))
+        assert guarded[-1][2] == size
 
     def test_complete_only_hides_an_unterminated_tail(self, tmp_path):
-        from repro.campaign.journal import iter_journal_entries
-
         cache = ResultCache(tmp_path)
         job = spec(local_size=4)
         cache.put(job, execute_job(job))
@@ -494,12 +482,11 @@ class TestStreamingJournal:
         with cache.journal_path.open("a") as journal:
             journal.write('{"hash": "partial"')            # no newline
 
-        guarded = list(iter_journal_entries(cache.journal_path,
-                                            complete_only=True))
+        guarded = list(cache_journal(cache).read(complete_only=True))
         assert len(guarded) == 1
-        assert guarded[-1][1] == whole                     # stops at the tail
+        assert guarded[-1][2] == whole                     # stops at the tail
 
-        # legacy mode still parses the tail like the whole-file read did
-        eager = list(iter_journal_entries(cache.journal_path))
+        # the loaders' mode still reads the tail like any other line
+        eager = list(cache_journal(cache).read())
         assert len(eager) == 2
-        assert eager[-1][0] is None                        # corrupt -> None
+        assert eager[-1][:2] == (None, None)               # corrupt -> None

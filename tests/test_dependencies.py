@@ -6,7 +6,8 @@ scan is where it gets noticed.  The same file pins structural facts the same
 way: ``repro.experiments`` describes experiments and never runs one, the
 issue loop is written once per engine family, each opcode's semantics are
 written once in ``repro.isa``, the memory walk is written once in
-``repro.sim.memory``, every public name of
+``repro.sim.memory``, each journal is read through the rule its client
+declares on the one ``repro.campaign.journal.Journal``, every public name of
 ``repro`` and ``repro.core`` has a caller under ``src/``, and
 ``benchmarks/harness`` is the only benchmark code in the repository.
 """
@@ -126,6 +127,70 @@ def test_the_memory_walk_is_written_once():
                     and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
                 reads.append(f"{path.name}:{node.lineno}: {node.attr}")
     assert reads == []
+
+
+#: The journal readers the one ``Journal`` replaced.
+_RETIRED_JOURNAL_NAMES = {
+    "JournalWriter", "is_current_record", "is_current_telemetry_record",
+    "iter_journal_lines", "iter_journal_entries", "terminate_partial_tail",
+    "iter_entries", "iter_records", "_usable", "_journal_view",
+    "_telemetry_view", "_telemetry_parity",
+}
+
+
+def _file_handles(tree) -> set:
+    """Names a ``with ... open(...) as name`` binds in one module."""
+    handles = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.With):
+            for item in node.items:
+                call = item.context_expr
+                if (isinstance(call, ast.Call) and isinstance(item.optional_vars, ast.Name)
+                        and getattr(call.func, "attr", getattr(call.func, "id", "")) == "open"):
+                    handles.add(item.optional_vars.id)
+    return handles
+
+
+def test_each_journal_is_read_through_its_declared_rule():
+    """``campaign/journal.py`` alone parses and iterates journal lines: the
+    retired readers stay gone, no other journal client (cache, sink, queue,
+    telemetry journal, warehouse) calls ``json.load(s)`` or loops over an
+    open file, and the warehouse reads no version stamp off a record -- the
+    key of the client's read rule carries them."""
+    package = SRC / "repro"
+    clients = {package / name for name in ("campaign/cache.py", "scenarios/sink.py",
+                                           "service/queue.py", "telemetry/journal.py")}
+    clients |= set((package / "warehouse").glob("*.py"))
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        where = path.relative_to(package).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        handles = _file_handles(tree) if path in clients else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = {node.value}
+                if where.startswith("warehouse/") and node.value in ("simulator", "schema"):
+                    found.append(f"{where}:{node.lineno}: reads {node.value!r}")
+            else:
+                names = set()
+            found.extend(f"{where}: {name}" for name in names & _RETIRED_JOURNAL_NAMES)
+            if path not in clients:
+                continue
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                found.append(f"{where}:{node.lineno}: parses json")
+            if (isinstance(node, ast.For) and isinstance(node.iter, ast.Name)
+                    and node.iter.id in handles):
+                found.append(f"{where}:{node.lineno}: iterates a file")
+    assert found == []
 
 
 #: Public names nothing under ``src/`` spells out, because user code only

@@ -44,7 +44,9 @@ from repro.campaign.dist import (
     parse_address,
     run_worker,
 )
+from repro.campaign.cache import CACHE_FILE_NAME, read_cache_line
 from repro.campaign.executor import ExecutorTask
+from repro.campaign.journal import Journal
 from repro.campaign.worker import execute_job
 from repro.sim.config import ArchConfig
 from repro.sim.engine import ENGINE_ENV, EngineError
@@ -352,12 +354,11 @@ class TestSharedCacheAcrossTheFleet:
         for served, computed in zip(local.results, fleet.results):
             assert served.to_dict() == computed.to_dict()
         # exactly-once in the journal's last-wins view
-        last_wins = {}
-        for record, _ in ResultCache(tmp_path / "cache").iter_entries():
-            last_wins[record["hash"]] = record["result"]
+        last_wins = Journal(tmp_path / "cache" / CACHE_FILE_NAME,
+                            read_cache_line).fold().current()
         assert len(last_wins) == 6
         for computed in fleet.results:
-            assert last_wins[computed.job_hash] == computed.to_dict()
+            assert last_wins[computed.job_hash].to_dict() == computed.to_dict()
 
     def test_fleet_is_served_from_a_warm_cache(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

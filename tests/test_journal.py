@@ -1,10 +1,10 @@
-"""Tests for the one journal append path (repro.campaign.journal.JournalWriter).
+"""Tests for the one JSONL journal (repro.campaign.journal.Journal).
 
-Covers the writer itself (a batch is one write and at most one fsync, tail
-repair once per writer and again after ``rearm``) and pins its four clients:
-cache, queue, telemetry and sink journals keep the exact bytes -- canonical
-``sort_keys`` JSON, one object per line -- and the fsync policy they had
-when each hand-wrote its own append.
+Covers the append path (a batch is one write and at most one fsync, tail
+repair once per journal and again after ``reset``) and pins its four
+clients: cache, queue, telemetry and sink journals keep the exact bytes --
+canonical ``sort_keys`` JSON, one object per line -- and the fsync policy
+they had when each hand-wrote its own append.
 """
 
 import copy
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import repro
 from repro.campaign import CACHE_SCHEMA_VERSION, JobSpec, ResultCache, execute_job
-from repro.campaign.journal import JournalWriter, iter_journal_lines
+from repro.campaign.journal import Journal
 from repro.campaign.spec import simulator_version
 from repro.service import JobQueue, validate_request
 from repro.sim.config import ArchConfig
@@ -27,10 +27,19 @@ def canonical(records) -> str:
     return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
 
+def every_line(record, end):
+    """A read rule accepting every JSON object, keyed by its line's end."""
+    return end, record
+
+
+def records_of(journal):
+    return [record for record, _, _ in journal.read()]
+
+
 class TestJournalWriter:
     def test_a_batch_is_one_append_and_one_fsync(self, tmp_path, fsynced):
         path = tmp_path / "deep" / "er" / "journal.jsonl"     # parents created
-        writer = JournalWriter(path, fsync=True)
+        writer = Journal(path, every_line, fsync=True)
         batch = [{"b": 2, "a": 1}, {"n": [1, 2]}, {"s": "x"}]
         assert writer.append(batch) >= 0.0                    # fsync seconds
         assert writer.append(batch[:1]) >= 0.0                # a batch of one
@@ -38,7 +47,7 @@ class TestJournalWriter:
         assert fsynced == [path.stat().st_ino] * 2
 
     def test_no_fsync_policy_never_syncs(self, tmp_path, fsynced):
-        writer = JournalWriter(tmp_path / "journal.jsonl", fsync=False)
+        writer = Journal(tmp_path / "journal.jsonl", every_line)
         assert writer.append([{"a": 1}, {"a": 2}]) == 0.0
         assert fsynced == []
         assert writer.path.read_text() == canonical([{"a": 1}, {"a": 2}])
@@ -46,15 +55,14 @@ class TestJournalWriter:
     def test_tail_is_repaired_once_and_again_after_rearm(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         path.write_text('{"torn": ')                          # a killed writer
-        writer = JournalWriter(path, fsync=False)
+        writer = Journal(path, every_line)
         writer.append([{"a": 1}])
-        assert list(iter_journal_lines(path)) == [None, {"a": 1}]
-        # the client unlinked the journal; someone else left a torn tail
-        path.unlink()
+        assert records_of(writer) == [None, {"a": 1}]
+        # the client reset the journal; someone else left a torn tail
+        writer.reset()
         path.write_text('{"torn": ')
-        writer.rearm()
         writer.append([{"a": 2}, {"a": 3}])
-        assert list(iter_journal_lines(path)) == [None, {"a": 2}, {"a": 3}]
+        assert records_of(writer) == [None, {"a": 2}, {"a": 3}]
 
     def test_fsync_lives_in_the_writer_only(self):
         package = Path(repro.__file__).parent

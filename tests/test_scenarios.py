@@ -377,22 +377,14 @@ class TestScenarioCacheIntegration:
 
 
 class TestSinkStreaming:
-    def test_iter_records_streams_without_materializing(self, tmp_path):
-        scenario = tiny_scenario()
-        sink = ResultSink(tmp_path / "tiny.jsonl")
-        Planner().run(scenario, SMOKE, sink=sink)
-        streamed = list(sink.iter_records())
-        assert [r.key for r in streamed] == list(sink.load())
-        assert all(isinstance(r, SinkRecord) for r in streamed)
-
-    def test_iter_records_skips_corrupt_and_stale_lines(self, tmp_path):
+    def test_load_skips_corrupt_and_stale_lines(self, tmp_path):
         scenario = tiny_scenario()
         sink = ResultSink(tmp_path / "tiny.jsonl")
         Planner().run(scenario, SMOKE, sink=sink)
         with sink.path.open("a") as journal:
             journal.write("{corrupt\n")
             journal.write(json.dumps({"schema": -1, "key": "stale"}) + "\n")
-        assert len(list(sink.iter_records())) == 2
+        assert len(sink.load()) == 2
         assert sink.skipped == 2
 
     def test_load_keeps_last_wins_over_the_stream(self, tmp_path):

@@ -13,7 +13,7 @@ import sqlite3
 import pytest
 
 from repro.campaign.cache import CACHE_FILE_NAME, ResultCache
-from repro.campaign.journal import iter_journal_entries
+from repro.campaign.journal import parse_line
 from repro.campaign.result import JobResult
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CACHE_SCHEMA_VERSION, simulator_version
@@ -416,7 +416,7 @@ class TestCountersView:
         checked = 0
         for journal, key_field in ((cache_journal, "hash"),
                                    (sink_journal, "key")):
-            for record, _ in iter_journal_entries(journal):
+            for record in map(parse_line, journal.read_text().splitlines()):
                 expected = JobResult.from_dict(record["result"]).counters
                 rows = store.query(
                     "SELECT name, value FROM counters "
