@@ -130,9 +130,9 @@ class ResultCache:
         self.misses = 0
         # No fsync: a cache entry lost to a crash costs one re-simulation.
         self._journal = Journal(self.journal_path, read_cache_line, fsync=False)
-        # One instance may be shared between the runner's thread and a
-        # CacheServer's connection handlers; all index/journal mutation
-        # happens under this lock.
+        # One instance may be shared by several runners on different threads
+        # (the service's ``asyncio.to_thread`` workers); all index/journal
+        # mutation happens under this lock.
         self._lock = threading.RLock()
         self._load()
 
@@ -173,27 +173,13 @@ class ResultCache:
     def __contains__(self, spec: JobSpec) -> bool:
         return spec.content_hash() in self._index
 
-    def get(self, spec: JobSpec) -> Optional[JobResult]:
-        """Look up a spec; counts a hit or a miss and marks served results."""
-        with self._lock:
-            result = self._index.get(spec.content_hash())
-            if result is None:
-                self.misses += 1
-                RECORDER.count("campaign.cache.misses")
-                return None
-            self.hits += 1
-            RECORDER.count("campaign.cache.hits")
-            return result.as_cached()
-
     def get_many(self, specs: Sequence[JobSpec]) -> List[Optional[JobResult]]:
         """Resolve many specs in one indexed pass: one slot per spec, in order.
 
-        Semantically ``[self.get(s) for s in specs]`` -- same hit/miss
-        accounting, same ``as_cached()`` marking -- but the whole batch is one
-        lock acquisition and **one** ``cache.get_many`` telemetry span instead
-        of a per-spec span, which is what a 10^4-point campaign's cache-first
-        resolve wants.  The distributed cache server serves its batched
-        ``get_many`` requests through this exact method.
+        The cache's one lookup: each spec counts a hit or a miss, and every
+        served result is marked ``as_cached()``.  The whole batch is one lock
+        acquisition and **one** ``cache.get_many`` telemetry span, which is
+        what a 10^4-point campaign's cache-first resolve wants.
         """
         started_wall = time.time()
         started = time.perf_counter()
@@ -227,7 +213,7 @@ class ResultCache:
             if job_hash in self._index:
                 return
             # Index the summary only: traced results can carry 10^5 events, and
-            # neither the journal nor get() ever serves them.
+            # neither the journal nor get_many() ever serves them.
             self._index[job_hash] = (replace(result, events=None)
                                      if result.events is not None else result)
             record = {

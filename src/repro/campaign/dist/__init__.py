@@ -1,4 +1,4 @@
-"""Distributed campaign execution: coordinator, workers, shared cache.
+"""Distributed campaign execution: a coordinator and its workers.
 
 The package generalises the campaign engine across hosts while keeping
 every guarantee of the local path -- submission order, dedup, failure
@@ -10,20 +10,21 @@ isolation, and bit-identical results:
   a work-stealing implementation of the
   :class:`~repro.campaign.executor.Executor` protocol with heartbeat
   liveness and bounded retry on worker death.
-* :mod:`~repro.campaign.dist.cache_server` -- the existing
-  :class:`~repro.campaign.cache.ResultCache` served over the same
-  transport, so the fleet shares one memoization namespace.
 * :mod:`~repro.campaign.dist.worker` -- :func:`run_worker`, the whole
   lifecycle of one ``repro worker`` process.
 
+Workers only simulate.  The coordinator's
+:class:`~repro.campaign.runner.CampaignRunner` is the one cache client: it
+resolves the campaign against its ``ResultCache`` before the fleet sees a
+task and journals every result the fleet sends back.
+
 Quick start (three shells)::
 
-    repro campaign run --grid figure2 --executor dist --listen 0.0.0.0:7070
+    repro scenario run figure2 --executor dist --listen 0.0.0.0:7070 --wait-workers 2
     repro worker --connect coordinator-host:7070      # as many as you like
     repro worker --connect coordinator-host:7070
 """
 
-from repro.campaign.dist.cache_server import CacheClient, CacheServer
 from repro.campaign.dist.coordinator import DistributedExecutor
 from repro.campaign.dist.protocol import (
     Connection,
@@ -35,8 +36,6 @@ from repro.campaign.dist.protocol import (
 from repro.campaign.dist.worker import run_worker
 
 __all__ = [
-    "CacheClient",
-    "CacheServer",
     "Connection",
     "DistributedExecutor",
     "ProtocolError",

@@ -21,17 +21,17 @@ worker processes (any mix of hosts) over the length-prefixed JSON transport:
   completion is only emitted when a *live* connection answers a task it
   still owns, and a presumed-dead worker's socket is closed before its
   tasks are re-queued.
-- **Shared memoization.**  When built with a cache, the executor starts a
-  :class:`~repro.campaign.dist.cache_server.CacheServer` on the same
-  ``ResultCache`` instance the local runner uses and advertises it to every
-  worker at handshake, so the whole fleet shares one content-addressed
-  namespace and one on-disk journal.
+- **No cache of its own.**  The executor only moves tasks and outcomes.
+  The :class:`~repro.campaign.runner.CampaignRunner` driving it resolves
+  every spec against its ``ResultCache`` before dispatch and journals every
+  result that comes back, so a point computed on any host is cache-served
+  to every later run, distributed or local.
 
 Multiple ``execute()`` calls may be in flight concurrently (the service
 layer runs one per API job); tasks carry a submission backref and fold back
 to their own caller.  Telemetry: ``dist.steal_wait_seconds``,
 ``dist.chunk_size``, ``dist.bytes_sent/received``, ``dist.workers_*``,
-``dist.tasks_*``, ``dist.cache_server.*``.
+``dist.tasks_*``.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.campaign.cache import ResultCache
-from repro.campaign.dist.cache_server import CacheServer
 from repro.campaign.dist.protocol import (
     Connection,
     ProtocolError,
@@ -103,9 +101,6 @@ class DistributedExecutor:
     host, port:
         Bind address for workers; ``port=0`` picks a free port (see
         :attr:`address`).
-    cache:
-        The runner's :class:`ResultCache` to serve fleet-wide, or ``None``
-        for no shared cache.
     heartbeat_interval / heartbeat_timeout:
         Worker heartbeat cadence and the silence that declares one dead.
     max_retries:
@@ -119,7 +114,6 @@ class DistributedExecutor:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 cache: Optional[ResultCache] = None,
                  heartbeat_interval: float = 1.0,
                  heartbeat_timeout: float = 10.0,
                  max_retries: int = 2,
@@ -141,8 +135,6 @@ class DistributedExecutor:
         self._closing = threading.Event()
         self._local_processes: List[subprocess.Popen] = []
         self._listener = socket.create_server((host, port))
-        self.cache_server = (CacheServer(cache, host=host)
-                             if cache is not None else None)
         self._threads = [
             threading.Thread(target=self._accept_loop, name="dist-accept",
                              daemon=True),
@@ -281,8 +273,6 @@ class DistributedExecutor:
                 "type": "welcome",
                 "worker": worker.id,
                 "heartbeat": self.heartbeat_interval,
-                "cache": (format_address(self.cache_server.address)
-                          if self.cache_server is not None else None),
             })
             if RECORDER.enabled:
                 RECORDER.count("dist.workers_joined")
@@ -446,8 +436,6 @@ class DistributedExecutor:
                 pass
             worker.connection.close()
         shutdown_and_close(self._listener)
-        if self.cache_server is not None:
-            self.cache_server.close()
         for process in self._local_processes:
             try:
                 process.wait(timeout=5.0)

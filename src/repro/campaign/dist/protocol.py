@@ -1,4 +1,4 @@
-"""Length-prefixed JSON framing shared by coordinator, workers and cache.
+"""Length-prefixed JSON framing shared by the coordinator and its workers.
 
 Every message on the wire is a 4-byte big-endian length followed by that
 many bytes of UTF-8 JSON encoding one object.  JSON keeps the transport

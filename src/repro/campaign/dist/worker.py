@@ -1,22 +1,22 @@
-"""The fleet worker: steal chunks, resolve against the shared cache, simulate.
+"""The fleet worker: steal chunks, simulate, send the outcomes back.
 
 :func:`run_worker` is the whole lifecycle of one ``repro worker`` process:
 
 1. dial the coordinator, introduce itself (``hello``), learn the heartbeat
-   cadence and the shared cache's address from the ``welcome``;
+   cadence from the ``welcome``;
 2. loop: send ``next`` and *block* until a chunk arrives (pull-based
    stealing -- an idle worker costs one parked socket, not a poll loop);
-3. per chunk: one batched ``get_many`` against the cache server, then
-   :func:`~repro.campaign.worker.execute_job` for every miss (with the
-   task's engine pinned around the job), ``put`` of every fresh result, and
-   one ``result`` message per task -- cache-served answers are bit-identical
-   to computed ones because both sides of the wire speak ``to_dict()``;
+3. per chunk: :func:`~repro.campaign.worker.execute_job` for every task
+   (with the task's engine pinned around the job) and one ``result``
+   message per task.  The worker never touches a cache: the coordinator's
+   runner resolved the campaign before dispatch and journals what comes
+   back;
 4. exit on ``shutdown`` or when the coordinator hangs up.
 
 A heartbeat thread shares the connection (sends are lock-serialised), so a
 worker grinding through a long simulation still reads as alive.  Losing the
-cache server degrades to cache-less execution; losing the coordinator ends
-the worker -- its unanswered tasks are the coordinator's to re-queue.
+coordinator ends the worker -- its unanswered tasks are the coordinator's to
+re-queue.
 
 ``max_tasks`` exists for fault-injection: after executing that many jobs
 the worker drops its socket *without a word*, exactly like a SIGKILL --
@@ -31,12 +31,10 @@ import threading
 import time
 from typing import Optional, Union
 
-from repro.campaign.dist.cache_server import CacheClient
 from repro.campaign.dist.protocol import Connection, ProtocolError, connect
-from repro.campaign.result import JobFailure, JobResult
+from repro.campaign.result import JobResult
 from repro.campaign.spec import JobSpec
 from repro.campaign.worker import execute_job
-from repro.telemetry.recorder import RECORDER
 
 
 def _dial(coordinator: Union[str, tuple], timeout: float) -> Connection:
@@ -64,14 +62,12 @@ def run_worker(coordinator: Union[str, tuple],
                connect_timeout: float = 30.0) -> int:
     """Serve one coordinator until it shuts the fleet down.
 
-    Returns the number of jobs this worker *simulated* (cache-served tasks
-    don't count).  ``max_tasks`` is the fault-injection kill switch
-    described in the module docstring.
+    Returns the number of jobs this worker simulated.  ``max_tasks`` is the
+    fault-injection kill switch described in the module docstring.
     """
     connection = _dial(coordinator, connect_timeout)
     stop = threading.Event()
     executed = 0
-    cache: Optional[CacheClient] = None
     try:
         connection.send({"type": "hello", "host": socket.gethostname(),
                          "pid": os.getpid()})
@@ -79,9 +75,6 @@ def run_worker(coordinator: Union[str, tuple],
         if not welcome or welcome.get("type") != "welcome":
             raise ProtocolError(f"expected welcome, got {welcome!r}")
         interval = float(welcome.get("heartbeat") or 1.0)
-        cache_address = welcome.get("cache")
-        if cache_address:
-            cache = CacheClient(cache_address, timeout=connect_timeout)
 
         def heartbeat() -> None:
             while not stop.wait(interval):
@@ -99,35 +92,16 @@ def run_worker(coordinator: Union[str, tuple],
                 return executed
             if message.get("type") != "chunk":
                 continue
-            tasks = message.get("tasks", [])
-            specs = [JobSpec.from_dict(entry["spec"]) for entry in tasks]
-            cached = [None] * len(specs)
-            if cache is not None and specs:
-                try:
-                    cached = cache.get_many(specs)
-                except (ProtocolError, OSError):
-                    cache = None          # degrade to cache-less execution
-                    cached = [None] * len(specs)
-            for entry, spec, hit in zip(tasks, specs, cached):
-                if hit is not None:
-                    if RECORDER.enabled:
-                        RECORDER.count("dist.worker.cache_served")
-                    connection.send({"type": "result", "task": entry["task"],
-                                     "ok": True, "result": hit.to_dict()})
-                    continue
+            for entry in message.get("tasks", []):
                 if max_tasks is not None and executed >= max_tasks:
                     # Fault injection: vanish mid-chunk, as a SIGKILL would.
                     connection.close()
                     return executed
-                outcome = execute_job(spec, engine=entry.get("engine"))
+                outcome = execute_job(JobSpec.from_dict(entry["spec"]),
+                                      engine=entry.get("engine"))
                 executed += 1
                 reply = {"type": "result", "task": entry["task"]}
                 if isinstance(outcome, JobResult):
-                    if cache is not None:
-                        try:
-                            cache.put(spec, outcome)
-                        except (ProtocolError, OSError):
-                            cache = None
                     reply.update(ok=True, result=outcome.to_dict())
                 else:
                     reply.update(ok=False, failure=outcome.to_dict())
@@ -140,5 +114,3 @@ def run_worker(coordinator: Union[str, tuple],
     finally:
         stop.set()
         connection.close()
-        if cache is not None:
-            cache.close()

@@ -3,12 +3,12 @@
 Exposes the library's main workflows without writing Python::
 
     python -m repro info    --config 8c8w8t --gws 4096
-    python -m repro run     vecadd --config 4c8w8t --scale bench [--lws 32] [--trace]
+    python -m repro run     vecadd --config 4c8w8t --scale bench --lws 32 --trace
     python -m repro figure1
     python -m repro sweep   --kernels vecadd,sgemm --sweep smoke --scale bench -o sweep.json
     python -m repro report  sweep.json
     python -m repro campaign run --kernels vecadd --sweep smoke --workers 4
-    python -m repro campaign status [--source warehouse]
+    python -m repro campaign status --source warehouse
     python -m repro campaign clear-cache
     python -m repro scenario list
     python -m repro scenario run scaling --scale smoke --workers 4
@@ -722,7 +722,7 @@ def _cmd_campaign(args) -> int:
     # campaign run
     context = _grid_context(args)    # rejects bad --kernels before any set-up
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    dist_executor = _make_executor(args, cache)
+    dist_executor = _make_executor(args)
     runner = CampaignRunner(workers=args.workers, cache=cache,
                             executor=dist_executor)
     try:
@@ -740,25 +740,22 @@ def _cmd_campaign(args) -> int:
     return 0
 
 
-def _make_executor(args, cache):
+def _make_executor(args):
     """The ``--executor dist`` coordinator, or ``None`` for the local path.
 
-    Starts the coordinator (and its cache server, when caching) on
-    ``--listen``, optionally spawns ``--dist-workers`` local worker
-    processes, and blocks for ``--wait-workers`` joins so the run starts
-    against a known fleet.  The caller owns the returned executor and must
-    ``close()`` it.
+    Starts the coordinator on ``--listen``, optionally spawns
+    ``--dist-workers`` local worker processes, and blocks for
+    ``--wait-workers`` joins so the run starts against a known fleet.  The
+    caller owns the returned executor and must ``close()`` it.
     """
     if getattr(args, "executor", "local") != "dist":
         return None
     from repro.campaign.dist import DistributedExecutor, format_address, parse_address
 
     host, port = parse_address(args.listen)
-    dist_executor = DistributedExecutor(host=host, port=port, cache=cache)
+    dist_executor = DistributedExecutor(host=host, port=port)
     _LOG.info("distributed coordinator listening",
-              listen=format_address(dist_executor.address),
-              cache=(format_address(dist_executor.cache_server.address)
-                     if dist_executor.cache_server is not None else "off"))
+              listen=format_address(dist_executor.address))
     if args.dist_workers:
         dist_executor.spawn_local_workers(args.dist_workers)
     expected = (args.wait_workers if args.wait_workers is not None
@@ -919,7 +916,7 @@ def _cmd_scenario(args) -> int:
     # skip even loading its journal.
     use_cache = scenario.cacheable and not args.no_cache
     cache = ResultCache(args.cache_dir) if use_cache else None
-    dist_executor = _make_executor(args, cache)
+    dist_executor = _make_executor(args)
     runner = CampaignRunner(workers=args.workers, cache=cache,
                             executor=dist_executor)
     planner = Planner(runner=runner)

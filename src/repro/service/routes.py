@@ -76,17 +76,16 @@ class Service:
         self.limiter = RateLimiter(rate=self.config.rate,
                                    burst=self.config.burst)
         self.events = EventBook()
-        # The distributed backend: one coordinator (and one shared cache
-        # server over the service's ResultCache) for the whole service --
-        # every API job's campaign executes on the same worker fleet.
+        # The distributed backend: one coordinator for the whole service --
+        # every API job's campaign executes on the same worker fleet, and
+        # the job's runner resolves and journals through ``self.cache``.
         self.executor = None
         if self.config.executor == "dist":
             from repro.campaign.dist import DistributedExecutor
             from repro.campaign.dist.protocol import parse_address
 
             host, port = parse_address(self.config.listen)
-            self.executor = DistributedExecutor(host=host, port=port,
-                                                cache=self.cache)
+            self.executor = DistributedExecutor(host=host, port=port)
             if self.config.dist_workers:
                 self.executor.spawn_local_workers(self.config.dist_workers)
         self.pool = WorkerPool(

@@ -128,10 +128,10 @@ class TestResultCache:
     def test_miss_then_hit_accounting(self, tmp_path):
         cache = ResultCache(tmp_path)
         job = spec(local_size=4)
-        assert cache.get(job) is None
+        assert cache.get_many([job]) == [None]
         result = execute_job(job)
         cache.put(job, result)
-        served = cache.get(job)
+        [served] = cache.get_many([job])
         assert served is not None
         assert served.cycles == result.cycles
         assert served.from_cache and not result.from_cache
@@ -146,7 +146,8 @@ class TestResultCache:
         second = ResultCache(tmp_path)
         assert len(second) == 1
         assert job in second
-        assert second.get(job).cycles == first.get(job).cycles
+        assert (second.get_many([job])[0].cycles
+                == first.get_many([job])[0].cycles)
 
     def test_version_bump_invalidates_entries(self, tmp_path, monkeypatch):
         job = spec(local_size=4)
@@ -155,7 +156,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         assert len(cache) == 0
         assert cache.stats().stale_entries == 1
-        assert cache.get(job) is None      # the hash moved with the version too
+        assert cache.get_many([job]) == [None]   # the hash moved with the version too
 
     def test_corrupt_journal_lines_are_skipped(self, tmp_path):
         job = spec(local_size=4)
@@ -186,7 +187,7 @@ class TestResultCache:
         assert "compacted 1 superseded/corrupt line(s)" in stats.render()
         # the journal itself shrank back to one line per hash
         assert len(cache.journal_path.read_text().splitlines()) == 1
-        assert reloaded.get(job).cycles == result.cycles
+        assert reloaded.get_many([job])[0].cycles == result.cycles
 
     def test_compaction_keeps_the_last_record_per_hash(self, tmp_path):
         job = spec(local_size=4)
@@ -198,7 +199,7 @@ class TestResultCache:
             journal.write(json.dumps(record, sort_keys=True) + "\n")
 
         reloaded = ResultCache(tmp_path)
-        assert reloaded.get(job).cycles == 123_456
+        assert reloaded.get_many([job])[0].cycles == 123_456
         assert reloaded.stats().compacted_lines == 1
 
     def test_stale_duplicate_hash_cannot_shadow_a_usable_record(self, tmp_path):
@@ -216,7 +217,7 @@ class TestResultCache:
             journal.write(json.dumps(record, sort_keys=True) + "\n")
 
         reloaded = ResultCache(tmp_path)
-        assert reloaded.get(job).cycles == result.cycles   # still served
+        assert reloaded.get_many([job])[0].cycles == result.cycles   # still served
         assert reloaded.stats().stale_entries == 1
         assert reloaded.stats().compacted_lines == 0       # nothing superseded
         assert len(cache.journal_path.read_text().splitlines()) == 2
@@ -238,7 +239,7 @@ class TestResultCache:
         cache.put(job, execute_job(job))
         assert cache.clear() == 1
         assert not cache.journal_path.exists()
-        assert ResultCache(tmp_path).get(job) is None
+        assert ResultCache(tmp_path).get_many([job]) == [None]
 
     def test_cache_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "elsewhere"))
@@ -257,7 +258,7 @@ class TestResultCache:
         cache.journal_path.write_text('{"hash": "partial"')   # no newline
         cache.put(second, execute_job(second))
         reloaded = ResultCache(tmp_path)
-        assert reloaded.get(second) is not None
+        assert reloaded.get_many([second]) != [None]
 
     def test_clear_sweeps_orphaned_compaction_tmp_files(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -1,9 +1,16 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import ast
+import itertools
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+import repro.campaign.dist
+import repro.cli
 from repro.cli import build_parser, main
 
 from scenario_helpers import check_golden
@@ -388,3 +395,53 @@ def test_help_offers_no_backend_selector(command, capsys):
     text = capsys.readouterr().out
     assert "--backend" not in text
     assert "REPRO_WAREHOUSE_BACKEND" not in text
+
+
+def _documented_commands() -> list:
+    """Every ``repro ...`` / ``python -m repro ...`` command shown in the
+    README's ``bash`` blocks and in the docstrings of ``repro.cli`` and
+    ``repro.campaign.dist``, as argv lists for the parser."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    texts = re.findall(r"```bash\n(.*?)```", readme, re.S)
+    for module in (repro.cli, repro.campaign.dist):
+        tree = ast.parse(Path(module.__file__).read_text())
+        texts.extend(ast.get_docstring(node) or "" for node in ast.walk(tree)
+                     if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef)))
+    command_line = re.compile(r"(\w+=\S*\s+)*(python -m )?repro\s")
+    commands = []
+    for text in texts:
+        for line in text.replace("\\\n", " ").splitlines():
+            if not command_line.match(line.strip()):
+                continue
+            # One argv per shell command: split on separators, cut at a
+            # redirect, drop leading VAR=value assignments.
+            segments = [[]]
+            for token in shlex.split(line, comments=True):
+                if token in ("&&", "&"):
+                    segments.append([])
+                else:
+                    segments[-1].append(token)
+            for segment in segments:
+                segment = list(itertools.takewhile(
+                    lambda token: not token.startswith(">"), segment))
+                while segment and re.fullmatch(r"\w+=\S*", segment[0]):
+                    segment.pop(0)
+                if segment[:3] == ["python", "-m", "repro"]:
+                    commands.append(segment[3:])
+                elif segment[:1] == ["repro"]:
+                    commands.append(segment[1:])
+    return commands
+
+
+def test_documented_commands_parse(capsys):
+    """Parse-only: nothing runs, a stale flag in the docs is an argparse
+    error here instead of in a reader's shell."""
+    commands = _documented_commands()
+    assert ["worker", "--connect", "coordinator-host:7070"] in commands
+    rejected = []
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            rejected.append(" ".join(argv))
+    assert rejected == [], capsys.readouterr().err

@@ -7,9 +7,10 @@ way: ``repro.experiments`` describes experiments and never runs one, the
 issue loop is written once per engine family, each opcode's semantics are
 written once in ``repro.isa``, the memory walk is written once in
 ``repro.sim.memory``, each journal is read through the rule its client
-declares on the one ``repro.campaign.journal.Journal``, every public name of
-``repro`` and ``repro.core`` has a caller under ``src/``, and
-``benchmarks/harness`` is the only benchmark code in the repository.
+declares on the one ``repro.campaign.journal.Journal``, the campaign runner
+is the one client of the result cache, every public name of ``repro`` and
+``repro.core`` has a caller under ``src/``, and ``benchmarks/harness`` is the
+only benchmark code in the repository.
 """
 
 import ast
@@ -190,6 +191,37 @@ def test_each_journal_is_read_through_its_declared_rule():
             if (isinstance(node, ast.For) and isinstance(node.iter, ast.Name)
                     and node.iter.id in handles):
                 found.append(f"{where}:{node.lineno}: iterates a file")
+    assert found == []
+
+
+def test_the_runner_is_the_only_cache_client():
+    """``CampaignRunner`` resolves and journals every result: under ``src/``
+    only ``campaign/runner.py`` calls ``.get_many(`` or ``.put(`` on a cache
+    (a receiver whose name ends in ``cache``), and no module of the fleet
+    (``campaign/dist/``) imports ``repro.campaign.cache``."""
+    package = SRC / "repro"
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        where = path.relative_to(package).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if where.startswith("campaign/dist/"):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    modules = []
+                found.extend(f"{where}:{node.lineno}: imports {module}"
+                             for module in modules
+                             if module.startswith("repro.campaign.cache"))
+            if where == "campaign/runner.py" or not (
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            receiver = node.func.value
+            name = getattr(receiver, "attr", getattr(receiver, "id", ""))
+            if node.func.attr == "get_many" or (
+                    node.func.attr == "put" and name.lower().endswith("cache")):
+                found.append(f"{where}:{node.lineno}: {name}.{node.func.attr}")
     assert found == []
 
 

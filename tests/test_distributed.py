@@ -1,5 +1,5 @@
 """Distributed campaigns: executor conformance, fleet fault tolerance,
-the network-served cache, and the wire protocol.
+the runner as the fleet's one cache client, and the wire protocol.
 
 The conformance suite runs the *same* assertions against every executor --
 in-process, process pool, and a distributed fleet over loopback TCP -- to
@@ -35,12 +35,9 @@ from repro.campaign import (
     ResultCache,
 )
 from repro.campaign.dist import (
-    CacheClient,
-    CacheServer,
     Connection,
     DistributedExecutor,
     ProtocolError,
-    connect,
     parse_address,
     run_worker,
 )
@@ -67,13 +64,13 @@ def stripped(outcome) -> dict:
     return payload
 
 
-def make_fleet(workers: int = 2, cache=None, worker_args=None,
+def make_fleet(workers: int = 2, worker_args=None,
                **overrides) -> DistributedExecutor:
     """A coordinator plus ``workers`` loopback worker threads, ready to go."""
     options = dict(heartbeat_interval=0.2, heartbeat_timeout=3.0,
                    worker_wait=20.0)
     options.update(overrides)
-    executor = DistributedExecutor(cache=cache, **options)
+    executor = DistributedExecutor(**options)
     worker_args = worker_args if worker_args is not None else [{}] * workers
     for kwargs in worker_args:
         threading.Thread(target=run_worker, args=(executor.address,),
@@ -240,82 +237,12 @@ class TestWorkerDeathParity:
 
 
 # ----------------------------------------------------------------------
-# the shared cache over the wire
-# ----------------------------------------------------------------------
-class TestCacheServer:
-    @pytest.fixture
-    def served_cache(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        CampaignRunner(cache=cache).run(
-            Campaign("seed", specs=[spec(seed=s) for s in range(3)]))
-        server = CacheServer(cache)
-        client = CacheClient(server.address)
-        yield cache, client
-        client.close()
-        server.close()
-
-    def test_get_many_bit_equal_to_direct_cache(self, served_cache):
-        cache, client = served_cache
-        probes = [spec(seed=0), spec(seed=99), spec(seed=2)]
-        over_wire = client.get_many(probes)
-        direct = cache.get_many(probes)
-        assert over_wire[1] is None and direct[1] is None
-        for ours, reference in zip(over_wire, direct):
-            if reference is None:
-                continue
-            assert ours.to_dict() == reference.to_dict()   # incl. wall-clock
-            assert ours.from_cache and reference.from_cache
-
-    def test_single_get_matches_too(self, served_cache):
-        cache, client = served_cache
-        assert client.get(spec(seed=1)).to_dict() == cache.get(spec(seed=1)).to_dict()
-        assert client.get(spec(seed=99)) is None
-
-    def test_put_writes_through_to_the_journal(self, served_cache, tmp_path):
-        cache, client = served_cache
-        fresh_spec = spec(seed=7)
-        result = execute_job(fresh_spec)
-        assert isinstance(result, JobResult)
-        client.put(fresh_spec, result)
-        assert cache.get(fresh_spec).to_dict() == result.to_dict()
-        # write-through: a brand-new instance over the same directory sees it
-        reloaded = ResultCache(tmp_path / "cache")
-        assert reloaded.get(fresh_spec).to_dict() == result.to_dict()
-
-    def test_bad_requests_get_error_replies_not_disconnects(self, served_cache):
-        cache, client = served_cache
-        connection = connect(CacheServer(cache).address)
-        connection.send({"type": "bogus"})
-        assert connection.recv()["type"] == "error"
-        connection.send({"type": "get", "spec": {"not": "a spec"}})
-        assert connection.recv()["type"] == "error"
-        # the connection survived both
-        connection.send({"type": "stats"})
-        assert connection.recv()["type"] == "stats"
-        connection.close()
-
-
-# ----------------------------------------------------------------------
 # teardown signals its threads; it does not sit out their join timeouts
 # ----------------------------------------------------------------------
 class TestTeardown:
-    def test_cache_server_close_wakes_its_accept_loop(self, tmp_path):
-        server = CacheServer(ResultCache(tmp_path / "cache"))
-        client = CacheClient(server.address)
-        client.stats()                  # served: the accept loop is parked again
-        started = time.monotonic()
-        server.close()
-        assert time.monotonic() - started < 1.0
-        assert not server._accept_thread.is_alive()
-        client.close()
-
-    @pytest.mark.parametrize("with_cache", [False, True],
-                             ids=["no-cache", "cache-server"])
-    def test_executor_close_is_prompt_and_leaves_nothing_running(
-            self, tmp_path, with_cache):
+    def test_executor_close_is_prompt_and_leaves_nothing_running(self):
         before = set(threading.enumerate())
-        executor = DistributedExecutor(
-            cache=ResultCache(tmp_path / "cache") if with_cache else None)
+        executor = DistributedExecutor()
         processes = executor.spawn_local_workers(2)
         executor.wait_for_workers(2, timeout=30.0)
         started = time.monotonic()
@@ -338,7 +265,7 @@ class TestSharedCacheAcrossTheFleet:
         # and the journal's last-wins view must hold exactly one record per
         # point, whichever worker computed it.
         cache = ResultCache(tmp_path / "cache")
-        executor = make_fleet(workers=2, cache=cache)
+        executor = make_fleet(workers=2)
         specs = [spec(seed=s) for s in range(6)]
         try:
             fleet = CampaignRunner(cache=cache, executor=executor).run(
@@ -360,26 +287,29 @@ class TestSharedCacheAcrossTheFleet:
         for computed in fleet.results:
             assert last_wins[computed.job_hash].to_dict() == computed.to_dict()
 
-    def test_fleet_is_served_from_a_warm_cache(self, tmp_path):
+    def test_a_cold_fleet_run_counts_one_miss_per_submitted_spec(self, tmp_path):
+        # The runner resolves the campaign once and journals every result;
+        # the workers never read or write the cache, so a cold run counts
+        # one miss per submitted spec, simulates each distinct point once
+        # and leaves one journal line per distinct point.
         cache = ResultCache(tmp_path / "cache")
-        specs = [spec(seed=s) for s in range(4)]
-        CampaignRunner(cache=cache).run(Campaign("warm", specs=list(specs)))
-        executor = make_fleet(workers=1, cache=cache)
+        specs = [spec(seed=s % 12) for s in range(16)]
+        distinct = len({probe.content_hash() for probe in specs})
+        assert distinct == 12
+        executor = make_fleet(workers=2)
         try:
-            # The runner's own cache-first resolve would answer everything
-            # before the fleet sees it; run cache-less through the runner so
-            # the *workers* must resolve against the cache server.
-            outcome = CampaignRunner(executor=executor).run(
-                Campaign("served", specs=list(specs)))
-            assert outcome.stats.failed == 0
-            reference = CampaignRunner(cache=cache).run(
-                Campaign("ref", specs=list(specs)))
-            for ours, served in zip(outcome.results, reference.results):
-                # cache-served over the wire == cache-served locally,
-                # wall-clock fields included
-                assert ours.to_dict() == served.to_dict()
+            outcome = CampaignRunner(cache=cache, executor=executor).run(
+                Campaign("cold", specs=list(specs)))
         finally:
             executor.close()
+        assert outcome.stats.failed == 0
+        assert cache.hits == 0
+        assert cache.misses == len(specs)
+        assert outcome.stats.executed == distinct
+        lines = [record for record, read, _ in
+                 Journal(cache.journal_path, read_cache_line).read() if read]
+        assert len(lines) == distinct
+        assert len({record["hash"] for record in lines}) == distinct
 
 
 # ----------------------------------------------------------------------
@@ -426,7 +356,7 @@ class TestGetMany:
         sequential_cache = ResultCache(tmp_path / "cache")
         probes = [spec(seed=0), spec(seed=5), spec(seed=1), spec(seed=0)]
         batched = batched_cache.get_many(probes)
-        sequential = [sequential_cache.get(probe) for probe in probes]
+        sequential = [sequential_cache.get_many([probe])[0] for probe in probes]
         for ours, reference in zip(batched, sequential):
             if reference is None:
                 assert ours is None
@@ -578,7 +508,7 @@ class TestServiceDistBackend:
         from repro.service.worker import EventBook, WorkerPool
 
         cache = ResultCache(tmp_path / "cache")
-        executor = make_fleet(workers=1, cache=cache)
+        executor = make_fleet(workers=1)
         try:
             queue = JobQueue(tmp_path / "service" / "jobs.jsonl")
             pool = WorkerPool(queue, EventBook(), cache=cache,

@@ -83,7 +83,7 @@ class TestRefusedLines:
         with cache.journal_path.open("a") as journal:
             journal.write(line(bad) + good)          # corrupt + superseded
         reloaded = ResultCache(tmp_path)
-        assert reloaded.get(job) == result.as_cached()
+        assert reloaded.get_many([job]) == [result.as_cached()]
         stats = reloaded.stats()
         assert stats.compacted_lines == 2
         assert stats.journal_lines == 1
