@@ -9,10 +9,8 @@ with tracing enabled and renders the same information as ASCII timelines.
 Run with:  python examples/trace_visualization.py
 """
 
-from dataclasses import replace
-
 from repro.experiments.figure1 import summarize_figure1_launch
-from repro.scenarios import REGISTRY, Planner, ScenarioContext
+from repro.scenarios import REGISTRY, Planner
 from repro.trace.render import (
     render_issue_timeline,
     render_section_waveform,
@@ -21,11 +19,9 @@ from repro.trace.render import (
 
 
 def main() -> None:
-    # The registered figure1 scenario, with tracing switched on: timelines
-    # need the issue events, which only a fresh in-memory run carries.
-    scenario = REGISTRY.get("figure1")
-    (axes,) = scenario.axes(ScenarioContext())
-    run = Planner().run(replace(scenario, grid=replace(axes, collect_trace=True)))
+    # The registered figure1 scenario traces every launch: timelines need
+    # the issue events, which only a fresh in-memory run carries.
+    run = Planner().run(REGISTRY.get("figure1"))
     jobs = run.results()
 
     print(f"vecadd, {jobs[0].global_size} elements on {jobs[0].config_name} "

@@ -4,17 +4,16 @@ Exposes the library's main workflows without writing Python::
 
     python -m repro info    --config 8c8w8t --gws 4096
     python -m repro run     vecadd --config 4c8w8t --scale bench --lws 32 --trace
-    python -m repro figure1
-    python -m repro sweep   --kernels vecadd,sgemm --sweep smoke --scale bench -o sweep.json
-    python -m repro report  sweep.json
-    python -m repro campaign run --kernels vecadd --sweep smoke --workers 4
-    python -m repro campaign status --source warehouse
-    python -m repro campaign clear-cache
     python -m repro scenario list
+    python -m repro scenario run figure1 --fresh
+    python -m repro scenario run figure2 --kernels vecadd,sgemm --sweep smoke --workers 4
     python -m repro scenario run scaling --scale smoke --workers 4
     python -m repro scenario resume scaling --scale smoke
     python -m repro scenario report scaling --scale smoke
+    python -m repro campaign status
+    python -m repro campaign clear-cache
     python -m repro warehouse sync
+    python -m repro warehouse status --json
     python -m repro warehouse query "SELECT problem, MIN(cycles) FROM jobs GROUP BY problem"
     python -m repro warehouse report best-lws
     python -m repro --engine fast run sgemm --config 4c8w8t
@@ -31,15 +30,16 @@ wall-clock time.
 
 ``info`` answers the runtime question the paper poses (what lws should this
 launch use on this machine) and ``run`` executes a single workload under a
-chosen or runtime-selected mapping.  Every experiment is a registered
-*scenario* (``repro scenario list``) executed by the declarative planner:
+chosen or runtime-selected mapping.  Every grid -- the paper's Figure-1 trace
+study and Figure-2 sweep included -- is a registered *scenario*
+(``repro scenario list``), and ``scenario run`` is the one way to run it:
 grids expand to content-addressed jobs, results stream to a JSONL sink (so
-interrupted runs resume), and the campaign engine supplies parallel workers
-plus the persistent result cache (``~/.cache/repro`` by default, overridden
-by ``REPRO_CACHE_DIR`` or ``--cache-dir``).  ``figure1`` runs the ``figure1``
-scenario's grid with tracing on (timelines need the events, which no sink
-or cache stores); ``sweep`` and ``campaign run`` run the ``figure2``
-scenario without a sink, and ``report`` re-renders a sweep saved with ``-o``.
+interrupted runs resume, and ``scenario report`` re-renders without
+simulating), and the campaign engine supplies parallel workers plus the
+persistent result cache (``~/.cache/repro`` by default, overridden by
+``REPRO_CACHE_DIR`` or ``--cache-dir``).  ``--executor dist`` runs the same
+grid on a fleet of ``repro worker`` processes.  ``campaign status`` and
+``campaign clear-cache`` inspect and reset that cache.
 
 ``warehouse`` is the SQL analytics tier over everything the journals have
 recorded: ``sync`` ingests the cache, sink *and telemetry* journals
@@ -55,8 +55,8 @@ telemetry journal (``telemetry/telemetry.jsonl``, ``$REPRO_TELEMETRY_DIR``
 aware) on exit.  ``repro telemetry summary`` aggregates the journal;
 ``repro telemetry export prometheus|chrome|json`` re-shapes it for scrapers
 and ``chrome://tracing``.  ``--progress`` adds a live done/total + hit rate
-+ jobs/sec + ETA line on stderr to ``campaign run`` and ``scenario
-run``/``resume``; it works with telemetry off.
++ jobs/sec + ETA line on stderr to ``scenario run``/``resume``; it works
+with telemetry off.
 
 Output discipline: stdout carries only the command's machine-readable or
 report output (tables, JSON, Prometheus text); every diagnostic, stat line
@@ -70,7 +70,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -78,13 +77,7 @@ from repro.campaign.cache import CACHE_DIR_ENV, ResultCache
 from repro.campaign.runner import CampaignRunner
 from repro.core.advisor import TuningAdvisor
 from repro.core.optimizer import optimal_local_size
-from repro.experiments.claims import evaluate_claims
-from repro.experiments.figure2 import Figure2Result
-from repro.experiments.report import (
-    render_figure2_table,
-    render_speedup_summary,
-    render_table,
-)
+from repro.experiments.report import render_table
 from repro.runtime.device import Device
 from repro.runtime.launcher import launch_kernel
 from repro.scenarios import (
@@ -96,7 +89,6 @@ from repro.scenarios import (
     UnknownScenarioError,
     default_sink_path,
 )
-from repro.scenarios.library import figure2_result_from_run
 from repro.service.queue import SERVICE_DIR_ENV
 from repro.sim.config import ArchConfig, ConfigError
 from repro.sim.engine import DEFAULT_ENGINE, ENGINE_ENV, ENGINES
@@ -173,11 +165,11 @@ def _machine(text: str) -> ArchConfig:
 # Shared option groups (argparse parent parsers)
 # ----------------------------------------------------------------------
 def _grid_options() -> argparse.ArgumentParser:
-    """The grid flags shared by ``sweep``, ``campaign run`` and ``scenario run``.
+    """The grid flags shared by ``scenario run``, ``resume`` and ``report``.
 
-    One definition instead of three copy-pasted blocks: every command that
-    shapes an experiment grid accepts the same ``--kernels/--sweep/--scale/
-    --seed/--exact-calls`` vocabulary.
+    One definition for every command that shapes an experiment grid: each
+    accepts the same ``--kernels/--sweep/--scale/--seed/--exact-calls``
+    vocabulary.
     """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--kernels", default="vecadd,relu,saxpy,sgemm,knn",
@@ -275,60 +267,26 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", action="store_true", help="print an issue timeline")
     run.add_argument("--advise", action="store_true", help="print the tuning-advisor report")
 
-    figure1 = sub.add_parser("figure1", help="reproduce the paper's Figure-1 trace study")
-    figure1.add_argument("--length", type=int, default=128)
-    figure1.add_argument("--lws", type=_positive_int, nargs="+", default=[1, 16, 32, 64])
-
-    sweep = sub.add_parser("sweep", parents=[grid],
-                           help="run a Figure-2 style sweep (alias of the "
-                                "'figure2' scenario, without a sink)")
-    sweep.add_argument("-o", "--output", default=None, help="write raw records to a JSON file")
-
-    report = sub.add_parser("report", help="render the Figure-2 table from a saved sweep")
-    report.add_argument("input", help="JSON file produced by 'repro sweep -o'")
-    report.add_argument("--claims", action="store_true", help="also evaluate the Section-3 claims")
-
     campaign = sub.add_parser(
         "campaign",
-        help="parallel sweeps with a persistent, content-addressed result cache",
-        description="Run experiment grids through the campaign engine: each "
-                    "(kernel, machine, lws, seed) point is hashed, served from "
-                    "the cache when already simulated, and fresh points fan "
-                    "out across worker processes.",
+        help="inspect or clear the persistent, content-addressed result cache",
+        description="Every grid runs with `repro scenario run` (add "
+                    "`--executor dist` for a worker fleet): each (kernel, "
+                    "machine, lws, seed) point is hashed and served from this "
+                    "cache when already simulated.  These commands show and "
+                    "reset the cache.",
         epilog=f"The cache lives in ~/.cache/repro by default; override it "
                f"with the {CACHE_DIR_ENV} environment variable or --cache-dir. "
                f"Cached results are invalidated automatically when the "
                f"simulator version changes.",
     )
     campaign_sub = campaign.add_subparsers(dest="campaign_command", required=True)
-
-    crun = campaign_sub.add_parser(
-        "run", parents=[grid, cache, executor],
-        help="run a Figure-2 style sweep as a campaign (alias of the "
-             "'figure2' scenario)")
-    crun.add_argument("--workers", type=_positive_int, default=1,
-                      help="worker processes for fresh points (default 1)")
-    crun.add_argument("--claims", action="store_true",
-                      help="also evaluate the Section-3 claims")
-    crun.add_argument("-o", "--output", default=None,
-                      help="write raw records to a JSON file")
-    crun.add_argument("--progress", action="store_true",
-                      help="live progress line on stderr (done/total, hit "
-                           "rate, jobs/sec, ETA)")
-
     cstatus = campaign_sub.add_parser("status", parents=[_cache_options(no_cache=False)],
                                       help="show the result-cache state")
-    cstatus.add_argument("--source", choices=("journal", "warehouse"), default="journal",
-                         help="serve the status from the JSONL journal (default) or "
-                              "from the synced warehouse (per-table row counts and "
-                              "last-sync offsets instead of raw journal lines)")
-    cstatus.add_argument("--db", default=None,
-                         help="warehouse database path (with --source warehouse)")
     cstatus.add_argument("--json", action="store_true",
                          help="emit the status as JSON instead of text")
-    cclear = campaign_sub.add_parser("clear-cache", parents=[_cache_options(no_cache=False)],
-                                     help="delete the persistent result cache")
-    del cclear
+    campaign_sub.add_parser("clear-cache", parents=[_cache_options(no_cache=False)],
+                            help="delete the persistent result cache")
 
     scenario = sub.add_parser(
         "scenario",
@@ -429,9 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop every derived row, re-ingest all journals, verify parity")
     wrebuild.add_argument("--no-verify", action="store_true",
                           help="skip the journal-parity proof after rebuilding")
-    warehouse_sub.add_parser(
+    wstatus = warehouse_sub.add_parser(
         "status", parents=[wh_common],
         help="per-table row counts and per-journal sync offsets")
+    wstatus.add_argument("--json", action="store_true",
+                         help="emit the status as JSON instead of text")
     wquery = warehouse_sub.add_parser(
         "query", parents=[wh_common],
         help="run one read-only SQL statement (SELECT/WITH) against the store")
@@ -530,12 +490,13 @@ def build_parser() -> argparse.ArgumentParser:
     worker = sub.add_parser(
         "worker",
         help="join a distributed campaign fleet",
-        description="Connect to a coordinator started with `repro campaign "
-                    "run --executor dist --listen HOST:PORT` (or scenario "
-                    "run / serve) and execute whatever chunks it serves: "
-                    "pull-based stealing, shared result cache, heartbeat "
-                    "liveness.  The process exits when the coordinator "
-                    "shuts the fleet down.",
+        description="Connect to a coordinator started with `repro scenario "
+                    "run NAME --executor dist --listen HOST:PORT` (or `repro "
+                    "serve --executor dist`) and simulate whatever chunks it "
+                    "serves: pull-based stealing, heartbeat liveness; the "
+                    "coordinator alone reads and writes the result cache.  "
+                    "The process exits when the coordinator shuts the fleet "
+                    "down.",
     )
     worker.add_argument("--connect", required=True, metavar="HOST:PORT",
                         help="the coordinator's --listen address")
@@ -588,16 +549,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_figure1(args) -> int:
-    scenario = REGISTRY.get("figure1")
-    (axes,) = scenario.axes(ScenarioContext())
-    traced = replace(scenario, grid=replace(
-        axes, collect_trace=True, sizes=(args.length,),
-        strategies=tuple(f"lws={lws}" for lws in sorted(set(args.lws)))))
-    print(Planner().run(traced).report())
-    return 0
-
-
 # ----------------------------------------------------------------------
 def _grid_context(args) -> ScenarioContext:
     """A :class:`ScenarioContext` from the shared grid flags.
@@ -606,7 +557,7 @@ def _grid_context(args) -> ScenarioContext:
     a workload (``main`` reports it), before anything is planned or opened.
     """
     kernels = None
-    if getattr(args, "kernels", None):
+    if args.kernels:
         kernels = tuple(name.strip() for name in args.kernels.split(",") if name.strip())
         known = available_problems()
         unknown = [name for name in kernels if name not in known]
@@ -643,100 +594,16 @@ class _ProgressReporter:
             self.line.finish()
 
 
-def _progress_reporter(args, label: str) -> Optional[_ProgressReporter]:
-    return _ProgressReporter(label) if getattr(args, "progress", False) else None
-
-
-def _run_and_render_sweep(args, context: ScenarioContext, runner=None,
-                          claims: bool = False) -> "Figure2Result":
-    """Shared body of ``sweep`` and ``campaign run``: the figure2 scenario,
-    executed without a sink, rendered like the paper's data tables."""
-    planner = Planner(runner=runner)
-    reporter = _progress_reporter(args, "figure2")
-    try:
-        run = planner.run(REGISTRY.get("figure2"), context, progress=reporter)
-    finally:
-        if reporter is not None:
-            reporter.finish()
-    result = figure2_result_from_run(run)
-    print(render_figure2_table(result))
-    print()
-    print(render_speedup_summary(result))
-    if claims:
-        print()
-        print(evaluate_claims(result).render())
-    return result
-
-
-def _save_sweep_output(result: "Figure2Result", output: Optional[str]) -> None:
-    if output:
-        result.save_json(output)
-        _LOG.info(f"raw records written to {output}")
-
-
-def _cmd_sweep(args) -> int:
-    result = _run_and_render_sweep(args, _grid_context(args))
-    _save_sweep_output(result, args.output)
-    return 0
-
-
-def _cmd_report(args) -> int:
-    try:
-        result = Figure2Result.load_json(args.input)
-    except (OSError, ValueError) as error:
-        _LOG.error(f"error: {error}")
-        return 1
-    print(render_figure2_table(result))
-    print()
-    print(render_speedup_summary(result))
-    if args.claims:
-        print()
-        print(evaluate_claims(result).render())
-    return 0
-
-
 def _cmd_campaign(args) -> int:
+    cache = ResultCache(args.cache_dir)
     if args.campaign_command == "status":
-        if args.source == "warehouse":
-            # Million-row status is a SQL aggregate over the synced store,
-            # not a full JSONL re-parse.
-            try:
-                with _closing_store(args.db) as store:
-                    print(json.dumps(status_payload(store), indent=2)
-                          if args.json else render_status(store))
-            except WarehouseError as error:
-                _LOG.error(f"error: {error}")
-                return 1
-            return 0
-        stats = ResultCache(args.cache_dir).stats()
+        stats = cache.stats()
         print(json.dumps(stats.to_dict(), indent=2) if args.json
               else stats.render())
         return 0
-    if args.campaign_command == "clear-cache":
-        cache = ResultCache(args.cache_dir)
-        path = cache.directory
-        dropped = cache.clear()
-        print(f"cleared {dropped} cached result(s) from {path}")
-        return 0
-
-    # campaign run
-    context = _grid_context(args)    # rejects bad --kernels before any set-up
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    dist_executor = _make_executor(args)
-    runner = CampaignRunner(workers=args.workers, cache=cache,
-                            executor=dist_executor)
-    try:
-        result = _run_and_render_sweep(args, context, runner=runner,
-                                       claims=args.claims)
-    finally:
-        runner.close()
-        if dist_executor is not None:
-            dist_executor.close()
-    if cache is not None:
-        stats = cache.stats()
-        _LOG.info(f"cache {stats.path}: {stats.hits} hit(s), "
-                  f"{stats.misses} miss(es), {stats.entries} entries")
-    _save_sweep_output(result, args.output)
+    # campaign clear-cache
+    dropped = cache.clear()
+    print(f"cleared {dropped} cached result(s) from {cache.directory}")
     return 0
 
 
@@ -748,7 +615,7 @@ def _make_executor(args):
     ``--wait-workers`` joins so the run starts against a known fleet.  The
     caller owns the returned executor and must ``close()`` it.
     """
-    if getattr(args, "executor", "local") != "dist":
+    if args.executor != "dist":
         return None
     from repro.campaign.dist import DistributedExecutor, format_address, parse_address
 
@@ -805,7 +672,8 @@ def _cmd_warehouse(args) -> int:
 
         if args.warehouse_command == "status":
             with _closing_store(args.db) as store:
-                print(render_status(store))
+                print(json.dumps(status_payload(store), indent=2)
+                      if args.json else render_status(store))
             return 0
 
         if args.warehouse_command == "query":
@@ -921,7 +789,7 @@ def _cmd_scenario(args) -> int:
                             executor=dist_executor)
     planner = Planner(runner=runner)
     fresh = bool(getattr(args, "fresh", False))
-    reporter = _progress_reporter(args, scenario.name)
+    reporter = _ProgressReporter(scenario.name) if args.progress else None
     try:
         run = planner.run(scenario, context, sink=sink, fresh=fresh,
                           progress=reporter)
@@ -936,6 +804,10 @@ def _cmd_scenario(args) -> int:
             dist_executor.close()
     _LOG.info(f"scenario {scenario.name!r} ({scale}): {run.stats.render()}")
     _LOG.info(f"sink: {sink.path}")
+    if cache is not None:
+        stats = cache.stats()
+        _LOG.info(f"cache {stats.path}: {stats.hits} hit(s), "
+                  f"{stats.misses} miss(es), {stats.entries} entries")
     print(run.report())
     return 0
 
@@ -1022,9 +894,6 @@ def _cmd_worker(args) -> int:
 _COMMANDS = {
     "info": _cmd_info,
     "run": _cmd_run,
-    "figure1": _cmd_figure1,
-    "sweep": _cmd_sweep,
-    "report": _cmd_report,
     "campaign": _cmd_campaign,
     "scenario": _cmd_scenario,
     "warehouse": _cmd_warehouse,
@@ -1061,7 +930,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 _LOG.info("telemetry journal updated",
                           path=str(default_journal_path()), records=written)
         return code
-    except UnknownProblemError as error:      # a --kernels name, a bad --length
+    except UnknownProblemError as error:      # a --kernels name
         _LOG.error(f"error: {error.args[0]}")
         return 2
     finally:

@@ -4,8 +4,8 @@ The paper's Figure 1 traces a 128-element vector addition on a
 1-core / 2-warp / 4-thread machine (hardware parallelism 8) for
 ``lws in {1, 16, 32, 64}`` and shows, per warp, which tagged code section
 issues at which time.  This module holds the study's constants and its
-caption line; the registered ``figure1`` scenario declares the grid and
-renders the result, and ``repro figure1`` runs that grid with tracing on.
+caption line; the registered ``figure1`` scenario declares the grid (with
+tracing on) and renders the result: ``repro scenario run figure1 --fresh``.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ pick the same lws on some machine share one simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
 
 from repro.experiments.stats import RatioStats, ratio_stats
 
@@ -43,37 +43,6 @@ class SweepRecord:
     cycles: int
     lane_utilization: float
     elapsed_seconds: float = 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        """Serialise to plain types."""
-        return {
-            "problem": self.problem,
-            "category": self.category,
-            "config": self.config_name,
-            "hp": self.hardware_parallelism,
-            "strategy": self.strategy,
-            "lws": self.local_size,
-            "gws": self.global_size,
-            "calls": self.num_calls,
-            "cycles": self.cycles,
-            "lane_utilization": self.lane_utilization,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "SweepRecord":
-        """Inverse of :meth:`as_dict`."""
-        return cls(
-            problem=str(data["problem"]),
-            category=str(data["category"]),
-            config_name=str(data["config"]),
-            hardware_parallelism=int(data["hp"]),
-            strategy=str(data["strategy"]),
-            local_size=int(data["lws"]),
-            global_size=int(data["gws"]),
-            num_calls=int(data["calls"]),
-            cycles=int(data["cycles"]),
-            lane_utilization=float(data["lane_utilization"]),
-        )
 
 
 @dataclass
@@ -162,40 +131,6 @@ class Figure2Result:
             except KeyError:
                 continue
         return worst
-
-    def as_rows(self) -> List[Dict[str, object]]:
-        """Every record as a dictionary (for CSV/JSON export)."""
-        return [record.as_dict() for record in self.records]
-
-    # ------------------------------------------------------------------ persistence
-    def save_json(self, path) -> None:
-        """Write every sweep record to a JSON file (re-loadable with :meth:`load_json`).
-
-        Long sweeps are expensive on a pure-Python simulator; persisting the
-        raw records lets reports and claims be recomputed without re-running.
-        """
-        import json
-        from pathlib import Path
-
-        Path(path).write_text(json.dumps(self.as_rows(), indent=1))
-
-    @classmethod
-    def load_json(cls, path) -> "Figure2Result":
-        """Load a result previously written by :meth:`save_json`.
-
-        Raises :class:`ValueError` naming ``path`` when the file is not a
-        JSON list of sweep rows (and :class:`OSError` when it cannot be read).
-        """
-        import json
-        from pathlib import Path
-
-        text = Path(path).read_text()
-        try:
-            return cls(records=[SweepRecord.from_dict(row)
-                                for row in json.loads(text)])
-        except (ValueError, TypeError, KeyError) as error:
-            raise ValueError(f"{path} is not a saved sweep (a JSON list of "
-                             f"sweep rows): {error!r}") from error
 
 
 # ----------------------------------------------------------------------

@@ -80,7 +80,8 @@ def figure2_result_from_run(run) -> Figure2Result:
 # ----------------------------------------------------------------------
 def _figure1_grid(context: ScenarioContext) -> GridAxes:
     # The Figure-1 study is scale-independent by construction: the paper pins
-    # the machine, the 128-element vector and the four lws values.
+    # the machine, the 128-element vector and the four lws values.  It is a
+    # trace study, so a fresh run keeps each launch's issue events.
     return GridAxes(
         problems=("vecadd",),
         configs=(FIGURE1_CONFIG,),
@@ -88,20 +89,21 @@ def _figure1_grid(context: ScenarioContext) -> GridAxes:
         seeds=(FIGURE1_SEED,),
         sizes=(FIGURE1_LENGTH,),
         scale="bench",
+        collect_trace=True,
     )
 
 
 def _figure1_analyze(run) -> str:
-    """Caption lines per lws; plus, when the records carry trace events (the
-    ``repro figure1`` run -- sinks and the cache store summaries only), each
-    launch's section waveform and issue timeline."""
+    """Caption lines per lws; plus, when the records carry trace events (a
+    fresh run -- sinks and the cache store summaries only), each launch's
+    section waveform and issue timeline."""
     first = run.records[0].result
     traced = first.events is not None
     lines = [f"Figure 1 reproduction: vecadd, {first.global_size} "
              f"elements on {first.config_name}"]
     if not traced:
-        lines.append("(numbers from sink records; `repro figure1` renders "
-                     "the timelines)")
+        lines.append("(numbers from sink records; `repro scenario run "
+                     "figure1 --fresh` renders the timelines)")
     lines.append("")
     for record in run.records:
         job = record.result

@@ -364,8 +364,9 @@ class Planner:
                 hint += f" --seed {context.seed}"
             if context.problems:
                 hint += f" --kernels {','.join(context.problems)}"
+            where = f" {sink.path}" if sink is not None else ""
             raise ScenarioError(
-                f"scenario {scenario.name!r}: sink covers "
+                f"scenario {scenario.name!r}: sink{where} covers "
                 f"{len(unique) - len(missing)} of {len(unique)} job(s); "
                 f"missing {names}{more} -- run `{hint}` to complete it")
         stats = PlanStats(planned=len(plan), unique=len(unique),

@@ -1,8 +1,8 @@
-"""The live ``--progress`` line for campaign and scenario runs.
+"""The live ``--progress`` line for scenario runs.
 
-One :class:`ProgressLine` instance sits behind ``repro campaign run
---progress`` and ``repro scenario run --progress``, fed from the same
-progress callbacks the runner and planner already fire.  It renders::
+One :class:`ProgressLine` instance sits behind ``repro scenario run
+--progress`` (and ``resume``), fed from the progress callback the planner
+already fires.  It renders::
 
     scaling 4/6 (67%) | hit 50% | 2.1 jobs/s | ETA 1s
 

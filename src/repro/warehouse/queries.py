@@ -164,9 +164,9 @@ def table_counts(store: ResultStore) -> Dict[str, int]:
 def render_status(store: ResultStore) -> str:
     """Human-readable warehouse state: store, tables, per-journal sync.
 
-    This is what ``repro warehouse status`` and ``repro campaign status
-    --source warehouse`` print: per-table row counts plus each journal's
-    last-sync offset, instead of the journal-side lines/KiB accounting.
+    This is what ``repro warehouse status`` prints: per-table row counts
+    plus each journal's last-sync offset, instead of the journal-side
+    lines/KiB accounting that ``repro campaign status`` prints.
     """
     size = store.path.stat().st_size if store.path.exists() else 0
     lines = [
@@ -192,7 +192,7 @@ def render_status(store: ResultStore) -> str:
 
 
 def status_payload(store: ResultStore) -> Dict[str, object]:
-    """The warehouse state as JSON-ready data (``--json`` surfaces).
+    """The warehouse state as JSON-ready data (``repro warehouse status --json``).
 
     Same facts as :func:`render_status`: backend, per-table row counts and
     per-journal sync offsets.

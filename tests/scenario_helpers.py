@@ -24,6 +24,17 @@ def sweep_scenario(problems, configs,
     )
 
 
+def sweep_row(record) -> dict:
+    """One Figure-2 record as the frozen golden's row: every field except the
+    wall time, which differs between cold, warm, serial and parallel runs."""
+    return {"problem": record.problem, "category": record.category,
+            "config": record.config_name, "hp": record.hardware_parallelism,
+            "strategy": record.strategy, "lws": record.local_size,
+            "gws": record.global_size, "calls": record.num_calls,
+            "cycles": record.cycles,
+            "lane_utilization": record.lane_utilization}
+
+
 def run_sweep(problems, configs, seed=0, runner=None) -> Figure2Result:
     """The smoke-scale sweep as a :class:`Figure2Result` (serial and uncached
     unless ``runner`` says otherwise)."""

@@ -36,7 +36,7 @@ from repro.isa.opcodes import Opcode
 from repro.sim.config import ArchConfig
 from repro.workloads.problems import UnknownProblemError, make_problem
 
-from scenario_helpers import run_sweep
+from scenario_helpers import run_sweep, sweep_row
 
 CONFIG = ArchConfig.from_name("2c2w4t")
 
@@ -396,15 +396,15 @@ class TestExperimentsThroughCampaign:
         warm_runner = CampaignRunner(cache=ResultCache(tmp_path))
         warm = run_sweep(["vecadd"], self.CONFIGS, runner=warm_runner)
         assert warm_runner.cache.misses == 0             # every point served
-        assert [r.as_dict() for r in warm.records] == [r.as_dict() for r in cold.records]
+        assert [sweep_row(r) for r in warm.records] == [sweep_row(r) for r in cold.records]
 
     def test_figure2_parallel_matches_serial(self):
         serial = run_sweep(["vecadd", "relu"], self.CONFIGS,
                            runner=CampaignRunner(workers=1))
         parallel = run_sweep(["vecadd", "relu"], self.CONFIGS,
                              runner=CampaignRunner(workers=4))
-        assert [r.as_dict() for r in serial.records] \
-            == [r.as_dict() for r in parallel.records]
+        assert [sweep_row(r) for r in serial.records] \
+            == [sweep_row(r) for r in parallel.records]
 
     def test_figure2_seed_changes_the_grid_points(self, tmp_path):
         cache = ResultCache(tmp_path)

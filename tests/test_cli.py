@@ -1,10 +1,12 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import argparse
 import ast
 import itertools
 import json
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,23 +14,32 @@ import pytest
 import repro.campaign.dist
 import repro.cli
 from repro.cli import build_parser, main
+from repro.scenarios import REGISTRY, Planner, ScenarioContext
 
 from scenario_helpers import check_golden
 
 
+def _verbs(parser: argparse.ArgumentParser) -> dict:
+    """A parser's subcommands, by name."""
+    (action,) = [action for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction)]
+    return action.choices
+
+
 def test_parser_lists_all_subcommands():
-    parser = build_parser()
-    text = parser.format_help()
-    for command in ("info", "run", "figure1", "sweep", "report", "campaign",
-                    "scenario"):
-        assert command in text
+    """One front door: grids run only through ``scenario``, and ``campaign``
+    only inspects or clears the result cache."""
+    verbs = _verbs(build_parser())
+    assert set(verbs) == {"info", "run", "campaign", "scenario", "warehouse",
+                          "telemetry", "serve", "worker"}
+    assert set(_verbs(verbs["campaign"])) == {"status", "clear-cache"}
 
 
-def test_grid_flags_are_shared_across_sweep_campaign_and_scenario(capsys):
-    """One parent parser feeds sweep, campaign run and scenario run."""
-    for argv in (["sweep", "--help"],
-                 ["campaign", "run", "--help"],
-                 ["scenario", "run", "--help"]):
+def test_grid_flags_are_shared_across_scenario_verbs(capsys):
+    """One parent parser feeds scenario run, resume and report."""
+    for argv in (["scenario", "run", "--help"],
+                 ["scenario", "resume", "--help"],
+                 ["scenario", "report", "--help"]):
         with pytest.raises(SystemExit):
             main(argv)
         text = capsys.readouterr().out
@@ -79,59 +90,92 @@ def test_run_command_rejects_unknown_problem():
         main(["run", "not_a_kernel"])
 
 
-def test_figure1_command(capsys, update_golden):
-    """stdout is byte-identical to what the deleted trace-study driver printed."""
-    assert main(["figure1"]) == 0
+def test_figure1_command(tmp_path, capsys, monkeypatch, update_golden):
+    """A fresh ``scenario run figure1`` prints what the deleted trace-study
+    driver (and later the ``figure1`` verb) printed, byte for byte."""
+    monkeypatch.setenv("REPRO_SCENARIO_DIR", str(tmp_path / "runs"))
+    argv = ["scenario", "run", "figure1", "--cache-dir", str(tmp_path / "cache")]
+    assert main(argv + ["--fresh"]) == 0
     default = capsys.readouterr().out
-    assert main(["figure1", "--length", "64", "--lws", "1", "8"]) == 0
-    short = capsys.readouterr().out
+    scenario = REGISTRY.get("figure1")
+    (axes,) = scenario.axes(ScenarioContext())
+    short = Planner().run(replace(scenario, grid=replace(
+        axes, sizes=(64,), strategies=("lws=1", "lws=8")))).report() + "\n"
     assert "Figure 1 reproduction" in short
     assert short.count("core 0 warp 0") == 2           # one timeline per lws
     check_golden("figure1_stdout",
                  {"default": default, "length64_lws_1_8": short}, update_golden)
 
+    # Resumed from the sink, the records carry no events: numbers only, and
+    # the report says how to get the timelines back.
+    assert main(argv) == 0
+    resumed = capsys.readouterr().out
+    assert "core 0 warp 0" not in resumed
+    assert "`repro scenario run figure1 --fresh` renders the timelines" in resumed
 
-def test_figure1_requires_at_least_one_lws(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["figure1", "--lws"])
-    assert exit_info.value.code == 2
-    assert "--lws" in capsys.readouterr().err
 
-
-def test_sweep_and_report_round_trip(tmp_path, capsys):
-    output = tmp_path / "sweep.json"
-    assert main(["sweep", "--kernels", "vecadd", "--sweep", "smoke", "--scale", "smoke",
-                 "-o", str(output)]) == 0
+def test_sweep_and_report_round_trip(tmp_path, capsys, monkeypatch):
+    """The figure2 sink is the one saved sweep: ``scenario report`` re-renders
+    its tables, and the claims, from it without simulating."""
+    monkeypatch.setenv("REPRO_WAREHOUSE_PATH", str(tmp_path / "wh.sqlite"))
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    grid = ["--kernels", "vecadd", "--sweep", "smoke", "--scale", "smoke"]
+    sink = ["--sink", str(tmp_path / "figure2.jsonl")]
+    assert main(["scenario", "run", "figure2"] + grid + sink + cache) == 0
     first = capsys.readouterr().out
     assert "lws=1/ours avg" in first
-    assert output.exists()
-    rows = json.loads(output.read_text())
-    assert rows and rows[0]["problem"] == "vecadd"
 
-    assert main(["report", str(output), "--claims"]) == 0
-    second = capsys.readouterr().out
-    assert "lws=1/ours avg" in second
-    assert "C4" in second
+    assert main(["scenario", "report", "figure2"] + grid + sink) == 0
+    assert capsys.readouterr().out == first
+    assert main(["scenario", "report", "claims"] + grid + sink) == 0
+    claims = capsys.readouterr().out
+    assert "C4" in claims
+
+    # ... and equal to what a claims run of the same grid reports.
+    assert main(["scenario", "run", "claims", "--sink",
+                 str(tmp_path / "claims.jsonl")] + grid + cache) == 0
+    assert capsys.readouterr().out == claims
 
 
-def test_report_rejects_a_missing_file(tmp_path, capsys):
-    assert main(["report", str(tmp_path / "missing.json")]) == 1
+def test_report_rejects_a_missing_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_WAREHOUSE_PATH", str(tmp_path / "wh.sqlite"))
+    assert main(["scenario", "report", "figure2", "--scale", "smoke",
+                 "--sink", str(tmp_path / "missing.jsonl")]) == 1
     captured = capsys.readouterr()
-    assert "error:" in captured.err and "missing.json" in captured.err
+    assert "error:" in captured.err and "missing.jsonl covers 0 of" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
 
 
-def test_report_rejects_json_that_is_not_a_saved_sweep(tmp_path, capsys):
+def test_report_rejects_json_that_is_not_a_saved_sweep(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_WAREHOUSE_PATH", str(tmp_path / "wh.sqlite"))
     bogus = tmp_path / "bogus.json"
     bogus.write_text('"valid JSON, not sweep rows"')
-    assert main(["report", str(bogus)]) == 1
+    assert main(["scenario", "report", "figure2", "--scale", "smoke",
+                 "--sink", str(bogus)]) == 1
     captured = capsys.readouterr()
-    assert "error:" in captured.err and "bogus.json is not a saved sweep" in captured.err
+    assert "error:" in captured.err and "bogus.json covers 0 of" in captured.err
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("content", ['"a string"', '{"problem": "vecadd"}',
+                                     '[{"problem": "vecadd"}]', '[1, 2]',
+                                     'not json'])
+def test_scenario_report_rejects_a_file_that_is_not_a_sink(content, tmp_path,
+                                                           capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_WAREHOUSE_PATH", str(tmp_path / "wh.sqlite"))
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text(content + "\n")
+    assert main(["scenario", "report", "figure2", "--scale", "smoke",
+                 "--sink", str(bogus)]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "bogus.json covers 0 of" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert bogus.read_text() == content + "\n"          # a report never writes
+
+
 @pytest.mark.parametrize("command", [
-    ["sweep"], ["campaign", "run", "--no-cache"], ["scenario", "run", "scaling"]])
+    ["scenario", "report", "figure2"], ["scenario", "resume", "figure2"],
+    ["scenario", "run", "scaling"]])
 def test_grid_commands_reject_unknown_kernels(command, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("REPRO_SCENARIO_DIR", str(tmp_path / "runs"))
     assert main(command + ["--kernels", "vecadd,nosuch", "--scale", "smoke"]) == 2
@@ -149,10 +193,8 @@ def test_grid_commands_reject_unknown_kernels(command, tmp_path, capsys, monkeyp
     ["info", "--config", "0c1w1t"],
     ["run", "vecadd", "--config", "banana"],
     ["run", "vecadd", "--lws", "0"],
-    ["campaign", "run", "--workers", "0"],
     ["scenario", "run", "scaling", "--workers", "0"],
-    ["figure1", "--lws", "0"],
-    ["sweep", "--seed", "-1"],
+    ["scenario", "run", "figure2", "--seed", "-1"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_numbers_and_machine_names_are_usage_errors(argv, tmp_path, capsys,
                                                         monkeypatch):
@@ -168,24 +210,38 @@ def test_bad_numbers_and_machine_names_are_usage_errors(argv, tmp_path, capsys,
     assert not (tmp_path / "runs").exists()
 
 
-def test_campaign_run_status_and_clear_cache(tmp_path, capsys):
+def _cache_line(err: str) -> tuple:
+    """(hits, misses, entries) from the ``cache <dir>: ...`` stderr line."""
+    match = re.search(r"cache .*: (\d+) hit\(s\), (\d+) miss\(es\), "
+                      r"(\d+) entries", err)
+    assert match, err
+    return tuple(map(int, match.groups()))
+
+
+def test_campaign_run_status_and_clear_cache(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_SCENARIO_DIR", str(tmp_path / "runs"))
     cache_dir = str(tmp_path / "cache")
-    base = ["campaign", "run", "--kernels", "vecadd", "--sweep", "smoke",
-            "--scale", "smoke", "--cache-dir", cache_dir]
-    assert main(base + ["--workers", "2", "--claims"]) == 0
+    grid = ["--kernels", "vecadd", "--sweep", "smoke", "--scale", "smoke",
+            "--cache-dir", cache_dir]
+    assert main(["scenario", "run", "figure2", "--workers", "2"] + grid) == 0
     cold = capsys.readouterr()
     assert "lws=1/ours avg" in cold.out
-    assert "C1" in cold.out
-    assert "0 hit(s)" in cold.err         # stats are diagnostics -> stderr
+    hits, misses, entries = _cache_line(cold.err)   # stats are diagnostics
+    assert hits == 0 and misses == entries > 0
 
-    # second run: fully cache-served, zero misses
-    assert main(base) == 0
-    warm = capsys.readouterr()
-    assert "0 miss(es)" in warm.err
+    # the claims over the same grid: fully cache-served, zero misses
+    assert main(["scenario", "run", "claims"] + grid) == 0
+    claims = capsys.readouterr()
+    assert "C1" in claims.out
+    assert _cache_line(claims.err) == (entries, 0, entries)
+
+    # a fresh rerun consults the cache for every point instead of the sink
+    assert main(["scenario", "run", "figure2", "--fresh"] + grid) == 0
+    assert _cache_line(capsys.readouterr().err) == (entries, 0, entries)
 
     assert main(["campaign", "status", "--cache-dir", cache_dir]) == 0
     status = capsys.readouterr().out
-    assert "usable entries" in status
+    assert f"usable entries  : {entries}" in status
     assert cache_dir in status
 
     assert main(["campaign", "clear-cache", "--cache-dir", cache_dir]) == 0
@@ -325,8 +381,8 @@ def test_warehouse_query_rejects_writes(tmp_path, capsys, monkeypatch):
     db = str(tmp_path / "wh.sqlite")
     cache_dir = str(tmp_path / "cache")
     monkeypatch.setenv("REPRO_SCENARIO_DIR", str(tmp_path / "sinks"))
-    assert main(["campaign", "run", "--kernels", "vecadd", "--sweep", "smoke",
-                 "--scale", "smoke", "--cache-dir", cache_dir]) == 0
+    assert main(["scenario", "run", "figure2", "--kernels", "vecadd", "--sweep",
+                 "smoke", "--scale", "smoke", "--cache-dir", cache_dir]) == 0
     capsys.readouterr()
     assert main(["warehouse", "sync", "--db", db, "--cache-dir", cache_dir,
                  "--scenario-dir", str(tmp_path / "sinks")]) == 0
@@ -346,22 +402,37 @@ def test_warehouse_sync_before_any_journal_exists(tmp_path, capsys):
     assert "0 row(s) ingested" in capsys.readouterr().out
 
 
-def test_campaign_status_can_serve_from_the_warehouse(tmp_path, capsys,
-                                                      monkeypatch):
+def test_warehouse_status_text_and_json(tmp_path, capsys, monkeypatch):
+    """``warehouse status`` is the one warehouse-status surface; ``--json``
+    carries the same facts as the text."""
     monkeypatch.setenv("REPRO_SCENARIO_DIR", str(tmp_path / "sinks"))
     db = str(tmp_path / "wh.sqlite")
     cache_dir = str(tmp_path / "cache")
-    assert main(["campaign", "run", "--kernels", "vecadd", "--sweep", "smoke",
-                 "--scale", "smoke", "--cache-dir", cache_dir]) == 0
+    assert main(["scenario", "run", "figure2", "--kernels", "vecadd", "--sweep",
+                 "smoke", "--scale", "smoke", "--cache-dir", cache_dir]) == 0
     capsys.readouterr()
     assert main(["warehouse", "sync", "--db", db, "--cache-dir", cache_dir,
                  "--scenario-dir", str(tmp_path / "sinks")]) == 0
     capsys.readouterr()
-    assert main(["campaign", "status", "--source", "warehouse",
-                 "--db", db, "--cache-dir", cache_dir]) == 0
-    out = capsys.readouterr().out
-    assert "jobs" in out
-    assert "offset" in out
+    assert main(["warehouse", "status", "--db", db]) == 0
+    text = capsys.readouterr().out
+    assert "offset" in text
+
+    assert main(["warehouse", "status", "--db", db, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["warehouse"] == db and payload["backend"] == "sqlite"
+    assert payload["tables"]["jobs"] > 0
+    for table, count in payload["tables"].items():
+        assert f"{table:<16}: {count} row(s)" in text
+    kinds = sorted(journal["kind"] for journal in payload["journals"])
+    assert kinds == ["cache", "sink"]
+    for journal in payload["journals"]:
+        assert journal["synced"] and journal["bytes_behind"] == 0
+        assert f"{journal['journal']} -- offset {journal['offset']}" in text
+
+    with pytest.raises(SystemExit) as exit_info:   # the old second surface
+        main(["campaign", "status", "--source", "warehouse", "--db", db])
+    assert exit_info.value.code == 2
 
 
 def test_scenario_report_source_warehouse(tmp_path, capsys, monkeypatch):

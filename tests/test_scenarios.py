@@ -19,6 +19,7 @@ from repro.campaign.runner import CampaignRunner
 from repro.experiments.ablation import boundedness_record_from_job
 from repro.experiments.claims import evaluate_claims
 from repro.experiments.figure1 import summarize_figure1_launch
+from repro.experiments.report import render_figure2_table
 from repro.scenarios import (
     GridAxes,
     Planner,
@@ -34,7 +35,7 @@ from repro.scenarios import (
 from repro.scenarios.library import figure2_result_from_run
 from repro.sim.config import ArchConfig
 
-from scenario_helpers import check_golden
+from scenario_helpers import check_golden, sweep_row, sweep_scenario
 
 SMOKE = ScenarioContext(scale="smoke", sweep="smoke")
 
@@ -255,6 +256,33 @@ class TestSinkResume:
         assert len(loaded.records) == 2
         assert loaded.report()
 
+    @staticmethod
+    def _sweep_and_reload(tmp_path):
+        """A small Figure-2 sweep as run, and as read back from its sink."""
+        scenario = sweep_scenario(["vecadd"], [ArchConfig.from_name("1c2w2t"),
+                                               ArchConfig.from_name("2c2w4t")])
+        context = ScenarioContext(scale="smoke")
+        sink = ResultSink(tmp_path / "sweep.jsonl")
+        run = Planner().run(scenario, context, sink=sink)
+        loaded = Planner().load(scenario, context, sink=ResultSink(sink.path))
+        return figure2_result_from_run(run), figure2_result_from_run(loaded)
+
+    def test_figure2_sink_reload_preserves_statistics(self, tmp_path):
+        result, loaded = self._sweep_and_reload(tmp_path)
+        assert len(loaded.records) == len(result.records)
+        assert loaded.problems() == result.problems()
+        for baseline in ("lws=1", "lws=32"):
+            original = result.stats("vecadd", baseline)
+            restored = loaded.stats("vecadd", baseline)
+            assert restored.average == pytest.approx(original.average)
+            assert restored.worst == pytest.approx(original.worst)
+            assert restored.count == original.count
+
+    def test_figure2_reloaded_from_a_sink_supports_claims_and_reports(self, tmp_path):
+        _, loaded = self._sweep_and_reload(tmp_path)
+        assert "vecadd" in render_figure2_table(loaded)
+        assert evaluate_claims(loaded).by_id("C4").holds
+
 
 # ----------------------------------------------------------------------
 # The paper scenarios reproduce the pre-refactor driver numbers
@@ -288,7 +316,7 @@ class TestPortedScenarioEquality:
         run = planner.run(REGISTRY.get("figure2"), SMOKE)
         check_golden("figure2", {
             "hashes": _hashes(run.plan),
-            "records": [r.as_dict() for r in figure2_result_from_run(run).records],
+            "records": [sweep_row(r) for r in figure2_result_from_run(run).records],
         }, update_golden)
 
     def test_claims_match_the_driver(self, planner, update_golden):
