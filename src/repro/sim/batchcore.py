@@ -60,6 +60,7 @@ from repro.sim.config import ArchConfig
 from repro.sim.core import NEVER, SimulationError
 from repro.sim.fastcore import (
     FastSimtCore,
+    _PARKED,
     _UNIFORM_CSR_ATTRS,
     per_process,
     run_fast,
@@ -290,13 +291,13 @@ def _issue_slots(core: BatchSimtCore, order, op, pc: int, cycle: int,
             tracer.record(cycle=at, core=core_id, warp=w.warp_id, pc=pc,
                           opcode=instr.opcode, mask=w.active_mask,
                           section=instr.section)
+        w._d_cache = None
         latency = run(core, w, at)
         if latency is None:
             latency = default_latency
         if dst is not None:
             w.reg_ready[dst] = at + latency
         w.next_issue_cycle = at + 1
-        w._d_cache = None
     return lanes_total
 
 
@@ -592,7 +593,7 @@ class _HaltPlan:
                               section=instr.section)
             w.halted = True
             w.next_issue_cycle = cycle + k + 1
-            w._d_cache = None
+            w._d_cache, w._ready_bound = _PARKED, NEVER     # as HALT's handler parks
         core._pc_issues[pc] += self.n
         core._pc_lanes[pc] += lanes_total
         core._rr_next = (self.order[-1] + 1) % core._rr_n

@@ -11,22 +11,23 @@ per-instruction Python overhead:
   registers to check, the functional-unit index and the timing -- the
   per-issue path never touches enum hashing, ``timing_for`` or tuple
   concatenation again.
-* **Vectorized lanes, at the width that is active.**  ALU/FPU/comparison/FMA
-  execution, load/store address generation and the coalescer run as numpy
-  operations instead of per-lane Python loops -- on register-row views of
-  exactly the active width while the mask is a contiguous lane prefix
-  (:meth:`~repro.sim.warp.FastWarp.refresh`), through a lane index array
-  only under true divergence.  A 1- or 2-lane load/store, where numpy's
-  fixed per-call cost is several times the arithmetic, does its address,
-  line and bounds arithmetic in Python ints (:func:`_narrow_access`).
-  All register state is float64 in both engines, and an opcode is
-  vectorized exactly when its :data:`~repro.isa.opcodes.OPS` row has a
-  ``rows`` form (bit-identical to the per-lane ``lane`` form by contract);
-  the rest loop ``lane`` over the active lanes.
+* **Two register representations, one decode.**  A warp launched with at
+  most :data:`LIST_LANES` active lanes is a :class:`~repro.sim.warp.ListWarp`
+  of Python float lists and runs every opcode's
+  :data:`~repro.isa.opcodes.OPS` ``lane`` form per lane, its memory
+  arithmetic in Python ints: no numpy call, whose fixed per-call cost is
+  several times the arithmetic at that width.  Every other warp runs numpy
+  on register-row views of exactly the active width while the mask is a
+  contiguous lane prefix (:meth:`~repro.sim.warp.FastWarp.refresh`),
+  through a lane index array only under true divergence; an opcode is
+  vectorized exactly when its ``OPS`` row has a ``rows`` form (bit-identical
+  to ``lane`` by contract).  Each PC decodes into both closure families; a
+  warp gets its family when attached (:meth:`FastSimtCore.add_warp`).
 * **Cached readiness.**  A warp that cannot issue caches a lower bound on its
   next issue cycle (:attr:`~repro.sim.warp.FastWarp._ready_bound`) and costs
-  one comparison per attempt until the clock reaches it; halted and barrier
-  warps are parked until a release.
+  one comparison per attempt until the clock reaches it.  The HALT, TMC and
+  BAR handlers park their own warp (bound ``NEVER``) when it ends up halted
+  or at a barrier, so a fresh decode never re-tests either flag.
 * **Batched statistics.**  Instruction-mix counters accumulate per PC and are
   folded into :class:`~repro.sim.stats.PerfCounters` once per kernel call
   (:meth:`FastSimtCore.flush_instruction_counters`), yielding identical totals
@@ -71,6 +72,9 @@ _UNIT_INDEX = {unit: index for index, unit in enumerate(FunctionalUnit)}
 #: ``_d_cache`` of a parked (halted or barrier) warp; its bound is ``NEVER``.
 _PARKED = (None, None, (), 1, 1, 0, False, False)
 
+#: Widest launch whose warp keeps its registers as Python float lists.
+LIST_LANES = 2
+
 
 #: Warp-uniform CSR numbers -> the :class:`~repro.isa.registers.CsrFile`
 #: attribute holding the value, resolved at decode time so the per-issue path
@@ -93,15 +97,15 @@ _BASE_HANDLERS = {
     Opcode.JMP: SimtCore._exec_jmp,
     Opcode.JOIN: SimtCore._exec_join,
     Opcode.LOOP_BEGIN: SimtCore._exec_loop_begin,
-    Opcode.BAR: SimtCore._exec_bar,
     Opcode.NOP: SimtCore._exec_nop,
 }
 
-#: Opcodes that can halt a warp; issuing one makes the GPU loop re-check
-#: whether the core drained.
-_DRAINING = {
-    Opcode.TMC: SimtCore._exec_tmc,
-    Opcode.HALT: SimtCore._exec_halt,
+#: Opcodes that can park their own warp (halt it or leave it at a barrier),
+#: and whether issuing one makes the GPU loop re-check if the core drained.
+_PARKING = {
+    Opcode.TMC: (SimtCore._exec_tmc, True),
+    Opcode.HALT: (SimtCore._exec_halt, True),
+    Opcode.BAR: (SimtCore._exec_bar, False),
 }
 
 
@@ -111,12 +115,20 @@ class _Decoded:
     ``tup`` packs the hot fields into one tuple so the issue loop performs a
     single slot load plus an unpack instead of seven attribute reads:
     ``(run, dst, check_regs, default_latency, initiation_interval,
-    unit_index, fu_check, is_mem)``.
+    unit_index, fu_check, is_mem)``.  ``list_tup`` is the same tuple with
+    the list-warp closure ``list_run`` in place of ``run``.
     """
 
-    __slots__ = ("instr", "run", "dst", "check_regs", "default_latency",
-                 "initiation_interval", "unit_index", "fu_check", "is_mem",
-                 "bucket", "tup")
+    __slots__ = ("instr", "run", "list_run", "dst", "check_regs",
+                 "default_latency", "initiation_interval", "unit_index",
+                 "fu_check", "is_mem", "bucket", "tup", "list_tup")
+
+
+class DecodedProgram(list):
+    """A program's :class:`_Decoded` per PC, plus each closure family's hot
+    tuples per PC: ``tups`` for numpy warps, ``list_tups`` for list warps."""
+
+    __slots__ = ("tups", "list_tups")
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +139,7 @@ class _Decoded:
 _DECODE_MEMO: Dict[tuple, tuple] = {}
 
 
-def decode_program(program: Program, config: ArchConfig) -> List[_Decoded]:
+def decode_program(program: Program, config: ArchConfig) -> DecodedProgram:
     """Decode ``program`` for ``config``, once per process.
 
     The result is immutable and independent of the core and of the machine
@@ -162,8 +174,9 @@ def per_process(memo: Dict[tuple, tuple], program: Program,
     return built
 
 
-def _decode_all(program: Program, config: ArchConfig) -> List[_Decoded]:
-    decoded = [_decode_one(program[pc], config) for pc in range(len(program))]
+def _decode_all(program: Program, config: ArchConfig) -> DecodedProgram:
+    decoded = DecodedProgram(_decode_one(program[pc], config)
+                             for pc in range(len(program)))
     # A functional unit only ever *blocks* an issue if some instruction of
     # this program can mark it busy (initiation interval > 1, or the
     # per-line LSU occupancy of memory ops).  Instructions bound for any
@@ -172,8 +185,12 @@ def _decode_all(program: Program, config: ArchConfig) -> List[_Decoded]:
                 if d.is_mem or d.initiation_interval > 1}
     for d in decoded:
         d.fu_check = d.unit_index in busyable
-        d.tup = (d.run, d.dst, d.check_regs, d.default_latency,
-                 d.initiation_interval, d.unit_index, d.fu_check, d.is_mem)
+        shared = (d.dst, d.check_regs, d.default_latency,
+                  d.initiation_interval, d.unit_index, d.fu_check, d.is_mem)
+        d.tup = (d.run,) + shared
+        d.list_tup = (d.list_run,) + shared
+    decoded.tups = [d.tup for d in decoded]
+    decoded.list_tups = [d.list_tup for d in decoded]
     return decoded
 
 
@@ -190,42 +207,46 @@ def _decode_one(instr: Instruction, config: ArchConfig) -> _Decoded:
     d.is_mem = cls is OpClass.MEMORY
     d.bucket = CLASS_COUNTERS[cls]
     d.run = _compile(instr, config)
+    d.list_run = _compile(instr, config, lists=True)
     return d
 
 
-def _compile(instr: Instruction, config: ArchConfig) -> Callable:
-    """Build the ``run(core, warp, cycle)`` closure for one instruction."""
+def _compile(instr: Instruction, config: ArchConfig, lists: bool = False) -> Callable:
+    """The ``run(core, warp, cycle)`` closure of ``instr`` for numpy or list warps."""
     O = Opcode
     opcode = instr.opcode
     spec = OPS[opcode]
-    if spec.lane is checked_fdiv:
-        return _c_fdiv(instr)
-    if spec.rows is not None:
+    if spec.lane is not None:
+        if not spec.srcs:
+            dst, value = instr.dst, spec.lane(instr.imm)
+            fill = _fill_list if lists else _fill_lanes
+            return lambda core, warp, cycle: fill(warp, dst, value)
+        if spec.lane is checked_fdiv and not lists:
+            return _c_fdiv(instr)
+        if lists or spec.rows is None:
+            return _c_lanes(instr, spec.lane)
         if spec.srcs == 3:
             return _c_fma(instr)
         return (_c_unary if spec.srcs == 1 else _c_binary)(instr, spec.rows)
-    if spec.lane is not None:
-        if spec.srcs == 0:
-            return _c_li(instr, spec.lane(instr.imm))
-        return (_c_unary_scalar if spec.srcs == 1 else _c_binary_scalar)(instr, spec.lane)
     if opcode is O.CSRR:
-        return _c_csrr(instr)
+        return _c_csrr(instr, lists)
     if opcode is O.LOAD:
-        return _c_load(instr, config)
+        return (_c_list_load if lists else _c_load)(instr, config)
     if opcode is O.STORE:
-        return _c_store(instr, config)
-    if opcode is O.SPLIT:
-        return _c_split(instr)
-    if opcode is O.LOOP_END:
-        return _c_loop_end(instr)
-    if opcode in _DRAINING:
-        base = _DRAINING[opcode]
+        return (_c_list_store if lists else _c_store)(instr, config)
+    if opcode in (O.SPLIT, O.LOOP_END):
+        build = _c_split if opcode is O.SPLIT else _c_loop_end
+        return build(instr, _list_nonzero_mask if lists else _nonzero_mask)
+    if opcode in _PARKING:
+        base, drains = _PARKING[opcode]
 
-        def run_drain(core, warp, cycle, _instr=instr, _base=base):
-            result = _base(core, warp, _instr, cycle)
-            core._drain_check = True
-            return result
-        return run_drain
+        def run_park(core, warp, cycle):
+            base(core, warp, instr, cycle)
+            if drains:
+                core._drain_check = True
+            if warp.halted or warp.at_barrier:
+                warp._d_cache, warp._ready_bound = _PARKED, NEVER
+        return run_park
     base = _BASE_HANDLERS[opcode]
 
     def run_base(core, warp, cycle, _instr=instr, _base=base):
@@ -236,13 +257,80 @@ def _compile(instr: Instruction, config: ArchConfig) -> Callable:
 # ----------------------------------------------------------------------
 # compiled handlers (instruction constants baked in at decode time)
 #
-# Every lane-parallel handler has two paths.  ``warp.vrows`` is the register
-# file as row views of exactly the active width whenever the mask is a
-# contiguous lane prefix (a partial warp is just a narrower warp; all lanes
-# active is the widest case), and the handler runs whole-array numpy on
-# them.  Only true divergence (``vrows is None``) indexes full rows with the
-# lane index array ``warp.sel``.
+# The per-lane closures over ``rows[reg][lane]`` run every opcode of a list
+# warp and the opcodes without a ``rows`` form on a numpy warp.
+#
+# Every numpy handler has two paths.  ``warp.vrows`` is the register file as
+# row views of exactly the active width whenever the mask is a contiguous
+# lane prefix (a partial warp is just a narrower warp; all lanes active is
+# the widest case), and the handler runs whole-array numpy on them.  Only
+# true divergence (``vrows is None``) indexes full rows with the lane index
+# array ``warp.sel``.
 # ----------------------------------------------------------------------
+def _c_lanes(instr: Instruction, fn: Callable) -> Callable:
+    """``dst <- fn(srcs)`` lane by lane (0 sources: :func:`_fill_list`)."""
+    dst = instr.dst
+    srcs = instr.srcs
+    if len(srcs) == 1:
+        (s0,) = srcs
+
+        def run(core, warp, cycle):
+            rows, mask = warp.rows, warp.active_mask
+            a, d = rows[s0], rows[dst]
+            if mask == 1:
+                d[0] = fn(a[0])
+            elif mask == 3:
+                d[0], d[1] = fn(a[0]), fn(a[1])
+            else:
+                for lane in warp.active_lanes():
+                    d[lane] = fn(a[lane])
+            warp.pc += 1
+        return run
+    if len(srcs) == 2:
+        s0, s1 = srcs
+
+        def run(core, warp, cycle):
+            rows, mask = warp.rows, warp.active_mask
+            a, b, d = rows[s0], rows[s1], rows[dst]
+            if mask == 1:
+                d[0] = fn(a[0], b[0])
+            elif mask == 3:
+                d[0], d[1] = fn(a[0], b[0]), fn(a[1], b[1])
+            else:
+                for lane in warp.active_lanes():
+                    d[lane] = fn(a[lane], b[lane])
+            warp.pc += 1
+        return run
+    s0, s1, s2 = srcs
+
+    def run(core, warp, cycle):
+        rows, mask = warp.rows, warp.active_mask
+        a, b, c, d = rows[s0], rows[s1], rows[s2], rows[dst]
+        if mask == 1:
+            d[0] = fn(a[0], b[0], c[0])
+        elif mask == 3:
+            d[0], d[1] = fn(a[0], b[0], c[0]), fn(a[1], b[1], c[1])
+        else:
+            for lane in warp.active_lanes():
+                d[lane] = fn(a[lane], b[lane], c[lane])
+        warp.pc += 1
+    return run
+
+
+def _fill_list(warp, dst: int, value: float) -> None:
+    """``dst <- value`` on a list warp's active lanes (LI, uniform CSRs)."""
+    row = warp.rows[dst]
+    mask = warp.active_mask
+    if mask == 1:
+        row[0] = value
+    elif mask == 3:
+        row[0] = row[1] = value
+    else:
+        for lane in warp.active_lanes():
+            row[lane] = value
+    warp.pc += 1
+
+
 def _c_binary(instr: Instruction, np_fn: Callable) -> Callable:
     s0, s1 = instr.srcs
     dst = instr.dst
@@ -266,19 +354,6 @@ def _c_binary(instr: Instruction, np_fn: Callable) -> Callable:
         else:
             rows, sel = warp.rows, warp.sel
             rows[dst][sel] = np_fn(rows[s0][sel], rows[s1][sel])
-        warp.pc += 1
-    return run
-
-
-def _c_binary_scalar(instr: Instruction, fn: Callable) -> Callable:
-    s0, s1 = instr.srcs
-    dst = instr.dst
-
-    def run(core, warp, cycle):
-        rows = warp.rows
-        a_row, b_row, dst_row = rows[s0], rows[s1], rows[dst]
-        for lane in warp.active_lanes():
-            dst_row[lane] = fn(a_row[lane], b_row[lane])
         warp.pc += 1
     return run
 
@@ -330,19 +405,6 @@ def _c_unary(instr: Instruction, np_fn: Callable) -> Callable:
     return run
 
 
-def _c_unary_scalar(instr: Instruction, fn: Callable) -> Callable:
-    (s0,) = instr.srcs
-    dst = instr.dst
-
-    def run(core, warp, cycle):
-        rows = warp.rows
-        src_row, dst_row = rows[s0], rows[dst]
-        for lane in warp.active_lanes():
-            dst_row[lane] = fn(src_row[lane])
-        warp.pc += 1
-    return run
-
-
 def _c_fma(instr: Instruction) -> Callable:
     """``FMA``'s row form, the product staged in the warp's scratch row so
     ``dst`` may alias a source without a temporary."""
@@ -362,21 +424,8 @@ def _c_fma(instr: Instruction) -> Callable:
     return run
 
 
-def _c_li(instr: Instruction, value: float) -> Callable:
-    dst = instr.dst
-
-    def run(core, warp, cycle):
-        vrows = warp.vrows if warp.active_mask == warp._view_mask else warp.refresh()
-        if vrows is not None:
-            vrows[dst].fill(value)
-        else:
-            warp.rows[dst][warp.sel] = value
-        warp.pc += 1
-    return run
-
-
 def _fill_lanes(warp, dst: int, value: float) -> None:
-    """``dst <- value`` on the active lanes (the warp-uniform CSR reads)."""
+    """``dst <- value`` on a numpy warp's active lanes (LI, uniform CSRs)."""
     vrows = warp.vrows if warp.active_mask == warp._view_mask else warp.refresh()
     if vrows is not None:
         vrows[dst].fill(value)
@@ -385,7 +434,7 @@ def _fill_lanes(warp, dst: int, value: float) -> None:
     warp.pc += 1
 
 
-def _c_csrr(instr: Instruction) -> Callable:
+def _c_csrr(instr: Instruction, lists: bool) -> Callable:
     """CSR reads, specialised per CSR number at decode time.
 
     Only ``THREAD_ID``, ``WORKGROUP_ID`` and ``LOCAL_COUNT`` vary per lane
@@ -394,7 +443,15 @@ def _c_csrr(instr: Instruction) -> Callable:
     """
     csr_number = int(instr.imm)
     dst = instr.dst
-    if csr_number in (Csr.THREAD_ID, Csr.WORKGROUP_ID, Csr.LOCAL_COUNT):
+    per_lane = csr_number in (Csr.THREAD_ID, Csr.WORKGROUP_ID, Csr.LOCAL_COUNT)
+    if lists and per_lane:
+        def run(core, warp, cycle):
+            row, read = warp.rows[dst], warp.csr.read
+            for lane in warp.active_lanes():
+                row[lane] = float(read(csr_number, lane))
+            warp.pc += 1
+        return run
+    if per_lane:
         attr = {Csr.WORKGROUP_ID: "workgroup_ids",
                 Csr.LOCAL_COUNT: "local_counts"}.get(csr_number)
 
@@ -416,17 +473,18 @@ def _c_csrr(instr: Instruction) -> Callable:
             warp.pc += 1
         return run
 
+    fill = _fill_list if lists else _fill_lanes
     attr = _UNIFORM_CSR_ATTRS.get(csr_number)
     if attr is not None:
-        return lambda core, warp, cycle: _fill_lanes(
-            warp, dst, getattr(warp.csr, attr))
+        return lambda core, warp, cycle: fill(
+            warp, dst, float(getattr(warp.csr, attr)))
     if Csr.ARG_BASE <= csr_number < Csr.ARG_BASE + NUM_ARG_SLOTS:
         slot = csr_number - Csr.ARG_BASE
-        return lambda core, warp, cycle: _fill_lanes(
-            warp, dst, warp.csr.args.get(slot, 0.0))
+        return lambda core, warp, cycle: fill(
+            warp, dst, float(warp.csr.args.get(slot, 0.0)))
     # Unknown CSR: read() raises exactly like the reference's per-lane read
     # would.
-    return lambda core, warp, cycle: _fill_lanes(
+    return lambda core, warp, cycle: fill(
         warp, dst, warp.csr.read(csr_number, 0))
 
 
@@ -453,32 +511,96 @@ def _lines_in_bounds(lines, full_lines: int) -> bool:
     return min(lines) >= 0 and max(lines) < full_lines
 
 
-def _narrow_access(addr_row: np.ndarray, offset: int, line_words: int,
-                   full_lines: int):
-    """``(first address, last address, lines)`` of a 1- or 2-lane access in
-    Python ints, or ``None`` when the general path must run it.
-
-    Two lanes is the widest access whose coalescing is one comparison, and at
-    that width numpy's fixed per-call cost is several times the arithmetic.
-    Anything that could raise -- a line outside ``[0, full_lines)``, a NaN or
-    infinite address register -- is left to the general path, so every error
-    comes from the same code whatever the width.  (A finite value at or
-    beyond 2**63 converts fine here and then fails the line bound.)
+def _list_access(warp, reg: int, offset: int, line_words: int, full_lines: int):
+    """``(lanes, first address, last address, lines)`` of a list warp's access
+    in Python ints, or ``None`` for the checked numpy path: more than two
+    active lanes (after a TMC), a NaN or infinite address, or a line outside
+    ``[0, full_lines)`` -- so every error comes from the same code as a numpy
+    warp's.  (A finite value at or beyond 2**63 fails the line bound.)
     """
-    values = addr_row.tolist()
+    mask = warp.active_mask
+    lanes = (0,) if mask == 1 else (0, 1) if mask == 3 else warp.active_lanes()
+    if len(lanes) > 2:
+        return None
+    row = warp.rows[reg]
     try:
-        first = int(values[0]) + offset
-        last = int(values[-1]) + offset
+        first = int(row[lanes[0]]) + offset
+        last = int(row[lanes[-1]]) + offset
     except (ValueError, OverflowError):
         return None
-    line0 = first // line_words
-    line1 = last // line_words
+    line0, line1 = first // line_words, last // line_words
     if not (0 <= line0 < full_lines and 0 <= line1 < full_lines):
         return None
-    return first, last, ((line0,) if line0 == line1 else (line0, line1))
+    return lanes, first, last, ((line0,) if line0 == line1 else (line0, line1))
+
+
+def _lane_addresses(warp, reg: int, offset: int, to_lines: Callable):
+    """``(lanes, int64 addresses, lines)`` of a list warp's access, cast and
+    deduplicated exactly as the numpy path does."""
+    row, lanes = warp.rows[reg], warp.active_lanes()
+    addresses = np.array([row[lane] for lane in lanes]).astype(np.int64)
+    if offset:
+        addresses += offset
+    return lanes, addresses, dict.fromkeys(to_lines(addresses).tolist())
+
+
+def _walk(core, lines, cycle: int, load: bool) -> int:
+    """Walk and count one load or store of the coalesced ``lines``; its
+    latency (1 for a store: write-through never stalls the warp)."""
+    num_lines = len(lines)
+    core._last_line_count = num_lines
+    walk_started = _perf_counter() if RECORDER.enabled else 0.0
+    counters = core.counters
+    if load:
+        latency = core.hierarchy.load(core.core_id, lines, cycle)
+        counters.loads += 1
+        counters.load_lines += num_lines
+    else:
+        core.hierarchy.store(core.core_id, lines, cycle)
+        latency = 1
+        counters.stores += 1
+        counters.store_lines += num_lines
+    if RECORDER.enabled:
+        RECORDER.count("engine.memory.walk_seconds", _perf_counter() - walk_started)
+        RECORDER.count("engine.memory.walks")
+    return latency
 
 
 def _c_load(instr: Instruction, config: ArchConfig) -> Callable:
+    (addr_reg,) = instr.srcs
+    offset = int(instr.imm or 0)
+    dst = instr.dst
+    to_lines = _line_math(config.l1_line_words)
+
+    def run(core, warp, cycle):
+        vrows = warp.vrows if warp.active_mask == warp._view_mask else warp.refresh()
+        memory = core.memory
+        if vrows is not None:
+            addresses = vrows[addr_reg].astype(np.int64)
+        else:
+            addresses = warp.rows[addr_reg][warp.sel].astype(np.int64)
+        if offset:
+            addresses += offset
+        # Dedup to unique lines in first-appearance order (same request order
+        # and count as the reference coalescer); iterated as dict keys.
+        lines = dict.fromkeys(to_lines(addresses).tolist())
+        if _lines_in_bounds(lines, core._full_lines):
+            if vrows is not None:
+                memory.gather_unchecked(addresses, out=vrows[dst])
+            else:
+                warp.rows[dst][warp.sel] = memory.gather_unchecked(addresses)
+        else:
+            values = memory.gather(addresses)  # exact per-batch check, may raise
+            if vrows is not None:
+                vrows[dst][:] = values
+            else:
+                warp.rows[dst][warp.sel] = values
+        warp.pc += 1
+        return _walk(core, lines, cycle, True)
+    return run
+
+
+def _c_list_load(instr: Instruction, config: ArchConfig) -> Callable:
     (addr_reg,) = instr.srcs
     offset = int(instr.imm or 0)
     dst = instr.dst
@@ -486,124 +608,87 @@ def _c_load(instr: Instruction, config: ArchConfig) -> Callable:
     to_lines = _line_math(line_words)
 
     def run(core, warp, cycle):
-        vrows = warp.vrows if warp.active_mask == warp._view_mask else warp.refresh()
-        memory = core.memory
-        narrow = (_narrow_access(vrows[addr_reg], offset, line_words, core._full_lines)
-                  if vrows is not None and warp.width <= 2 else None)
-        if narrow is not None:
-            first, last, lines = narrow
-            data = memory._data
-            out = vrows[dst]
-            out[0] = data[first]
-            if warp.width == 2:
-                out[1] = data[last]
+        out = warp.rows[dst]
+        access = _list_access(warp, addr_reg, offset, line_words, core._full_lines)
+        if access is not None:
+            lanes, first, last, lines = access
+            data = core.memory._data
+            out[lanes[0]] = data.item(first)
+            if len(lanes) == 2:
+                out[lanes[1]] = data.item(last)
         else:
-            if vrows is not None:
-                addresses = vrows[addr_reg].astype(np.int64)
-            else:
-                addresses = warp.rows[addr_reg][warp.sel].astype(np.int64)
-            if offset:
-                addresses += offset
-            # Dedup to unique lines in first-appearance order (same request
-            # order and count as the reference coalescer); iterated as dict
-            # keys.
-            lines = dict.fromkeys(to_lines(addresses).tolist())
-            if _lines_in_bounds(lines, core._full_lines):
-                if vrows is not None:
-                    memory.gather_unchecked(addresses, out=vrows[dst])
-                else:
-                    warp.rows[dst][warp.sel] = memory.gather_unchecked(addresses)
-            else:
-                values = memory.gather(addresses)  # exact per-batch check, may raise
-                if vrows is not None:
-                    vrows[dst][:] = values
-                else:
-                    warp.rows[dst][warp.sel] = values
-        num_lines = len(lines)
-        core._last_line_count = num_lines
-        if RECORDER.enabled:
-            walk_started = _perf_counter()
-            latency = core.hierarchy.load(core.core_id, lines, cycle)
-            RECORDER.count("engine.memory.walk_seconds",
-                           _perf_counter() - walk_started)
-            RECORDER.count("engine.memory.walks")
-        else:
-            latency = core.hierarchy.load(core.core_id, lines, cycle)
-        counters = core.counters
-        counters.loads += 1
-        counters.load_lines += num_lines
+            lanes, addresses, lines = _lane_addresses(warp, addr_reg, offset, to_lines)
+            for lane, value in zip(lanes, core.memory.gather(addresses).tolist()):
+                out[lane] = value
         warp.pc += 1
-        return latency
+        return _walk(core, lines, cycle, True)
     return run
 
 
 def _c_store(instr: Instruction, config: ArchConfig) -> Callable:
     value_reg, addr_reg = instr.srcs
     offset = int(instr.imm or 0)
-    line_words = config.l1_line_words
-    to_lines = _line_math(line_words)
+    to_lines = _line_math(config.l1_line_words)
 
     def run(core, warp, cycle):
         vrows = warp.vrows if warp.active_mask == warp._view_mask else warp.refresh()
         memory = core.memory
-        narrow = (_narrow_access(vrows[addr_reg], offset, line_words, core._full_lines)
-                  if vrows is not None and warp.width <= 2 else None)
-        if narrow is not None:
-            first, last, lines = narrow
-            data = memory._data
+        if vrows is not None:
+            addresses = vrows[addr_reg].astype(np.int64)
             values = vrows[value_reg]
-            data[first] = values[0]
-            if warp.width == 2:
-                data[last] = values[1]      # ascending lanes: lane 1 wins
         else:
-            if vrows is not None:
-                addresses = vrows[addr_reg].astype(np.int64)
-                values = vrows[value_reg]
-            else:
-                rows, sel = warp.rows, warp.sel
-                addresses = rows[addr_reg][sel].astype(np.int64)
-                values = rows[value_reg][sel]
-            if offset:
-                addresses += offset
-            lines = dict.fromkeys(to_lines(addresses).tolist())
-            if _lines_in_bounds(lines, core._full_lines):
-                memory.scatter_unchecked(addresses, values)
-            else:
-                memory.scatter(addresses, values)  # exact per-batch check, may raise
-        num_lines = len(lines)
-        core._last_line_count = num_lines
-        if RECORDER.enabled:
-            walk_started = _perf_counter()
-            core.hierarchy.store(core.core_id, lines, cycle)
-            RECORDER.count("engine.memory.walk_seconds",
-                           _perf_counter() - walk_started)
-            RECORDER.count("engine.memory.walks")
+            rows, sel = warp.rows, warp.sel
+            addresses = rows[addr_reg][sel].astype(np.int64)
+            values = rows[value_reg][sel]
+        if offset:
+            addresses += offset
+        lines = dict.fromkeys(to_lines(addresses).tolist())
+        if _lines_in_bounds(lines, core._full_lines):
+            memory.scatter_unchecked(addresses, values)
         else:
-            core.hierarchy.store(core.core_id, lines, cycle)
-        counters = core.counters
-        counters.stores += 1
-        counters.store_lines += num_lines
+            memory.scatter(addresses, values)  # exact per-batch check, may raise
         warp.pc += 1
-        return 1
+        return _walk(core, lines, cycle, False)
+    return run
+
+
+def _c_list_store(instr: Instruction, config: ArchConfig) -> Callable:
+    value_reg, addr_reg = instr.srcs
+    offset = int(instr.imm or 0)
+    line_words = config.l1_line_words
+    to_lines = _line_math(line_words)
+
+    def run(core, warp, cycle):
+        values = warp.rows[value_reg]
+        access = _list_access(warp, addr_reg, offset, line_words, core._full_lines)
+        if access is not None:
+            lanes, first, last, lines = access
+            data = core.memory._data
+            data[first] = values[lanes[0]]
+            if len(lanes) == 2:
+                data[last] = values[lanes[1]]      # ascending lanes: lane 1 wins
+        else:
+            lanes, addresses, lines = _lane_addresses(warp, addr_reg, offset, to_lines)
+            core.memory.scatter(addresses, np.array([values[lane] for lane in lanes]))
+        warp.pc += 1
+        return _walk(core, lines, cycle, False)
     return run
 
 
 # -- divergence -----------------------------------------------------------
 def _nonzero_mask(warp, cond_reg: int) -> int:
-    """Mask of active lanes whose ``cond_reg`` is non-zero.
+    """Mask of active lanes whose ``cond_reg`` is non-zero, on a numpy warp.
 
-    Under a contiguous mask only the active view is compared -- one scalar
-    test for a single lane -- and packed into an int by a dot product with
-    per-lane powers of two (one numpy call, exact because the sum of distinct
-    powers below 2**52 is exactly representable).  A divergent mask compares
-    the whole row and masks the stale inactive lanes off; warps too wide for
-    the float64 mantissa pack with ``packbits``.
+    Under a contiguous mask only the active view is compared and packed into
+    an int by a dot product with per-lane powers of two (one numpy call,
+    exact because the sum of distinct powers below 2**52 is exactly
+    representable).  A divergent mask compares the whole row and masks the
+    stale inactive lanes off; warps too wide for the float64 mantissa pack
+    with ``packbits``.
     """
     vrows = warp.vrows if warp.active_mask == warp._view_mask else warp.refresh()
     weights = warp.vweights
     if weights is not None:
-        if warp.width == 1:
-            return 1 if vrows[cond_reg][0] != 0.0 else 0
         return int((vrows[cond_reg] != 0.0).dot(weights))
     nonzero = warp.rows[cond_reg] != 0.0
     weights = warp.bit_weights
@@ -613,12 +698,22 @@ def _nonzero_mask(warp, cond_reg: int) -> int:
     return int.from_bytes(packed.tobytes(), "little") & warp.active_mask
 
 
-def _c_split(instr: Instruction) -> Callable:
+def _list_nonzero_mask(warp, cond_reg: int) -> int:
+    """:func:`_nonzero_mask` on a list warp: one comparison per active lane."""
+    row = warp.rows[cond_reg]
+    mask = 0
+    for lane in warp.active_lanes():
+        if row[lane] != 0.0:
+            mask |= 1 << lane
+    return mask
+
+
+def _c_split(instr: Instruction, nonzero_mask: Callable) -> Callable:
     (cond_reg,) = instr.srcs
     else_pc, join_pc = instr.target, instr.target2
 
     def run(core, warp, cycle):
-        taken = _nonzero_mask(warp, cond_reg)
+        taken = nonzero_mask(warp, cond_reg)
         full = warp.active_mask
         not_taken = full & ~taken
         if taken and not_taken:
@@ -635,12 +730,12 @@ def _c_split(instr: Instruction) -> Callable:
     return run
 
 
-def _c_loop_end(instr: Instruction) -> Callable:
+def _c_loop_end(instr: Instruction, nonzero_mask: Callable) -> Callable:
     (cond_reg,) = instr.srcs
     target = instr.target
 
     def run(core, warp, cycle):
-        alive = _nonzero_mask(warp, cond_reg)
+        alive = nonzero_mask(warp, cond_reg)
         if alive:
             if alive != warp.active_mask:
                 core.counters.divergent_branches += 1
@@ -673,7 +768,7 @@ class FastSimtCore(SimtCore):
     def __init__(self, core_id: int, config: ArchConfig, program: Program,
                  hierarchy: MemoryHierarchy, memory: MainMemory,
                  counters: PerfCounters, tracer=None,
-                 decoded: Optional[List[_Decoded]] = None):
+                 decoded: Optional[DecodedProgram] = None):
         super().__init__(core_id, config, program, hierarchy, memory,
                          counters, tracer=tracer)
         self._fu_busy: List[int] = [0] * len(_UNIT_INDEX)
@@ -695,6 +790,11 @@ class FastSimtCore(SimtCore):
         else:
             self._is_rr = False
             self._rr_orders = None
+
+    def add_warp(self, warp) -> None:
+        """Attach ``warp`` with its representation's closure family."""
+        warp.tups = self._decode.list_tups if warp.lists else self._decode.tups
+        self.warps.append(warp)
 
     def rotations(self) -> List[List[int]]:
         """``rotations()[start]``: the round-robin scan order from slot
@@ -845,13 +945,10 @@ def run_fast(active_cores: List[FastSimtCore], counters: PerfCounters,
                     continue
                 d = warp._d_cache
                 if d is None:
-                    if warp.halted or warp.at_barrier:
-                        warp._d_cache = _PARKED
-                        warp._ready_bound = NEVER
-                        continue
+                    # Never halted or at a barrier: those warps are parked.
                     pc = warp.pc
                     try:
-                        d = decode[pc].tup
+                        d = warp.tups[pc]
                     except IndexError:
                         # Exactly the reference failure mode: tuple indexing
                         # in both engines wraps negative PCs and raises past
@@ -882,6 +979,8 @@ def run_fast(active_cores: List[FastSimtCore], counters: PerfCounters,
                     if fu_check and fu_busy[unit_index] > cycle:
                         warp._ready_bound = fu_busy[unit_index]
                         continue
+                    # Cleared before ``run``: HALT, TMC and BAR park here.
+                    warp._d_cache = None
                     pc = warp.pc
                 # ---- issue ----
                 pc_issues[pc] += 1
@@ -904,7 +1003,6 @@ def run_fast(active_cores: List[FastSimtCore], counters: PerfCounters,
                 if fu_hold > 1:
                     fu_busy[unit_index] = cycle + fu_hold
                 warp.next_issue_cycle = cycle + 1
-                warp._d_cache = None
                 # Completed scoreboard entries are *not* eagerly retired: an
                 # entry whose cycle has passed can never change a decision
                 # or a hint (readiness is a max against future constraints),

@@ -118,11 +118,14 @@ class Gpu:
     def _build_cores(self, program: Program, launches: Sequence[WarpLaunch],
                      counters: PerfCounters) -> Tuple[List[SimtCore], Callable]:
         """The call's cores, and the issue loop of the engine that runs them."""
-        from repro.sim.warp import FastWarp, Warp  # local import to avoid a cycle in docs builds
+        from repro.sim.warp import FastWarp, ListWarp, Warp  # local import: no cycle in docs builds
 
+        # Launches of at most ``list_lanes`` active lanes get ``list_cls``.
+        list_cls, list_lanes = None, 0
         if self.engine == "fast":
-            from repro.sim.fastcore import FastSimtCore, decode_program, run_fast
+            from repro.sim.fastcore import LIST_LANES, FastSimtCore, decode_program, run_fast
             core_cls, warp_cls, run_loop = FastSimtCore, FastWarp, run_fast
+            list_cls, list_lanes = ListWarp, LIST_LANES
             prepared = {"decoded": decode_program(program, self.config)}
         elif self.engine == "batch":
             from repro.sim.batchcore import BatchSimtCore, compiled_program, run_batch
@@ -150,7 +153,7 @@ class Gpu:
                                 self.hierarchy, self.memory, counters,
                                 tracer=self.tracer, **prepared)
                 cores[launch.core_id] = core
-            warp = warp_cls(
+            warp = (list_cls if launch.active_lanes <= list_lanes else warp_cls)(
                 warp_id=launch.warp_id,
                 lane_count=self.config.threads_per_warp,
                 num_registers=program.num_registers,

@@ -11,6 +11,7 @@ scoreboard tracking in-flight register writes.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -131,13 +132,14 @@ def _lane_constants(lane_count: int):
 
 
 class FastWarp(Warp):
-    """Warp with a numpy register file, used by the ``fast`` engine.
+    """Warp with a numpy register file, used by the ``fast`` and ``batch``
+    engines (a narrow ``fast`` launch is a :class:`ListWarp` instead).
 
     Registers are stored transposed -- shape ``(num_registers, lane_count)``
     float64 -- so one architectural register across all lanes is a contiguous
     row and lane-parallel execution becomes a handful of numpy operations.
     Register values are float64 in both layouts, so the two engines perform
-    bit-identical arithmetic.
+    bit-identical arithmetic.  ``tups`` holds its core's closure family.
 
     A warp under a contiguous prefix mask is a narrower warp: ``vrows`` holds
     the register rows as views of exactly the active width (``rows`` itself
@@ -150,7 +152,9 @@ class FastWarp(Warp):
 
     __slots__ = ("scratch", "lane_ids", "bit_weights", "_d_cache", "_ready_bound",
                  "reg_ready", "rows", "_views", "_view_mask", "vrows", "width",
-                 "vscratch", "vweights", "sel")
+                 "vscratch", "vweights", "sel", "tups")
+
+    lists = False       # ``rows`` are numpy rows, not lists (ListWarp)
 
     def __init__(self, warp_id: int, lane_count: int, num_registers: int,
                  csr: CsrFile, active_lanes: Optional[int] = None):
@@ -160,8 +164,9 @@ class FastWarp(Warp):
         #: Per-warp temporary row of multi-step operations (FMA, per-lane CSRs).
         self.scratch = np.zeros(lane_count, dtype=np.float64)
         self.lane_ids, self.bit_weights = _lane_constants(lane_count)
-        #: The decoded tuple (``_Decoded.tup``) at the current PC, cached by the
-        #: fast issue path; ``None`` means "recompute" (every issue, barrier release).
+        #: The decoded tuple (``tups[pc]``) at the current PC, cached by the
+        #: fast issue path; ``None`` means "recompute" (every issue, barrier
+        #: release).  HALT, TMC and BAR park their warp here when it stops.
         self._d_cache = None
         #: Lower bound on the next issue cycle while ``_d_cache`` is set: own
         #: readiness (spacing, scoreboard) maxed with the unit's busy-until when
@@ -214,3 +219,20 @@ class FastWarp(Warp):
             self._views[mask] = views
         self.vrows, self.width, self.vscratch, self.vweights, self.sel = views
         return self.vrows
+
+
+class ListWarp(FastWarp):
+    """Fast-engine warp of a launch of at most
+    :data:`~repro.sim.fastcore.LIST_LANES` lanes: ``rows[reg]`` is a list of
+    ``lane_count`` Python floats, the values the reference's ``regs[lane]``
+    hold, run by per-lane closures with no numpy call (:meth:`refresh` is
+    never used)."""
+
+    __slots__ = ()
+    lists = True
+
+    def _new_regs(self, lane_count: int, num_registers: int):
+        return list(map(list.copy, repeat([0.0] * lane_count, num_registers)))
+
+    def bind_rows(self, regs) -> None:
+        self.regs = self.rows = regs

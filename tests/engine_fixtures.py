@@ -357,16 +357,22 @@ def assert_engines_identical(results, label: str) -> None:
                 f"{label}: {engine} output buffer {name!r} diverged")
 
 
-def run_fuzz_case(spec: Mapping[str, object]) -> None:
-    """Build the spec's kernel, run it under all engines, assert identity."""
-    kernel = make_fuzz_kernel(spec)
-    config = fuzz_config(spec)
-    lws = spec.get("lws")
+def fuzz_local_size(spec: Mapping[str, object]) -> Optional[int]:
+    """The local size a fuzz spec launches with (``None``: the runtime's)."""
     if spec.get("active_lanes") is not None:
         # One lane runs one work-group, so this few work-groups leave every
         # warp launched with at most ``active_lanes`` of its lanes active.
-        lws = -(-int(spec["gws"]) // int(spec["active_lanes"]))
-    results = run_engines(kernel, fuzz_arguments(spec), config,
-                          int(spec["gws"]),
-                          local_size=None if lws is None else int(lws))
-    assert_engines_identical(results, f"fuzz spec {dict(spec)!r}")
+        return -(-int(spec["gws"]) // int(spec["active_lanes"]))
+    lws = spec.get("lws")
+    return None if lws is None else int(lws)
+
+
+def run_fuzz_case(spec: Mapping[str, object], engines=ENGINES) -> dict:
+    """Build the spec's kernel, run it under ``engines``, assert identity when
+    ``reference`` is among them; returns the results."""
+    results = run_engines(make_fuzz_kernel(spec), fuzz_arguments(spec),
+                          fuzz_config(spec), int(spec["gws"]),
+                          local_size=fuzz_local_size(spec), engines=engines)
+    if "reference" in results:
+        assert_engines_identical(results, f"fuzz spec {dict(spec)!r}")
+    return results

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from engine_fixtures import make_fuzz_kernel, run_fuzz_case
+from repro.sim.fastcore import FastSimtCore
 
 CORPUS_DIR = Path(__file__).parent / "fuzz_corpus"
 CORPUS_FILES = tuple(sorted(CORPUS_DIR.glob("*.json")))
@@ -92,6 +93,32 @@ def test_corpus_holds_narrow_warp_specs():
     assert {spec["threads"] for spec in narrow} >= {1, 32}
     assert any(spec.get("active_lanes", spec["threads"]) < spec["threads"]
                for spec in narrow)
+
+
+def _warp_representations(monkeypatch):
+    """Corpus stem -> the set of ``warp.lists`` its ``fast`` run attached."""
+    attached = []
+    attach = FastSimtCore.add_warp
+
+    def recording_attach(core, warp):
+        attached.append(warp.lists)
+        attach(core, warp)
+    monkeypatch.setattr(FastSimtCore, "add_warp", recording_attach)
+    representations = {}
+    for path in CORPUS_FILES:
+        attached.clear()
+        run_fuzz_case(json.loads(path.read_text()), engines=("fast",))
+        representations[path.stem] = set(attached)
+    return representations
+
+
+def test_corpus_covers_both_register_representations(monkeypatch):
+    """Some frozen case runs only list warps under ``fast`` (launches of at
+    most two lanes) and some runs only numpy warps, so a regenerated corpus
+    cannot silently drop either representation."""
+    representations = _warp_representations(monkeypatch)
+    assert {True} in representations.values(), representations
+    assert {False} in representations.values(), representations
 
 
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.stem)
