@@ -6,7 +6,9 @@ that loop -- given the machine configuration, the launch geometry and
 (optionally) the measured performance counters of a run, it produces a
 :class:`TuningReport` containing the recommended ``lws``, the predicted
 execution shape, a memory/compute boundedness classification and a list of
-human-readable findings.
+human-readable findings.  The boundedness verdict is
+:func:`repro.trace.analysis.classify_boundedness`, the same rule the trace
+summary and the A2 ablation apply, so one run gets one verdict.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from repro.core.analysis import MappingAnalysis, MappingAnalyzer
 from repro.core.optimizer import optimal_local_size
 from repro.sim.config import ArchConfig
 from repro.sim.stats import PerfCounters
+from repro.trace.analysis import classify_boundedness
 
-#: Memory-instruction share above which a kernel is called memory bound.
-MEMORY_BOUND_THRESHOLD = 0.30
 #: DRAM queueing share of cycles above which bandwidth is flagged as saturated.
 BANDWIDTH_SATURATION_THRESHOLD = 0.25
 
@@ -133,17 +134,14 @@ class TuningAdvisor:
             )
 
     def _add_counter_findings(self, report: TuningReport, counters: PerfCounters) -> None:
-        intensity = counters.memory_intensity
-        report.boundedness = (
-            "memory-bound" if intensity >= MEMORY_BOUND_THRESHOLD else "compute-bound"
-        )
+        report.boundedness = classify_boundedness(counters)
         if counters.cycles:
             queue_share = counters.dram_queue_cycles / counters.cycles
             report.bandwidth_saturated = queue_share >= BANDWIDTH_SATURATION_THRESHOLD
         if report.boundedness == "memory-bound":
             report.findings.append(
-                f"memory instructions are {intensity:.1%} of the issue stream; beyond the "
-                f"bandwidth saturation point extra parallelism will not reduce latency"
+                "memory traffic outweighs arithmetic in latency-weighted cycles; beyond "
+                "the bandwidth saturation point extra parallelism will not reduce latency"
             )
         if report.bandwidth_saturated:
             report.findings.append(

@@ -2,21 +2,27 @@
 
 Before running anything, the relation between the local work size, the global
 work size and the hardware parallelism already determines the execution shape:
-how many sequential kernel calls the runtime will issue, how many lanes, warps
-and cores stay busy, and which of the paper's three regimes the launch falls
+how many sequential kernel calls the runtime will issue, how many lanes and
+cores stay busy, and which of the paper's three regimes the launch falls
 into.  :class:`MappingAnalyzer` computes exactly that -- it is the "runtime
-micro-architecture parameter analysis" of the title, in its predictive form.
-The trace-driven, after-the-fact form lives in :mod:`repro.trace.analysis` and
-both are combined by :mod:`repro.core.advisor`.
+micro-architecture parameter analysis" of the title, in its predictive form,
+and the one place the regime is decided.  The launch-shape arithmetic itself
+is Eq. 1's closed form in :mod:`repro.core.optimizer`.  The after-the-fact
+form is :mod:`repro.trace.analysis`; :mod:`repro.core.advisor` combines this
+analysis with the boundedness rule it takes from there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.core.optimizer import optimal_local_size
+from repro.core.optimizer import (
+    kernel_calls_for,
+    lane_utilization_for,
+    optimal_local_size,
+    workgroups_for,
+)
 from repro.sim.config import ArchConfig
 
 
@@ -31,21 +37,10 @@ class MappingAnalysis:
     num_workgroups: int
     num_calls: int
     lane_utilization: float       # average over calls
-    warp_utilization: float       # fraction of warp slots holding at least one workgroup
     core_utilization: float       # fraction of cores receiving work (first call)
     regime: str                   # "multiple-calls" | "balanced" | "under-utilised"
     optimal_local_size: int       # what Eq. 1 would pick
     is_optimal: bool
-
-    def summary(self) -> str:
-        """One-line description used in reports."""
-        return (
-            f"lws={self.local_size} on {self.config_name} (hp={self.hardware_parallelism}): "
-            f"{self.num_workgroups} groups in {self.num_calls} call(s), "
-            f"lanes {self.lane_utilization:.1%}, cores {self.core_utilization:.1%} "
-            f"[{self.regime}]"
-            + ("" if self.is_optimal else f" -- Eq.1 suggests lws={self.optimal_local_size}")
-        )
 
 
 class MappingAnalyzer:
@@ -64,67 +59,33 @@ class MappingAnalyzer:
         config = self.config
         hp = config.hardware_parallelism
         local_size = min(local_size, global_size)
-        workgroups = math.ceil(global_size / local_size)
-        calls = math.ceil(workgroups / hp)
-        lane_util = workgroups / (calls * hp)
+        workgroups = workgroups_for(global_size, local_size)
 
-        # Utilisation detail of the first (fullest) call.
+        # Cores that receive work in the first (fullest) call.
         first_call_groups = min(workgroups, hp)
-        lanes_per_core = config.warps_per_core * config.threads_per_warp
         per_core = math.ceil(first_call_groups / config.cores)
-        cores_used = min(config.cores, math.ceil(first_call_groups / per_core)) if per_core else 0
-        warps_used_per_core = math.ceil(per_core / config.threads_per_warp)
-        warp_util = min(1.0, warps_used_per_core / config.warps_per_core)
+        cores_used = min(config.cores, math.ceil(first_call_groups / per_core))
 
         best = optimal_local_size(global_size, config)
-        regime = self._classify(global_size, local_size, hp, workgroups)
         return MappingAnalysis(
             config_name=config.name,
             hardware_parallelism=hp,
             global_size=global_size,
             local_size=local_size,
             num_workgroups=workgroups,
-            num_calls=calls,
-            lane_utilization=lane_util,
-            warp_utilization=warp_util,
+            num_calls=kernel_calls_for(global_size, local_size, hp),
+            lane_utilization=lane_utilization_for(global_size, local_size, hp),
             core_utilization=cores_used / config.cores,
-            regime=regime,
+            regime=self._classify(global_size, hp, workgroups),
             optimal_local_size=best,
             is_optimal=(local_size == best),
         )
 
-    def analyze_optimal(self, global_size: int) -> MappingAnalysis:
-        """Analysis of the Eq.-1 mapping for ``global_size``."""
-        return self.analyze(global_size, optimal_local_size(global_size, self.config))
-
     # ------------------------------------------------------------------
     @staticmethod
-    def _classify(global_size: int, local_size: int, hp: int, workgroups: int) -> str:
+    def _classify(global_size: int, hp: int, workgroups: int) -> str:
         if workgroups > hp:
             return "multiple-calls"
         if workgroups == min(hp, global_size):
             return "balanced"
         return "under-utilised"
-
-    def compare(self, global_size: int, candidate_lws: int,
-                reference_lws: Optional[int] = None) -> str:
-        """Human-readable comparison of ``candidate_lws`` against the Eq.-1 choice."""
-        reference = reference_lws if reference_lws is not None else optimal_local_size(
-            global_size, self.config)
-        cand = self.analyze(global_size, candidate_lws)
-        ref = self.analyze(global_size, reference)
-        lines = [
-            f"candidate: {cand.summary()}",
-            f"reference: {ref.summary()}",
-        ]
-        if cand.num_calls > ref.num_calls:
-            lines.append(
-                f"candidate issues {cand.num_calls - ref.num_calls} extra kernel call(s), "
-                f"each paying the launch overhead"
-            )
-        if cand.lane_utilization < ref.lane_utilization:
-            lines.append(
-                f"candidate leaves {1 - cand.lane_utilization:.1%} of lanes idle "
-                f"(reference leaves {1 - ref.lane_utilization:.1%})"
-            )
-        return "\n".join(lines)

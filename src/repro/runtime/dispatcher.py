@@ -14,7 +14,8 @@ paper's three regimes fall out of it:
 
 The resulting :class:`DispatchPlan` lists, for every call, the
 :class:`~repro.sim.gpu.WarpLaunch` records the GPU model consumes, plus
-utilisation metrics used by the analysis and the reports.
+utilisation metrics used by the analysis and the reports.  The regime label
+itself is decided by :class:`repro.core.analysis.MappingAnalyzer`.
 """
 
 from __future__ import annotations
@@ -86,26 +87,6 @@ class DispatchPlan:
         if not self.calls:
             return 0.0
         return sum(call.lane_utilization for call in self.calls) / len(self.calls)
-
-    def regime(self) -> str:
-        """The paper's regime classification for this (gws, lws, hp) triple."""
-        gws = self.ndrange.global_size
-        lws = self.ndrange.local_size
-        hp = self.hardware_parallelism
-        boundary = gws / hp
-        if lws < boundary:
-            return "multiple-calls"       # lws < gws/hp
-        if self.num_workgroups == min(hp, gws):
-            return "balanced"             # lws == ceil(gws/hp): single, fully used call
-        return "under-utilised"           # lws > gws/hp
-
-    def describe(self) -> str:
-        """Short human-readable summary used by reports and examples."""
-        return (
-            f"{self.config_name}: gws={self.ndrange.global_size} lws={self.ndrange.local_size} "
-            f"-> {self.num_workgroups} workgroups, {self.num_calls} call(s), "
-            f"avg lane utilisation {self.average_lane_utilization:.1%} [{self.regime()}]"
-        )
 
 
 def build_dispatch_plan(ndrange: NDRange, config: ArchConfig,

@@ -51,7 +51,6 @@ Declaring a new experiment is a grid plus an analysis function::
 """
 
 from repro.scenarios.planner import (
-    DEFAULT_SHARD_SIZE,
     PlanStats,
     Planner,
     ScenarioError,
@@ -83,7 +82,6 @@ from repro.scenarios.spec import (
 from repro.scenarios import library as _library  # noqa: E402,F401
 
 __all__ = [
-    "DEFAULT_SHARD_SIZE",
     "DEFAULT_SINK_DIR",
     "GridAxes",
     "PlanStats",

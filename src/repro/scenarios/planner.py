@@ -44,14 +44,6 @@ from repro.scenarios.spec import (
 from repro.telemetry.recorder import RECORDER
 from repro.workloads.problems import problem_global_size
 
-#: Default shard size: ``None`` submits one shard per engine group.  The sink
-#: is fed per *job* (the campaign progress hook fires on every
-#: completion), so smaller shards buy nothing on the happy path -- chunking
-#: exists for callers that want to bound how much work a single
-#: campaign-runner call (and its worker pool) owns.
-DEFAULT_SHARD_SIZE = None
-
-
 class ScenarioError(RuntimeError):
     """Raised when a scenario run finishes with failed jobs."""
 
@@ -126,12 +118,8 @@ class ScenarioRun:
 class Planner:
     """Expands scenario grids and drives them through the campaign engine."""
 
-    def __init__(self, runner: Optional[CampaignRunner] = None,
-                 shard_size: Optional[int] = DEFAULT_SHARD_SIZE):
-        if shard_size is not None and shard_size < 1:
-            raise ValueError(f"shard_size must be >= 1 or None, got {shard_size}")
+    def __init__(self, runner: Optional[CampaignRunner] = None):
         self.runner = runner if runner is not None else CampaignRunner()
-        self.shard_size = shard_size
 
     # ------------------------------------------------------------------
     def plan(self, scenario: Scenario,
@@ -383,27 +371,17 @@ class Planner:
 
     # ------------------------------------------------------------------
     def _shards(self, pending: Sequence[PlannedJob]):
-        """Yield ``(engine, jobs)`` shards: engine groups, optionally chunked.
+        """Yield one ``(engine, jobs)`` shard per engine group, in first-seen order.
 
         Grouping by engine keeps each campaign-runner call homogeneous (the
         engine is passed per call and pinned around every job, wherever it
-        executes).  With the default ``shard_size=None`` each engine group
-        is one shard; the runner's executor -- and its warm worker pool --
-        is shared across all of a submission's shards, and the per-job
-        progress hook already streams the sink.  An explicit ``shard_size``
-        additionally bounds how much work a single campaign-runner call owns.
+        executes).  The runner's executor -- and its warm worker pool -- is
+        shared across all of a submission's shards, and the per-job progress
+        hook already streams the sink, so a group is never split further.
         """
         groups: Dict[Optional[str], List[PlannedJob]] = {}
-        order: List[Optional[str]] = []
         for job in pending:
-            if job.engine not in groups:
-                groups[job.engine] = []
-                order.append(job.engine)
-            groups[job.engine].append(job)
-        for engine in order:
-            jobs = groups[engine]
-            chunk = self.shard_size if self.shard_size is not None else len(jobs)
-            for start in range(0, len(jobs), max(chunk, 1)):
-                yield engine, jobs[start:start + max(chunk, 1)]
+            groups.setdefault(job.engine, []).append(job)
+        yield from groups.items()
 
 

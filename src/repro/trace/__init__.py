@@ -7,9 +7,10 @@ package provides the same capability for the simulator:
 
 * :class:`~repro.trace.tracer.Tracer` -- collects
   :class:`~repro.trace.events.TraceEvent` records during simulation.
-* :mod:`~repro.trace.analysis` -- wavefront extraction, occupancy/utilisation
-  metrics and the memory-vs-compute boundedness classification used to
-  annotate Figure 2.
+* :mod:`~repro.trace.analysis` -- wavefront extraction, utilisation metrics
+  and the memory-vs-compute boundedness classification used to annotate
+  Figure 2; :func:`~repro.trace.analysis.classify_boundedness` is the one
+  boundedness rule, which the tuning advisor and the A2 ablation also use.
 * :mod:`~repro.trace.render` -- ASCII timelines reproducing the structure of
   the paper's Figure 1 in a terminal.
 """
@@ -18,7 +19,6 @@ from repro.trace.analysis import (
     TraceAnalysis,
     analyze_trace,
     classify_boundedness,
-    occupancy_timeline,
     section_wavefronts,
 )
 from repro.trace.events import TraceEvent
@@ -31,7 +31,6 @@ __all__ = [
     "Tracer",
     "analyze_trace",
     "classify_boundedness",
-    "occupancy_timeline",
     "render_issue_timeline",
     "render_section_waveform",
     "render_summary",

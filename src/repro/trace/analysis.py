@@ -7,26 +7,24 @@ technique on:
 * *section wavefronts* -- for every semantic code section, when its
   instructions issue (first/last cycle, issue count); this is the tagged
   wavefront view of Figure 1;
-* *occupancy timeline* -- how many warps issue per time bucket, exposing the
-  sequential kernel-call gaps of the ``lws=1`` regime and the idle machine of
-  the ``lws>gws/hp`` regime;
 * *issue utilisation* and *SIMT efficiency* -- how much of the machine's issue
   bandwidth and lane width the launch actually used;
 * *boundedness classification* -- the compute-bound / memory-bound annotation
-  used in the paper's Figure 2.
+  used in the paper's Figure 2.  :func:`classify_boundedness` is the one rule:
+  the trace summary, the tuning advisor and the A2 ablation all call it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.isa.opcodes import OpClass
 from repro.sim.stats import PerfCounters
 from repro.trace.events import TraceEvent
 
-#: Memory-instruction share of the issue stream above which a run is called memory bound.
+#: Memory-instruction share of the issue stream above which a run is called
+#: memory bound when no latency-weighted counters are available.
 MEMORY_BOUND_SHARE = 0.30
 
 
@@ -57,8 +55,6 @@ class TraceAnalysis:
     cores_seen: int
     issue_utilization: float            # issues / (span * cores)
     simt_efficiency: float              # mean active lanes / max lanes seen
-    section_wavefronts: Dict[str, SectionWavefront] = field(default_factory=dict)
-    per_warp_issues: Dict[Tuple[int, int], int] = field(default_factory=dict)
     call_boundaries: List[int] = field(default_factory=list)
     boundedness: str = "unknown"
 
@@ -66,11 +62,6 @@ class TraceAnalysis:
     def span(self) -> int:
         """Cycles covered by the trace."""
         return self.last_cycle - self.first_cycle + 1 if self.total_events else 0
-
-    def section_order(self) -> List[str]:
-        """Sections ordered by their first issue cycle."""
-        return [s.section for s in sorted(self.section_wavefronts.values(),
-                                          key=lambda w: w.first_cycle)]
 
 
 # ----------------------------------------------------------------------
@@ -100,43 +91,15 @@ def section_wavefronts(events: Sequence[TraceEvent]) -> Dict[str, SectionWavefro
     }
 
 
-def occupancy_timeline(events: Sequence[TraceEvent], bucket: int = 1) -> List[Tuple[int, int]]:
-    """Number of distinct (core, warp) pairs issuing per time bucket.
-
-    Returns ``(bucket_start_cycle, active_warps)`` pairs sorted by time.
-    """
-    if bucket < 1:
-        raise ValueError("bucket must be >= 1")
-    buckets: Dict[int, set] = defaultdict(set)
-    for event in events:
-        buckets[(event.cycle // bucket) * bucket].add((event.core, event.warp))
-    return [(start, len(warps)) for start, warps in sorted(buckets.items())]
-
-
-def issue_gaps(events: Sequence[TraceEvent], min_gap: int = 8) -> List[Tuple[int, int]]:
-    """Idle periods (no issue anywhere) of at least ``min_gap`` cycles.
-
-    With the naive ``lws=1`` mapping these gaps correspond to the kernel-call
-    boundaries visible in Figure 1.
-    """
-    cycles = sorted({event.cycle for event in events})
-    gaps: List[Tuple[int, int]] = []
-    for previous, current in zip(cycles, cycles[1:]):
-        if current - previous >= min_gap:
-            gaps.append((previous, current))
-    return gaps
-
-
 def classify_boundedness(counters: Optional[PerfCounters] = None,
-                         events: Optional[Sequence[TraceEvent]] = None,
-                         threshold: float = MEMORY_BOUND_SHARE) -> str:
+                         events: Optional[Sequence[TraceEvent]] = None) -> str:
     """Classify a run as memory- or compute-bound.
 
     Counters are preferred (they cover the whole run even when the trace was
     truncated): the run is memory bound when the latency-weighted time spent
     serving cache-line requests exceeds the latency-weighted time spent on
     arithmetic.  A trace alone also works by looking at the opcode mix (memory
-    share of the issue stream against ``threshold``).
+    share of the issue stream against ``MEMORY_BOUND_SHARE``).
     """
     if counters is not None and counters.warp_instructions:
         # L1 hits are pipelined and essentially free; what makes a kernel
@@ -152,11 +115,11 @@ def classify_boundedness(counters: Optional[PerfCounters] = None,
         if memory_weight or compute_weight:
             return "memory-bound" if memory_weight >= compute_weight else "compute-bound"
         share = counters.memory_instructions / counters.warp_instructions
-        return "memory-bound" if share >= threshold else "compute-bound"
+        return "memory-bound" if share >= MEMORY_BOUND_SHARE else "compute-bound"
     if events:
         memory = sum(1 for e in events if e.opcode.value in ("load", "store"))
         share = memory / len(events)
-        return "memory-bound" if share >= threshold else "compute-bound"
+        return "memory-bound" if share >= MEMORY_BOUND_SHARE else "compute-bound"
     return "unknown"
 
 
@@ -170,11 +133,9 @@ def analyze_trace(events: Sequence[TraceEvent], counters: Optional[PerfCounters]
     last = max(e.cycle for e in events)
     warps = {(e.core, e.warp) for e in events}
     cores = {e.core for e in events}
-    per_warp: Dict[Tuple[int, int], int] = defaultdict(int)
     lanes_total = 0
     max_lanes = threads_per_warp or 1
     for event in events:
-        per_warp[(event.core, event.warp)] += 1
         lanes_total += event.active_lanes
         if threads_per_warp is None and event.active_lanes > max_lanes:
             max_lanes = event.active_lanes
@@ -192,8 +153,6 @@ def analyze_trace(events: Sequence[TraceEvent], counters: Optional[PerfCounters]
         cores_seen=len(cores),
         issue_utilization=min(1.0, utilization),
         simt_efficiency=min(1.0, efficiency),
-        section_wavefronts=section_wavefronts(events),
-        per_warp_issues=dict(per_warp),
         call_boundaries=call_starts,
         boundedness=classify_boundedness(counters, events),
     )

@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.campaign.spec import JobSpec
+from repro.campaign.worker import run_spec
+from repro.core.advisor import TuningAdvisor
 from repro.core.analysis import MappingAnalyzer
+from repro.experiments.ablation import BOUNDEDNESS_CONFIG, boundedness_record_from_job
 from repro.kernels.library import VECADD
 from repro.runtime.device import Device
 from repro.runtime.dispatcher import build_dispatch_plan
@@ -19,6 +23,8 @@ from repro.runtime.launcher import launch_kernel
 from repro.runtime.ndrange import NDRange
 from repro.sim.config import ArchConfig
 from repro.experiments.configs import paper_sweep
+from repro.trace.analysis import analyze_trace
+from repro.workloads.problems import available_problems
 
 
 @settings(max_examples=80, deadline=None)
@@ -36,8 +42,26 @@ def test_static_analysis_matches_the_dispatcher(gws, lws, cores, warps, threads)
     assert analysis.num_workgroups == plan.num_workgroups
     assert analysis.num_calls == plan.num_calls
     assert analysis.lane_utilization == pytest.approx(plan.average_lane_utilization)
-    # regime labels agree between the two layers
-    assert analysis.regime == plan.regime()
+    assert analysis.core_utilization == plan.calls[0].cores_used / cores
+    # the regime label follows from the plan's own placement facts
+    hp = config.hardware_parallelism
+    assert (analysis.regime == "multiple-calls") == (plan.num_calls > 1)
+    assert (analysis.regime == "balanced") == (
+        plan.num_calls == 1 and plan.num_workgroups == min(hp, gws))
+
+
+@pytest.mark.parametrize("problem", available_problems())
+def test_one_run_gets_one_boundedness_verdict(problem):
+    """The tuning advisor, the A2 ablation and the trace summary judge one
+    traced launch by the same rule, so they name the same verdict."""
+    job = run_spec(JobSpec(problem, BOUNDEDNESS_CONFIG, scale="smoke",
+                           collect_trace=True))
+    counters = job.perf_counters()
+    advised = TuningAdvisor(BOUNDEDNESS_CONFIG).advise(
+        job.global_size, job.local_size, counters).boundedness
+    ablation = boundedness_record_from_job(job).boundedness
+    traced = analyze_trace(job.events, counters).boundedness
+    assert advised == ablation == traced != "unknown"
 
 
 @pytest.mark.parametrize("lws", [1, 3, 8, 32, 64])

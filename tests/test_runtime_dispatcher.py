@@ -2,7 +2,8 @@
 
 These tests pin down the mapping semantics the whole paper rests on: how
 workgroups are spread across cores, how lanes are filled threads-first, when
-multiple kernel calls are needed, and what the three regimes look like.
+multiple kernel calls are needed, and what the three regimes look like (their
+labels are ``MappingAnalyzer``'s, tested in ``test_core_analysis.py``).
 """
 
 import math
@@ -27,7 +28,6 @@ def test_regime_multiple_calls_when_lws_too_small():
     plan, _ = _plan(128, 1)           # 128 workgroups on 8 lanes
     assert plan.num_workgroups == 128
     assert plan.num_calls == 16
-    assert plan.regime() == "multiple-calls"
     assert all(call.lane_utilization == 1.0 for call in plan.calls)
 
 
@@ -35,7 +35,6 @@ def test_regime_balanced_when_lws_matches_eq1():
     plan, _ = _plan(128, 16)          # exactly hp workgroups
     assert plan.num_workgroups == 8
     assert plan.num_calls == 1
-    assert plan.regime() == "balanced"
     assert plan.calls[0].lane_utilization == 1.0
 
 
@@ -43,7 +42,6 @@ def test_regime_under_utilised_when_lws_too_large():
     plan, _ = _plan(128, 32)          # 4 workgroups on 8 lanes
     assert plan.num_workgroups == 4
     assert plan.num_calls == 1
-    assert plan.regime() == "under-utilised"
     assert plan.calls[0].lane_utilization == pytest.approx(0.5)
 
     plan64, _ = _plan(128, 64)
@@ -134,11 +132,6 @@ def test_cores_used_reflects_under_utilisation():
     plan, _ = _plan(8, 8, cores=4, warps=2, threads=4)        # only 1 workgroup
     assert plan.calls[0].cores_used == 1
     assert plan.calls[0].warps_spawned == 1
-
-
-def test_describe_mentions_the_regime():
-    plan, _ = _plan(128, 1)
-    assert "multiple-calls" in plan.describe()
 
 
 def test_huge_machine_with_tiny_problem_single_call():

@@ -159,11 +159,13 @@ class TestPlanner:
         assert run.stats.executed == 1
 
     def test_shards_preserve_submission_order(self):
-        scenario = tiny_scenario(strategies=("lws=1", "lws=32", "ours"))
-        planner = Planner(shard_size=2)
-        run = planner.run(scenario, SMOKE)
-        assert [r.job_hash for r in run.records] == \
-               [j.spec.content_hash() for j in run.plan]
+        # Two engines interleave in grid order, so the per-engine shards
+        # run out of submission order; the records must come back in it.
+        scenario = tiny_scenario(strategies=("lws=1", "lws=32", "ours"),
+                                 engines=("fast", "reference"))
+        run = Planner().run(scenario, SMOKE)
+        assert [j.engine for j in run.plan][:2] == ["fast", "reference"]
+        assert [r.key for r in run.records] == [j.key() for j in run.plan]
 
 
 # ----------------------------------------------------------------------
