@@ -30,7 +30,6 @@ from repro.core import (
     FixedMapping,
     HardwareAwareMapping,
     MappingAnalyzer,
-    MappingStrategy,
     NaiveMapping,
     TuningAdvisor,
     hardware_parallelism,
@@ -63,7 +62,6 @@ __all__ = [
     "LaunchResult",
     "ResultCache",
     "MappingAnalyzer",
-    "MappingStrategy",
     "NDRange",
     "NaiveMapping",
     "PerfCounters",

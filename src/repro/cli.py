@@ -202,11 +202,13 @@ def _executor_options() -> argparse.ArgumentParser:
                         help="with --executor dist: coordinator bind address "
                              "as HOST:PORT (default 127.0.0.1:0 -- a free "
                              "port, logged at startup)")
-    parent.add_argument("--dist-workers", type=int, default=0, metavar="N",
+    parent.add_argument("--dist-workers", type=_int_at_least(0), default=0,
+                        metavar="N",
                         help="with --executor dist: also spawn N worker "
                              "processes on this host (default 0 -- workers "
                              "join via `repro worker --connect`)")
-    parent.add_argument("--wait-workers", type=int, default=None, metavar="N",
+    parent.add_argument("--wait-workers", type=_int_at_least(0), default=None,
+                        metavar="N",
                         help="with --executor dist: block until N workers "
                              "have joined before running (default: the "
                              "--dist-workers count)")
@@ -454,11 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8321,
+    serve.add_argument("--port", type=_int_at_least(0), default=8321,
                        help="bind port (default 8321; 0 picks a free one)")
-    serve.add_argument("--workers", type=int, default=2,
+    serve.add_argument("--workers", type=_positive_int, default=2,
                        help="concurrent jobs in flight (default 2)")
-    serve.add_argument("--sim-workers", type=int, default=1,
+    serve.add_argument("--sim-workers", type=_positive_int, default=1,
                        help="simulator processes per job (default 1)")
     serve.add_argument("--queue-dir", default=None,
                        help="service state directory (default ./service, "
@@ -472,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--rate", type=float, default=10.0,
                        help="per-client request rate limit in requests/s "
                             "(default 10; 0 disables)")
-    serve.add_argument("--burst", type=int, default=20,
+    serve.add_argument("--burst", type=_positive_int, default=20,
                        help="per-client burst allowance (default 20)")
     serve.add_argument("--executor", choices=("local", "dist"),
                        default="local",
@@ -483,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --executor dist: coordinator bind address "
                             "as HOST:PORT for `repro worker --connect` "
                             "(default 127.0.0.1:0)")
-    serve.add_argument("--dist-workers", type=int, default=0, metavar="N",
+    serve.add_argument("--dist-workers", type=_int_at_least(0), default=0,
+                       metavar="N",
                        help="with --executor dist: also spawn N worker "
                             "processes on this host")
 
@@ -500,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument("--connect", required=True, metavar="HOST:PORT",
                         help="the coordinator's --listen address")
-    worker.add_argument("--max-tasks", type=int, default=None,
+    worker.add_argument("--max-tasks", type=_positive_int, default=None,
                         help="fault-injection: silently drop the connection "
                              "after simulating this many jobs (emulates a "
                              "SIGKILLed worker; used by the chaos tests)")

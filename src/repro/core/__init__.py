@@ -22,7 +22,6 @@ from repro.core.analysis import MappingAnalysis, MappingAnalyzer
 from repro.core.mapper import (
     FixedMapping,
     HardwareAwareMapping,
-    MappingStrategy,
     NaiveMapping,
     PAPER_STRATEGIES,
     strategy_by_name,
@@ -34,7 +33,6 @@ __all__ = [
     "HardwareAwareMapping",
     "MappingAnalysis",
     "MappingAnalyzer",
-    "MappingStrategy",
     "NaiveMapping",
     "PAPER_STRATEGIES",
     "TuningAdvisor",

@@ -18,16 +18,12 @@ sampling:
   rotation makes slot ``k``'s warp the unique priority head at its issue
   cycle, and a full round leaves ``rr_next`` exactly where per-warp issue
   would have.
-* Rounds whose op holds a functional unit (multi-line memory, SFU intervals)
-  issue with the exact spacing the FU hold forces.  The hold gates every warp
-  still waiting at the round's PC, but a warp that has already issued moves
-  to the *next* PC and the reference would slot that instruction into the
-  hold's gap cycles -- so ragged rounds additionally carry a *steal guard*:
-  they stream only when every issued warp's next instruction provably cannot
-  become ready before the window's contiguous tail of issue cycles (where
-  round-robin priority excludes it anyway).  The window's
-  issue/stall/active-cycle accounting reproduces the visited-cycle arithmetic
-  of the reference loop, gap cycles included.
+* Every streamed window is cycle-aligned: slot ``k`` issues at
+  ``cycle + k`` on every streaming core.  A round whose op holds a
+  functional unit for more than its own issue cycle (an initiation interval
+  other than 1, a memory access spanning several cache lines) would space
+  its issues apart, so it is never planned and runs on the fast engine's
+  per-warp handlers instead.
 * Memory walks still run per warp in slot order so LRU state and DRAM-queue
   timing mutate in the same order as the reference engine.  Cross-core
   windows interleave walks (and, when stores are involved, data) in
@@ -35,10 +31,11 @@ sampling:
 * Cores that cannot stream but whose cached ``next_event_hint`` proves they
   cannot issue inside the window are carried as pure stallers -- exactly what
   the reference loop would have recorded for them.
-* Everything the guards cannot prove -- divergent PCs, barriers, masked or
-  out-of-bounds memory, GTO scheduling, drained warps -- is a visited cycle
-  of the fast engine's event-skipping loop, which is itself proven
-  bit-identical to the reference: streaming windows are a hook of
+* Everything the guards cannot prove -- divergent PCs, barriers, masked,
+  multi-line or out-of-bounds memory, functional-unit holds, GTO
+  scheduling, drained warps -- is a visited cycle of the fast engine's
+  event-skipping loop, which is itself proven bit-identical to the
+  reference: streaming windows are a hook of
   :func:`~repro.sim.fastcore.run_fast`, and the batch engine runs inside it.
 
 The differential suite, the golden counters and the fuzzing oracle
@@ -57,7 +54,7 @@ from repro.isa.program import Program
 from repro.isa.registers import NUM_ARG_SLOTS, Csr
 from repro.sim.compile import CompiledProgram, compile_program
 from repro.sim.config import ArchConfig
-from repro.sim.core import NEVER, SimulationError
+from repro.sim.core import NEVER
 from repro.sim.fastcore import (
     FastSimtCore,
     _PARKED,
@@ -199,12 +196,11 @@ class BatchSimtCore(FastSimtCore):
         self._all_full = False
         self._active_total = 0
         self._full_warp_mask = (1 << lanes) - 1
-        self._lane_bits = np.left_shift(1, np.arange(lanes, dtype=np.int64))
         self._slot_cache = {}
         self._stream_enabled = self._is_rr and n >= 2
         # Streaming keeps pc (uniform) and next-issue cycles core-resident;
         # warp objects go stale between commits and are synced lazily before
-        # anything per-warp (fallback cycles, scalar/SFU handlers) runs.
+        # anything per-warp (fallback cycles, scalar handlers) runs.
         self._lazy = False
         self._pc_u = -1
         self._ni = np.zeros(n, dtype=np.int64)
@@ -272,10 +268,10 @@ def _sync_warps(core: BatchSimtCore) -> None:
 
 
 def _issue_slots(core: BatchSimtCore, order, op, pc: int, cycle: int,
-                 spacing: int, tracer) -> int:
+                 tracer) -> int:
     """Issue ``op`` for the warps of ``order`` through the fast per-warp
-    handler, slot ``k`` at ``cycle + k * spacing``, exactly as the issue loop
-    would; returns the active lanes issued."""
+    handler, slot ``k`` at ``cycle + k``, exactly as the issue loop would;
+    returns the active lanes issued."""
     warps = core.warps
     run = op.run
     dst = op.dst
@@ -285,7 +281,7 @@ def _issue_slots(core: BatchSimtCore, order, op, pc: int, cycle: int,
     lanes_total = 0
     for k, i in enumerate(order):
         w = warps[i]
-        at = cycle + k * spacing
+        at = cycle + k
         lanes_total += w.active_mask.bit_count()
         if tracer is not None:
             tracer.record(cycle=at, core=core_id, warp=w.warp_id, pc=pc,
@@ -302,23 +298,15 @@ def _issue_slots(core: BatchSimtCore, order, op, pc: int, cycle: int,
 
 
 # ----------------------------------------------------------------------
-# window plans.  Every plan describes a window starting at the attempt cycle:
-#   issue cycles   cycle + offset[k] for slot k (offsets in *attach* order
-#                  are what the guards and scoreboards consume)
-#   .window        cycles consumed: last issue offset + 1
-#   .gaps          non-issue cycles the reference loop would still visit
-#                  (the cycle right after an issue whose FU hold spans more
-#                  than one cycle) -- they charge every busy core one stall
-#   .ragged        True when the issue cycles are not simply cycle+slot;
-#                  ragged plans stream only when they are the sole streamer
+# window plans.  Every plan describes a cycle-aligned window starting at the
+# attempt cycle: slot ``k`` of round ``j`` issues at ``cycle + j * n + k``,
+# and ``rounds`` rounds consume ``rounds * n`` cycles.
 # ----------------------------------------------------------------------
 class _TracePlan:
     """``rounds`` consecutive ewise PCs streamed for all warps of one core."""
 
     __slots__ = ("core", "n", "rounds", "order", "slots", "trace", "pc")
     is_mem = False
-    ragged = False
-    gaps = 0
 
     def __init__(self, core, n, rounds, order, slots, trace, pc):
         self.core = core
@@ -328,9 +316,6 @@ class _TracePlan:
         self.slots = slots
         self.trace = trace
         self.pc = pc
-
-    def window(self, rounds: int) -> int:
-        return rounds * self.n
 
     def commit(self, cycle: int, rounds: int, tracer) -> None:
         core = self.core
@@ -391,8 +376,6 @@ class _ScalarPlan:
 
     __slots__ = ("core", "n", "order", "op", "pc")
     is_mem = False
-    ragged = False
-    gaps = 0
     rounds = 1
 
     def __init__(self, core, n, order, op, pc):
@@ -402,155 +385,16 @@ class _ScalarPlan:
         self.op = op
         self.pc = pc
 
-    def window(self, rounds: int) -> int:
-        return self.n
-
     def commit(self, cycle: int, rounds: int, tracer) -> None:
         core = self.core
         _sync_warps(core)        # the fast handlers read and write warp state
-        op = self.op
-        control = op.control
-        if control is not None and tracer is None:
-            lanes_total = _COMMIT_CONTROL[control](self, cycle)
-        else:
-            lanes_total = _issue_slots(core, self.order, op, self.pc, cycle,
-                                       1, tracer)
+        lanes_total = _issue_slots(core, self.order, self.op, self.pc, cycle,
+                                   tracer)
         core._pc_issues[self.pc] += self.n
         core._pc_lanes[self.pc] += lanes_total
         core._rr_next = (self.order[-1] + 1) % core._rr_n
         # Control handlers may have moved masks; rebuild lazily next round.
         core._masks_key = None
-
-    # -- batched control rounds -----------------------------------------
-    # Inline replicas of the reference control handlers with the per-lane
-    # predicate loops vectorised over the whole round (one slab compare and
-    # bit-pack).  Stack entries, masks, pcs, counters and error messages
-    # match the reference handlers exactly.
-
-    def _commit_split(self, cycle: int) -> int:
-        core = self.core
-        warps = core.warps
-        instr = self.op.instr
-        (cond_reg,) = instr.srcs
-        taken_all = (core._slabs[cond_reg] != 0.0) @ core._lane_bits
-        else_pc, join_pc = instr.target, instr.target2
-        pc1 = self.pc + 1
-        lanes_total = 0
-        divergent = 0
-        for k, i in enumerate(self.order):
-            w = warps[i]
-            full = w.active_mask
-            lanes_total += full.bit_count()
-            taken = int(taken_all[i]) & full
-            not_taken = full & ~taken
-            if taken and not_taken:
-                w.simt_stack.append(("else", not_taken, full, else_pc,
-                                     join_pc))
-                w.active_mask = taken
-                w.pc = pc1
-                divergent += 1
-            elif taken:
-                w.simt_stack.append(("join", full, join_pc))
-                w.pc = pc1
-            else:
-                w.simt_stack.append(("join", full, join_pc))
-                w.pc = else_pc
-            w.next_issue_cycle = cycle + k + 1
-            w._d_cache = None
-        core.counters.divergent_branches += divergent
-        return lanes_total
-
-    def _commit_join(self, cycle: int) -> int:
-        core = self.core
-        warps = core.warps
-        pc = self.pc
-        lanes_total = 0
-        for k, i in enumerate(self.order):
-            w = warps[i]
-            lanes_total += w.active_mask.bit_count()
-            if not w.simt_stack:
-                raise SimulationError(
-                    f"core {core.core_id} warp {w.warp_id}: JOIN with empty "
-                    f"SIMT stack at pc {pc}"
-                )
-            entry = w.simt_stack.pop()
-            if entry[0] == "else":
-                _, not_taken, full, else_pc, join_pc = entry
-                w.simt_stack.append(("join", full, join_pc))
-                w.active_mask = not_taken
-                w.pc = else_pc
-            elif entry[0] == "join":
-                _, mask, join_pc = entry
-                w.active_mask = mask
-                w.pc = join_pc
-            else:
-                raise SimulationError(
-                    f"core {core.core_id} warp {w.warp_id}: JOIN found a "
-                    f"{entry[0]!r} entry"
-                )
-            w.next_issue_cycle = cycle + k + 1
-            w._d_cache = None
-        return lanes_total
-
-    def _commit_loop_begin(self, cycle: int) -> int:
-        warps = self.core.warps
-        pc1 = self.pc + 1
-        lanes_total = 0
-        for k, i in enumerate(self.order):
-            w = warps[i]
-            mask = w.active_mask
-            lanes_total += mask.bit_count()
-            w.simt_stack.append(("loop", mask))
-            w.pc = pc1
-            w.next_issue_cycle = cycle + k + 1
-            w._d_cache = None
-        return lanes_total
-
-    def _commit_loop_end(self, cycle: int) -> int:
-        core = self.core
-        warps = core.warps
-        instr = self.op.instr
-        (cond_reg,) = instr.srcs
-        alive_all = (core._slabs[cond_reg] != 0.0) @ core._lane_bits
-        target = instr.target
-        pc1 = self.pc + 1
-        lanes_total = 0
-        divergent = 0
-        for k, i in enumerate(self.order):
-            w = warps[i]
-            full = w.active_mask
-            lanes_total += full.bit_count()
-            alive = int(alive_all[i]) & full
-            if alive:
-                if alive != full:
-                    divergent += 1
-                w.active_mask = alive
-                w.pc = target
-            else:
-                if not w.simt_stack or w.simt_stack[-1][0] != "loop":
-                    raise SimulationError(
-                        f"core {core.core_id} warp {w.warp_id}: LOOP_END "
-                        f"without LOOP_BEGIN"
-                    )
-                _, mask = w.simt_stack.pop()
-                w.active_mask = mask
-                w.pc = pc1
-            w.next_issue_cycle = cycle + k + 1
-            w._d_cache = None
-        core.counters.divergent_branches += divergent
-        return lanes_total
-
-    def _commit_jmp(self, cycle: int) -> int:
-        warps = self.core.warps
-        target = self.op.instr.target
-        lanes_total = 0
-        for k, i in enumerate(self.order):
-            w = warps[i]
-            lanes_total += w.active_mask.bit_count()
-            w.pc = target
-            w.next_issue_cycle = cycle + k + 1
-            w._d_cache = None
-        return lanes_total
 
 
 class _HaltPlan:
@@ -562,8 +406,6 @@ class _HaltPlan:
 
     __slots__ = ("core", "n", "order", "op", "pc")
     is_mem = False
-    ragged = False
-    gaps = 0
     rounds = 1
 
     def __init__(self, core, n, order, op, pc):
@@ -572,9 +414,6 @@ class _HaltPlan:
         self.order = order
         self.op = op
         self.pc = pc
-
-    def window(self, rounds: int) -> int:
-        return self.n
 
     def commit(self, cycle: int, rounds: int, tracer) -> None:
         core = self.core
@@ -599,115 +438,32 @@ class _HaltPlan:
         core._rr_next = (self.order[-1] + 1) % core._rr_n
 
 
-_COMMIT_CONTROL = {
-    "split": _ScalarPlan._commit_split,
-    "join": _ScalarPlan._commit_join,
-    "loop_begin": _ScalarPlan._commit_loop_begin,
-    "loop_end": _ScalarPlan._commit_loop_end,
-    "jmp": _ScalarPlan._commit_jmp,
-}
-
-
-class _SfuPlan:
-    """One interval->1 PC streamed with the spacing its FU hold forces.
-
-    Slot ``k`` issues at ``cycle + k * interval``: the previous issue holds
-    the unit until exactly that cycle, so no warp still waiting at this PC
-    can issue in between.  Warps that already issued sit at the *next* PC --
-    the steal guard in :func:`_plan_core` proves none of them becomes ready
-    before the final issue cycle, which forces the reference schedule.
-    """
-
-    __slots__ = ("core", "n", "order", "op", "pc", "interval")
-    is_mem = False
-    ragged = True
-    rounds = 1
-
-    def __init__(self, core, n, order, op, pc):
-        self.core = core
-        self.n = n
-        self.order = order
-        self.op = op
-        self.pc = pc
-        self.interval = op.interval
-
-    @property
-    def gaps(self) -> int:
-        # After each issue except the last, the reference loop visits the
-        # next cycle, finds nothing ready (FU held) and charges one stall.
-        return self.n - 1
-
-    def window(self, rounds: int) -> int:
-        return (self.n - 1) * self.interval + 1
-
-    def commit(self, cycle: int, rounds: int, tracer) -> None:
-        core = self.core
-        _sync_warps(core)        # the fast handlers read and write warp state
-        interval = self.interval
-        lanes_total = _issue_slots(core, self.order, self.op, self.pc, cycle,
-                                   interval, tracer)
-        core._fu_busy[self.op.unit_index] = cycle + self.n * interval
-        core._pc_issues[self.pc] += self.n
-        core._pc_lanes[self.pc] += lanes_total
-        core._rr_next = (self.order[-1] + 1) % core._rr_n
-        core._masks_key = None
-
-
 class _MemPlan:
     """A memory round: one 2-D gather/scatter plus per-warp hierarchy walks.
 
-    Planned when every warp's lanes are fully active and every coalesced line
-    is in bounds.  Warps whose access spans several lines hold the LSU for
-    that many cycles, spacing the following slots exactly as the reference
-    FU hold would; :func:`run_batch` sequences walks (and data when stores
-    are present) across cores in (cycle, core) order.
+    Planned when every warp's lanes are fully active and every warp touches
+    exactly one in-bounds cache line, so no slot holds the LSU past its own
+    issue cycle and slot ``k`` issues at ``cycle + k``.
+    :func:`_commit_window` sequences walks (and data when stores are
+    present) across cores in (cycle, core) order.
     """
 
-    __slots__ = ("core", "n", "order", "offsets", "op", "pc", "addr", "lines",
-                 "line_counts", "latencies", "is_load", "single", "ragged",
-                 "gaps", "_window", "_fu_until")
+    __slots__ = ("core", "n", "order", "slots", "op", "pc", "addr", "lines",
+                 "latencies", "is_load")
     is_mem = True
     rounds = 1
 
-    def __init__(self, core, n, order, offsets, op, pc, addr, lines,
-                 line_counts, is_load):
+    def __init__(self, core, n, order, slots, op, pc, addr, lines, is_load):
         self.core = core
         self.n = n
         self.order = order
-        self.offsets = offsets        # warp -> issue offset, attach order
+        self.slots = slots            # warp -> slot, attach order
         self.op = op
         self.pc = pc
         self.addr = addr              # (warps, lanes) int64, attach order
-        # ``line_counts is None`` marks the common fully-coalesced round:
-        # every warp touches exactly one line, ``lines`` is the bare line per
-        # slot in issue order and the offsets are simply the slots.
-        self.lines = lines
-        self.line_counts = line_counts  # per slot, issue order
+        self.lines = lines            # the one line per slot, issue order
         self.is_load = is_load
         self.latencies = np.ones(n, dtype=np.int64) if is_load else None
-        self.gaps = 0
-        self._fu_until = 0            # FU hold past the last multi-line issue
-        if line_counts is None:
-            self.single = True
-            self.ragged = False
-            self._window = n
-            return
-        self.single = False
-        offset = 0
-        for k, count in enumerate(line_counts):
-            if count > 1:
-                if k < n - 1:
-                    self.gaps += 1
-                self._fu_until = offset + count
-            offset += count
-        # A hold on the *last* slot spills past the window without perturbing
-        # any issue cycle inside it, so only interior holds make the plan
-        # ragged (non-cycle-aligned).
-        self.ragged = self.gaps > 0
-        self._window = int(offsets[order[-1]]) + 1
-
-    def window(self, rounds: int) -> int:
-        return self._window
 
     def data_batched(self) -> None:
         """The whole round's values in one numpy call (safe when no other
@@ -742,23 +498,14 @@ class _MemPlan:
 
     def walk_one(self, k: int, cycle: int) -> None:
         core = self.core
-        if self.single:
-            if self.is_load:
-                self.latencies[self.order[k]] = core.hierarchy.load(
-                    core.core_id, (self.lines[k],), cycle + k)
-            else:
-                core.hierarchy.store(core.core_id, (self.lines[k],), cycle + k)
-            return
-        i = self.order[k]
         if self.is_load:
-            self.latencies[i] = core.hierarchy.load(
-                core.core_id, self.lines[i], cycle + int(self.offsets[i]))
+            self.latencies[self.order[k]] = core.hierarchy.load(
+                core.core_id, (self.lines[k],), cycle + k)
         else:
-            core.hierarchy.store(core.core_id, self.lines[i],
-                                 cycle + int(self.offsets[i]))
+            core.hierarchy.store(core.core_id, (self.lines[k],), cycle + k)
 
     def walks(self, cycle: int) -> None:
-        if self.single and not self.is_load:
+        if not self.is_load:
             # Slot k stores line k at cycle + k: one walk covers the round.
             self.core.hierarchy.store(self.core.core_id, self.lines, cycle)
             return
@@ -770,38 +517,33 @@ class _MemPlan:
         op = self.op
         n = self.n
         pc = self.pc
-        total_lines = n if self.single else sum(self.line_counts)
         core._pc_issues[pc] += n
         core._pc_lanes[pc] += core._active_total
         counters = core.counters
         if self.is_load:
             counters.loads += n
-            counters.load_lines += total_lines
-            core._rr2[:, op.dst] = cycle + self.offsets + self.latencies
+            counters.load_lines += n
+            core._rr2[:, op.dst] = cycle + self.slots + self.latencies
         else:
             counters.stores += n
-            counters.store_lines += total_lines
-        if self._fu_until:
-            core._fu_busy[op.unit_index] = cycle + self._fu_until
-        offsets = self.offsets
+            counters.store_lines += n
         core._rr_next = (self.order[-1] + 1) % core._rr_n
         new_pc = pc + 1
         if tracer is None:
             core._pc_u = new_pc
-            np.add(offsets, cycle + 1, out=core._ni)
+            np.add(self.slots, cycle + 1, out=core._ni)
             core._lazy = True
             return
         warps = core.warps
         instr = op.instr
         core_id = core.core_id
-        for i in self.order:
+        for k, i in enumerate(self.order):
             w = warps[i]
-            at = cycle + int(offsets[i])
-            tracer.record(cycle=at, core=core_id, warp=w.warp_id,
+            tracer.record(cycle=cycle + k, core=core_id, warp=w.warp_id,
                           pc=pc, opcode=instr.opcode, mask=w.active_mask,
                           section=instr.section)
             w.pc = new_pc
-            w.next_issue_cycle = at + 1
+            w.next_issue_cycle = cycle + k + 1
             w._d_cache = None
         core._lazy = False
 
@@ -809,46 +551,6 @@ class _MemPlan:
 # ----------------------------------------------------------------------
 # planning
 # ----------------------------------------------------------------------
-def _steal_safe(core: BatchSimtCore, op, pc: int, t_attach, tail_abs: int,
-                is_load: bool) -> bool:
-    """True iff no issued warp can issue its next instruction inside a ragged
-    window.
-
-    After slot ``k`` issues at ``t_attach[i]``, its warp advances to
-    ``pc + 1`` while later slots are still FU-gated -- at any non-issue cycle
-    of the window a ready issued warp would win the round-robin scan, which a
-    streamed round cannot reproduce.  Cycles from ``tail_abs`` (the first
-    issue after the last interior FU hold) to the window's end are contiguous
-    issue cycles where rotation priority always belongs to the issuing slot,
-    so the round is exact iff every issued warp's next-instruction readiness
-    lands at or past ``tail_abs``.  Readiness is computed exactly: the warp's
-    own spacing, the live scoreboard, the round's own destination write, and
-    the next op's FU gate.  A next op on the round's *own* unit is gated by
-    the round's holds through every gap, which is sufficient on its own.
-    """
-    decode = core._decode
-    pcn = pc + 1
-    if pcn >= len(decode):
-        return False                 # would run off: let the fallback raise
-    (_run, _dst, check_regs, _lat, _interval, unit_index, fu_check,
-     _is_mem) = decode[pcn].tup
-    if fu_check and unit_index == op.unit_index:
-        return True
-    ready = t_attach + 1
-    rr2 = core._rr2
-    for reg in check_regs:
-        if reg == op.dst:
-            if is_load:
-                return False         # walk latency unknown until commit
-            cand = t_attach + op.latency
-        else:
-            cand = rr2[:, reg]
-        ready = np.maximum(ready, cand)
-    if fu_check:
-        ready = np.maximum(ready, core._fu_busy[unit_index])
-    return bool(np.all(ready >= tail_abs))
-
-
 def _plan_core(core: BatchSimtCore, cycle: int):
     """Return a streaming plan for ``core`` at ``cycle``, or None.
 
@@ -924,24 +626,11 @@ def _plan_core(core: BatchSimtCore, cycle: int):
         own = np.maximum(own, rr2[:, op.check_regs[0]])
         for reg in op.check_regs[1:]:
             np.maximum(own, rr2[:, reg], out=own)
+    if not np.all(own <= cycle + slots):
+        return None
 
     if kind == "scalar":
-        if not np.all(own <= cycle + slots):
-            return None
         return _ScalarPlan(core, n, order, op, pc)
-
-    if kind == "sfu":
-        if core._fu_busy[op.unit_index] > cycle:
-            return None
-        t_attach = cycle + slots * op.interval
-        if not np.all(own <= t_attach):
-            return None
-        # Every interior issue opens a gap; the contiguous tail is just the
-        # last issue cycle.
-        if not _steal_safe(core, op, pc, t_attach,
-                           cycle + (n - 1) * op.interval, False):
-            return None
-        return _SfuPlan(core, n, order, op, pc)
 
     # load / store round
     if core._fu_busy[op.unit_index] > cycle:
@@ -956,35 +645,10 @@ def _plan_core(core: BatchSimtCore, cycle: int):
     if int(lines2d.min()) < 0 or int(lines2d.max()) >= core._full_lines:
         return None                      # fallback runs the exact raising path
     line0 = lines2d[:, 0]
-    if (lines2d == line0[:, None]).all():
-        # Fully coalesced round: every warp touches one line, so there is no
-        # FU hold and the issue offsets are simply the slots.
-        if not np.all(own <= cycle + slots):
-            return None
-        return _MemPlan(core, n, order, slots, op, pc, addr,
-                        line0.take(order).tolist(), None, op.kind == "load")
-    # Coalesce per warp in first-appearance lane order (the fast coalescer's
-    # request order), then derive each slot's issue offset from the FU hold
-    # the preceding slots' line counts force.
-    lines = [tuple(dict.fromkeys(row)) for row in lines2d.tolist()]
-    line_counts = [len(lines[i]) for i in order]      # issue (slot) order
-    offsets = np.empty(n, dtype=np.int64)             # attach order
-    offset = 0
-    for k, i in enumerate(order):
-        offsets[i] = offset
-        offset += line_counts[k]
-    if not np.all(own <= cycle + offsets):
-        return None
-    tail_k = -1                       # last interior slot holding the LSU
-    for k in range(n - 1):
-        if line_counts[k] > 1:
-            tail_k = k
-    if tail_k >= 0 and not _steal_safe(
-            core, op, pc, cycle + offsets,
-            cycle + int(offsets[order[tail_k + 1]]), op.kind == "load"):
-        return None
-    return _MemPlan(core, n, order, offsets, op, pc, addr, lines, line_counts,
-                    op.kind == "load")
+    if not (lines2d == line0[:, None]).all():
+        return None                      # a multi-line warp holds the LSU
+    return _MemPlan(core, n, order, slots, op, pc, addr,
+                    line0.take(order).tolist(), op.kind == "load")
 
 
 # ----------------------------------------------------------------------
@@ -1014,10 +678,11 @@ def _stream_window(busy, hints, cycle: int, jumped: bool,
     A window needs every busy core accounted for: either it streams a plan,
     or its cached event hint proves it cannot issue before the window ends (a
     pure staller, charged exactly the stalls the reference loop would
-    record).  Tracing restricts streaming to single-core calls so records
-    interleave in the reference's (cycle, core) order.  Returns ``(window,
-    issues, active_cycles, stalls, drained)`` for a committed window, else
-    ``None`` with every lazy core synced back into its warps.
+    record).  Every streaming core issues on every cycle of the window.
+    Tracing restricts streaming to single-core calls so records interleave
+    in the reference's (cycle, core) order.  Returns ``(window, issues,
+    stalls, drained)`` for a committed window, else ``None`` with every lazy
+    core synced back into its warps.
     """
     if jumped:
         # Stalls compress warp spacing; divergent cores may have
@@ -1051,28 +716,13 @@ def _stream_window(busy, hints, cycle: int, jumped: bool,
             plans.append(plan)
             planned.append(i)
         if plans:
-            if len(plans) == 1:
-                plan = plans[0]
-                rounds = plan.rounds
-                window = plan.window(rounds)
-                gaps = plan.gaps
-            else:
-                # Multi-core windows stay cycle-aligned: every streaming
-                # core must issue on every cycle of the window.
-                rounds = min(plan.rounds for plan in plans)
-                window = 0 if any(plan.ragged for plan in plans) \
-                    else rounds * plans[0].n
-                gaps = 0
-            if window and idle and min_idle_hint < cycle + window:
-                # Shrink uniform windows until the stalled cores provably
-                # sleep through them; ragged windows cannot shrink.
-                if gaps == 0 and not plans[0].ragged:
-                    n0 = plans[0].n
-                    fit = int((min_idle_hint - cycle) // n0)
-                    rounds = min(rounds, fit)
-                    window = rounds * n0 if rounds >= 1 else 0
-                else:
-                    window = 0
+            n = plans[0].n
+            rounds = min(plan.rounds for plan in plans)
+            if idle and min_idle_hint < cycle + rounds * n:
+                # Shrink the window until the stalled cores provably sleep
+                # through it (idle hints lie past ``cycle``: never negative).
+                rounds = int((min_idle_hint - cycle) // n)
+            window = rounds * n
             if window and max_cycles is not None \
                     and cycle + window - 1 > max_cycles:
                 window = 0            # let the visited cycles raise on schedule
@@ -1085,17 +735,7 @@ def _stream_window(busy, hints, cycle: int, jumped: bool,
     for i in planned:
         hints[i] = -1.0
     drained = any(type(plan) is _HaltPlan for plan in plans)
-    if gaps or plans[0].ragged:
-        # Ragged single plan: the reference visits each issue cycle (the
-        # streamer issues, everyone else stalls) plus the cycle right after
-        # each multi-cycle FU hold (nobody issues, every busy core stalls)
-        # before event-jumping.
-        n0 = plans[0].n
-        return (window, n0, n0, gaps * len(busy) + (len(busy) - 1) * n0,
-                drained)
-    # Uniform window: every cycle is visited, every streaming core issues on
-    # each of them, idle cores stall through.
-    return window, window * len(plans), window, window * idle, drained
+    return window, window * len(plans), window * idle, drained
 
 
 def _commit_window(plans, cycle: int, rounds: int, tracer) -> None:

@@ -29,15 +29,12 @@ Classification (:attr:`BatchOp.kind`):
     re-running the scheduler scan.  Known-CSR reads are *promoted* to ewise
     moves from pseudo-register slab rows staged at adopt time
     (:func:`_promote_csrr`), since CSR values are launch constants.
-``"sfu"``
-    Ops with an initiation interval > 1 (SFU arithmetic, overridden
-    timings).  A uniform round streams with issue spacing equal to the
-    interval: the functional-unit hold itself guarantees no other warp can
-    issue in between, so slot ``k`` issues at ``cycle + k * interval``.
 ``"stop"``
-    Never streamed: barrier/halt/TMC (they park or kill warps) and any
-    interval-1 op whose functional unit another instruction can occupy.
-    The run loop falls back to the exact fast-engine path at these PCs.
+    Never streamed: barrier/halt/TMC (they park or kill warps), every op
+    with an initiation interval other than 1 (its functional-unit hold
+    would space the round's issues apart) and any interval-1 op whose
+    functional unit another instruction can occupy.  The run loop falls
+    back to the exact fast-engine path at these PCs.
 
 Trace feasibility is closed-form: when round ``j`` of a trace reads a
 register written by round ``i`` with latency ``L``, the write completes
@@ -74,8 +71,8 @@ class BatchOp:
     """One PC of the batch program (see module docstring for the kinds)."""
 
     __slots__ = ("kind", "run2d", "instr", "run", "dst", "check_regs",
-                 "latency", "interval", "unit_index", "addr_reg", "value_reg",
-                 "offset", "to_lines", "control")
+                 "latency", "unit_index", "addr_reg", "value_reg", "offset",
+                 "to_lines")
 
     def __init__(self, kind: str, decoded: _Decoded):
         self.kind = kind
@@ -84,12 +81,10 @@ class BatchOp:
         self.dst = decoded.dst
         self.check_regs = decoded.check_regs
         self.latency = decoded.default_latency
-        self.interval = decoded.initiation_interval
         self.unit_index = decoded.unit_index
         self.run2d: Optional[Callable] = None
         self.addr_reg = self.value_reg = self.offset = -1
         self.to_lines: Optional[Callable] = None
-        self.control: Optional[str] = None      # batched control-op tag
 
 
 class TraceInfo:
@@ -282,27 +277,13 @@ def _ewise_handler(instr: Instruction) -> Optional[Callable]:
     return None
 
 
-#: Control opcodes with a specialised batched round commit in
-#: :mod:`repro.sim.batchcore` -- the reference handlers' per-lane predicate
-#: loops become one slab compare + bit-pack for the whole round.
-_CONTROL_TAGS = {
-    Opcode.SPLIT: "split",
-    Opcode.JOIN: "join",
-    Opcode.LOOP_BEGIN: "loop_begin",
-    Opcode.LOOP_END: "loop_end",
-    Opcode.JMP: "jmp",
-}
-
-
 # ----------------------------------------------------------------------
 def _classify(decoded: _Decoded, config: ArchConfig) -> BatchOp:
     instr = decoded.instr
     opcode = instr.opcode
-    if opcode in _STOP_OPS:
+    if opcode in _STOP_OPS or decoded.initiation_interval != 1:
         return BatchOp("stop", decoded)
     if decoded.is_mem:
-        if decoded.initiation_interval != 1:
-            return BatchOp("stop", decoded)
         op = BatchOp("load" if opcode is Opcode.LOAD else "store", decoded)
         if opcode is Opcode.LOAD:
             (op.addr_reg,) = instr.srcs
@@ -311,8 +292,6 @@ def _classify(decoded: _Decoded, config: ArchConfig) -> BatchOp:
         op.offset = int(instr.imm or 0)
         op.to_lines = _line_math(config.l1_line_words)
         return op
-    if decoded.initiation_interval > 1:
-        return BatchOp("sfu", decoded)
     if decoded.fu_check:
         # Interval-1 op on a unit another instruction can mark busy: the
         # round guard never re-reads the FU table mid-round, so these must
@@ -323,9 +302,7 @@ def _classify(decoded: _Decoded, config: ArchConfig) -> BatchOp:
         op = BatchOp("ewise", decoded)
         op.run2d = run2d
         return op
-    op = BatchOp("scalar", decoded)
-    op.control = _CONTROL_TAGS.get(opcode)
-    return op
+    return BatchOp("scalar", decoded)
 
 
 def compile_program(program: Program, config: ArchConfig,

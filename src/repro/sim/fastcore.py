@@ -889,7 +889,8 @@ def run_fast(active_cores: List[FastSimtCore], counters: PerfCounters,
     it is visited as ``windows(busy, hints, cycle, jumped, max_cycles,
     tracer)`` -- ``jumped`` is True when the clock event-jumped to ``cycle``.
     It either commits a window of cycles and returns ``(window, issues,
-    active_cycles, stalls, drained)`` for the loop to account, or returns
+    stalls, drained)`` for the loop to account -- every cycle of a window is
+    an active cycle, since some streaming core issues on each -- or returns
     ``None`` with every warp object current, and the cycle is visited here.
     """
     # One tuple per busy core, unpacked once per issue attempt: everything
@@ -913,10 +914,10 @@ def run_fast(active_cores: List[FastSimtCore], counters: PerfCounters,
             streamed = windows(busy, hints, cycle, jumped, max_cycles, tracer)
             jumped = False
             if streamed is not None:
-                window, issues, active, stalls, drained = streamed
+                window, issues, stalls, drained = streamed
                 cycle += window
                 issue_cycles += issues
-                active_cycles += active
+                active_cycles += window
                 stall_cycles += stalls
                 if drained:
                     busy, hints = _still_busy(busy, hints)

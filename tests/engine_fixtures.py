@@ -93,9 +93,10 @@ def make_strided_gather_kernel(size: int, stride: int = 7) -> Kernel:
     """Strided gather: each lane loads ``a[(gid * stride) % size]`` plus a
     second shifted index, then mixes them through a ``gid % 3`` loop.
 
-    The scattered addresses span many cache lines per warp, producing ragged
-    memory rounds -- exactly the shape where the batch engine's streaming
-    window has to respect per-warp LSU hold gaps or give up.
+    The scattered addresses span many cache lines per warp, producing
+    multi-line memory rounds whose LSU holds space the issues apart -- the
+    shape the batch engine never streams, so every such round must fall back
+    to the per-warp handlers between streamed ones.
     """
 
     def _body(b: KernelBuilder, gid: Value, args: Mapping[str, Value]) -> None:

@@ -195,11 +195,20 @@ def test_grid_commands_reject_unknown_kernels(command, tmp_path, capsys, monkeyp
     ["run", "vecadd", "--lws", "0"],
     ["scenario", "run", "scaling", "--workers", "0"],
     ["scenario", "run", "figure2", "--seed", "-1"],
+    ["scenario", "run", "scaling", "--executor", "dist", "--dist-workers", "-1"],
+    ["scenario", "run", "scaling", "--executor", "dist", "--wait-workers", "-1"],
+    ["serve", "--workers", "0"],
+    ["serve", "--sim-workers", "0"],
+    ["serve", "--burst", "0"],
+    ["serve", "--port", "-1"],
+    ["serve", "--executor", "dist", "--dist-workers", "-1"],
+    ["worker", "--connect", "127.0.0.1:1", "--max-tasks", "0"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_numbers_and_machine_names_are_usage_errors(argv, tmp_path, capsys,
                                                         monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_SCENARIO_DIR", str(tmp_path / "runs"))
+    monkeypatch.setenv("REPRO_SERVICE_DIR", str(tmp_path / "service"))
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
@@ -208,6 +217,7 @@ def test_bad_numbers_and_machine_names_are_usage_errors(argv, tmp_path, capsys,
     assert "Traceback" not in captured.err and captured.out == ""
     assert not (tmp_path / "cache").exists()        # rejected before any set-up
     assert not (tmp_path / "runs").exists()
+    assert not (tmp_path / "service").exists()
 
 
 def _cache_line(err: str) -> tuple:

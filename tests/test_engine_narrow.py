@@ -129,8 +129,8 @@ def test_views_follow_the_mask_and_rebinding_drops_them():
 
 def test_batch_fallback_runs_on_the_rebound_rows():
     """Two prefix-masked warps doing strided multi-line gathers: the batch
-    engine adopts their registers into its slab, cannot stream the ragged
-    masked rounds, and falls back to the per-warp handlers."""
+    engine adopts their registers into its slab, cannot stream the masked
+    multi-line rounds, and falls back to the per-warp handlers."""
     program = _program(
         Instruction(O.CSRR, dst=0, imm=Csr.THREAD_ID),
         Instruction(O.LI, dst=1, imm=17.0),

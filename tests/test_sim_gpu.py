@@ -7,10 +7,12 @@ from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.isa.registers import Csr, CsrFile
 from repro.kernels.builder import KernelBuilder
+from repro.kernels.wrapper import build_workgroup_program
 from repro.sim.config import ArchConfig
 from repro.sim.core import SimulationError
 from repro.sim.engine import ENGINES
 from repro.sim.gpu import CallResult, Gpu, WarpLaunch
+from repro.workloads.problems import available_problems, make_problem
 
 
 def _csr(config, core_id=0, warp_id=0, lanes=None):
@@ -225,3 +227,18 @@ def test_batch_compile_is_shared_like_the_decode():
                                                 l2_line_words=32)) is not compiled
     # compile_program itself stays uncached (the harness times it cold).
     assert compile_program(program, small) is not compiled
+
+
+@pytest.mark.parametrize("name", available_problems())
+def test_batch_streams_only_cycle_aligned_kinds(name):
+    """An op whose unit is held past its issue cycle never streams: the
+    batch compile has no kind that would space a round's issues apart."""
+    from repro.sim.compile import compile_program
+
+    program = build_workgroup_program(make_problem(name, scale="smoke").kernel)
+    compiled = compile_program(program, ArchConfig.from_name("4c8w8t"))
+    assert {op.kind for op in compiled.ops} <= {
+        "ewise", "scalar", "load", "store", "stop"}
+    for op, decoded in zip(compiled.ops, compiled.decoded):
+        if decoded.initiation_interval != 1:
+            assert op.kind == "stop", decoded.instr
