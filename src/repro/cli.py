@@ -71,7 +71,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.campaign.cache import CACHE_DIR_ENV, ResultCache
 from repro.campaign.runner import CampaignRunner
@@ -161,6 +161,24 @@ def _machine(text: str) -> ArchConfig:
         raise argparse.ArgumentTypeError(str(error)) from None
 
 
+def _address(text: str) -> Tuple[str, int]:
+    """An argparse ``type=`` for a ``HOST:PORT`` address -> ``(host, port)``.
+
+    Defaults are given pre-split, so argparse never calls this for them and
+    only an explicit address imports the fleet package.
+    """
+    from repro.campaign.dist import parse_address
+
+    try:
+        host, port = parse_address(text)
+        if not 0 <= port <= 65535:
+            raise ValueError(port)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected HOST:PORT, got {text!r}") from None
+    return host, port
+
+
 # ----------------------------------------------------------------------
 # Shared option groups (argparse parent parsers)
 # ----------------------------------------------------------------------
@@ -185,7 +203,7 @@ def _grid_options() -> argparse.ArgumentParser:
     return parent
 
 
-def _executor_options() -> argparse.ArgumentParser:
+def _executor_options(wait_workers: bool = True) -> argparse.ArgumentParser:
     """The distributed-execution flags shared by every run command.
 
     ``--executor local`` (the default) keeps the single-host process pool;
@@ -198,7 +216,7 @@ def _executor_options() -> argparse.ArgumentParser:
                         help="where jobs execute: this host's process pool "
                              "(local, default) or a distributed worker fleet "
                              "(dist)")
-    parent.add_argument("--listen", default="127.0.0.1:0",
+    parent.add_argument("--listen", type=_address, default=("127.0.0.1", 0),
                         help="with --executor dist: coordinator bind address "
                              "as HOST:PORT (default 127.0.0.1:0 -- a free "
                              "port, logged at startup)")
@@ -207,11 +225,12 @@ def _executor_options() -> argparse.ArgumentParser:
                         help="with --executor dist: also spawn N worker "
                              "processes on this host (default 0 -- workers "
                              "join via `repro worker --connect`)")
-    parent.add_argument("--wait-workers", type=_int_at_least(0), default=None,
-                        metavar="N",
-                        help="with --executor dist: block until N workers "
-                             "have joined before running (default: the "
-                             "--dist-workers count)")
+    if wait_workers:
+        parent.add_argument("--wait-workers", type=_int_at_least(0),
+                            default=None, metavar="N",
+                            help="with --executor dist: block until N workers "
+                                 "have joined before running (default: the "
+                                 "--dist-workers count)")
     return parent
 
 
@@ -440,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write to a file instead of stdout")
 
     serve = sub.add_parser(
-        "serve",
+        "serve", parents=[_executor_options(wait_workers=False)],
         help="run the simulation-as-a-service HTTP API",
         description="Serve the async job API over the campaign stack: "
                     "POST /jobs submits a scenario name or an ad-hoc grid, "
@@ -476,19 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 10; 0 disables)")
     serve.add_argument("--burst", type=_positive_int, default=20,
                        help="per-client burst allowance (default 20)")
-    serve.add_argument("--executor", choices=("local", "dist"),
-                       default="local",
-                       help="where jobs execute: per-job process pools "
-                            "(local, default) or a distributed worker fleet "
-                            "shared by every API job (dist)")
-    serve.add_argument("--listen", default="127.0.0.1:0",
-                       help="with --executor dist: coordinator bind address "
-                            "as HOST:PORT for `repro worker --connect` "
-                            "(default 127.0.0.1:0)")
-    serve.add_argument("--dist-workers", type=_int_at_least(0), default=0,
-                       metavar="N",
-                       help="with --executor dist: also spawn N worker "
-                            "processes on this host")
 
     worker = sub.add_parser(
         "worker",
@@ -501,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "The process exits when the coordinator shuts the fleet "
                     "down.",
     )
-    worker.add_argument("--connect", required=True, metavar="HOST:PORT",
+    worker.add_argument("--connect", type=_address, required=True,
+                        metavar="HOST:PORT",
                         help="the coordinator's --listen address")
     worker.add_argument("--max-tasks", type=_positive_int, default=None,
                         help="fault-injection: silently drop the connection "
@@ -610,26 +617,26 @@ def _cmd_campaign(args) -> int:
     return 0
 
 
-def _make_executor(args):
+def _make_executor(args, wait_workers: Optional[int] = None):
     """The ``--executor dist`` coordinator, or ``None`` for the local path.
 
     Starts the coordinator on ``--listen``, optionally spawns
     ``--dist-workers`` local worker processes, and blocks for
-    ``--wait-workers`` joins so the run starts against a known fleet.  The
-    caller owns the returned executor and must ``close()`` it.
+    ``wait_workers`` joins (default: the spawned ones) so the work starts
+    against a known fleet.  The caller owns the returned executor and must
+    ``close()`` it.
     """
     if args.executor != "dist":
         return None
-    from repro.campaign.dist import DistributedExecutor, format_address, parse_address
+    from repro.campaign.dist import DistributedExecutor, format_address
 
-    host, port = parse_address(args.listen)
+    host, port = args.listen
     dist_executor = DistributedExecutor(host=host, port=port)
     _LOG.info("distributed coordinator listening",
               listen=format_address(dist_executor.address))
     if args.dist_workers:
         dist_executor.spawn_local_workers(args.dist_workers)
-    expected = (args.wait_workers if args.wait_workers is not None
-                else args.dist_workers)
+    expected = wait_workers if wait_workers is not None else args.dist_workers
     if expected:
         dist_executor.wait_for_workers(expected)
         _LOG.info("worker fleet ready", workers=dist_executor.worker_count)
@@ -787,7 +794,7 @@ def _cmd_scenario(args) -> int:
     # skip even loading its journal.
     use_cache = scenario.cacheable and not args.no_cache
     cache = ResultCache(args.cache_dir) if use_cache else None
-    dist_executor = _make_executor(args)
+    dist_executor = _make_executor(args, args.wait_workers)
     runner = CampaignRunner(workers=args.workers, cache=cache,
                             executor=dist_executor)
     planner = Planner(runner=runner)
@@ -861,15 +868,8 @@ def _cmd_serve(args) -> int:
         sim_workers=args.sim_workers,
         rate=args.rate,
         burst=args.burst,
-        executor=args.executor,
-        listen=args.listen,
-        dist_workers=args.dist_workers,
     )
-    service = Service(config)
-    if service.executor is not None:
-        from repro.campaign.dist import format_address
-        _LOG.info("distributed coordinator listening",
-                  listen=format_address(service.executor.address))
+    service = Service(config, executor=_make_executor(args))
     _LOG.info("service starting", host=args.host, port=args.port,
               queue=str(service.queue.path),
               cache=(str(service.cache.directory)
@@ -883,12 +883,13 @@ def _cmd_serve(args) -> int:
 def _cmd_worker(args) -> int:
     # Deferred import, like the service: only this command needs the fleet
     # client, and a worker should start fast.
-    from repro.campaign.dist import run_worker
+    from repro.campaign.dist import format_address, run_worker
 
     try:
         executed = run_worker(args.connect, max_tasks=args.max_tasks)
     except OSError as error:
-        _LOG.error(f"error: cannot reach coordinator at {args.connect}: {error}")
+        _LOG.error(f"error: cannot reach coordinator at "
+                   f"{format_address(args.connect)}: {error}")
         return 1
     _LOG.info("worker exiting", executed=executed)
     return 0

@@ -306,11 +306,12 @@ class Planner:
         )
         if failures:
             detail = "\n".join(f.summary() for f in failures)
+            kept = (f" (successful results are in the sink {sink.path}; "
+                    f"resume retries only the failures)" if sink is not None
+                    else "")
             raise ScenarioError(
                 f"scenario {scenario.name!r}: {len(failures)} of "
-                f"{len(pending)} job(s) failed "
-                f"(successful results are in the sink; resume retries only "
-                f"the failures)\n{detail}")
+                f"{len(pending)} job(s) failed{kept}\n{detail}")
         # Fan the one-record-per-key sink state back out to every grid point:
         # a point that deduplicated against another strategy's spec still gets
         # a record carrying its *own* meta tags, so analyses see the full grid.

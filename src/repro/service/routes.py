@@ -49,10 +49,7 @@ class ServiceConfig:
                  workers: int = 2,
                  sim_workers: int = 1,
                  rate: float = 10.0,
-                 burst: int = 20,
-                 executor: str = "local",
-                 listen: str = "127.0.0.1:0",
-                 dist_workers: int = 0):
+                 burst: int = 20):
         self.queue_dir = Path(queue_dir) if queue_dir else default_service_dir()
         self.cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
         self.use_cache = use_cache
@@ -60,15 +57,18 @@ class ServiceConfig:
         self.sim_workers = sim_workers
         self.rate = rate
         self.burst = burst
-        self.executor = executor          # "local" or "dist"
-        self.listen = listen              # coordinator bind, with "dist"
-        self.dist_workers = dist_workers  # local fleet processes to spawn
 
 
 class Service:
-    """One service instance: state + workers + the HTTP app over them."""
+    """One service instance: state + workers + the HTTP app over them.
 
-    def __init__(self, config: Optional[ServiceConfig] = None):
+    ``executor`` is the shared :class:`~repro.campaign.executor.Executor`
+    every job runs on (``repro serve --executor dist`` passes its fleet
+    coordinator); ``None`` gives each job a local process pool.  The service
+    owns it: :meth:`shutdown` closes it.
+    """
+
+    def __init__(self, config: Optional[ServiceConfig] = None, executor=None):
         self.config = config or ServiceConfig()
         self.queue = JobQueue(self.config.queue_dir / "jobs.jsonl")
         self.cache = (ResultCache(self.config.cache_dir)
@@ -76,18 +76,7 @@ class Service:
         self.limiter = RateLimiter(rate=self.config.rate,
                                    burst=self.config.burst)
         self.events = EventBook()
-        # The distributed backend: one coordinator for the whole service --
-        # every API job's campaign executes on the same worker fleet, and
-        # the job's runner resolves and journals through ``self.cache``.
-        self.executor = None
-        if self.config.executor == "dist":
-            from repro.campaign.dist import DistributedExecutor
-            from repro.campaign.dist.protocol import parse_address
-
-            host, port = parse_address(self.config.listen)
-            self.executor = DistributedExecutor(host=host, port=port)
-            if self.config.dist_workers:
-                self.executor.spawn_local_workers(self.config.dist_workers)
+        self.executor = executor
         self.pool = WorkerPool(
             self.queue, self.events,
             workers=self.config.workers,

@@ -3,14 +3,16 @@
 A :class:`JobRequest` is the HTTP-submitted description of one unit of
 service work.  Two shapes are accepted (exactly one of them per request):
 
-* ``{"scenario": "<name>", ...}`` -- run a registered scenario through the
-  declarative :class:`~repro.scenarios.planner.Planner`, exactly like
-  ``repro scenario run`` (minus the sink: the shared
-  :class:`~repro.campaign.cache.ResultCache` is the service's memoization
-  layer, so overlapping submissions cost one simulation each);
+* ``{"scenario": "<name>", ...}`` -- a registered scenario, planned exactly
+  like ``repro scenario run`` with the same flags;
 * ``{"problems": [...], "configs": [...], ...}`` -- an ad-hoc grid of
-  ``problems x configs x lws`` points, executed directly through the
-  :class:`~repro.campaign.runner.CampaignRunner`.
+  ``problems x configs x lws`` points: an anonymous scenario whose plan is
+  the request's own specs.
+
+Either way :meth:`JobRequest.planned` yields one
+:meth:`~repro.scenarios.planner.Planner.run` (minus the sink: the shared
+:class:`~repro.campaign.cache.ResultCache` is the service's memoization
+layer, so overlapping submissions cost one simulation each).
 
 Validation is strict and happens at submission time -- a request that names
 an unknown scenario, problem, or machine shape is rejected with a 400 before
@@ -86,6 +88,26 @@ class JobRequest:
                         label=f"service/{problem}/{config_name}/"
                               f"lws={'eq1' if lws is None else lws}"))
         return jobs
+
+    def planned(self):
+        """``(scenario, context, plan)``: this request as one ``Planner.run``.
+
+        A scenario request resolves the registry and leaves ``plan`` to the
+        planner.  An ad-hoc grid is an anonymous, unregistered scenario
+        planned as :meth:`specs` verbatim, so every point keeps its raw
+        ``local_size``, content hash and label.
+        """
+        from repro.scenarios import REGISTRY, PlannedJob, Scenario, ScenarioContext
+
+        context = ScenarioContext(scale=self.scale, seed=self.seed,
+                                  exact_calls=self.exact_calls,
+                                  problems=self.problems or None,
+                                  sweep=self.sweep)
+        if self.scenario is not None:
+            return REGISTRY.get(self.scenario), context, None
+        scenario = Scenario(name=self.describe(), description="ad-hoc grid",
+                            grid=(), analyze=lambda run: "")
+        return scenario, context, [PlannedJob(spec) for spec in self.specs()]
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:

@@ -11,13 +11,13 @@ event -- a subscriber that connects after the job finished still sees the
 full story (of the ``MAX_FINISHED_HISTORIES`` most recently finished jobs;
 of an older one, the outcome alone).
 
-Execution reuses the existing engines verbatim: scenario requests expand
-through the :class:`~repro.scenarios.planner.Planner`, ad-hoc grids go
-straight through the :class:`~repro.campaign.runner.CampaignRunner`, and
-both share the service's one :class:`~repro.campaign.cache.ResultCache` --
-that shared cache is the multi-tenant memoization layer (two clients
-submitting the same spec cost one simulation) *and* what makes an HTTP
-result bit-identical to a direct library run of the same spec.
+Every job is one :meth:`~repro.scenarios.planner.Planner.run`, the path
+``repro scenario run`` takes: a scenario request plans its registered grid,
+an ad-hoc grid arrives pre-planned (:meth:`JobRequest.planned`).  All jobs
+share the service's one :class:`~repro.campaign.cache.ResultCache` -- that
+shared cache is the multi-tenant memoization layer (two clients submitting
+the same spec cost one simulation) *and* what makes an HTTP result
+bit-identical to a direct library run of the same spec.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import AsyncIterator, Deque, Dict, List, Optional, Tuple
 from repro.campaign.cache import ResultCache
 from repro.campaign.result import JobFailure
 from repro.campaign.runner import CampaignRunner
-from repro.campaign.spec import Campaign
 from repro.service.queue import JobQueue
 from repro.service.schemas import Job
 from repro.telemetry.log import get_logger
@@ -202,79 +201,47 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def _execute_sync(self, job: Job) -> Dict[str, object]:
         """Run one job to completion (simulation thread; blocking is fine)."""
+        from repro.scenarios import Planner
+
         request = job.request
+        scenario, context, plan = request.planned()
         runner = CampaignRunner(workers=self.sim_workers, cache=self.cache,
                                 executor=self.executor)
 
-        def on_progress(done: int, total: int, label: str, ok: bool) -> None:
+        def progress(done, total, record_or_failure):
+            ok = not isinstance(record_or_failure, JobFailure)
+            label = (record_or_failure.spec["label"] if ok
+                     else record_or_failure.label)
             self.events.publish_threadsafe(
                 job.id, "progress",
                 {"job": job.id, "done": done, "total": total,
                  "label": label, "ok": ok})
 
-        try:
-            if request.kind == "scenario":
-                return self._run_scenario(job, runner, on_progress)
-            return self._run_grid(job, runner, on_progress)
-        finally:
-            runner.close()   # a no-op for the shared distributed executor
-
-    def _run_scenario(self, job: Job, runner: CampaignRunner,
-                      on_progress) -> Dict[str, object]:
-        from repro.scenarios import REGISTRY, Planner, ScenarioContext
-
-        request = job.request
-        scenario = REGISTRY.get(request.scenario)
-        context = ScenarioContext(
-            scale=request.sweep or request.scale,
-            seed=request.seed,
-            exact_calls=request.exact_calls,
-            problems=request.problems or None,
-            sweep=request.sweep,
-        )
-
-        def progress(done, total, record_or_failure):
-            ok = not isinstance(record_or_failure, JobFailure)
-            label = (record_or_failure.key if ok
-                     else record_or_failure.label)
-            on_progress(done, total, label, ok)
-
         # No sink: the shared ResultCache is the service's persistence layer,
         # and a per-job sink directory would never be read back.
-        run = Planner(runner=runner).run(scenario, context, progress=progress)
-        return {"kind": "scenario", "report": run.report(), **run.payload()}
-
-    def _run_grid(self, job: Job, runner: CampaignRunner,
-                  on_progress) -> Dict[str, object]:
-        request = job.request
-        specs = request.specs()
-
-        def progress(index, total, spec, outcome):
-            on_progress(index + 1, total, spec.display_name(),
-                        not isinstance(outcome, JobFailure))
-
-        outcome = runner.run(
-            Campaign(name=f"service-{job.id}", specs=specs),
-            progress=progress)
-        failures = outcome.failures()
-        if failures:
-            detail = "; ".join(f.summary() for f in failures)
-            raise RuntimeError(
-                f"{len(failures)} of {outcome.stats.total} job(s) failed: "
-                f"{detail}")
+        try:
+            run = Planner(runner=runner).run(scenario, context,
+                                             progress=progress, plan=plan)
+        finally:
+            runner.close()   # a no-op for the shared distributed executor
+        if request.kind == "scenario":
+            return {"kind": "scenario", "report": run.report(), **run.payload()}
+        unique = {record.key: record.result for record in run.records}
+        cache_hits = sum(result.from_cache for result in unique.values())
         return {
             "kind": "grid",
             "stats": {
-                "total": outcome.stats.total,
-                "cache_hits": outcome.stats.cache_hits,
-                "executed": outcome.stats.executed,
-                "deduplicated": outcome.stats.deduplicated,
-                "failed": outcome.stats.failed,
-                "elapsed_seconds": outcome.stats.elapsed_seconds,
+                "total": run.stats.planned,
+                "cache_hits": cache_hits,
+                "executed": run.stats.unique - cache_hits,
+                "deduplicated": run.stats.planned - run.stats.unique,
+                "failed": run.stats.failed,
+                "elapsed_seconds": run.stats.elapsed_seconds,
             },
             "results": [
-                {"hash": spec.content_hash(), "label": spec.display_name(),
-                 "result": result.to_dict()}
-                for spec, result in zip(outcome.specs, outcome.results)
+                {"hash": planned.spec.content_hash(),
+                 "label": planned.spec.display_name(),
+                 "result": record.result.to_dict()}
+                for planned, record in zip(run.plan, run.records)
             ],
         }

@@ -202,6 +202,10 @@ def test_grid_commands_reject_unknown_kernels(command, tmp_path, capsys, monkeyp
     ["serve", "--burst", "0"],
     ["serve", "--port", "-1"],
     ["serve", "--executor", "dist", "--dist-workers", "-1"],
+    ["scenario", "run", "figure1", "--executor", "dist", "--listen", "banana"],
+    ["serve", "--executor", "dist", "--listen", "banana"],
+    ["worker", "--connect", "banana"],
+    ["worker", "--connect", "127.0.0.1:65536"],
     ["worker", "--connect", "127.0.0.1:1", "--max-tasks", "0"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_numbers_and_machine_names_are_usage_errors(argv, tmp_path, capsys,

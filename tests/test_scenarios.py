@@ -147,9 +147,16 @@ class TestPlanner:
         monkeypatch.setattr(worker, "run_spec", flaky)
         scenario = tiny_scenario()
         sink = ResultSink(tmp_path / "failing.jsonl")
-        with pytest.raises(ScenarioError, match="1 of"):
+        with pytest.raises(ScenarioError, match="1 of") as raised:
             Planner().run(scenario, SMOKE, sink=sink)
+        assert str(sink.path) in str(raised.value)
         assert len(sink.load()) == 1        # the good job survived the kill
+
+        # a sink-less run has nothing to resume from and says no such thing
+        with pytest.raises(ScenarioError, match="1 of") as raised:
+            Planner().run(scenario, SMOKE)
+        assert "sink" not in str(raised.value)
+        assert "resume" not in str(raised.value)
 
         # resume retries only the failed point once the fault is gone
         monkeypatch.setattr(worker, "run_spec", real_run_spec)

@@ -73,6 +73,33 @@ class TestValidation:
         with pytest.raises(ValidationError):
             validate_request(bad)
 
+    def test_scenario_request_plans_what_the_cli_plans(self):
+        # Planning only: the HTTP request and the CLI flags it mirrors must
+        # expand to the same grid -- ``sweep`` reshapes the grid, it never
+        # sets the problem scale.
+        from repro.cli import _grid_context, build_parser
+        from repro.scenarios import Planner
+
+        scenario, context, plan = validate_request(
+            {"scenario": "figure2", "scale": "smoke", "sweep": "bench"}).planned()
+        assert plan is None
+        args = build_parser().parse_args(
+            ["scenario", "run", "figure2", "--scale", "smoke", "--sweep", "bench"])
+        served = Planner().plan(scenario, context)
+        cli = Planner().plan(scenario, _grid_context(args))
+        assert [job.spec.to_dict() for job in served] == \
+            [job.spec.to_dict() for job in cli]
+        assert {job.spec.scale for job in served} == {"smoke"}
+
+    def test_grid_request_plans_its_own_specs(self):
+        from repro.scenarios import REGISTRY
+
+        request = validate_request(dict(GRID_REQUEST, lws=[None, 4]))
+        scenario, context, plan = request.planned()
+        assert [job.spec for job in plan] == request.specs()
+        assert scenario.name == request.describe()
+        assert scenario.name not in REGISTRY
+
 
 # ----------------------------------------------------------------------
 # the durable queue
@@ -206,6 +233,16 @@ def service(tmp_path):
         yield instance, server.url
     finally:
         server.stop()
+
+
+def _without_wall_time(records):
+    """Sink records minus ``elapsed_seconds``: a traced point (all of
+    ``figure1``) bypasses cache reads, so every run re-measures its wall
+    time while every simulated number repeats exactly."""
+    return [dict(record, result={key: value
+                                 for key, value in record["result"].items()
+                                 if key != "elapsed_seconds"})
+            for record in records]
 
 
 class TestServiceHTTP:
@@ -349,7 +386,9 @@ class TestServiceHTTP:
         finally:
             server.stop()
 
-    def test_scenario_jobs_run_through_the_planner(self, service):
+    def test_scenario_jobs_run_through_the_planner(self, service, tmp_path):
+        from repro.scenarios import REGISTRY, Planner, ScenarioContext
+
         _, base = service
         _, submitted = _post(base, "/jobs",
                              {"scenario": "figure1", "scale": "smoke"})
@@ -359,6 +398,30 @@ class TestServiceHTTP:
         assert job["result"]["stats"]["failed"] == 0
         assert job["result"]["records"]
         assert "Figure 1" in job["result"]["report"]
+        direct = Planner(runner=CampaignRunner(
+            cache=ResultCache(tmp_path / "cache"))).run(
+                REGISTRY.get("figure1"), ScenarioContext(scale="smoke"))
+        assert _without_wall_time(job["result"]["records"]) == \
+            _without_wall_time(direct.payload()["records"])
+
+    def test_grid_progress_counts_completed_points(self, service):
+        # The second point is cached, so it completes first: ``done`` must
+        # still count 1, 2 -- completed points, not grid positions.
+        instance, base = service
+        _, warming = _post(base, "/jobs", dict(GRID_REQUEST, lws=[4]))
+        _await_terminal(base, warming["job"])
+        request = dict(GRID_REQUEST, lws=[None, 4])
+        warm = validate_request(request).specs()[1]
+        _, submitted = _post(base, "/jobs", request)
+        job = _await_terminal(base, submitted["job"])
+        assert job["state"] == "done", job["error"]
+        progress = [payload for name, payload
+                    in instance.events.history(submitted["job"])
+                    if name == "progress"]
+        assert [(event["done"], event["total"]) for event in progress] == \
+            [(1, 2), (2, 2)]
+        assert progress[0]["label"] == warm.display_name()
+        assert job["result"]["stats"]["cache_hits"] == 1
 
     def test_job_listing_reflects_submissions(self, service):
         _, base = service
