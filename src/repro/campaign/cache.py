@@ -10,7 +10,9 @@ keeping the last record per key -- so duplicates never accumulate.  Every
 record carries the simulator version and cache schema version it was
 produced under; records from a different simulator release are not served,
 so bumping ``repro.__version__`` invalidates the whole cache without
-touching the file.
+touching the file.  A cache folds the journal when it opens and, on a
+lookup that misses, reads on from there: a long-lived cache serves what
+another process on the same directory wrote since.
 
 The cache directory resolves, in order, to:
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.campaign.journal import Journal, stamped_key
+from repro.campaign.journal import Journal, current_stamps, stamped_key
 from repro.campaign.result import JobResult
 from repro.campaign.spec import CACHE_SCHEMA_VERSION, JobSpec, simulator_version
 from repro.telemetry.recorder import RECORDER
@@ -165,6 +167,51 @@ class ResultCache:
             self._stale += fold.rejected
             self._journal_lines = (len(fold.entries) + fold.rejected
                                    + fold.superseded)
+        # Where this instance has folded to, and in which file: a compaction
+        # (ours above, or another process's) replaces the file.
+        self._folded = self._file_state()
+        if self._folded is not None and self._folded[1] > fold.end:
+            # Appended to after the fold read it: catch up from there.
+            self._folded = (self._folded[0], fold.end)
+
+    def _file_state(self) -> Optional[Tuple[Tuple[int, int], int]]:
+        """``((device, inode), size)`` of the journal, or ``None`` if absent."""
+        try:
+            stat = self.journal_path.stat()
+        except FileNotFoundError:
+            return None
+        return (stat.st_dev, stat.st_ino), stat.st_size
+
+    def _catch_up(self) -> None:
+        """Fold what other processes appended since this instance last read.
+
+        Called when a lookup misses, so a long-lived cache (``repro serve``)
+        serves what a ``repro scenario run`` on the same directory wrote
+        meanwhile instead of simulating it again.  Reads on from the offset
+        this instance last folded to; refolds from zero when the journal
+        shrank or was replaced (a compaction).  Lines of keys already indexed
+        -- this instance's own appends among them -- change nothing.
+        """
+        state = self._file_state()
+        if state is None or state == self._folded:
+            return
+        if (self._folded is None or state[0] != self._folded[0]
+                or state[1] < self._folded[1]):
+            self._load()
+            return
+        identity, offset = self._folded
+        stamps = current_stamps()
+        for line in self._journal.read(offset, complete_only=True):
+            _, read, offset = line
+            if not line.text:
+                continue      # a torn tail's repair newline: counted by _load
+            if read is None or read[0][1:] != stamps:
+                self._stale += 1
+                self._journal_lines += 1
+            elif read[0][0] not in self._index:
+                self._index[read[0][0]] = read[1]
+                self._journal_lines += 1
+        self._folded = identity, offset
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -177,17 +224,22 @@ class ResultCache:
         """Resolve many specs in one indexed pass: one slot per spec, in order.
 
         The cache's one lookup: each spec counts a hit or a miss, and every
-        served result is marked ``as_cached()``.  The whole batch is one lock
+        served result is marked ``as_cached()``.  A batch with a miss first
+        folds what other processes appended to the journal since this
+        instance last read it (:meth:`_catch_up`).  The whole batch is one lock
         acquisition and **one** ``cache.get_many`` telemetry span, which is
         what a 10^4-point campaign's cache-first resolve wants.
         """
         started_wall = time.time()
         started = time.perf_counter()
         with self._lock:
+            hashes = [spec.content_hash() for spec in specs]
+            if not all(job_hash in self._index for job_hash in hashes):
+                self._catch_up()
             found: List[Optional[JobResult]] = []
             hits = 0
-            for spec in specs:
-                result = self._index.get(spec.content_hash())
+            for job_hash in hashes:
+                result = self._index.get(job_hash)
                 if result is None:
                     found.append(None)
                 else:
@@ -241,6 +293,7 @@ class ResultCache:
             self._stale = 0
             self._compacted = 0
             self._journal_lines = 0
+            self._folded = None
             return dropped
 
     def stats(self) -> CacheStats:

@@ -20,6 +20,8 @@ comparison on the key (:func:`current_stamps`).
 Reads stream one line at a time (never the whole journal into memory) and
 report the byte offset each line ends at, which is what the warehouse uses
 to sync incrementally -- a journal synced to offset N resumes at byte N.
+Each line also carries its text as written, which the warehouse stores and
+compares instead of serialising the parsed record again.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Any, Callable, Dict, Hashable, Iterator, Mapping, Optional,
-                    Sequence, Tuple, Union)
+                    Sequence, Tuple)
 
 from repro.campaign.spec import CACHE_SCHEMA_VERSION, simulator_version
 
@@ -40,13 +42,28 @@ Read = Tuple[Hashable, Any]
 ReadRule = Callable[[Dict, int], Optional[Read]]
 
 
-def parse_line(raw: Union[bytes, str]) -> Optional[Dict]:
-    """One journal line -> its JSON object, or ``None`` when blank or corrupt."""
+def parse_line(text: str) -> Optional[Dict]:
+    """One line's text -> its JSON object, or ``None`` when blank or corrupt."""
     try:
-        record = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
-    except (ValueError, UnicodeDecodeError):
+        record = json.loads(text)
+    except ValueError:
         return None
     return record if isinstance(record, dict) else None
+
+
+class Line(tuple):
+    """One line as :meth:`Journal.read` yields it: ``(record, read, end_offset)``.
+
+    ``text`` is the line as its writer wrote it, decoded and without its
+    newline (``None`` when the bytes are not UTF-8).  For every line
+    :meth:`Journal.append` wrote it is the record's canonical JSON.
+    """
+
+    def __new__(cls, text: Optional[str], record: Optional[Dict],
+                read: Optional[Read], end: int) -> "Line":
+        line = super().__new__(cls, (record, read, end))
+        line.text = text
+        return line
 
 
 def stamped_key(record: Mapping, name: str) -> Optional[Tuple[str, str, int]]:
@@ -131,11 +148,13 @@ class Journal:
                 journal.write("\n")
 
     def read(self, start: int = 0, complete_only: bool = False,
-             ) -> Iterator[Tuple[Optional[Dict], Optional[Read], int]]:
-        """Stream ``(record, read, end_offset)`` per line from byte ``start``.
+             ) -> Iterator[Line]:
+        """Stream one :class:`Line` per line from byte ``start``.
 
-        ``record`` is the parsed line (``None`` when blank or corrupt) and
-        ``read`` what the rule made of it (``None`` when refused).
+        Each unpacks as ``(record, read, end_offset)``: ``record`` is the
+        parsed line (``None`` when blank or corrupt) and ``read`` what the
+        rule made of it (``None`` when refused); the line's ``text`` rides
+        along.  A line is decoded once and parsed from that text.
         ``end_offset`` is the byte offset after the line's newline -- feeding
         it back as ``start`` resumes exactly where this read stopped, and
         blank lines advance it too, so a consumer that persists it never
@@ -152,10 +171,18 @@ class Journal:
             journal.seek(start)
             for raw in journal:
                 offset += len(raw)
-                if complete_only and not raw.endswith(b"\n"):
+                if raw.endswith(b"\n"):
+                    raw = raw[:-1]
+                elif complete_only:
                     return            # a writer may still be mid-append
-                record = parse_line(raw)
-                yield record, None if record is None else rule(record, offset), offset
+                try:
+                    text = raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    yield Line(None, None, None, offset)
+                    continue
+                record = parse_line(text)
+                yield Line(text, record,
+                           None if record is None else rule(record, offset), offset)
 
     def fold(self, complete_only: bool = False) -> Fold:
         """The whole journal folded last-wins per key (first-seen key order)."""

@@ -315,7 +315,7 @@ class Planner:
         # Fan the one-record-per-key sink state back out to every grid point:
         # a point that deduplicated against another strategy's spec still gets
         # a record carrying its *own* meta tags, so analyses see the full grid.
-        records = [replace(done[job.key()], meta=job.meta) for job in plan]
+        records = self._records(plan, done)
         return ScenarioRun(
             scenario=scenario,
             context=context,
@@ -365,10 +365,25 @@ class Planner:
             scenario=scenario,
             context=context,
             plan=plan,
-            records=[replace(done[job.key()], meta=job.meta) for job in plan],
+            records=self._records(plan, done),
             stats=stats,
             sink_path=str(sink.path) if sink is not None else None,
         )
+
+    @staticmethod
+    def _records(plan: Sequence[PlannedJob],
+                 done: Dict[str, SinkRecord]) -> List[SinkRecord]:
+        """One record per grid point, carrying that point's own meta tags.
+
+        A record is copied only when its meta differs from the point's: a
+        point that deduplicated against another strategy's spec.
+        """
+        records = []
+        for job in plan:
+            record = done[job.key()]
+            records.append(record if record.meta == job.meta
+                           else replace(record, meta=job.meta))
+        return records
 
     # ------------------------------------------------------------------
     def _shards(self, pending: Sequence[PlannedJob]):

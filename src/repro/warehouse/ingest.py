@@ -23,11 +23,19 @@ offset for telemetry -- in journal order, so the later line wins exactly as
 in the loaders' :meth:`~repro.campaign.journal.Journal.fold`.  A line the
 rule refuses is counted as skipped and never becomes a row.
 
-*Parity* (:func:`parity_check`) folds each journal exactly as its loader
-does (complete lines only -- a half-written tail is invisible to both
-sides) and compares the result with what the rule reads back from each
-warehouse row's stored line: a missing, phantom or differing row is a
-mismatch.  ``repro warehouse rebuild`` runs it by default.
+*Raw lines* -- every row's ``raw`` column is the journal line itself, as
+:meth:`~repro.campaign.journal.Journal.read` returns its text: sync stores
+what the writer wrote instead of serialising the parsed record again.  For
+a line :meth:`~repro.campaign.journal.Journal.append` wrote, that is the
+record's canonical ``sort_keys`` JSON.
+
+*Parity* (:func:`parity_check`) is byte equality with each key's last
+accepted line: it folds each journal through its read rule once, exactly as
+its loader does (complete lines only -- a half-written tail is invisible to
+both sides), keeps each key's last accepted line, and compares every
+warehouse row's ``raw`` with that line byte for byte.  A missing, phantom
+or differing row is a mismatch; so is a row holding an equal record in
+other JSON text.  ``repro warehouse rebuild`` runs it by default.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
 
 from repro.campaign.cache import (CACHE_FILE_NAME, default_cache_dir,
                                   read_cache_line)
-from repro.campaign.journal import Journal, ReadRule, parse_line
+from repro.campaign.journal import Journal, ReadRule
 from repro.campaign.result import JobResult
 from repro.scenarios.sink import SinkRecord, default_sink_dir, read_sink_line
 from repro.telemetry.journal import default_telemetry_dir, read_telemetry_line
@@ -152,20 +160,20 @@ def _prefix_hash(path: Path, length: int) -> str:
     return digest.hexdigest()
 
 
-def _canonical(record: Dict) -> str:
-    """The canonical JSON a record is stored and compared as."""
-    return json.dumps(record, sort_keys=True)
+def _canonical(value) -> str:
+    """The canonical JSON of a record's part that has a column of its own."""
+    return json.dumps(value, sort_keys=True)
 
 
 def _job_row(jid: str, key: tuple, result: JobResult,
-             record: Dict) -> Tuple[str, tuple]:
-    """One cache record -> its ``jobs`` row."""
+             text: str) -> Tuple[str, tuple]:
+    """One cache line -> its ``jobs`` row."""
     return _JOBS_SQL, (jid,) + key + (
         result.problem, result.category, result.config_name,
         result.hardware_parallelism, result.global_size, result.local_size,
         result.num_workgroups, result.num_calls, result.cycles,
         result.sim_cycles, result.overhead_cycles, int(result.extrapolated),
-        result.lane_utilization, result.elapsed_seconds, _canonical(record),
+        result.lane_utilization, result.elapsed_seconds, text,
     )
 
 
@@ -177,8 +185,8 @@ def _int_or_none(value) -> Optional[int]:
 
 
 def _run_row(jid: str, key: tuple, run: SinkRecord,
-             record: Dict) -> Tuple[str, tuple]:
-    """One sink record -> its ``scenario_runs`` row."""
+             text: str) -> Tuple[str, tuple]:
+    """One sink line -> its ``scenario_runs`` row."""
     meta, result = run.meta, run.result
     engine = meta.get("engine")
     return _RUNS_SQL, (jid,) + key + (
@@ -190,13 +198,13 @@ def _run_row(jid: str, key: tuple, run: SinkRecord,
         str(meta["scale"]) if "scale" in meta else None,
         _int_or_none(meta.get("gws")),
         result.local_size, result.cycles, result.lane_utilization,
-        result.elapsed_seconds, _canonical(meta), _canonical(record),
+        result.elapsed_seconds, _canonical(meta), text,
     )
 
 
 def _telemetry_row(jid: str, end: int, record: Dict,
-                   _: Dict) -> Tuple[str, tuple]:
-    """One telemetry record -> its ``spans`` or ``metrics`` row.
+                   text: str) -> Tuple[str, tuple]:
+    """One telemetry line -> its ``spans`` or ``metrics`` row.
 
     Keyed by ``(journal, end_offset)``: the journal is append-only and never
     compacted, so a line's end offset is a stable identity that makes
@@ -208,14 +216,14 @@ def _telemetry_row(jid: str, end: int, record: Dict,
         return _SPANS_SQL, head + (
             record["id"], record.get("parent"), record["name"],
             float(record["start"]), float(record["duration"]),
-            _canonical(record.get("tags") or {}), _canonical(record))
+            _canonical(record.get("tags") or {}), text)
     if record["type"] == "histogram":
         return _METRICS_SQL, head + (
             "histogram", record["name"], None, float(record["sum"]),
-            record["count"], _canonical(record["buckets"]), _canonical(record))
+            record["count"], _canonical(record["buckets"]), text)
     return _METRICS_SQL, head + (
         record["type"], record["name"], float(record["value"]), None, None,
-        None, _canonical(record))
+        None, text)
 
 
 _JOBS_SQL = ("INSERT OR REPLACE INTO jobs VALUES (" + ",".join("?" * 19) + ")")
@@ -232,7 +240,7 @@ class _Kind:
     """How one journal kind is read and where its rows live."""
 
     rule: ReadRule
-    row: Callable[[str, Hashable, Any, Dict], Tuple[str, tuple]]
+    row: Callable[[str, Hashable, Any, str], Tuple[str, tuple]]
     tables: Tuple[str, ...]
     key_columns: str          # the rule's key, as columns of ``tables``
 
@@ -281,8 +289,10 @@ def _sync_journal(store: ResultStore, path: Path, kind: str,
         offset = rows_total = skipped_total = 0
 
     # One row per record and nothing else: `counters` is a view over `raw`,
-    # so a superseding upsert takes its counters with it.  Rows batch per
-    # destination statement (a telemetry journal feeds spans and metrics).
+    # so a superseding upsert takes its counters with it.  `raw` is the
+    # line's own text, stored as read: nothing is serialised again.  Rows
+    # batch per destination statement (a telemetry journal feeds spans and
+    # metrics).
     ingested = skipped = 0
     batches: Dict[str, List[tuple]] = {}
     row = _KINDS[kind].row
@@ -293,11 +303,12 @@ def _sync_journal(store: ResultStore, path: Path, kind: str,
         batches.clear()
 
     journal = Journal(path, _KINDS[kind].rule)
-    for record, read, end in journal.read(offset, complete_only=True):
+    for line in journal.read(offset, complete_only=True):
+        _, read, end = line
         if read is None:
             skipped += 1
         else:
-            sql, values = row(jid, *read, record)
+            sql, values = row(jid, *read, line.text)
             batches.setdefault(sql, []).append(values)
             ingested += 1
             if ingested % BATCH_SIZE == 0:
@@ -383,11 +394,12 @@ def parity_check(store: ResultStore,
     """Prove the warehouse rows equal to the loaders' own fold of the journals.
 
     Each journal is folded last-wins through its kind's read rule (complete
-    lines only), and each of its rows is read back through the same rule
-    from its stored line.  Returns human-readable mismatches (empty = parity
-    holds): a key the fold has and no row does (missing), a row the fold
-    does not have (phantom, e.g. one whose stored line the rule refuses),
-    and a row whose key or value disagrees with the fold's.
+    lines only), keeping each key's last accepted line, and each of its rows
+    must store that line byte for byte.  Returns human-readable mismatches
+    (empty = parity holds): a key the fold has and no row does (missing), a
+    row the fold does not have (phantom), and a row whose stored line is not
+    the fold's (differs) -- also when it holds the same record in other JSON
+    text.
     """
     specs = list(journals) if journals is not None else discover_journals(
         cache_dir, scenario_dir, telemetry_dir)
@@ -395,21 +407,21 @@ def parity_check(store: ResultStore,
     for path, kind in specs:
         jid = journal_id(path)
         spec = _KINDS[kind]
-        expected = Journal(Path(path), spec.rule).fold(complete_only=True).entries
+        expected: Dict[Hashable, str] = {}
+        for line in Journal(Path(path), spec.rule).read(complete_only=True):
+            _, read, _ = line
+            if read is not None:
+                expected[read[0]] = line.text
         for table in spec.tables:
             for *key, raw in store.query(
                     f"SELECT {spec.key_columns}, raw FROM {table} "
                     f"WHERE journal = ?", (jid,)).rows:
                 key = tuple(key) if len(key) > 1 else key[0]
-                if key not in expected:
+                text = expected.pop(key, None)
+                if text is None:
                     mismatches.append(f"{jid}: phantom {kind} row {key}")
-                    continue
-                record = parse_line(raw)
-                # Only the telemetry rule reads the end offset: its key.
-                end = key if kind == KIND_TELEMETRY else 0
-                value = expected.pop(key)
-                if record is None or spec.rule(record, end) != (key, value):
+                elif raw != text:
                     mismatches.append(f"{jid}: {kind} row {key} differs from "
-                                      f"the journal's last-wins record")
+                                      f"the journal's last-wins line")
         mismatches.extend(f"{jid}: missing {kind} row {key}" for key in expected)
     return mismatches

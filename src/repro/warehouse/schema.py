@@ -11,14 +11,32 @@ Tables and views
     One row per cache-journal record, last-wins per ``(journal, hash,
     simulator, schema_version)`` -- exactly the key the cache itself keeps
     when it loads and compacts.  Columns flatten the
-    :class:`~repro.campaign.result.JobResult` summary; ``raw`` preserves the
-    canonical journal line so rebuild parity is provable bit-for-bit and a
-    record can always be reconstructed.
+    :class:`~repro.campaign.result.JobResult` summary; ``raw`` is the
+    journal line as its writer wrote it -- canonical ``sort_keys`` JSON for
+    every line :meth:`~repro.campaign.journal.Journal.append` wrote -- so
+    rebuild parity is a byte comparison and a record can always be
+    reconstructed.
 ``scenario_runs``
     One row per scenario-sink record, last-wins per ``(journal, key,
     simulator, schema_version)``.  Planner meta tags (strategy, engine,
     seed, ...) are flattened into columns so cross-scenario SQL never parses
-    JSON; the full meta dict and the canonical line ride along as text.
+    JSON; the full meta dict (canonical JSON) and the line as written ride
+    along as text.  ``idx_runs_point`` (v4) indexes the grid point
+    ``(problem, config_name, seed)``: the ``speedup`` query joins each
+    ``ours`` run to the baselines of its point, and with only
+    ``idx_runs_scenario`` to search by, that self-join read every run of
+    the scenario once per run -- quadratic.  The ``speedup`` query on
+    ``sweep_warm``'s sink copied m times under new keys and seeds (each
+    point keeps its three strategies), 2-CPU box:
+
+    ======  =======  ===========  ============
+    scale   runs     v3           v4 (index)
+    ======  =======  ===========  ============
+    1x      1,016    92.7 ms      2.0 ms
+    4x      4,064    2,029 ms     8.3 ms
+    10x     10,160   13,481 ms    25.9 ms
+    100x    101,600  --           324 ms
+    ======  =======  ===========  ============
 ``counters``
     A *view*, not a table: one ``(journal, key, simulator, schema_version,
     name, value)`` row per performance counter of both record kinds,
@@ -37,8 +55,8 @@ Tables and views
     offset is a stable identity and incremental sync appends naturally.
     ``spans`` flattens one finished span per row (id/parent/name/start/
     duration, tags as JSON); ``metrics`` holds counter and gauge values
-    plus histogram sums/counts/buckets.  Both keep the canonical line in
-    ``raw`` so telemetry shares the same bit-equal parity proof as results.
+    plus histogram sums/counts/buckets.  Both keep the line as written in
+    ``raw`` so telemetry shares the same byte-equal parity proof as results.
 ``journals``
     Per-journal sync state: the byte offset ingested so far, a hash of the
     journal's head (so an in-place compaction/rewrite is detected and
@@ -54,7 +72,8 @@ from __future__ import annotations
 #: dropped and rebuilt from the journals on next open.
 #: v2: added the telemetry projection (``spans`` + ``metrics`` tables).
 #: v3: ``counters`` became a view over ``raw`` (was a table).
-WAREHOUSE_SCHEMA_VERSION = 3
+#: v4: ``idx_runs_point`` on ``scenario_runs (problem, config_name, seed)``.
+WAREHOUSE_SCHEMA_VERSION = 4
 
 #: Journal kinds (the ``journals.kind`` column).
 KIND_CACHE = "cache"
@@ -183,6 +202,8 @@ DDL = [
     """,
     "CREATE INDEX IF NOT EXISTS idx_jobs_problem ON jobs (problem, config_name)",
     "CREATE INDEX IF NOT EXISTS idx_runs_scenario ON scenario_runs (scenario)",
+    "CREATE INDEX IF NOT EXISTS idx_runs_point "
+    "ON scenario_runs (problem, config_name, seed)",
     "CREATE INDEX IF NOT EXISTS idx_spans_name ON spans (name)",
     "CREATE INDEX IF NOT EXISTS idx_metrics_name ON metrics (name)",
 ]

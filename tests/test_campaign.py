@@ -269,6 +269,40 @@ class TestResultCache:
         cache.clear()
         assert not orphan.exists()
 
+    def test_a_miss_reads_what_another_instance_appended(self, tmp_path):
+        # A long-lived cache (the service's) and a second process on the
+        # same directory: the first must serve the second's points, not
+        # simulate and journal them again.
+        a = ResultCache(tmp_path)
+        b = ResultCache(tmp_path)
+        campaign = Campaign("shared")
+        for lws in (2, 4):
+            job = spec(local_size=lws)
+            campaign.add(job)
+            b.put(job, execute_job(job))
+        outcome = CampaignRunner(cache=a).run(campaign)
+        assert outcome.stats.cache_hits == 2
+        assert outcome.stats.executed == 0
+        assert len(a.journal_path.read_text().splitlines()) == 2
+        assert a.stats().journal_lines == 2
+
+    def test_a_miss_refolds_a_journal_compacted_under_it(self, tmp_path):
+        first, second = spec(local_size=2), spec(local_size=4)
+        writer = ResultCache(tmp_path)
+        writer.put(first, execute_job(first))
+        line = writer.journal_path.read_text()
+        with writer.journal_path.open("a") as journal:
+            journal.write("{}\n")                   # refused, kept: no rewrite
+        a = ResultCache(tmp_path)
+        # Another process duplicates the line and a third load compacts
+        # the journal into a new file; then a fourth appends ``second``.
+        # Read on from ``a``'s old offset, the new file starts mid-line.
+        with writer.journal_path.open("a") as journal:
+            journal.write(line)
+        assert ResultCache(tmp_path).stats().compacted_lines == 2
+        ResultCache(tmp_path).put(second, execute_job(second))
+        assert None not in a.get_many([first, second])
+        assert a.stats().journal_lines == 2
 
 # ----------------------------------------------------------------------
 # the runner

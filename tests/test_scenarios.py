@@ -122,6 +122,39 @@ class TestPlanner:
         by_strategy = {r.meta["strategy"] for r in run.records}
         assert by_strategy == {"lws=1", "naive-lws1"}
 
+    def test_records_are_copied_only_when_their_meta_differs(
+            self, tmp_path, monkeypatch):
+        import repro.scenarios.planner as planner_module
+
+        real_replace = planner_module.replace
+        copies = []
+
+        def counting_replace(record, **changes):
+            copies.append(changes["meta"]["strategy"])
+            return real_replace(record, **changes)
+
+        monkeypatch.setattr(planner_module, "replace", counting_replace)
+
+        # No duplicates: every record already carries its point's meta.
+        sink = ResultSink(tmp_path / "plain.jsonl")
+        run = Planner().run(tiny_scenario(strategies=("lws=1", "ours")),
+                            SMOKE, sink=sink)
+        loaded = Planner().load(tiny_scenario(strategies=("lws=1", "ours")),
+                                SMOKE, sink=sink)
+        assert copies == []
+        assert [r.meta for r in loaded.records] == [j.meta for j in run.plan]
+
+        # A point that deduplicated gets a copy with its own strategy tag.
+        scenario = tiny_scenario(strategies=("lws=1", "naive-lws1"))
+        sink = ResultSink(tmp_path / "dedup.jsonl")
+        run = Planner().run(scenario, SMOKE, sink=sink)
+        assert copies == ["naive-lws1"] * 2          # one per config
+        loaded = Planner().load(scenario, SMOKE, sink=sink)
+        assert copies == ["naive-lws1"] * 4
+        for records in (run.records, loaded.records):
+            assert [r.meta["strategy"] for r in records] == [
+                "lws=1", "naive-lws1"] * 2
+
     def test_engine_axis_executes_each_point_per_engine(self):
         scenario = tiny_scenario(engines=("reference", "fast"))
         run = Planner().run(scenario, SMOKE)

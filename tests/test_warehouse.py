@@ -12,15 +12,18 @@ import sqlite3
 
 import pytest
 
-from repro.campaign.cache import CACHE_FILE_NAME, ResultCache
-from repro.campaign.journal import parse_line
+from repro.campaign.cache import CACHE_FILE_NAME, ResultCache, read_cache_line
+from repro.campaign.journal import Journal, parse_line
 from repro.campaign.result import JobResult
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CACHE_SCHEMA_VERSION, simulator_version
 from repro.scenarios import Planner, ResultSink, ScenarioContext
+from repro.scenarios.sink import read_sink_line
+from repro.telemetry import Recorder, flush
 from repro.warehouse import (
     KIND_CACHE,
     KIND_SINK,
+    KIND_TELEMETRY,
     WarehouseError,
     WarehouseSinkView,
     journal_synced,
@@ -34,6 +37,8 @@ from repro.warehouse import (
     sync,
     table_counts,
 )
+from repro.warehouse.queries import CANNED
+from repro.warehouse.schema import WAREHOUSE_SCHEMA_VERSION
 
 from tests.test_scenarios import tiny_scenario
 
@@ -169,7 +174,8 @@ class TestBackends:
         journals = [(cache_journal, KIND_CACHE)]
         with open_store(path) as handle:
             sync(handle, journals=journals)
-        monkeypatch.setattr("repro.warehouse.store.WAREHOUSE_SCHEMA_VERSION", 4)
+        monkeypatch.setattr("repro.warehouse.store.WAREHOUSE_SCHEMA_VERSION",
+                            WAREHOUSE_SCHEMA_VERSION + 1)
         with open_store(path) as handle:
             assert table_counts(handle)["jobs"] == 0
             sync(handle, journals=journals)
@@ -390,6 +396,89 @@ class TestRebuildParity:
         assert any("missing" in m for m in parity_check(store, journals=journals))
         sync(store, journals=journals)
         assert parity_check(store, journals=journals) == []
+
+
+# ----------------------------------------------------------------------
+# `raw` is the journal's own line
+# ----------------------------------------------------------------------
+def reordered(text):
+    """The same JSON object as ``text`` with its top-level keys reversed."""
+    return json.dumps(dict(reversed(list(json.loads(text).items()))))
+
+
+class TestRawLines:
+    def test_sync_stores_each_accepted_line_as_written(self, store, tmp_path):
+        cache = tmp_path / "cache" / CACHE_FILE_NAME
+        Journal(cache, read_cache_line).append(
+            [cache_record("h0"), cache_record("h1", cycles=80)])
+        sink = tmp_path / "sinks" / "tiny.jsonl"
+        Journal(sink, read_sink_line).append(
+            [sink_line("k0", "h0"), sink_line("k1", "h1", strategy="lws=1")])
+        recorder = Recorder(enabled=True)
+        with recorder.span("campaign.run", campaign="t"):
+            recorder.count("campaign.jobs.executed", 2)
+        telemetry = tmp_path / "tele" / "telemetry.jsonl"
+        assert flush(recorder, path=telemetry, run="r1") == 2
+        # One line per journal written without sort_keys, by another writer.
+        for path, record in ((cache, cache_record("h2")),
+                             (sink, sink_line("k2", "h2"))):
+            with path.open("a") as journal:
+                journal.write(reordered(json.dumps(record)) + "\n")
+        with telemetry.open("a") as journal:
+            journal.write(reordered(telemetry.read_text().splitlines()[0]) + "\n")
+
+        journals = [(cache, KIND_CACHE), (sink, KIND_SINK),
+                    (telemetry, KIND_TELEMETRY)]
+        sync(store, journals=journals)
+        for path, tables in ((cache, ("jobs",)), (sink, ("scenario_runs",)),
+                             (telemetry, ("spans", "metrics"))):
+            stored = [raw for table in tables for (raw,) in store.query(
+                f"SELECT raw FROM {table} WHERE journal = ?",
+                (str(path.resolve()),)).rows]
+            lines = path.read_text().splitlines()
+            assert sorted(stored) == sorted(lines)
+            # Journal.append's lines are canonical JSON, as `raw` was before.
+            for line in lines[:-1]:
+                assert line == json.dumps(json.loads(line), sort_keys=True)
+            assert lines[-1] != json.dumps(json.loads(lines[-1]), sort_keys=True)
+        assert parity_check(store, journals=journals) == []
+
+    def test_parity_flags_an_equal_record_in_other_json_text(
+            self, store, cache_journal):
+        journals = [(cache_journal, KIND_CACHE)]
+        rebuild(store, journals=journals)
+        (raw,) = store.query("SELECT raw FROM jobs WHERE hash = 'h1'").rows[0]
+        other = reordered(raw)
+        assert other != raw and json.loads(other) == json.loads(raw)
+        store.execute("UPDATE jobs SET raw = ? WHERE hash = 'h1'", (other,))
+        mismatches = parity_check(store, journals=journals)
+        assert len(mismatches) == 1
+        assert "'h1'" in mismatches[0] and "differs" in mismatches[0]
+
+    def test_canned_query_joins_search_an_index(self, store, cache_journal,
+                                                tmp_path):
+        sink = write_journal(tmp_path / "s" / "tiny.jsonl", [
+            sink_line("k0", "h0", strategy="ours", cycles=100),
+            sink_line("k1", "h1", strategy="lws=1", cycles=150),
+            sink_line("k2", "h2", strategy="lws=32", cycles=120),
+        ])
+        sync(store, journals=[(cache_journal, KIND_CACHE), (sink, KIND_SINK)])
+        for name, canned in CANNED.items():
+            plan = store.query("EXPLAIN QUERY PLAN " + canned.sql,
+                               canned.params()).rows
+            loops: dict = {}
+            for _, parent, _, detail in plan:
+                if detail.startswith(("SCAN", "SEARCH")):
+                    loops.setdefault(parent, []).append(detail)
+            # The outermost loop of each SELECT may scan; every loop nested
+            # in it must look its rows up instead of scanning once per row.
+            for steps in loops.values():
+                assert not [s for s in steps[1:] if s.startswith("SCAN")], (
+                    name, plan)
+            if name == "speedup":
+                inner = [s for steps in loops.values() for s in steps[1:]]
+                assert len(inner) == 1 and inner[0].startswith("SEARCH")
+                assert "USING INDEX idx_runs_point" in inner[0]
 
 
 # ----------------------------------------------------------------------
