@@ -276,8 +276,17 @@ class ResultCache:
                 "result": result.to_dict(),
             }
             # (A torn tail terminated here was already counted by ``_load``.)
-            self._journal.append([record])
+            before = self._file_state()
+            written = self._journal.append([record]).written
             self._journal_lines += 1
+            # Fold past our own line, so the next miss does not read it back
+            # -- but only when the file held nothing unread before it and grew
+            # by exactly that line: another writer's append stays unread.
+            after = self._file_state()
+            if (before == self._folded and after is not None
+                    and after[1] == (before[1] if before else 0) + written
+                    and (before is None or after[0] == before[0])):
+                self._folded = after
 
     def clear(self) -> int:
         """Delete the journal; returns how many usable entries were dropped.

@@ -11,7 +11,8 @@ isolation, and bit-identical results:
   :class:`~repro.campaign.executor.Executor` protocol with heartbeat
   liveness and bounded retry on worker death.
 * :mod:`~repro.campaign.dist.worker` -- :func:`run_worker`, the whole
-  lifecycle of one ``repro worker`` process.
+  lifecycle of one worker: a ``repro worker`` process on any host, or a
+  local worker forked from the coordinator (``--dist-workers N``).
 
 Workers only simulate.  The coordinator's
 :class:`~repro.campaign.runner.CampaignRunner` is the one cache client: it

@@ -21,6 +21,16 @@ worker processes (any mix of hosts) over the length-prefixed JSON transport:
   completion is only emitted when a *live* connection answers a task it
   still owns, and a presumed-dead worker's socket is closed before its
   tasks are re-queued.
+- **Local workers are forks.**
+  :meth:`DistributedExecutor.spawn_local_workers` starts each worker from
+  this process, the way :class:`~repro.campaign.executor.LocalExecutor`
+  starts its pool (``fork`` on Linux), so a local fleet inherits the
+  imported simulator instead of every worker importing ``repro`` again.
+  The accept, dispatch and monitor threads start on first use
+  (:meth:`~DistributedExecutor.wait_for_workers` or
+  :meth:`~DistributedExecutor.execute`), so the usual sequence --
+  construct, spawn, wait -- forks a process with no coordinator thread in
+  it.  Workers on other hosts join with ``repro worker --connect``.
 - **No cache of its own.**  The executor only moves tasks and outcomes.
   The :class:`~repro.campaign.runner.CampaignRunner` driving it resolves
   every spec against its ``ResultCache`` before dispatch and journals every
@@ -40,22 +50,67 @@ import os
 import queue
 import socket
 import subprocess
-import sys
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.campaign.dist.protocol import (
     Connection,
     ProtocolError,
-    format_address,
     shutdown_and_close,
 )
-from repro.campaign.executor import ExecutorCompletion, ExecutorTask
+from repro.campaign.dist.worker import run_worker
+from repro.campaign.executor import (ExecutorCompletion, ExecutorTask,
+                                     process_context)
 from repro.campaign.result import JobFailure, JobResult
 from repro.telemetry.recorder import RECORDER
+
+
+def _local_worker(address: Tuple[str, int],
+                  inherited: Sequence[socket.socket]) -> None:
+    """The whole life of one local fleet worker (runs in the child).
+
+    Closes this process's copies of the coordinator's sockets -- ``close``,
+    never ``shutdown``, which would tear down the parent's end too -- so the
+    listener dies with the parent and no accepted connection outlives it,
+    points fd 1 at ``/dev/null`` (stderr stays), then serves ``address``.
+    The multiprocessing bootstrap turns a return into exit 0 and an
+    exception into a traceback and exit 1, and a forked child leaves through
+    ``os._exit``: it never returns into the parent's stack or runs the
+    parent's ``atexit`` handlers.
+    """
+    for sock in inherited:
+        sock.close()
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.close(devnull)
+    run_worker(address)
+
+
+class _LocalWorker:
+    """Handle on one local worker process: the ``subprocess.Popen`` subset
+    callers use -- ``pid``, ``poll()``, ``wait(timeout)``, ``kill()``."""
+
+    def __init__(self, process):
+        self._process = process
+        self.pid: int = process.pid
+
+    def poll(self) -> Optional[int]:
+        """The exit code (negative: killed by that signal), or ``None``."""
+        return self._process.exitcode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        """Block until exit; raises ``subprocess.TimeoutExpired`` if late."""
+        self._process.join(timeout)
+        if self._process.exitcode is None:
+            raise subprocess.TimeoutExpired(f"fleet worker pid {self.pid}",
+                                            timeout)
+        return self._process.exitcode
+
+    def kill(self) -> None:
+        self._process.kill()
 
 
 class _Submission:
@@ -133,18 +188,31 @@ class DistributedExecutor:
         self._next_worker_id = 0
         self._next_submission_id = 0
         self._closing = threading.Event()
-        self._local_processes: List[subprocess.Popen] = []
+        self._local_processes: List[_LocalWorker] = []
         self._listener = socket.create_server((host, port))
-        self._threads = [
-            threading.Thread(target=self._accept_loop, name="dist-accept",
-                             daemon=True),
-            threading.Thread(target=self._dispatch_loop, name="dist-dispatch",
-                             daemon=True),
-            threading.Thread(target=self._monitor_loop, name="dist-monitor",
-                             daemon=True),
-        ]
-        for thread in self._threads:
-            thread.start()
+        self._accepted: Set[socket.socket] = set()  # a fork closes these
+        self._threads: List[threading.Thread] = []
+
+    def _start(self) -> None:
+        """Start the accept, dispatch and monitor threads, once.
+
+        Deferred from ``__init__`` so :meth:`spawn_local_workers` can fork
+        before any of them exists; until then a dialling worker waits in
+        the listener's backlog.
+        """
+        with self._lock:
+            if self._threads or self._closing.is_set():
+                return
+            self._threads = [
+                threading.Thread(target=self._accept_loop, name="dist-accept",
+                                 daemon=True),
+                threading.Thread(target=self._dispatch_loop,
+                                 name="dist-dispatch", daemon=True),
+                threading.Thread(target=self._monitor_loop,
+                                 name="dist-monitor", daemon=True),
+            ]
+            for thread in self._threads:
+                thread.start()
 
     # ------------------------------------------------------------------
     @property
@@ -154,24 +222,42 @@ class DistributedExecutor:
 
     @property
     def worker_count(self) -> int:
+        """Workers registered so far (none before the threads start)."""
         with self._lock:
             return len(self._workers)
 
-    def spawn_local_workers(self, count: int) -> List[subprocess.Popen]:
-        """Start ``count`` worker *processes* on this host, joined to this
-        coordinator.  They exit when the coordinator closes."""
+    def spawn_local_workers(self, count: int) -> List[_LocalWorker]:
+        """Start ``count`` worker processes on this host, joined to this
+        coordinator; they exit when the coordinator closes.
+
+        Each is a child of this process, started the way
+        :class:`~repro.campaign.executor.LocalExecutor` starts its pool
+        (:func:`~repro.campaign.executor.process_context`: ``fork`` on
+        Linux), running :func:`_local_worker`; starting one flushes this
+        process's ``stdout`` and ``stderr`` first, so no child writes their
+        buffers again.  Call it before :meth:`wait_for_workers` or
+        :meth:`execute` start the coordinator's threads: a fork of a
+        threaded process may inherit a lock another thread held.
+        """
+        context = process_context()
         started = []
-        for _ in range(count):
-            process = subprocess.Popen(
-                [sys.executable, "-m", "repro", "worker",
-                 "--connect", format_address(self.address)],
-                stdout=subprocess.DEVNULL)
-            started.append(process)
-        self._local_processes.extend(started)
+        with self._lock:          # no accept between the snapshot and a fork
+            inherited = ([self._listener, *self._accepted]
+                         if context.get_start_method() == "fork" else [])
+            for _ in range(count):
+                # daemon: an interpreter exiting without close() terminates
+                # the worker instead of waiting for it at exit.
+                process = context.Process(
+                    target=_local_worker, args=(self.address, inherited),
+                    name="repro-fleet-worker", daemon=True)
+                process.start()
+                started.append(_LocalWorker(process))
+            self._local_processes.extend(started)
         return started
 
     def wait_for_workers(self, count: int, timeout: float = 60.0) -> None:
         """Block until ``count`` workers are connected (or raise)."""
+        self._start()
         deadline = time.monotonic() + timeout
         with self._wake:
             while len(self._workers) < count:
@@ -188,6 +274,7 @@ class DistributedExecutor:
         """Queue every task for the fleet; yield completions as they land."""
         if self._closing.is_set():
             raise RuntimeError("executor is closed")
+        self._start()
         with self._wake:
             submission = _Submission(self._next_submission_id)
             self._next_submission_id += 1
@@ -252,6 +339,8 @@ class DistributedExecutor:
             except OSError:
                 return                    # listener closed
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self._lock:
+                self._accepted.add(sock)
             threading.Thread(target=self._reader, args=(Connection(sock),),
                              name="dist-reader", daemon=True).start()
 
@@ -300,6 +389,8 @@ class DistributedExecutor:
                 self._worker_lost(worker)
             else:
                 connection.close()
+            with self._lock:
+                self._accepted.discard(connection.sock)
 
     def _handle_result(self, worker: _Worker, message: Dict) -> None:
         with self._lock:

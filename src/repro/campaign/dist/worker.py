@@ -1,6 +1,10 @@
 """The fleet worker: steal chunks, simulate, send the outcomes back.
 
-:func:`run_worker` is the whole lifecycle of one ``repro worker`` process:
+:func:`run_worker` is the whole lifecycle of one fleet worker: a
+``repro worker --connect`` process (how a host joins a remote coordinator),
+or a local worker that
+:meth:`~repro.campaign.dist.coordinator.DistributedExecutor.spawn_local_workers`
+forked from the coordinator's own process:
 
 1. dial the coordinator, introduce itself (``hello``), learn the heartbeat
    cadence from the ``welcome``;

@@ -27,6 +27,7 @@ import multiprocessing
 import os
 import socket
 import sys
+import threading
 import time
 import traceback as traceback_module
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
@@ -72,6 +73,18 @@ class Executor(Protocol):
         ...
 
 
+def process_context():
+    """The multiprocessing context local worker processes start from.
+
+    ``fork`` on Linux, where workers inherit the imported simulator for
+    free; the platform default elsewhere (macOS forks past Objective-C/numpy
+    state and aborts).
+    """
+    prefer_fork = (sys.platform.startswith("linux")
+                   and "fork" in multiprocessing.get_all_start_methods())
+    return multiprocessing.get_context("fork" if prefer_fork else None)
+
+
 def worker_location() -> str:
     """``host/pid`` string identifying where a job ran (for failures)."""
     return f"{socket.gethostname()}/pid{os.getpid()}"
@@ -108,9 +121,8 @@ class LocalExecutor:
         a pool already exists: then the warm pool is cheaper than paying an
         in-process import/execution while workers sit idle.
     mp_context:
-        Multiprocessing context for the pool; defaults to ``fork`` where it
-        is the platform default (workers inherit the imported simulator for
-        free; macOS forks past Objective-C/numpy state and aborts).
+        Multiprocessing context for the pool; defaults to
+        :func:`process_context`.
 
     The pool is created lazily on the first multi-task ``execute()`` and
     **kept** for subsequent calls; ``close()`` (or garbage collection)
@@ -125,20 +137,18 @@ class LocalExecutor:
         self.workers = workers
         self._mp_context = mp_context
         self._pool: Optional[ProcessPoolExecutor] = None
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def _context(self):
-        if self._mp_context is not None:
-            return self._mp_context
-        prefer_fork = (sys.platform.startswith("linux")
-                       and "fork" in multiprocessing.get_all_start_methods())
-        return multiprocessing.get_context("fork" if prefer_fork else None)
-
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers,
-                                             mp_context=self._context())
-        return self._pool
+        # Locked: threads sharing one executor (the service's asyncio
+        # workers) must not each build a pool.
+        with self._lock:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    mp_context=self._mp_context or process_context())
+            return self._pool
 
     def _discard_pool(self) -> None:
         pool, self._pool = self._pool, None

@@ -31,8 +31,8 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, Callable, Dict, Hashable, Iterator, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, Hashable, Iterator, Mapping,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 from repro.campaign.spec import CACHE_SCHEMA_VERSION, simulator_version
 
@@ -64,6 +64,13 @@ class Line(tuple):
         line = super().__new__(cls, (record, read, end))
         line.text = text
         return line
+
+
+class Appended(NamedTuple):
+    """What one :meth:`Journal.append` committed."""
+
+    written: int              # bytes of the records' lines (not a tail repair)
+    fsync_seconds: float      # 0.0 under the no-fsync policy
 
 
 def stamped_key(record: Mapping, name: str) -> Optional[Tuple[str, str, int]]:
@@ -119,22 +126,23 @@ class Journal:
         self.fsync = fsync
         self._tail_checked = False
 
-    def append(self, records: Sequence[Mapping[str, object]]) -> float:
-        """Commit ``records`` together; returns the seconds spent in fsync."""
+    def append(self, records: Sequence[Mapping[str, object]]) -> Appended:
+        """Commit ``records`` together; returns the bytes written and the
+        seconds spent in fsync."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if not self._tail_checked:
             self._tail_checked = True
             self._repair_tail()
         lines = "".join(json.dumps(record, sort_keys=True) + "\n"
-                        for record in records)
-        with self.path.open("a") as journal:
+                        for record in records).encode("utf-8")
+        with self.path.open("ab") as journal:
             journal.write(lines)
             if not self.fsync:
-                return 0.0
+                return Appended(len(lines), 0.0)
             journal.flush()
             started = time.perf_counter()
             os.fsync(journal.fileno())
-            return time.perf_counter() - started
+            return Appended(len(lines), time.perf_counter() - started)
 
     def _repair_tail(self) -> None:
         """Append a newline if the journal ends mid-line (a killed writer's)."""

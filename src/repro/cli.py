@@ -222,9 +222,10 @@ def _executor_options(wait_workers: bool = True) -> argparse.ArgumentParser:
                              "port, logged at startup)")
     parent.add_argument("--dist-workers", type=_int_at_least(0), default=0,
                         metavar="N",
-                        help="with --executor dist: also spawn N worker "
-                             "processes on this host (default 0 -- workers "
-                             "join via `repro worker --connect`)")
+                        help="with --executor dist: also start N worker "
+                             "processes from this one, forked on Linux "
+                             "(default 0 -- workers join via `repro worker "
+                             "--connect`)")
     if wait_workers:
         parent.add_argument("--wait-workers", type=_int_at_least(0),
                             default=None, metavar="N",
@@ -480,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=_positive_int, default=2,
                        help="concurrent jobs in flight (default 2)")
     serve.add_argument("--sim-workers", type=_positive_int, default=1,
-                       help="simulator processes per job (default 1)")
+                       help="simulator processes in the one pool every "
+                            "job shares (default 1: in-process)")
     serve.add_argument("--queue-dir", default=None,
                        help="service state directory (default ./service, "
                             f"honouring ${SERVICE_DIR_ENV})")
@@ -620,11 +622,11 @@ def _cmd_campaign(args) -> int:
 def _make_executor(args, wait_workers: Optional[int] = None):
     """The ``--executor dist`` coordinator, or ``None`` for the local path.
 
-    Starts the coordinator on ``--listen``, optionally spawns
-    ``--dist-workers`` local worker processes, and blocks for
-    ``wait_workers`` joins (default: the spawned ones) so the work starts
-    against a known fleet.  The caller owns the returned executor and must
-    ``close()`` it.
+    Starts the coordinator on ``--listen``, optionally starts
+    ``--dist-workers`` local worker processes from this one (forked on
+    Linux), and blocks for ``wait_workers`` joins (default: the local ones)
+    so the work starts against a known fleet.  The caller owns the returned
+    executor and must ``close()`` it.
     """
     if args.executor != "dist":
         return None

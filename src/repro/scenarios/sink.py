@@ -155,7 +155,7 @@ class ResultSink:
             records = (records,)
         started = time.perf_counter() if RECORDER.enabled else 0.0
         fsync_seconds = self._journal.append(
-            [record.to_dict() for record in records])
+            [record.to_dict() for record in records]).fsync_seconds
         if RECORDER.enabled:
             RECORDER.observe("sink.fsync_seconds", fsync_seconds)
             RECORDER.observe("sink.append_seconds",

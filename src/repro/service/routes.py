@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.campaign.cache import ResultCache, default_cache_dir
+from repro.campaign.executor import LocalExecutor
 from repro.service.queue import JobQueue, default_service_dir
 from repro.service.rate_limit import RateLimiter
 from repro.service.schemas import validate_request
@@ -64,8 +65,11 @@ class Service:
 
     ``executor`` is the shared :class:`~repro.campaign.executor.Executor`
     every job runs on (``repro serve --executor dist`` passes its fleet
-    coordinator); ``None`` gives each job a local process pool.  The service
-    owns it: :meth:`shutdown` closes it.
+    coordinator); ``None`` builds one
+    :class:`~repro.campaign.executor.LocalExecutor` of ``sim_workers`` for
+    the service's lifetime, so jobs share one warm process pool instead of
+    each forking and joining its own.  The service owns it:
+    :meth:`shutdown` closes it.
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None, executor=None):
@@ -76,13 +80,12 @@ class Service:
         self.limiter = RateLimiter(rate=self.config.rate,
                                    burst=self.config.burst)
         self.events = EventBook()
-        self.executor = executor
+        self.executor = (executor if executor is not None
+                         else LocalExecutor(workers=self.config.sim_workers))
         self.pool = WorkerPool(
-            self.queue, self.events,
+            self.queue, self.events, self.executor,
             workers=self.config.workers,
-            sim_workers=self.config.sim_workers,
-            cache=self.cache,
-            executor=self.executor)
+            cache=self.cache)
         self.app = create_app(self)
 
     async def startup(self) -> None:
@@ -91,8 +94,7 @@ class Service:
 
     async def shutdown(self) -> None:
         await self.pool.stop()
-        if self.executor is not None:
-            self.executor.close()
+        self.executor.close()
 
 
 def create_app(service: Service) -> App:

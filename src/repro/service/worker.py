@@ -27,6 +27,7 @@ from collections import deque
 from typing import AsyncIterator, Deque, Dict, List, Optional, Tuple
 
 from repro.campaign.cache import ResultCache
+from repro.campaign.executor import Executor
 from repro.campaign.result import JobFailure
 from repro.campaign.runner import CampaignRunner
 from repro.service.queue import JobQueue
@@ -125,19 +126,17 @@ class WorkerPool:
 
     def __init__(self, queue: JobQueue,
                  events: EventBook,
+                 executor: Executor,
                  workers: int = 2,
-                 sim_workers: int = 1,
-                 cache: Optional[ResultCache] = None,
-                 executor=None):
+                 cache: Optional[ResultCache] = None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.queue = queue
         self.events = events
         self.workers = workers
-        self.sim_workers = sim_workers
         self.cache = cache
-        # A shared Executor (the service's distributed fleet); None keeps
-        # the per-job local pool.  The pool never closes it -- the Service
+        # The one Executor every job runs on (the service's local pool or
+        # its distributed fleet).  The pool never closes it -- the Service
         # owns its lifecycle.
         self.executor = executor
         self._tasks: List[asyncio.Task] = []
@@ -205,8 +204,7 @@ class WorkerPool:
 
         request = job.request
         scenario, context, plan = request.planned()
-        runner = CampaignRunner(workers=self.sim_workers, cache=self.cache,
-                                executor=self.executor)
+        runner = CampaignRunner(cache=self.cache, executor=self.executor)
 
         def progress(done, total, record_or_failure):
             ok = not isinstance(record_or_failure, JobFailure)
@@ -218,12 +216,10 @@ class WorkerPool:
                  "label": label, "ok": ok})
 
         # No sink: the shared ResultCache is the service's persistence layer,
-        # and a per-job sink directory would never be read back.
-        try:
-            run = Planner(runner=runner).run(scenario, context,
-                                             progress=progress, plan=plan)
-        finally:
-            runner.close()   # a no-op for the shared distributed executor
+        # and a per-job sink directory would never be read back.  The runner
+        # borrows the executor, so there is nothing of its own to close.
+        run = Planner(runner=runner).run(scenario, context,
+                                         progress=progress, plan=plan)
         if request.kind == "scenario":
             return {"kind": "scenario", "report": run.report(), **run.payload()}
         unique = {record.key: record.result for record in run.records}

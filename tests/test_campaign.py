@@ -304,6 +304,35 @@ class TestResultCache:
         assert None not in a.get_many([first, second])
         assert a.stats().journal_lines == 2
 
+    def test_a_miss_after_a_put_reads_no_journal_line(self, tmp_path,
+                                                      monkeypatch):
+        # put() folds past its own line: the next miss finds nothing unread.
+        import repro.campaign.journal as journal_module
+
+        first, second = spec(local_size=2), spec(local_size=4)
+        ResultCache(tmp_path).put(first, execute_job(first))   # loaded below
+        cache = ResultCache(tmp_path)
+        cache.put(second, execute_job(second))
+        parsed = []
+        original = journal_module.parse_line
+        monkeypatch.setattr(journal_module, "parse_line",
+                            lambda text: parsed.append(text) or original(text))
+        assert cache.get_many([spec(local_size=8)]) == [None]
+        assert parsed == []
+        assert cache.stats().journal_lines == 2
+
+    def test_a_put_leaves_another_writers_line_unread(self, tmp_path):
+        # Another instance appended between this one's fold and its put:
+        # the put must not fold past that line, so a miss still reads it.
+        first, second = spec(local_size=2), spec(local_size=4)
+        a = ResultCache(tmp_path)
+        ResultCache(tmp_path).put(first, execute_job(first))
+        a.put(second, execute_job(second))
+        served = a.get_many([first, spec(local_size=8)])
+        assert served[0] is not None and served[0].from_cache
+        assert served[1] is None
+        assert a.stats().journal_lines == 2
+
 # ----------------------------------------------------------------------
 # the runner
 # ----------------------------------------------------------------------

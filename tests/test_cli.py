@@ -301,6 +301,32 @@ def test_scenario_run_resume_report_cycle(tmp_path, capsys, monkeypatch):
     assert "executed" not in report          # report never simulates
 
 
+def test_scenario_run_on_a_local_fleet_matches_the_local_run(tmp_path, capsys,
+                                                              monkeypatch):
+    # --dist-workers forks the fleet from this process: its sink must hold
+    # the records a local run writes, wall-clock time aside.
+    from repro.scenarios.sink import ResultSink
+
+    monkeypatch.setenv("REPRO_SCENARIO_DIR", str(tmp_path / "sinks"))
+
+    def records(name, executor_flags):
+        sink = tmp_path / f"{name}.jsonl"
+        assert main(["scenario", "run", "scaling", "--scale", "smoke",
+                     "--cache-dir", str(tmp_path / f"{name}-cache"),
+                     "--sink", str(sink)] + executor_flags) == 0
+        loaded = {key: record.to_dict()
+                  for key, record in ResultSink(sink).load().items()}
+        for record in loaded.values():
+            del record["result"]["elapsed_seconds"]
+        return loaded
+
+    local = records("local", [])
+    fleet = records("fleet", ["--executor", "dist", "--dist-workers", "2"])
+    assert len(local) == 6
+    assert fleet == local
+    assert "worker fleet ready" in capsys.readouterr().err
+
+
 def test_scenario_run_rejects_unknown_name(capsys):
     assert main(["scenario", "run", "not-a-scenario"]) == 2
     err = capsys.readouterr().err

@@ -19,7 +19,9 @@ duplicates nothing.
 from __future__ import annotations
 
 import os
+import signal
 import socket
+import subprocess
 import threading
 import time
 
@@ -255,6 +257,126 @@ class TestTeardown:
             thread.join(timeout=1.0)
         assert [thread.name for thread in started_here
                 if thread.is_alive()] == []
+
+
+# ----------------------------------------------------------------------
+# the local fleet is forked from the coordinator's process
+# ----------------------------------------------------------------------
+def dist_threads() -> list:
+    return sorted(thread.name for thread in threading.enumerate()
+                  if thread.name in ("dist-accept", "dist-dispatch",
+                                     "dist-monitor"))
+
+
+def socket_inodes(pid: int) -> set:
+    """Inodes of the sockets process ``pid`` holds open (Linux /proc)."""
+    inodes = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:
+            continue                      # closed while listing
+        if target.startswith("socket:["):
+            inodes.add(int(target[len("socket:["):-1]))
+    return inodes
+
+
+class TestForkedFleet:
+    def test_threads_start_on_first_use(self):
+        executor = DistributedExecutor()
+        try:
+            assert dist_threads() == []
+            executor.spawn_local_workers(1)
+            assert dist_threads() == []   # the fork saw no coordinator thread
+            executor.wait_for_workers(1, timeout=30.0)
+            assert dist_threads() == ["dist-accept", "dist-dispatch",
+                                      "dist-monitor"]
+        finally:
+            executor.close()
+
+    def test_close_before_first_use_joins_nothing(self):
+        executor = DistributedExecutor()
+        executor.close()      # Thread.join raises on a thread never started
+        assert dist_threads() == []
+        with pytest.raises(RuntimeError, match="closed"):
+            list(executor.execute([]))
+        assert dist_threads() == []
+
+    def test_worker_writes_nothing_to_fd1_and_keeps_stderr(self, capfd,
+                                                           monkeypatch):
+        import repro.campaign.dist.coordinator as coordinator
+
+        def noisy_worker(address):        # runs in the forked child
+            os.write(1, b"worker-stdout\n")
+            os.write(2, b"worker-stderr\n")
+            return run_worker(address)
+
+        monkeypatch.setattr(coordinator, "run_worker", noisy_worker)
+        print("parent-buffered", end="")  # flushed once, before the fork
+        executor = DistributedExecutor()
+        processes = executor.spawn_local_workers(2)
+        try:
+            executor.wait_for_workers(2, timeout=30.0)
+        finally:
+            executor.close()
+        assert [process.poll() for process in processes] == [0, 0]
+        captured = capfd.readouterr()
+        assert captured.out == "parent-buffered"
+        assert captured.err.count("worker-stderr") == 2
+
+    def test_a_raising_worker_exits_1(self, monkeypatch):
+        import repro.campaign.dist.coordinator as coordinator
+
+        def broken_worker(address):
+            raise RuntimeError("worker blew up")
+
+        monkeypatch.setattr(coordinator, "run_worker", broken_worker)
+        executor = DistributedExecutor()
+        try:
+            (process,) = executor.spawn_local_workers(1)
+            assert process.wait(timeout=30.0) == 1
+        finally:
+            executor.close()
+
+    def test_wait_times_out_like_popen_and_kill_ends_the_worker(self):
+        executor = DistributedExecutor()
+        try:
+            (process,) = executor.spawn_local_workers(1)
+            with pytest.raises(subprocess.TimeoutExpired):
+                process.wait(timeout=0.05)  # parked: no welcome before use
+            assert process.poll() is None
+            process.kill()
+            assert process.wait(timeout=30.0) == -signal.SIGKILL
+        finally:
+            executor.close()
+
+    def test_address_is_refused_after_close(self):
+        executor = DistributedExecutor()
+        executor.spawn_local_workers(2)
+        executor.wait_for_workers(2, timeout=30.0)
+        address = executor.address
+        executor.close()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=5.0).close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="lists a child's open sockets through /proc")
+    def test_children_hold_no_coordinator_socket(self):
+        executor = DistributedExecutor()
+        try:
+            first = executor.spawn_local_workers(1)
+            executor.wait_for_workers(1, timeout=30.0)
+            # A later spawn forks while a worker's connection is accepted.
+            second = executor.spawn_local_workers(1)
+            executor.wait_for_workers(2, timeout=30.0)
+            coordinator = {os.fstat(sock.fileno()).st_ino for sock
+                           in [executor._listener, *executor._accepted]}
+            assert len(coordinator) == 3  # the listener, two connections
+            assert coordinator <= socket_inodes(os.getpid())
+            for process in first + second:
+                assert not socket_inodes(process.pid) & coordinator
+        finally:
+            executor.close()
 
 
 class TestSharedCacheAcrossTheFleet:

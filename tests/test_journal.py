@@ -41,14 +41,19 @@ class TestJournalWriter:
         path = tmp_path / "deep" / "er" / "journal.jsonl"     # parents created
         writer = Journal(path, every_line, fsync=True)
         batch = [{"b": 2, "a": 1}, {"n": [1, 2]}, {"s": "x"}]
-        assert writer.append(batch) >= 0.0                    # fsync seconds
-        assert writer.append(batch[:1]) >= 0.0                # a batch of one
+        first = writer.append(batch)
+        assert first.fsync_seconds >= 0.0
+        assert first.written == len(canonical(batch))
+        single = writer.append(batch[:1])                     # a batch of one
+        assert single.fsync_seconds >= 0.0
+        assert single.written == len(canonical(batch[:1]))
         assert path.read_text() == canonical(batch + batch[:1])
+        assert path.stat().st_size == first.written + single.written
         assert fsynced == [path.stat().st_ino] * 2
 
     def test_no_fsync_policy_never_syncs(self, tmp_path, fsynced):
         writer = Journal(tmp_path / "journal.jsonl", every_line)
-        assert writer.append([{"a": 1}, {"a": 2}]) == 0.0
+        assert writer.append([{"a": 1}, {"a": 2}]).fsync_seconds == 0.0
         assert fsynced == []
         assert writer.path.read_text() == canonical([{"a": 1}, {"a": 2}])
 

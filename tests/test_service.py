@@ -365,6 +365,30 @@ class TestServiceHTTP:
         from repro.telemetry.export import lint_prometheus
         assert lint_prometheus(text) == []
 
+    def test_jobs_share_one_local_pool(self, tmp_path):
+        # --sim-workers 2: every job runs on the service's one LocalExecutor,
+        # so two jobs of two misses each run on the same pool processes, and
+        # shutdown closes that pool.
+        instance = Service(ServiceConfig(
+            queue_dir=tmp_path / "service", cache_dir=tmp_path / "cache",
+            workers=1, sim_workers=2, rate=0.0))
+        server = ServerThread(instance.app, startup=instance.startup,
+                              shutdown=instance.shutdown).start()
+        try:
+            pids = []
+            for lws in ([1, 2], [4, 8]):
+                _, submitted = _post(server.url, "/jobs",
+                                     dict(GRID_REQUEST, lws=lws))
+                job = _await_terminal(server.url, submitted["job"])
+                assert job["state"] == "done", job["error"]
+                assert job["result"]["stats"]["executed"] == 2
+                pids.append(sorted(instance.executor._pool._processes))
+            assert len(pids[0]) == 2
+            assert pids[1] == pids[0]
+        finally:
+            server.stop()
+        assert instance.executor._pool is None
+
     def test_killed_server_resumes_queued_jobs_on_restart(self, tmp_path):
         # "Kill": enqueue directly into the durable queue with no server
         # running (exactly what a dead server's journal looks like), then
