@@ -9,11 +9,12 @@ The campaign subsystem sits between the experiment layer and the simulator:
   summaries to a JSON-lines journal keyed by that hash (default
   ``~/.cache/repro``, override with ``REPRO_CACHE_DIR``), with hit/miss
   accounting and automatic invalidation on simulator-version bumps.
-* :mod:`~repro.campaign.worker` -- the picklable per-job execution function.
+* :mod:`~repro.campaign.worker` -- the per-job execution function every
+  worker runs.
 * :mod:`~repro.campaign.executor` -- the :class:`Executor` protocol behind
-  the runner: :class:`LocalExecutor` (in-process or a persistent process
-  pool) here, a multi-host :class:`DistributedExecutor` in
-  :mod:`~repro.campaign.dist`.
+  the runner: :class:`LocalExecutor` (in-process, or a persistent fleet of
+  workers forked on this host) here, the multi-host
+  :class:`DistributedExecutor` it is built on in :mod:`~repro.campaign.dist`.
 * :mod:`~repro.campaign.runner` -- :class:`CampaignRunner` resolves specs
   against the cache, deduplicates identical points, fans the rest out
   through an executor, and returns outcomes in deterministic submission

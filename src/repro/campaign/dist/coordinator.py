@@ -23,14 +23,15 @@ worker processes (any mix of hosts) over the length-prefixed JSON transport:
   tasks are re-queued.
 - **Local workers are forks.**
   :meth:`DistributedExecutor.spawn_local_workers` starts each worker from
-  this process, the way :class:`~repro.campaign.executor.LocalExecutor`
-  starts its pool (``fork`` on Linux), so a local fleet inherits the
-  imported simulator instead of every worker importing ``repro`` again.
-  The accept, dispatch and monitor threads start on first use
-  (:meth:`~DistributedExecutor.wait_for_workers` or
+  this process (:func:`process_context`: ``fork`` on Linux), so a local
+  fleet inherits the imported simulator instead of every worker importing
+  ``repro`` again, and attaches it over a ``socketpair`` -- a local worker
+  never dials the listener.  The dispatch, monitor and reader threads start
+  on first use (:meth:`~DistributedExecutor.wait_for_workers` or
   :meth:`~DistributedExecutor.execute`), so the usual sequence --
   construct, spawn, wait -- forks a process with no coordinator thread in
-  it.  Workers on other hosts join with ``repro worker --connect``.
+  it.  Workers on other hosts join with ``repro worker --connect``;
+  :class:`LocalFleet` takes no such joins.
 - **No cache of its own.**  The executor only moves tasks and outcomes.
   The :class:`~repro.campaign.runner.CampaignRunner` driving it resolves
   every spec against its ``ResultCache`` before dispatch and journals every
@@ -46,15 +47,17 @@ to their own caller.  Telemetry: ``dist.steal_wait_seconds``,
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import queue
 import socket
 import subprocess
+import sys
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.dist.protocol import (
     Connection,
@@ -62,31 +65,54 @@ from repro.campaign.dist.protocol import (
     shutdown_and_close,
 )
 from repro.campaign.dist.worker import run_worker
-from repro.campaign.executor import (ExecutorCompletion, ExecutorTask,
-                                     process_context)
+from repro.campaign.executor import ExecutorCompletion, ExecutorTask
 from repro.campaign.result import JobFailure, JobResult
 from repro.telemetry.recorder import RECORDER
+from repro.trace.events import TraceEvent
 
 
-def _local_worker(address: Tuple[str, int],
-                  inherited: Sequence[socket.socket]) -> None:
+def process_context():
+    """The multiprocessing context local workers start from.
+
+    ``fork`` on Linux, where workers inherit the imported simulator for
+    free; the platform default elsewhere (macOS forks past Objective-C/numpy
+    state and aborts).
+    """
+    prefer_fork = (sys.platform.startswith("linux")
+                   and "fork" in multiprocessing.get_all_start_methods())
+    return multiprocessing.get_context("fork" if prefer_fork else None)
+
+
+def _open_fds() -> List[int]:
+    """The descriptors this process holds open (Linux ``/proc``), less the
+    listing's own, which is closed by the time it returns."""
+    listed = [int(name) for name in os.listdir("/proc/self/fd")]
+    return [fd for fd in listed if os.path.exists(f"/proc/self/fd/{fd}")]
+
+
+def _local_worker(sock: socket.socket, held: Sequence[int]) -> None:
     """The whole life of one local fleet worker (runs in the child).
 
-    Closes this process's copies of the coordinator's sockets -- ``close``,
-    never ``shutdown``, which would tear down the parent's end too -- so the
-    listener dies with the parent and no accepted connection outlives it,
-    points fd 1 at ``/dev/null`` (stderr stays), then serves ``address``.
-    The multiprocessing bootstrap turns a return into exit 0 and an
-    exception into a traceback and exit 1, and a forked child leaves through
-    ``os._exit``: it never returns into the parent's stack or runs the
-    parent's ``atexit`` handlers.
+    Closes (never ``shutdown``s) every descriptor the parent ``held`` when
+    it started this child -- the coordinator's sockets, an HTTP listener, a
+    queue journal -- but stdio and ``sock``.  Multiprocessing's own pipes
+    are newer and stay: closing the one ``popen_fork`` leaves here would
+    mark the parent's sentinel ready early and block a timed ``join``.
+    Then points fd 1 at ``/dev/null`` and serves the coordinator on
+    ``sock``.  The bootstrap turns a return into exit 0 and an exception
+    into exit 1, and the child leaves through ``os._exit``: never into the
+    parent's stack or its ``atexit`` handlers.
     """
-    for sock in inherited:
-        sock.close()
+    for fd in held:
+        if fd > 2 and fd != sock.fileno():
+            try:
+                os.close(fd)
+            except OSError:
+                pass                      # another parent thread closed it
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, 1)
     os.close(devnull)
-    run_worker(address)
+    run_worker(Connection(sock))
 
 
 class _LocalWorker:
@@ -116,8 +142,7 @@ class _LocalWorker:
 class _Submission:
     """One in-flight ``execute()`` call: its completion stream."""
 
-    def __init__(self, submission_id: int):
-        self.id = submission_id
+    def __init__(self):
         self.completions: "queue.Queue[ExecutorCompletion]" = queue.Queue()
 
 
@@ -186,33 +211,44 @@ class DistributedExecutor:
         self._idle: Deque[_Worker] = deque()
         self._next_task_id = 0
         self._next_worker_id = 0
-        self._next_submission_id = 0
         self._closing = threading.Event()
         self._local_processes: List[_LocalWorker] = []
-        self._listener = socket.create_server((host, port))
-        self._accepted: Set[socket.socket] = set()  # a fork closes these
+        self._unread: List[_Worker] = []   # attached; reader not started yet
+        self._lost: Optional[_Worker] = None
+        self._listener = self._listen(host, port)
         self._threads: List[threading.Thread] = []
 
+    def _listen(self, host: str, port: int) -> Optional[socket.socket]:
+        """The socket other hosts' workers join through."""
+        return socket.create_server((host, port))
+
     def _start(self) -> None:
-        """Start the accept, dispatch and monitor threads, once.
+        """Start the coordinator's threads, once, and a reader per worker
+        attached since.
 
         Deferred from ``__init__`` so :meth:`spawn_local_workers` can fork
-        before any of them exists; until then a dialling worker waits in
-        the listener's backlog.
+        before any of them exists; until then a worker's ``hello`` waits in
+        the listener's backlog or its socketpair.
         """
         with self._lock:
-            if self._threads or self._closing.is_set():
+            if self._closing.is_set():
                 return
-            self._threads = [
-                threading.Thread(target=self._accept_loop, name="dist-accept",
-                                 daemon=True),
-                threading.Thread(target=self._dispatch_loop,
-                                 name="dist-dispatch", daemon=True),
-                threading.Thread(target=self._monitor_loop,
-                                 name="dist-monitor", daemon=True),
-            ]
-            for thread in self._threads:
-                thread.start()
+            if not self._threads:
+                loops = {"dist-dispatch": self._dispatch_loop,
+                         "dist-monitor": self._monitor_loop}
+                if self._listener is not None:
+                    loops["dist-accept"] = self._accept_loop
+                self._threads = [
+                    threading.Thread(target=loop, name=name, daemon=True)
+                    for name, loop in loops.items()]
+                for thread in self._threads:
+                    thread.start()
+            unread, self._unread = self._unread, []
+            for worker in unread:
+                worker.last_seen = time.time()   # silent until now by design
+                threading.Thread(target=self._reader,
+                                 args=(worker.connection, worker),
+                                 name="dist-reader", daemon=True).start()
 
     # ------------------------------------------------------------------
     @property
@@ -222,37 +258,44 @@ class DistributedExecutor:
 
     @property
     def worker_count(self) -> int:
-        """Workers registered so far (none before the threads start)."""
+        """Workers attached or joined and not lost."""
         with self._lock:
             return len(self._workers)
 
     def spawn_local_workers(self, count: int) -> List[_LocalWorker]:
-        """Start ``count`` worker processes on this host, joined to this
+        """Start ``count`` worker processes on this host, attached to this
         coordinator; they exit when the coordinator closes.
 
-        Each is a child of this process, started the way
-        :class:`~repro.campaign.executor.LocalExecutor` starts its pool
-        (:func:`~repro.campaign.executor.process_context`: ``fork`` on
-        Linux), running :func:`_local_worker`; starting one flushes this
-        process's ``stdout`` and ``stderr`` first, so no child writes their
-        buffers again.  Call it before :meth:`wait_for_workers` or
-        :meth:`execute` start the coordinator's threads: a fork of a
-        threaded process may inherit a lock another thread held.
+        Each is a child of this process (:func:`process_context`) running
+        :func:`_local_worker` on one end of a ``socketpair``; the other end
+        is registered at once, so it counts for :meth:`wait_for_workers`
+        before it says a word.  Starting one flushes this process's
+        ``stdout`` and ``stderr`` first, so no child writes their buffers
+        again.  Call it before :meth:`wait_for_workers` or :meth:`execute`
+        start the coordinator's threads: a fork of a threaded process may
+        inherit a lock another thread held.
         """
         context = process_context()
+        forks = context.get_start_method() == "fork"
         started = []
-        with self._lock:          # no accept between the snapshot and a fork
-            inherited = ([self._listener, *self._accepted]
-                         if context.get_start_method() == "fork" else [])
-            for _ in range(count):
-                # daemon: an interpreter exiting without close() terminates
-                # the worker instead of waiting for it at exit.
-                process = context.Process(
-                    target=_local_worker, args=(self.address, inherited),
-                    name="repro-fleet-worker", daemon=True)
-                process.start()
-                started.append(_LocalWorker(process))
-            self._local_processes.extend(started)
+        for _ in range(count):
+            ours, theirs = socket.socketpair()
+            # daemon: an interpreter exiting without close() terminates the
+            # worker instead of waiting for it at exit.
+            process = context.Process(
+                target=_local_worker,
+                args=(theirs, _open_fds() if forks else ()),
+                name="repro-fleet-worker", daemon=True)
+            process.start()
+            theirs.close()
+            started.append(_LocalWorker(process))
+            worker = self._register(Connection(ours), socket.gethostname(),
+                                    process.pid)
+            with self._lock:
+                self._local_processes.append(started[-1])
+                self._unread.append(worker)
+        if self._threads:
+            self._start()
         return started
 
     def wait_for_workers(self, count: int, timeout: float = 60.0) -> None:
@@ -276,8 +319,7 @@ class DistributedExecutor:
             raise RuntimeError("executor is closed")
         self._start()
         with self._wake:
-            submission = _Submission(self._next_submission_id)
-            self._next_submission_id += 1
+            submission = _Submission()
             for task in tasks:
                 self._pending.append(_Task(
                     id=self._next_task_id, task=task,
@@ -299,36 +341,43 @@ class DistributedExecutor:
                 now = time.monotonic()
                 if fleet_empty_since is None:
                     fleet_empty_since = now
-                if closing or now - fleet_empty_since >= self.worker_wait:
-                    self._fail_queued(submission,
-                                      reason="executor closing" if closing else
-                                      f"no workers connected for "
-                                      f"{self.worker_wait:.0f}s")
+                if closing:
+                    self._fail_queued(submission, "executor closing")
+                elif self._listener is None:    # nobody else can join
+                    self._fail_queued(submission, "every local worker is lost",
+                                      self._lost)
+                elif now - fleet_empty_since >= self.worker_wait:
+                    self._fail_queued(submission, f"no workers connected for "
+                                                  f"{self.worker_wait:.0f}s")
                 continue
             emitted += 1
             yield completion
 
-    def _fail_queued(self, submission: _Submission, reason: str) -> None:
+    def _fail_queued(self, submission: _Submission, reason: str,
+                     worker: Optional[_Worker] = None) -> None:
         """Fail ``submission``'s still-queued tasks (fleet gone for good)."""
         with self._lock:
             kept: Deque[_Task] = deque()
             for task in self._pending:
                 if task.submission is submission and not task.done:
-                    task.done = True
-                    spec = task.task.spec
-                    failure = JobFailure(
-                        job_hash=spec.content_hash(),
-                        label=spec.display_name(),
-                        error=f"distributed execution failed: {reason} "
-                              f"(after {task.attempts} attempt(s))",
-                        host="",
-                        last_heartbeat=None,
-                    )
-                    submission.completions.put(ExecutorCompletion(
-                        task.task.index, failure, None))
+                    self._abandon(task, f"distributed execution failed: "
+                                        f"{reason} (after {task.attempts} "
+                                        f"attempt(s))", worker)
                 else:
                     kept.append(task)
             self._pending = kept
+
+    def _abandon(self, task: _Task, error: str,
+                 worker: Optional[_Worker]) -> None:
+        """Answer ``task`` with a failure naming ``worker`` (lock held)."""
+        task.done = True
+        spec = task.task.spec
+        failure = JobFailure(
+            job_hash=spec.content_hash(), label=spec.display_name(),
+            error=error, host=worker.name if worker else "",
+            last_heartbeat=worker.last_seen if worker else None)
+        task.submission.completions.put(ExecutorCompletion(
+            task.task.index, failure, task.submitted_wall or None))
 
     # ------------------------------------------------------------------
     # accept / reader
@@ -339,32 +388,36 @@ class DistributedExecutor:
             except OSError:
                 return                    # listener closed
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._lock:
-                self._accepted.add(sock)
             threading.Thread(target=self._reader, args=(Connection(sock),),
                              name="dist-reader", daemon=True).start()
 
-    def _reader(self, connection: Connection) -> None:
-        worker: Optional[_Worker] = None
+    def _register(self, connection: Connection, host: str,
+                  pid: int) -> _Worker:
+        with self._wake:
+            worker = _Worker(self._next_worker_id, connection, host, pid)
+            self._next_worker_id += 1
+            self._workers[worker.id] = worker
+            self._wake.notify_all()
+        if RECORDER.enabled:
+            RECORDER.count("dist.workers_joined")
+        return worker
+
+    def _reader(self, connection: Connection,
+                worker: Optional[_Worker] = None) -> None:
+        """Serve one worker; ``worker`` if it was attached, not dialled."""
         try:
             hello = connection.recv()
             if not hello or hello.get("type") != "hello":
-                connection.close()
                 return
-            with self._wake:
-                worker = _Worker(self._next_worker_id, connection,
-                                 host=str(hello.get("host", "?")),
-                                 pid=int(hello.get("pid", 0)))
-                self._next_worker_id += 1
-                self._workers[worker.id] = worker
-                self._wake.notify_all()
+            if worker is None:
+                worker = self._register(connection,
+                                        host=str(hello.get("host", "?")),
+                                        pid=int(hello.get("pid", 0)))
             connection.send({
                 "type": "welcome",
                 "worker": worker.id,
                 "heartbeat": self.heartbeat_interval,
             })
-            if RECORDER.enabled:
-                RECORDER.count("dist.workers_joined")
             while True:
                 message = connection.recv()
                 if message is None:
@@ -389,8 +442,6 @@ class DistributedExecutor:
                 self._worker_lost(worker)
             else:
                 connection.close()
-            with self._lock:
-                self._accepted.discard(connection.sock)
 
     def _handle_result(self, worker: _Worker, message: Dict) -> None:
         with self._lock:
@@ -405,6 +456,10 @@ class DistributedExecutor:
         if message.get("ok"):
             outcome: Union[JobResult, JobFailure] = JobResult.from_dict(
                 message["result"])
+            events = message.get("events")
+            if events is not None:
+                outcome = replace(outcome, events=tuple(
+                    TraceEvent.from_dict(event) for event in events))
         else:
             outcome = JobFailure.from_dict(message["failure"])
         payload = message.get("telemetry")
@@ -419,6 +474,7 @@ class DistributedExecutor:
             if not worker.alive:
                 return                    # second notification of one death
             worker.alive = False
+            self._lost = worker
             self._workers.pop(worker.id, None)
             try:
                 self._idle.remove(worker)
@@ -430,18 +486,9 @@ class DistributedExecutor:
             for task in owed:
                 task.attempts += 1
                 if task.attempts > self.max_retries:
-                    task.done = True
-                    spec = task.task.spec
-                    failure = JobFailure(
-                        job_hash=spec.content_hash(),
-                        label=spec.display_name(),
-                        error=(f"worker {worker.name} died holding this job "
-                               f"(attempt {task.attempts}, retries exhausted)"),
-                        host=worker.name,
-                        last_heartbeat=worker.last_seen,
-                    )
-                    task.submission.completions.put(ExecutorCompletion(
-                        task.task.index, failure, task.submitted_wall or None))
+                    self._abandon(task, f"worker {worker.name} died holding "
+                                        f"this job (attempt {task.attempts}, "
+                                        f"retries exhausted)", worker)
                     if RECORDER.enabled:
                         RECORDER.count("dist.tasks_abandoned")
                 else:
@@ -526,7 +573,8 @@ class DistributedExecutor:
             except OSError:
                 pass
             worker.connection.close()
-        shutdown_and_close(self._listener)
+        if self._listener is not None:
+            shutdown_and_close(self._listener)
         for process in self._local_processes:
             try:
                 process.wait(timeout=5.0)
@@ -541,3 +589,14 @@ class DistributedExecutor:
             self.close()
         except Exception:  # pragma: no cover - interpreter teardown
             pass
+
+
+class LocalFleet(DistributedExecutor):
+    """A fleet whose hosts are all this one: forked workers, no listener,
+    so no other process can say ``hello`` and hand the runner results to
+    journal.  Nobody can join late either: once the last worker is lost,
+    ``execute()`` fails what is queued at once, naming that worker.
+    """
+
+    def _listen(self, host: str, port: int) -> None:
+        return None

@@ -4,17 +4,18 @@
 ``repro worker --connect`` process (how a host joins a remote coordinator),
 or a local worker that
 :meth:`~repro.campaign.dist.coordinator.DistributedExecutor.spawn_local_workers`
-forked from the coordinator's own process:
+forked from the coordinator's own process and attached over a socketpair:
 
-1. dial the coordinator, introduce itself (``hello``), learn the heartbeat
-   cadence from the ``welcome``;
+1. dial the coordinator (a local worker is handed its connection),
+   introduce itself (``hello``), learn the heartbeat cadence from the
+   ``welcome``;
 2. loop: send ``next`` and *block* until a chunk arrives (pull-based
    stealing -- an idle worker costs one parked socket, not a poll loop);
 3. per chunk: :func:`~repro.campaign.worker.execute_job` for every task
    (with the task's engine pinned around the job) and one ``result``
-   message per task.  The worker never touches a cache: the coordinator's
-   runner resolved the campaign before dispatch and journals what comes
-   back;
+   message per task, carrying a traced job's events too.  The worker never
+   touches a cache: the coordinator's runner resolved the campaign before
+   dispatch and journals what comes back;
 4. exit on ``shutdown`` or when the coordinator hangs up.
 
 A heartbeat thread shares the connection (sends are lock-serialised), so a
@@ -33,10 +34,11 @@ import os
 import socket
 import threading
 import time
+import traceback
 from typing import Optional, Union
 
 from repro.campaign.dist.protocol import Connection, ProtocolError, connect
-from repro.campaign.result import JobResult
+from repro.campaign.result import JobFailure, JobResult
 from repro.campaign.spec import JobSpec
 from repro.campaign.worker import execute_job
 
@@ -61,15 +63,17 @@ def _dial(coordinator: Union[str, tuple], timeout: float) -> Connection:
             delay = min(delay * 2, 1.0)
 
 
-def run_worker(coordinator: Union[str, tuple],
+def run_worker(coordinator: Union[str, tuple, Connection],
                max_tasks: Optional[int] = None,
                connect_timeout: float = 30.0) -> int:
     """Serve one coordinator until it shuts the fleet down.
 
-    Returns the number of jobs this worker simulated.  ``max_tasks`` is the
-    fault-injection kill switch described in the module docstring.
+    ``coordinator`` is an address to dial, or a connection already attached
+    to it.  Returns the number of jobs this worker simulated.  ``max_tasks``
+    is the fault-injection kill switch described in the module docstring.
     """
-    connection = _dial(coordinator, connect_timeout)
+    connection = (coordinator if isinstance(coordinator, Connection)
+                  else _dial(coordinator, connect_timeout))
     stop = threading.Event()
     executed = 0
     try:
@@ -101,12 +105,23 @@ def run_worker(coordinator: Union[str, tuple],
                     # Fault injection: vanish mid-chunk, as a SIGKILL would.
                     connection.close()
                     return executed
-                outcome = execute_job(JobSpec.from_dict(entry["spec"]),
-                                      engine=entry.get("engine"))
+                spec = JobSpec.from_dict(entry["spec"])
+                try:
+                    outcome = execute_job(spec, engine=entry.get("engine"))
+                except Exception as error:  # noqa: BLE001 - not the worker's end
+                    outcome = JobFailure(
+                        job_hash=spec.content_hash(), label=spec.display_name(),
+                        error=f"{type(error).__name__}: {error}",
+                        traceback=traceback.format_exc(),
+                        host=f"{socket.gethostname()}/pid{os.getpid()}",
+                        last_heartbeat=time.time())
                 executed += 1
                 reply = {"type": "result", "task": entry["task"]}
                 if isinstance(outcome, JobResult):
                     reply.update(ok=True, result=outcome.to_dict())
+                    if outcome.events is not None:
+                        reply["events"] = [event.as_dict()
+                                           for event in outcome.events]
                 else:
                     reply.update(ok=False, failure=outcome.to_dict())
                 payload = getattr(outcome, "telemetry", None)

@@ -7,12 +7,12 @@ dictionary and the wall-clock cost of producing it.  It is what the
 consume; the heavyweight launch artefacts (buffers, outputs, dispatch plans)
 never cross the campaign boundary.
 
-Traced jobs additionally carry their in-memory event tuple -- events are
-process-picklable but deliberately not persisted (a single traced launch can
-produce hundreds of thousands of them).  The same treatment applies to the
-``telemetry`` payload a worker's recorder scope produces: it rides the
-result back across the process boundary so the parent can merge it, and is
-stripped before anything touches the cache.
+Traced jobs additionally carry their in-memory event tuple -- a fleet worker
+sends it beside the result, but it is deliberately not persisted (a single
+traced launch can produce hundreds of thousands of events).  The same
+treatment applies to the ``telemetry`` payload a worker's recorder scope
+produces: it rides the result back across the process boundary so the
+parent can merge it, and is stripped before anything touches the cache.
 
 A :class:`JobFailure` captures one job's exception without aborting the
 campaign: the error string and formatted traceback travel back to the parent
@@ -115,10 +115,11 @@ class JobFailure:
     """One job's captured exception (the campaign itself keeps running).
 
     ``host`` and ``last_heartbeat`` locate failures that were *inflicted* on a
-    job rather than raised by it: a broken process pool or a distributed
-    worker that died mid-chunk reports where the job was running and when
-    that worker was last known alive (Unix wall-clock seconds).  Jobs that
-    fail by raising leave both fields empty.
+    job rather than raised by it: a fleet worker that died mid-chunk, or one
+    whose job escaped :func:`~repro.campaign.worker.execute_job`, reports
+    where the job was running and when that worker was last known alive
+    (Unix wall-clock seconds).  Jobs that fail by raising leave both fields
+    empty.
     """
 
     job_hash: str

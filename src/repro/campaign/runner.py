@@ -12,8 +12,9 @@ matter how many workers raced to produce them:
    five times in one campaign is simulated once;
 3. distinct points are handed to the runner's
    :class:`~repro.campaign.executor.Executor` -- in-process or a persistent
-   process pool (:class:`~repro.campaign.executor.LocalExecutor`, the
-   default) or a multi-host fleet
+   fleet of workers forked on this host
+   (:class:`~repro.campaign.executor.LocalExecutor`, the default) or a
+   multi-host fleet
    (:class:`~repro.campaign.dist.coordinator.DistributedExecutor`) -- and
    every fresh result is written back to the cache;
 4. a job that raises becomes a :class:`~repro.campaign.result.JobFailure`
@@ -101,14 +102,11 @@ class CampaignRunner:
     workers:
         Maximum concurrent simulations for the default
         :class:`~repro.campaign.executor.LocalExecutor`.  ``1`` (the
-        default) executes in-process -- fully deterministic, no pickling
-        round trip.  Ignored when ``executor`` is given.
+        default) executes in-process -- fully deterministic, no
+        serialisation round trip.  Ignored when ``executor`` is given.
     cache:
         A :class:`ResultCache`, or ``None`` to disable persistence (every
         point is simulated fresh; in-run deduplication still applies).
-    mp_context:
-        Multiprocessing context for the local pool; defaults to ``fork``
-        where available.  Ignored when ``executor`` is given.
     executor:
         An explicit :class:`~repro.campaign.executor.Executor` -- e.g. a
         :class:`~repro.campaign.dist.coordinator.DistributedExecutor`
@@ -117,31 +115,28 @@ class CampaignRunner:
     """
 
     def __init__(self, workers: int = 1, cache: Optional[ResultCache] = None,
-                 mp_context=None, executor: Optional[Executor] = None):
+                 executor: Optional[Executor] = None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.cache = cache
-        self._mp_context = mp_context
         self._owns_executor = executor is None
         self.executor: Executor = (
             executor if executor is not None
-            else LocalExecutor(workers=workers, mp_context=mp_context))
+            else LocalExecutor(workers=workers))
 
     def without_cache(self) -> "CampaignRunner":
         """This runner, minus the result cache (same executor, shared).
 
         Used by callers whose measurement is wall-clock time -- a cache-served
         point would time nothing -- e.g. the ``engine-compare`` scenario.
-        The clone borrows this runner's executor (so a warm pool or a
+        The clone borrows this runner's executor (so a warm local or
         connected fleet is reused); closing the clone never shuts it down.
         """
         if self.cache is None:
             return self
-        clone = CampaignRunner(workers=self.workers, cache=None,
-                               mp_context=self._mp_context,
-                               executor=self.executor)
-        return clone
+        return CampaignRunner(workers=self.workers, cache=None,
+                              executor=self.executor)
 
     def close(self) -> None:
         """Shut down the executor, if this runner created it.  Idempotent."""

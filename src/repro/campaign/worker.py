@@ -1,12 +1,12 @@
 """Job execution: the function that runs inside worker processes.
 
-:func:`execute_job` is a module-level function (so it pickles by reference
-under every multiprocessing start method); it rebuilds the problem's input
+:func:`execute_job` is what every fleet worker runs per task (and what the
+in-process path calls directly); it rebuilds the problem's input
 data deterministically from the spec's ``(problem, scale, seed, size)``
 tuple, simulates the launch, and returns either a
 :class:`~repro.campaign.result.JobResult` or a
 :class:`~repro.campaign.result.JobFailure` -- it never raises, so one bad job
-cannot take the pool (or the campaign) down with it.
+cannot take a worker (or the campaign) down with it.
 
 When telemetry is enabled (``$REPRO_TELEMETRY`` is inherited by worker
 processes), every execution records into a *fresh* recorder scope pushed
@@ -79,9 +79,9 @@ def execute_job(spec: JobSpec,
     """Run one spec, converting any exception into a :class:`JobFailure`.
 
     ``engine`` pins ``$REPRO_ENGINE`` around this one execution (restored
-    afterwards), so a single long-lived worker -- a persistent process-pool
-    worker or a fleet worker -- can serve mixed-engine shards without each
-    shard needing its own pool.  An unknown engine name becomes a
+    afterwards), so a single long-lived fleet worker -- local or remote --
+    can serve mixed-engine shards without each shard needing its own
+    fleet.  An unknown engine name becomes a
     :class:`JobFailure` like any other job error (the Device constructor
     validates it); ``None`` keeps whatever the environment already says.
     """

@@ -206,16 +206,17 @@ def _grid_options() -> argparse.ArgumentParser:
 def _executor_options(wait_workers: bool = True) -> argparse.ArgumentParser:
     """The distributed-execution flags shared by every run command.
 
-    ``--executor local`` (the default) keeps the single-host process pool;
+    ``--executor local`` (the default) runs on this host: in-process, or on
+    a local fleet forked from this process (``--workers``/``--sim-workers``);
     ``--executor dist`` starts a work-stealing coordinator in this process
     and executes on whatever ``repro worker`` processes join it.
     """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--executor", choices=("local", "dist"),
                         default="local",
-                        help="where jobs execute: this host's process pool "
-                             "(local, default) or a distributed worker fleet "
-                             "(dist)")
+                        help="where jobs execute: this host, on worker "
+                             "processes forked from this one (local, default) "
+                             "or a worker fleet other hosts can join (dist)")
     parent.add_argument("--listen", type=_address, default=("127.0.0.1", 0),
                         help="with --executor dist: coordinator bind address "
                              "as HOST:PORT (default 127.0.0.1:0 -- a free "

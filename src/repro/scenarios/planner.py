@@ -288,7 +288,7 @@ class Planner:
 
                 # The engine rides the runner call (pinned per job wherever
                 # it executes), so the runner's executor -- and its warm
-                # process pool or connected fleet -- survives across
+                # local or connected fleet -- survives across
                 # engine-grouped shards instead of being rebuilt per shard.
                 try:
                     runner.run(campaign, progress=on_job, engine=engine)

@@ -67,7 +67,7 @@ class Service:
     every job runs on (``repro serve --executor dist`` passes its fleet
     coordinator); ``None`` builds one
     :class:`~repro.campaign.executor.LocalExecutor` of ``sim_workers`` for
-    the service's lifetime, so jobs share one warm process pool instead of
+    the service's lifetime, so jobs share one warm local fleet instead of
     each forking and joining its own.  The service owns it:
     :meth:`shutdown` closes it.
     """

@@ -48,7 +48,7 @@ def spec(**overrides) -> JobSpec:
 
 
 def _explode(job_spec, engine=None):
-    """A stand-in for execute_job that dies inside the pool worker."""
+    """A stand-in for execute_job that raises inside a fleet worker."""
     raise RuntimeError("synthetic pool breakage")
 
 
@@ -413,13 +413,14 @@ class TestCampaignRunner:
         assert [r.cycles for r in warm.results] == [r.cycles for r in cold.results]
 
     def test_pool_breakage_failures_carry_a_traceback(self, monkeypatch):
-        # When the pool itself breaks (worker crash, pickling failure) the
-        # synthesized JobFailure must still carry a formatted traceback, like
-        # an in-job failure would -- it is the only debugging artifact --
-        # plus host/last-heartbeat context locating the breakage.
-        import repro.campaign.executor as executor_module
+        # When a job breaks its local worker instead of failing inside
+        # execute_job, the synthesized JobFailure must still carry a
+        # formatted traceback, like an in-job failure would -- it is the only
+        # debugging artifact -- plus host/last-heartbeat context locating the
+        # breakage.
+        import repro.campaign.dist.worker as worker_module
 
-        monkeypatch.setattr(executor_module, "execute_job", _explode)
+        monkeypatch.setattr(worker_module, "execute_job", _explode)
         campaign = Campaign("broken", specs=[spec(local_size=2),
                                              spec(local_size=4)])
         with CampaignRunner(workers=2) as runner:

@@ -2,8 +2,8 @@
 the runner as the fleet's one cache client, and the wire protocol.
 
 The conformance suite runs the *same* assertions against every executor --
-in-process, process pool, and a distributed fleet over loopback TCP -- to
-pin the protocol's contract: one completion per task, submission-order
+in-process, a forked local fleet, and a distributed fleet over loopback TCP
+-- to pin the protocol's contract: one completion per task, submission-order
 folding and dedup when driven through the runner, failure isolation, and
 results bit-identical to the serial in-process path (modulo
 ``elapsed_seconds``, which is wall-clock and differs between *any* two
@@ -18,6 +18,7 @@ duplicates nothing.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import socket
@@ -64,6 +65,12 @@ def stripped(outcome) -> dict:
     payload = outcome.to_dict()
     payload.pop("elapsed_seconds", None)
     return payload
+
+
+def fleet_pids() -> list:
+    """Pids of this process's live local fleet workers."""
+    return sorted(child.pid for child in multiprocessing.active_children()
+                  if child.name == "repro-fleet-worker")
 
 
 def make_fleet(workers: int = 2, worker_args=None,
@@ -122,6 +129,17 @@ class TestExecutorConformance:
         for ours, reference in zip(outcome.results, serial.results):
             assert stripped(ours) == stripped(reference)
         assert outcome.results[0].to_dict() == outcome.results[2].to_dict()
+
+    def test_traced_jobs_return_their_events(self, any_executor):
+        # A fleet worker sends a traced job's events beside its result; the
+        # figure1 timelines are rendered from them.
+        traced = [spec(seed=i, collect_trace=True) for i in range(2)]
+        completions = list(any_executor.execute(
+            [ExecutorTask(index=i, spec=job) for i, job in enumerate(traced)]))
+        for completion in completions:
+            reference = execute_job(traced[completion.index])
+            assert reference.events
+            assert completion.outcome.events == reference.events
 
     def test_failures_are_isolated(self, any_executor):
         specs = [spec(seed=0), spec(problem="no_such_kernel"), spec(seed=1)]
@@ -195,45 +213,85 @@ class TestFleetFaultTolerance:
 
 
 # ----------------------------------------------------------------------
-# worker-death error parity (both executors)
+# worker death on a local fleet: retried, then failed with context, then
+# a fresh fleet
 # ----------------------------------------------------------------------
-def _die(job_spec, engine=None):  # pragma: no cover - runs in a pool worker
-    os._exit(13)
+def _die_once(marker):
+    """An ``execute_job`` that kills the first worker to run it."""
+    def run(job_spec, engine=None):  # pragma: no cover - runs in a fleet worker
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return execute_job(job_spec, engine=engine)
+        os._exit(13)
+    return run
+
+
+def _kill_on_seed_0(job_spec, engine=None):  # pragma: no cover - in a worker
+    if job_spec.seed == 0:
+        os._exit(13)
+    return execute_job(job_spec, engine=engine)
 
 
 class TestWorkerDeathParity:
-    def test_broken_pool_failures_carry_host_and_heartbeat(self, monkeypatch):
-        import repro.campaign.executor as executor_module
+    def test_a_killed_workers_task_is_retried(self, monkeypatch, tmp_path):
+        import repro.campaign.dist.worker as worker_module
 
-        monkeypatch.setattr(executor_module, "execute_job", _die)
+        monkeypatch.setattr(worker_module, "execute_job",
+                            _die_once(tmp_path / "died"))
         executor = LocalExecutor(workers=2)
         try:
             tasks = [ExecutorTask(index=i, spec=spec(seed=i)) for i in range(2)]
             completions = list(executor.execute(tasks))
-            assert len(completions) == 2
+            assert (tmp_path / "died").exists(), "no worker was killed"
+            assert sorted(c.index for c in completions) == [0, 1]
             for completion in completions:
-                failure = completion.outcome
-                assert isinstance(failure, JobFailure)
-                assert "BrokenProcessPool" in failure.error
-                assert "Traceback" in failure.traceback
-                assert failure.host, "pool breakage must say where it ran"
-                assert failure.last_heartbeat is not None
+                assert (stripped(completion.outcome)
+                        == stripped(execute_job(tasks[completion.index].spec)))
+        finally:
+            executor.close()
+
+    def test_broken_pool_failures_carry_host_and_heartbeat(self, monkeypatch):
+        # The seed-0 task kills every worker that takes it.  Nobody else can
+        # join a local fleet, so it fails as soon as the last worker is
+        # lost -- not after worker_wait -- naming that worker.
+        import repro.campaign.dist.worker as worker_module
+
+        monkeypatch.setattr(worker_module, "execute_job", _kill_on_seed_0)
+        executor = LocalExecutor(workers=2)
+        try:
+            started = time.monotonic()
+            completions = list(executor.execute(
+                [ExecutorTask(index=i, spec=spec(seed=i)) for i in range(2)]))
+            assert time.monotonic() - started < 10.0
+            assert len(completions) == 2
+            outcomes = {c.index: c.outcome for c in completions}
+            assert isinstance(outcomes[0], JobFailure)
+            assert "every local worker is lost" in outcomes[0].error
+            for failure in outcomes.values():
+                if isinstance(failure, JobFailure):
+                    assert "/pid" in failure.host, "say where it ran"
+                    assert failure.last_heartbeat is not None
+                    assert failure.last_heartbeat <= time.time()
         finally:
             executor.close()
 
     def test_broken_pool_is_replaced_on_the_next_call(self, monkeypatch):
-        import repro.campaign.executor as executor_module
+        import repro.campaign.dist.worker as worker_module
 
+        before = set(fleet_pids())
         executor = LocalExecutor(workers=2)
         try:
-            monkeypatch.setattr(executor_module, "execute_job", _die)
+            monkeypatch.setattr(worker_module, "execute_job", _kill_on_seed_0)
             broken = list(executor.execute(
-                [ExecutorTask(index=i, spec=spec(seed=i)) for i in range(2)]))
+                [ExecutorTask(index=i, spec=spec(seed=0)) for i in range(2)]))
             assert all(isinstance(c.outcome, JobFailure) for c in broken)
+            assert set(fleet_pids()) - before == set()
             monkeypatch.undo()
             healed = list(executor.execute(
                 [ExecutorTask(index=i, spec=spec(seed=i)) for i in range(2)]))
             assert all(isinstance(c.outcome, JobResult) for c in healed)
+            assert len(set(fleet_pids()) - before) == 2
         finally:
             executor.close()
 
@@ -258,6 +316,34 @@ class TestTeardown:
         assert [thread.name for thread in started_here
                 if thread.is_alive()] == []
 
+    def test_close_right_after_spawn_is_prompt(self):
+        # Attached workers never dial, so closing before they have said a
+        # word neither waits on them nor kills them.
+        executor = DistributedExecutor()
+        processes = executor.spawn_local_workers(2)
+        started = time.monotonic()
+        executor.close()
+        assert time.monotonic() - started < 1.0
+        assert [process.poll() for process in processes] == [0, 0]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="lists listening sockets through /proc")
+    def test_local_pool_listens_nowhere_and_leaves_no_worker(self):
+        before = set(fleet_pids())
+        listening = socket_inodes(os.getpid()) & listening_inodes()
+        executor = LocalExecutor(workers=2)
+        try:
+            list(executor.execute(
+                [ExecutorTask(index=i, spec=spec(seed=i)) for i in range(2)]))
+            workers = set(fleet_pids()) - before
+            assert len(workers) == 2
+            assert socket_inodes(os.getpid()) & listening_inodes() <= listening
+            for pid in workers:
+                assert not socket_inodes(pid) & listening_inodes()
+        finally:
+            executor.close()
+        assert not set(fleet_pids()) & workers
+
 
 # ----------------------------------------------------------------------
 # the local fleet is forked from the coordinator's process
@@ -268,16 +354,44 @@ def dist_threads() -> list:
                                      "dist-monitor"))
 
 
-def socket_inodes(pid: int) -> set:
-    """Inodes of the sockets process ``pid`` holds open (Linux /proc)."""
-    inodes = set()
+def fd_targets(pid: int) -> set:
+    """What process ``pid``'s open descriptors point at (Linux /proc)."""
+    targets = set()
     for fd in os.listdir(f"/proc/{pid}/fd"):
         try:
-            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+            targets.add(os.readlink(f"/proc/{pid}/fd/{fd}"))
         except OSError:
             continue                      # closed while listing
-        if target.startswith("socket:["):
-            inodes.add(int(target[len("socket:["):-1]))
+    return targets
+
+
+def socket_inodes(pid: int) -> set:
+    """Inodes of the sockets process ``pid`` holds open (Linux /proc)."""
+    return {int(target[len("socket:["):-1]) for target in fd_targets(pid)
+            if target.startswith("socket:[")}
+
+
+def eventually(predicate, timeout: float = 30.0) -> bool:
+    """Poll ``predicate`` until it holds or ``timeout`` passes."""
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return predicate()
+
+
+def listening_inodes() -> set:
+    """Inodes of every listening TCP socket in this network namespace."""
+    inodes = set()
+    for table in ("/proc/net/tcp", "/proc/net/tcp6"):
+        try:
+            with open(table) as rows:
+                next(rows)                # the header
+                for row in rows:
+                    fields = row.split()
+                    if fields[3] == "0A":   # TCP_LISTEN
+                        inodes.add(int(fields[9]))
+        except OSError:
+            continue                      # no IPv6 table
     return inodes
 
 
@@ -361,22 +475,36 @@ class TestForkedFleet:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="lists a child's open sockets through /proc")
-    def test_children_hold_no_coordinator_socket(self):
+    def test_children_hold_no_coordinator_socket(self, tmp_path):
+        # Besides the coordinator's own sockets, the parent holds one more
+        # socket and one open file while it spawns -- an HTTP listener and a
+        # queue journal, say -- and no child keeps any of them.
         executor = DistributedExecutor()
-        try:
-            first = executor.spawn_local_workers(1)
-            executor.wait_for_workers(1, timeout=30.0)
-            # A later spawn forks while a worker's connection is accepted.
-            second = executor.spawn_local_workers(1)
-            executor.wait_for_workers(2, timeout=30.0)
-            coordinator = {os.fstat(sock.fileno()).st_ino for sock
-                           in [executor._listener, *executor._accepted]}
-            assert len(coordinator) == 3  # the listener, two connections
-            assert coordinator <= socket_inodes(os.getpid())
-            for process in first + second:
-                assert not socket_inodes(process.pid) & coordinator
-        finally:
-            executor.close()
+        journal = tmp_path / "jobs.jsonl"
+        with socket.socket() as extra, open(journal, "w") as held:
+            try:
+                first = executor.spawn_local_workers(1)
+                executor.wait_for_workers(1, timeout=30.0)
+                # A later spawn forks while a worker's connection is served.
+                second = executor.spawn_local_workers(1)
+                executor.wait_for_workers(2, timeout=30.0)
+                parent = {os.fstat(sock.fileno()).st_ino for sock in
+                          [executor._listener, extra,
+                           *(worker.connection.sock
+                             for worker in executor._workers.values())]}
+                assert len(parent) == 4   # listener, extra, two connections
+                assert parent <= socket_inodes(os.getpid())
+                assert str(journal) in fd_targets(os.getpid())
+                assert not held.closed
+                # An attached worker counts before its child has run a line:
+                # give each one time to close what it inherited.
+                for process in first + second:
+                    assert eventually(
+                        lambda: not socket_inodes(process.pid) & parent)
+                    assert str(journal) not in fd_targets(process.pid)
+            finally:
+                executor.close()
+        assert [process.poll() for process in first + second] == [0, 0]
 
 
 class TestSharedCacheAcrossTheFleet:
@@ -572,33 +700,35 @@ class TestJobFailureWire:
 # ----------------------------------------------------------------------
 class TestPersistentLocalPool:
     def test_pool_survives_across_execute_calls(self):
+        before = set(fleet_pids())
         executor = LocalExecutor(workers=2)
         try:
             list(executor.execute(
                 [ExecutorTask(index=i, spec=spec(seed=i)) for i in range(2)]))
-            first_pool = executor._pool
-            assert first_pool is not None
+            first = set(fleet_pids()) - before
+            assert len(first) == 2
             list(executor.execute(
                 [ExecutorTask(index=i, spec=spec(seed=i + 2)) for i in range(2)]))
-            assert executor._pool is first_pool
+            assert set(fleet_pids()) - before == first
         finally:
             executor.close()
-        assert executor._pool is None
+        assert not set(fleet_pids()) & first
 
     def test_runner_shares_one_pool_across_engine_shards(self):
         # The planner submits one campaign per engine group; the runner's
-        # executor must keep one warm pool across them.
+        # executor must keep one warm set of workers across them.
+        before = set(fleet_pids())
         with CampaignRunner(workers=2) as runner:
             for engine in ("reference", "fast"):
                 outcome = runner.run(
                     Campaign(engine, specs=[spec(seed=0), spec(seed=1)]),
                     engine=engine)
                 assert outcome.stats.failed == 0
-            pool = runner.executor._pool
-            assert pool is not None
+            workers = set(fleet_pids()) - before
+            assert len(workers) == 2
             runner.run(Campaign("again", specs=[spec(seed=2), spec(seed=3)]),
                        engine="batch")
-            assert runner.executor._pool is pool
+            assert set(fleet_pids()) - before == workers
 
     def test_engine_pin_restores_the_environment(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "reference")

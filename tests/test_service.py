@@ -11,6 +11,7 @@ result cache.
 
 import http.client
 import json
+import multiprocessing
 import time
 import urllib.error
 import urllib.request
@@ -33,6 +34,12 @@ from repro.service.rate_limit import TokenBucket
 
 GRID_REQUEST = {"problems": ["vecadd"], "configs": ["2c2w4t"],
                 "scale": "smoke"}
+
+
+def fleet_pids() -> list:
+    """Pids of this process's live local fleet workers."""
+    return sorted(child.pid for child in multiprocessing.active_children()
+                  if child.name == "repro-fleet-worker")
 
 
 # ----------------------------------------------------------------------
@@ -367,11 +374,12 @@ class TestServiceHTTP:
 
     def test_jobs_share_one_local_pool(self, tmp_path):
         # --sim-workers 2: every job runs on the service's one LocalExecutor,
-        # so two jobs of two misses each run on the same pool processes, and
-        # shutdown closes that pool.
+        # so two jobs of two misses each run on the same forked worker
+        # processes, and shutdown ends them.
         instance = Service(ServiceConfig(
             queue_dir=tmp_path / "service", cache_dir=tmp_path / "cache",
             workers=1, sim_workers=2, rate=0.0))
+        before = set(fleet_pids())
         server = ServerThread(instance.app, startup=instance.startup,
                               shutdown=instance.shutdown).start()
         try:
@@ -382,12 +390,12 @@ class TestServiceHTTP:
                 job = _await_terminal(server.url, submitted["job"])
                 assert job["state"] == "done", job["error"]
                 assert job["result"]["stats"]["executed"] == 2
-                pids.append(sorted(instance.executor._pool._processes))
+                pids.append(set(fleet_pids()) - before)
             assert len(pids[0]) == 2
             assert pids[1] == pids[0]
         finally:
             server.stop()
-        assert instance.executor._pool is None
+        assert not set(fleet_pids()) & pids[0]
 
     def test_killed_server_resumes_queued_jobs_on_restart(self, tmp_path):
         # "Kill": enqueue directly into the durable queue with no server
