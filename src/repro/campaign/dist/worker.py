@@ -12,10 +12,10 @@ forked from the coordinator's own process and attached over a socketpair:
 2. loop: send ``next`` and *block* until a chunk arrives (pull-based
    stealing -- an idle worker costs one parked socket, not a poll loop);
 3. per chunk: :func:`~repro.campaign.worker.execute_job` for every task
-   (with the task's engine pinned around the job) and one ``result``
-   message per task, carrying a traced job's events too.  The worker never
-   touches a cache: the coordinator's runner resolved the campaign before
-   dispatch and journals what comes back;
+   on the task's engine (the coordinator's, not this worker's default) and
+   one ``result`` message per task, carrying a traced job's events too.
+   The worker never touches a cache: the coordinator's runner resolved the
+   campaign before dispatch and journals what comes back;
 4. exit on ``shutdown`` or when the coordinator hangs up.
 
 A heartbeat thread shares the connection (sends are lock-serialised), so a

@@ -11,9 +11,9 @@ one multi-process mechanism:
   otherwise a **persistent**
   :class:`~repro.campaign.dist.coordinator.LocalFleet` of workers forked
   from this process, shared by a planner submission's engine-grouped
-  shards.  The engine rides each task
-  (:func:`~repro.campaign.worker.execute_job` pins ``$REPRO_ENGINE`` around
-  the job), which is what makes reuse across engine shards safe.
+  shards.  The engine rides each task as a value
+  (:func:`~repro.campaign.worker.execute_job` hands it to the job's
+  ``Device``), which is what makes reuse across engine shards safe.
 - :class:`~repro.campaign.dist.coordinator.DistributedExecutor`: the same
   coordinator, serving workers on any number of hosts over TCP.
 
@@ -43,7 +43,7 @@ class ExecutorTask:
 
     index: int                    # caller-chosen id, echoed on the completion
     spec: JobSpec
-    engine: Optional[str] = None  # pinned per job; None = environment default
+    engine: Optional[str] = None  # the runner always names it; None = Device() default
 
 
 @dataclass(frozen=True)

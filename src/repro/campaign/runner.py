@@ -155,16 +155,15 @@ class CampaignRunner:
             engine: Optional[str] = None) -> CampaignOutcome:
         """Execute every spec; see the module docstring for the pipeline.
 
-        ``engine`` pins every job of this call to one simulation engine
-        (validated here, applied around each job wherever it runs); ``None``
-        keeps the environment default.  Passing it per call -- rather than
-        mutating ``$REPRO_ENGINE`` around the call -- is what lets one warm
-        executor serve a planner's mixed-engine shards back to back.
+        ``engine`` pins every job of this call to one simulation engine;
+        ``None`` means ``$REPRO_ENGINE`` or the default.  Either way it is
+        resolved here, once, and every task carries the concrete name to
+        whichever worker runs it -- which is what lets one warm executor
+        serve a planner's mixed-engine shards back to back.
         """
         if not isinstance(campaign, Campaign):
             campaign = Campaign(name="adhoc", specs=list(campaign))
-        if engine is not None:
-            engine = resolve_engine(engine)
+        engine = resolve_engine(engine)
         with RECORDER.span("campaign.run", campaign=campaign.name,
                            jobs=len(campaign.specs)):
             outcome = self._execute(campaign, progress, engine)
@@ -179,7 +178,7 @@ class CampaignRunner:
 
     def _execute(self, campaign: Campaign,
                  progress: Optional[ProgressCallback],
-                 engine: Optional[str]) -> CampaignOutcome:
+                 engine: str) -> CampaignOutcome:
         specs = list(campaign.specs)
         total = len(specs)
         started = time.perf_counter()

@@ -20,7 +20,6 @@ shared between processes.
 
 from __future__ import annotations
 
-import os
 import time
 import traceback
 from dataclasses import replace
@@ -28,12 +27,11 @@ from typing import Optional, Union
 
 from repro.campaign.result import JobFailure, JobResult
 from repro.campaign.spec import JobSpec
-from repro.sim.engine import ENGINE_ENV
 from repro.telemetry.recorder import RECORDER
 
 
-def run_spec(spec: JobSpec) -> JobResult:
-    """Simulate one spec and summarise the launch (raises on error)."""
+def run_spec(spec: JobSpec, engine: Optional[str] = None) -> JobResult:
+    """Simulate one spec on ``engine`` and summarise the launch (raises on error)."""
     # Imports are local so a worker process only pays for what it runs.
     from repro.runtime.device import Device
     from repro.runtime.launcher import launch_kernel
@@ -43,7 +41,7 @@ def run_spec(spec: JobSpec) -> JobResult:
     problem = make_problem(spec.problem, scale=spec.scale, seed=spec.seed,
                            size=spec.size)
     tracer = Tracer(max_events=spec.max_trace_events) if spec.collect_trace else None
-    device = Device(spec.config, tracer=tracer)
+    device = Device(spec.config, tracer=tracer, engine=engine)
     started = time.perf_counter()
     launch = launch_kernel(
         device, problem.kernel, problem.arguments, problem.global_size,
@@ -76,28 +74,18 @@ def run_spec(spec: JobSpec) -> JobResult:
 
 def execute_job(spec: JobSpec,
                 engine: Optional[str] = None) -> Union[JobResult, JobFailure]:
-    """Run one spec, converting any exception into a :class:`JobFailure`.
+    """Run one spec on ``engine``, converting any exception into a
+    :class:`JobFailure`.
 
-    ``engine`` pins ``$REPRO_ENGINE`` around this one execution (restored
-    afterwards), so a single long-lived fleet worker -- local or remote --
-    can serve mixed-engine shards without each shard needing its own
-    fleet.  An unknown engine name becomes a
-    :class:`JobFailure` like any other job error (the Device constructor
-    validates it); ``None`` keeps whatever the environment already says.
+    The engine is an argument, not process state, so one long-lived fleet
+    worker -- local or remote -- serves mixed-engine shards, and two jobs
+    running at once in one process each keep their own.  An unknown engine
+    name becomes a :class:`JobFailure` like any other job error (the Device
+    constructor validates it); ``None`` resolves as ``Device()`` does.
     """
-    if engine is not None:
-        previous = os.environ.get(ENGINE_ENV)
-        os.environ[ENGINE_ENV] = engine
-        try:
-            return execute_job(spec)
-        finally:
-            if previous is None:
-                os.environ.pop(ENGINE_ENV, None)
-            else:
-                os.environ[ENGINE_ENV] = previous
     if not RECORDER.enabled:
         try:
-            return run_spec(spec)
+            return run_spec(spec, engine)
         except Exception as error:  # noqa: BLE001 - isolation is the contract
             return JobFailure(
                 job_hash=spec.content_hash(),
@@ -110,7 +98,7 @@ def execute_job(spec: JobSpec,
     try:
         with RECORDER.span("job.execute", job_hash=spec.content_hash(),
                            problem=spec.problem, config=spec.config.name):
-            outcome: Union[JobResult, JobFailure] = run_spec(spec)
+            outcome: Union[JobResult, JobFailure] = run_spec(spec, engine)
         RECORDER.count("campaign.jobs.executed")
     except Exception as error:  # noqa: BLE001 - isolation is the contract
         RECORDER.count("campaign.jobs.failed")

@@ -22,11 +22,12 @@ Exposes the library's main workflows without writing Python::
     python -m repro telemetry export prometheus -o metrics.prom
 
 ``--engine {reference,fast,batch}`` (or the ``REPRO_ENGINE`` environment
-variable) selects the simulation engine for every launch of the invocation.
-The three engines are bit-identical -- same cycles, counters and output
-buffers, enforced by ``tests/test_engine_differential.py`` and
-``tests/test_engine_fuzz.py`` -- so the choice never affects results, only
-wall-clock time.
+variable) selects the simulation engine for every launch of the invocation;
+``fast`` is the default and ``reference`` is the oracle the others are
+checked against.  The three engines are bit-identical -- same cycles,
+counters and output buffers, enforced by ``tests/test_engine_differential.py``
+and ``tests/test_engine_fuzz.py`` -- so the choice never affects results,
+only wall-clock time.
 
 ``info`` answers the runtime question the paper poses (what lws should this
 launch use on this machine) and ``run`` executes a single workload under a
@@ -260,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulation engine driving every launch of this invocation "
              f"(default: ${ENGINE_ENV} or '{DEFAULT_ENGINE}').  All engines "
              "produce bit-identical cycles, counters and output buffers; "
-             "'fast' and 'batch' are simply quicker.",
+             "'reference' is the straight-line oracle the others are checked "
+             "against, and 'fast' and 'batch' are simply quicker.",
     )
     parser.add_argument(
         "--telemetry", action="store_true",
@@ -915,11 +917,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     configure_logging()
-    # The engine and the telemetry switch are threaded through the
-    # environment rather than through every experiment/campaign signature:
-    # Device() resolves the engine wherever one is built and worker
-    # processes inherit both variables.  Restored afterwards so in-process
-    # callers (tests) are unaffected.
+    # The engine and the telemetry switch are set in the environment once,
+    # at process entry, rather than threaded through every command: a
+    # campaign runner resolves the engine from it and passes the name on
+    # with every task, and worker processes inherit both variables.
+    # Restored afterwards so in-process callers (tests) are unaffected.
     overrides = {}
     if args.engine is not None:
         overrides[ENGINE_ENV] = args.engine

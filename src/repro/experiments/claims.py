@@ -13,7 +13,8 @@ Four claims are checked:
 
 The reproduction does not target the paper's absolute numbers (the substrate
 is a different simulator); each claim therefore records the measured value
-next to the paper's value so EXPERIMENTS.md can report both.
+next to the paper's value, and ``repro scenario report claims`` prints both
+(README "Scenarios").
 """
 
 from __future__ import annotations

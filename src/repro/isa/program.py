@@ -10,7 +10,7 @@ registers they use and a map from program counter to semantic section tag
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
@@ -48,28 +48,6 @@ class Program:
     def sections(self) -> Tuple[str, ...]:
         """Section tag of every instruction, indexed by program counter."""
         return tuple(instr.section for instr in self.instructions)
-
-    def section_ranges(self) -> Dict[str, List[Tuple[int, int]]]:
-        """Contiguous ``[start, end)`` PC ranges per section tag."""
-        ranges: Dict[str, List[Tuple[int, int]]] = {}
-        if not self.instructions:
-            return ranges
-        start = 0
-        current = self.instructions[0].section
-        for pc, instr in enumerate(self.instructions[1:], start=1):
-            if instr.section != current:
-                ranges.setdefault(current, []).append((start, pc))
-                start = pc
-                current = instr.section
-        ranges.setdefault(current, []).append((start, len(self.instructions)))
-        return ranges
-
-    def count_by_opcode(self) -> Dict[Opcode, int]:
-        """Static instruction count per opcode."""
-        counts: Dict[Opcode, int] = {}
-        for instr in self.instructions:
-            counts[instr.opcode] = counts.get(instr.opcode, 0) + 1
-        return counts
 
     def disassemble(self) -> str:
         """Multi-line human readable listing with PC, section and labels."""

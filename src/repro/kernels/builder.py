@@ -15,7 +15,7 @@ Vortex's split/join thread-mask instructions support.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
@@ -257,22 +257,9 @@ class KernelBuilder:
     def cmp_eq(self, a: Value, b: Value) -> Value:
         return self._binary(Opcode.SEQ, Opcode.FEQ, a, b, result_dtype=INT)
 
-    def cmp_ne(self, a: Value, b: Value) -> Value:
-        if a.dtype == INT and b.dtype == INT:
-            dst = self.new_value(INT)
-            self.emit(Instruction(Opcode.SNE, dst=dst.reg, srcs=(a.reg, b.reg)))
-            return dst
-        eq = self.cmp_eq(a, b)
-        one = self.const(1)
-        return self.sub(one, eq)
-
     def logical_and(self, a: Value, b: Value) -> Value:
         """Logical AND of two 0/1 integer values."""
         return self._binary(Opcode.AND, None, self.to_int(a), self.to_int(b))
-
-    def logical_or(self, a: Value, b: Value) -> Value:
-        """Logical OR of two 0/1 integer values."""
-        return self._binary(Opcode.OR, None, self.to_int(a), self.to_int(b))
 
     def select(self, cond: Value, when_true: Value, when_false: Value) -> Value:
         """Branch-free select: ``when_true`` where ``cond`` else ``when_false``.

@@ -14,11 +14,11 @@ mechanism whose parameters the paper optimises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Mapping, Tuple
 
 from repro.kernels.builder import KernelBuilder
-from repro.kernels.signature import BufferParam, KernelParam, ScalarParam, validate_signature
+from repro.kernels.signature import BufferParam, KernelParam, validate_signature
 from repro.kernels.values import Value
 
 #: Signature of a kernel body: ``body(builder, gid, args)``.
@@ -63,18 +63,6 @@ class Kernel:
     def buffer_params(self) -> Tuple[BufferParam, ...]:
         """Buffer parameters in declaration order."""
         return tuple(p for p in self.params if isinstance(p, BufferParam))
-
-    @property
-    def scalar_params(self) -> Tuple[ScalarParam, ...]:
-        """Scalar parameters in declaration order."""
-        return tuple(p for p in self.params if isinstance(p, ScalarParam))
-
-    def param_slot(self, name: str) -> int:
-        """Argument-CSR slot of parameter ``name``."""
-        for slot, param in enumerate(self.params):
-            if param.name == name:
-                return slot
-        raise KernelArgumentError(f"kernel {self.name!r} has no parameter {name!r}")
 
     def check_arguments(self, arguments: Mapping[str, object]) -> None:
         """Validate that ``arguments`` provides every declared parameter.

@@ -72,10 +72,6 @@ class Value:
         """
         return self.builder.cmp_eq(self, self._coerce(other))
 
-    def ne(self, other) -> "Value":
-        """Inequality comparison producing a 0/1 integer value."""
-        return self.builder.cmp_ne(self, self._coerce(other))
-
     # ------------------------------------------------------------ conversions
     def to_float(self) -> "Value":
         """Convert to a float value (no-op if already float)."""

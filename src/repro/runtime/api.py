@@ -33,10 +33,6 @@ class Context:
         """Upload ``data`` and return the device buffer."""
         return self.device.upload(data, name=name)
 
-    def empty_buffer(self, size_words: int, name: str = "buffer") -> Buffer:
-        """Allocate an uninitialised device buffer."""
-        return self.device.allocate(size_words, name=name)
-
     def queue(self) -> "CommandQueue":
         """Create a command queue on this context's device."""
         return CommandQueue(self)
@@ -69,7 +65,3 @@ class CommandQueue:
                                local_size=local_size, **kwargs)
         self.history.append(result)
         return result
-
-    def last_result(self) -> Optional[LaunchResult]:
-        """The most recent launch result, if any."""
-        return self.history[-1] if self.history else None

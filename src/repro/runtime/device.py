@@ -31,8 +31,8 @@ class Device:
     # ------------------------------------------------------------------ hardware queries
     @property
     def engine(self) -> str:
-        """Simulation engine driving this device (``"reference"``, ``"fast"``
-        or ``"batch"``).
+        """Simulation engine driving this device (``"fast"`` by default,
+        ``"reference"`` -- the oracle -- or ``"batch"``).
 
         All engines produce bit-identical results (cycles, counters, output
         buffers); ``fast`` and ``batch`` are simply quicker.  See

@@ -81,22 +81,6 @@ class NDRange:
             return self.local_size
         return self.global_size - self.local_size * (self.num_workgroups - 1)
 
-    def with_local_size(self, local_size: int) -> "NDRange":
-        """Same global size with a different lws."""
-        return NDRange(self.global_dims, local_size)
-
-    def unflatten(self, gid: int) -> Tuple[int, ...]:
-        """Convert a flattened global id back to N-dimensional coordinates (row-major)."""
-        if not (0 <= gid < self.global_size):
-            raise LaunchError(f"global id {gid} outside global size {self.global_size}")
-        coords = []
-        remainder = gid
-        for dim in reversed(self.global_dims[1:]):
-            coords.append(remainder % dim)
-            remainder //= dim
-        coords.append(remainder)
-        return tuple(reversed(coords))
-
     def __str__(self) -> str:  # pragma: no cover - convenience
         dims = "x".join(str(d) for d in self.global_dims)
         return f"NDRange(gws={dims} ({self.global_size}), lws={self.local_size})"

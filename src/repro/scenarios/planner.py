@@ -286,8 +286,8 @@ class Planner:
                         if progress is not None:
                             progress(completed[0], total_pending, outcome)
 
-                # The engine rides the runner call (pinned per job wherever
-                # it executes), so the runner's executor -- and its warm
+                # The engine rides the runner call (and each task it
+                # sends), so the runner's executor -- and its warm
                 # local or connected fleet -- survives across
                 # engine-grouped shards instead of being rebuilt per shard.
                 try:
@@ -390,7 +390,7 @@ class Planner:
         """Yield one ``(engine, jobs)`` shard per engine group, in first-seen order.
 
         Grouping by engine keeps each campaign-runner call homogeneous (the
-        engine is passed per call and pinned around every job, wherever it
+        engine is passed per call and travels with every task, wherever it
         executes).  The runner's executor -- and its warm worker pool -- is
         shared across all of a submission's shards, and the per-job progress
         hook already streams the sink, so a group is never split further.

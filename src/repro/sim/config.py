@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.isa.latencies import OpTiming
 from repro.isa.opcodes import Opcode
@@ -61,7 +61,8 @@ class ArchConfig:
 
     # runtime / launch costs.  The launch overhead is the driver + spawn cost
     # every sequential kernel call pays; 32 cycles keeps the lws=1 penalty in
-    # the same range the paper reports for Vortex (see EXPERIMENTS.md).
+    # the same range the paper reports for Vortex (claim C1, which the
+    # `claims` scenario reports beside the paper's value; README "Scenarios").
     kernel_launch_overhead: int = 32
     warp_spawn_cost: int = 1
     barrier_latency: int = 2
@@ -126,22 +127,6 @@ class ArchConfig:
             raise ConfigError(f"cannot parse configuration name {name!r} (expected like '4c8w8t')")
         cores, warps, threads = (int(g) for g in match.groups())
         return cls(cores=cores, warps_per_core=warps, threads_per_warp=threads, **overrides)
-
-    def with_shape(self, cores: int, warps_per_core: int, threads_per_warp: int) -> "ArchConfig":
-        """Return a copy with a different hardware-parallelism triple."""
-        return replace(self, cores=cores, warps_per_core=warps_per_core,
-                       threads_per_warp=threads_per_warp)
-
-    def scaled_memory(self, factor: float) -> "ArchConfig":
-        """Return a copy with cache capacities scaled by ``factor`` (rounded to lines)."""
-        def _scale(size: int, line: int, ways: int) -> int:
-            unit = line * ways
-            return max(unit, int(size * factor) // unit * unit)
-        return replace(
-            self,
-            l1_size_words=_scale(self.l1_size_words, self.l1_line_words, self.l1_ways),
-            l2_size_words=_scale(self.l2_size_words, self.l2_line_words, self.l2_ways),
-        )
 
     def describe(self) -> str:
         """Multi-line human readable summary used by reports and examples."""

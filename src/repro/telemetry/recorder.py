@@ -27,11 +27,18 @@ into a picklable payload that rides back on the job result, and the parent
 re-parented under the parent's currently open span, so a merged trace reads
 as one tree.  No locks, no shared memory, no divergence between the
 ``workers=1`` in-process path and the pool path.
+
+Pushed scopes belong to the thread that pushed them: two jobs executing at
+once on two threads of one process (the service's default) each record into
+their own.  The *base* scope, which exports and ``/metrics`` read, is shared
+by every thread; a thread with nothing pushed records into it.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
+import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -68,6 +75,13 @@ class _Scope:
         self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Dict] = {}
         self.stack: List[int] = []
+
+
+class _ThreadScopes(threading.local):
+    """The scopes one thread has pushed (empty: it records into the base)."""
+
+    def __init__(self):
+        self.pushed: List[_Scope] = []
 
 
 class _NullSpan:
@@ -124,8 +138,7 @@ class Recorder:
 
     def __init__(self, enabled: Optional[bool] = None):
         self.enabled = env_enabled() if enabled is None else enabled
-        self._scopes: List[_Scope] = [_Scope()]
-        self._next_id = 1
+        self.reset()
 
     # ------------------------------------------------------------------
     def configure_from_env(self) -> bool:
@@ -135,16 +148,16 @@ class Recorder:
 
     def reset(self) -> None:
         """Drop every recorded value and scope (tests, fresh sessions)."""
-        self._scopes = [_Scope()]
-        self._next_id = 1
+        self._base = _Scope()
+        self._local = _ThreadScopes()
+        self._ids = itertools.count(1)
 
     def _top(self) -> _Scope:
-        return self._scopes[-1]
+        pushed = self._local.pushed
+        return pushed[-1] if pushed else self._base
 
     def _next_span_id(self) -> int:
-        span_id = self._next_id
-        self._next_id += 1
-        return span_id
+        return next(self._ids)
 
     # ------------------------------------------------------------------ spans
     def span(self, name: str, **tags):
@@ -198,20 +211,17 @@ class Recorder:
         histogram["sum"] += value
         histogram["count"] += 1
 
-    def counter_value(self, name: str, default: float = 0.0) -> float:
-        """Current value of counter ``name`` in the active scope."""
-        return self._top().counters.get(name, default)
-
     # ------------------------------------------------------------------ scopes
     def push_scope(self) -> None:
-        """Start a fresh recording scope (a worker's per-job buffer)."""
-        self._scopes.append(_Scope())
+        """Start a fresh recording scope for this thread (a job's buffer)."""
+        self._local.pushed.append(_Scope())
 
     def pop_scope(self) -> Dict[str, object]:
-        """Close the top scope and return its picklable payload."""
-        if len(self._scopes) <= 1:
+        """Close this thread's top scope and return its picklable payload."""
+        pushed = self._local.pushed
+        if not pushed:
             raise RuntimeError("cannot pop the recorder's base scope")
-        scope = self._scopes.pop()
+        scope = pushed.pop()
         return {
             "spans": scope.spans,
             "counters": scope.counters,
@@ -238,7 +248,11 @@ class Recorder:
             "gauges": scope.gauges,
             "histograms": scope.histograms,
         }
-        self._scopes[-1] = _Scope()
+        pushed = self._local.pushed
+        if pushed:
+            pushed[-1] = _Scope()
+        else:
+            self._base = _Scope()
         return payload
 
     def merge(self, payload: Dict[str, object]) -> None:

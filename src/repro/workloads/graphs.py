@@ -10,7 +10,6 @@ matters for the mapping experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -43,11 +42,6 @@ class CsrGraph:
     def neighbours(self, node: int) -> np.ndarray:
         """Destination nodes of ``node``'s outgoing edges."""
         return self.col_idx[int(self.row_ptr[node]):int(self.row_ptr[node + 1])]
-
-    @property
-    def average_degree(self) -> float:
-        """Mean out-degree."""
-        return self.num_edges / self.num_nodes if self.num_nodes else 0.0
 
 
 def synthetic_graph(num_nodes: int, num_edges: int, seed: int = 0,

@@ -24,6 +24,7 @@ program whose behaviour is an exception would test exception parity instead
 
 from __future__ import annotations
 
+import os
 import random
 from typing import Mapping, Optional
 
@@ -36,7 +37,17 @@ from repro.kernels.values import Value
 from repro.runtime.device import Device
 from repro.runtime.launcher import launch_kernel
 from repro.sim.config import ArchConfig
-from repro.sim.engine import ENGINES
+from repro.sim.engine import ENGINE_ENV, ENGINES
+
+
+def engine_under_test() -> str:
+    """The engine a test that means "the oracle" runs on.
+
+    ``$REPRO_ENGINE`` when it is set -- each leg of CI's engine-equivalence
+    matrix checks its own engine against the same fixtures -- and the
+    ``reference`` oracle otherwise, whatever the library's default is.
+    """
+    return os.environ.get(ENGINE_ENV) or "reference"
 
 
 # ----------------------------------------------------------------------

@@ -45,11 +45,12 @@ from repro.campaign.dist import (
     run_worker,
 )
 from repro.campaign.cache import CACHE_FILE_NAME, read_cache_line
-from repro.campaign.executor import ExecutorTask
+from repro.campaign.executor import ExecutorCompletion, ExecutorTask
 from repro.campaign.journal import Journal
 from repro.campaign.worker import execute_job
 from repro.sim.config import ArchConfig
 from repro.sim.engine import ENGINE_ENV, EngineError
+from repro.sim.gpu import Gpu
 
 CONFIG = ArchConfig.from_name("2c2w4t")
 
@@ -65,6 +66,27 @@ def stripped(outcome) -> dict:
     payload = outcome.to_dict()
     payload.pop("elapsed_seconds", None)
     return payload
+
+
+def engine_spy(monkeypatch, barrier=None) -> dict:
+    """Record, per thread, the engine of every ``Gpu`` built from now on.
+
+    With a ``barrier``, every thread waits on it before and after building,
+    so all the builds run while no thread can have moved on.
+    """
+    original = Gpu.__init__
+    engines: dict = {}
+
+    def spying(gpu, *args, **kwargs):
+        if barrier is not None:
+            barrier.wait()
+        original(gpu, *args, **kwargs)
+        if barrier is not None:
+            barrier.wait()
+        engines.setdefault(threading.get_ident(), []).append(gpu.engine)
+
+    monkeypatch.setattr(Gpu, "__init__", spying)
+    return engines
 
 
 def fleet_pids() -> list:
@@ -731,14 +753,17 @@ class TestPersistentLocalPool:
             assert set(fleet_pids()) - before == workers
 
     def test_engine_pin_restores_the_environment(self, monkeypatch):
+        # The engine is an argument: the job runs on it, and os.environ is
+        # never written, so there is nothing to restore.
+        engines = engine_spy(monkeypatch)
         monkeypatch.setenv(ENGINE_ENV, "reference")
-        outcome = execute_job(spec(seed=0), engine="fast")
-        assert isinstance(outcome, JobResult)
-        assert os.environ[ENGINE_ENV] == "reference"
+        before = dict(os.environ)
+        assert isinstance(execute_job(spec(seed=0), engine="fast"), JobResult)
+        assert dict(os.environ) == before
         monkeypatch.delenv(ENGINE_ENV)
-        outcome = execute_job(spec(seed=0), engine="batch")
-        assert isinstance(outcome, JobResult)
+        assert isinstance(execute_job(spec(seed=0), engine="batch"), JobResult)
         assert ENGINE_ENV not in os.environ
+        assert list(engines.values()) == [["fast", "batch"]]
 
     def test_without_cache_borrows_the_executor(self, tmp_path):
         runner = CampaignRunner(workers=2, cache=ResultCache(tmp_path / "c"))
@@ -748,6 +773,51 @@ class TestPersistentLocalPool:
         outcome = runner.run(Campaign("alive", specs=[spec(seed=0)]))
         assert outcome.stats.failed == 0
         runner.close()
+
+
+class TestEngineIsAnArgument:
+    def test_concurrent_jobs_each_run_on_their_own_engine(self, monkeypatch):
+        # Both jobs build their Gpu at the same moment, so an engine carried
+        # by process state would reach both as whichever was written last.
+        engines = engine_spy(monkeypatch, threading.Barrier(2, timeout=30))
+        before = dict(os.environ)
+        outcomes = {}
+
+        def run(engine, seed):
+            outcomes[engine] = execute_job(spec(seed=seed), engine=engine)
+
+        threads = [threading.Thread(target=run, args=pinned)
+                   for pinned in (("fast", 0), ("reference", 1))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert all(isinstance(o, JobResult) for o in outcomes.values())
+        assert sorted(engines.values()) == [["fast"], ["reference"]]
+        assert dict(os.environ) == before
+
+    def test_runner_names_the_engine_on_every_task(self, monkeypatch):
+        # run() without engine= still sends a concrete name, so a remote
+        # worker runs the coordinator's engine, not its own default.
+        class Recording:
+            def __init__(self):
+                self.tasks = []
+
+            def execute(self, tasks):
+                self.tasks.extend(tasks)
+                for task in tasks:
+                    yield ExecutorCompletion(task.index, execute_job(
+                        task.spec, engine=task.engine))
+
+            def close(self):
+                pass
+
+        monkeypatch.setenv(ENGINE_ENV, "reference")
+        executor = Recording()
+        outcome = CampaignRunner(executor=executor).run(
+            Campaign("named", specs=[spec(seed=0), spec(seed=1)]))
+        assert outcome.stats.failed == 0
+        assert [task.engine for task in executor.tasks] == ["reference"] * 2
 
 
 # ----------------------------------------------------------------------

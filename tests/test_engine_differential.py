@@ -385,16 +385,13 @@ def test_engine_absent_from_campaign_hash_payload():
         assert engine not in flattened.replace("reproduce", "")
 
 
-def test_campaign_hash_and_results_identical_across_engines(monkeypatch):
+def test_campaign_hash_and_results_identical_across_engines():
     """A worker running under either engine produces the same hash -> record."""
     from repro.campaign.worker import run_spec
 
     spec = JobSpec(problem="vecadd", config=ArchConfig.from_name("1c2w4t"),
                    scale="smoke", seed=0)
-    records = {}
-    for engine in ENGINES:
-        monkeypatch.setenv("REPRO_ENGINE", engine)
-        records[engine] = run_spec(spec)
+    records = {engine: run_spec(spec, engine) for engine in ENGINES}
     reference = records["reference"]
     for engine in ENGINES:
         record = records[engine]

@@ -13,7 +13,8 @@ diff alongside the change::
 
 The snapshots are engine-independent by construction (the engines are
 bit-identical, see ``tests/test_engine_differential.py``), so the same
-fixtures serve ``REPRO_ENGINE=reference`` and ``REPRO_ENGINE=fast`` runs.
+fixtures serve every ``REPRO_ENGINE``; without one the grid runs on the
+``reference`` oracle, not the library's default.
 """
 
 import json
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from engine_fixtures import engine_under_test
 from repro.runtime.device import Device
 from repro.runtime.launcher import launch_kernel
 from repro.sim.config import ArchConfig
@@ -42,7 +44,7 @@ def golden_path(problem_name: str) -> Path:
 def simulate_point(problem_name: str, config_name: str) -> dict:
     """Run one grid point and return its snapshot payload."""
     problem = make_problem(problem_name, scale=GOLDEN_SCALE, seed=GOLDEN_SEED)
-    device = Device(ArchConfig.from_name(config_name))
+    device = Device(ArchConfig.from_name(config_name), engine=engine_under_test())
     result = launch_kernel(device, problem.kernel, problem.arguments,
                            problem.global_size)
     return {

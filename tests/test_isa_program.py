@@ -73,25 +73,9 @@ def test_split_requires_both_targets():
         Program.link("split", instructions, labels={}, num_registers=1)
 
 
-def test_section_ranges_are_contiguous():
-    program = Program.link("sections", _simple_instructions(), labels={}, num_registers=3)
-    ranges = program.section_ranges()
-    assert ranges["init"] == [(0, 2)]
-    assert ranges["body"] == [(2, 3)]
-    assert ranges["exit"] == [(3, 4)]
-
-
 def test_sections_property_matches_instructions():
     program = Program.link("sections", _simple_instructions(), labels={}, num_registers=3)
     assert program.sections == ("init", "init", "body", "exit")
-
-
-def test_count_by_opcode():
-    program = Program.link("counts", _simple_instructions(), labels={}, num_registers=3)
-    counts = program.count_by_opcode()
-    assert counts[Opcode.LI] == 2
-    assert counts[Opcode.ADD] == 1
-    assert counts[Opcode.HALT] == 1
 
 
 def test_disassemble_lists_every_instruction_and_labels():

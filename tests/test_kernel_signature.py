@@ -41,10 +41,6 @@ def test_kernel_param_accessors():
         body=_noop_body,
     )
     assert [p.name for p in kernel.buffer_params] == ["a", "out"]
-    assert [p.name for p in kernel.scalar_params] == ["n"]
-    assert kernel.param_slot("out") == 1
-    with pytest.raises(KernelArgumentError):
-        kernel.param_slot("missing")
 
 
 def test_kernel_check_arguments_reports_missing_and_unexpected():

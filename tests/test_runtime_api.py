@@ -25,7 +25,6 @@ def test_enqueue_by_kernel_name_with_runtime_lws():
     result = queue.enqueue_nd_range("vecadd", {"a": a, "b": b, "c": np.zeros(n)}, n)
     np.testing.assert_allclose(result.outputs["c"], 3.0)
     assert result.local_size == 2          # ceil(32 / 16) from Eq. 1
-    assert queue.last_result() is result
     assert queue.history == [result]
 
 
@@ -43,11 +42,8 @@ def test_context_buffer_helpers():
     context = Context(CONFIG)
     buffer = context.buffer(np.arange(8.0), name="data")
     assert buffer.size_words == 8
-    empty = context.empty_buffer(16, name="scratch")
-    assert empty.size_words == 16
-    assert empty.address != buffer.address
 
 
 def test_queue_empty_history():
     queue = Context(CONFIG).queue()
-    assert queue.last_result() is None
+    assert queue.history == []

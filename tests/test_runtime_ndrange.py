@@ -52,24 +52,6 @@ def test_invalid_sizes_rejected():
         NDRange((1, 2, 3, 4), 1)
 
 
-def test_with_local_size_keeps_global_dims():
-    ndrange = NDRange((8, 8), 4)
-    other = ndrange.with_local_size(16)
-    assert other.global_dims == (8, 8)
-    assert other.local_size == 16
-    assert ndrange.local_size == 4
-
-
-def test_unflatten_row_major():
-    ndrange = NDRange((4, 8), 1)       # dims (y, x) -> row-major
-    assert ndrange.unflatten(0) == (0, 0)
-    assert ndrange.unflatten(7) == (0, 7)
-    assert ndrange.unflatten(8) == (1, 0)
-    assert ndrange.unflatten(31) == (3, 7)
-    with pytest.raises(LaunchError):
-        ndrange.unflatten(32)
-
-
 def test_workgroup_sizes_sum_to_global_size():
     for gws, lws in ((128, 16), (100, 32), (7, 3), (4096, 5)):
         ndrange = NDRange(gws, lws)

@@ -172,10 +172,10 @@ class TestPlanner:
 
         real_run_spec = worker.run_spec
 
-        def flaky(spec):
+        def flaky(spec, engine=None):
             if spec.config.name == "2c2w4t":
                 raise ValueError("injected failure")
-            return real_run_spec(spec)
+            return real_run_spec(spec, engine)
 
         monkeypatch.setattr(worker, "run_spec", flaky)
         scenario = tiny_scenario()

@@ -87,21 +87,6 @@ def test_negative_overheads_rejected():
         ArchConfig(kernel_launch_overhead=-1)
 
 
-def test_with_shape_preserves_other_parameters():
-    base = ArchConfig(dram_latency=321)
-    derived = base.with_shape(8, 4, 2)
-    assert derived.cores == 8 and derived.warps_per_core == 4 and derived.threads_per_warp == 2
-    assert derived.dram_latency == 321
-    assert base.cores == 1           # original untouched (frozen)
-
-
-def test_scaled_memory_keeps_line_alignment():
-    config = ArchConfig().scaled_memory(0.5)
-    assert config.l1_size_words % (config.l1_line_words * config.l1_ways) == 0
-    assert config.l2_size_words % (config.l2_line_words * config.l2_ways) == 0
-    assert config.l1_size_words <= ArchConfig().l1_size_words
-
-
 def test_describe_mentions_the_key_parameters():
     text = ArchConfig(cores=2, warps_per_core=4, threads_per_warp=8).describe()
     assert "2c4w8t" in text

@@ -2,6 +2,7 @@
 
 import pytest
 
+from engine_fixtures import engine_under_test
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
@@ -38,7 +39,7 @@ def _store_core_id_program():
 
 
 def test_run_call_with_no_launches_is_a_noop():
-    gpu = Gpu(ArchConfig())
+    gpu = Gpu(ArchConfig(), engine=engine_under_test())
     program = _store_core_id_program()
     result = gpu.run_call(program, [])
     assert result.cycles == 0
@@ -46,7 +47,7 @@ def test_run_call_with_no_launches_is_a_noop():
 
 def test_run_call_executes_warps_on_their_assigned_cores():
     config = ArchConfig(cores=3, warps_per_core=2, threads_per_warp=4)
-    gpu = Gpu(config)
+    gpu = Gpu(config, engine=engine_under_test())
     program = _store_core_id_program()
     launches = [WarpLaunch(core_id=c, warp_id=0, csr=_csr(config, core_id=c), active_lanes=4)
                 for c in range(3)]
@@ -63,10 +64,10 @@ def test_cores_execute_in_parallel_not_serially():
     config4 = ArchConfig(cores=4, warps_per_core=1, threads_per_warp=4)
     program = _store_core_id_program()
 
-    gpu1 = Gpu(config1)
+    gpu1 = Gpu(config1, engine=engine_under_test())
     single = gpu1.run_call(program, [WarpLaunch(0, 0, _csr(config1), 4)])
 
-    gpu4 = Gpu(config4)
+    gpu4 = Gpu(config4, engine=engine_under_test())
     launches = [WarpLaunch(core_id=c, warp_id=0, csr=_csr(config4, core_id=c), active_lanes=4)
                 for c in range(4)]
     quad = gpu4.run_call(program, launches)
@@ -77,7 +78,7 @@ def test_cores_execute_in_parallel_not_serially():
 
 def test_invalid_core_or_warp_targets_are_rejected():
     config = ArchConfig(cores=1, warps_per_core=1, threads_per_warp=2)
-    gpu = Gpu(config)
+    gpu = Gpu(config, engine=engine_under_test())
     program = _store_core_id_program()
     with pytest.raises(SimulationError, match="core"):
         gpu.run_call(program, [WarpLaunch(5, 0, _csr(config), 2)])
@@ -87,7 +88,7 @@ def test_invalid_core_or_warp_targets_are_rejected():
 
 def test_max_cycles_guard_triggers():
     config = ArchConfig(cores=1, warps_per_core=1, threads_per_warp=2)
-    gpu = Gpu(config)
+    gpu = Gpu(config, engine=engine_under_test())
     # an infinite loop: JMP to itself
     program = Program.link(
         "spin",
@@ -132,7 +133,7 @@ def test_loop_guards_raise_the_same_error_under_every_engine():
 
 def test_counters_are_populated():
     config = ArchConfig(cores=2, warps_per_core=1, threads_per_warp=4)
-    gpu = Gpu(config)
+    gpu = Gpu(config, engine=engine_under_test())
     program = _store_core_id_program()
     launches = [WarpLaunch(core_id=c, warp_id=0, csr=_csr(config, core_id=c), active_lanes=4)
                 for c in range(2)]
@@ -162,7 +163,7 @@ def test_idle_skip_matches_dense_simulation_cycle_count():
     program = b.link()
 
     config = ArchConfig(cores=1, warps_per_core=1, threads_per_warp=2)
-    gpu = Gpu(config)
+    gpu = Gpu(config, engine=engine_under_test())
     gpu_result = gpu.run_call(program, [WarpLaunch(0, 0, _csr(config), 2)])
 
     from tests.simt_harness import run_program
@@ -172,7 +173,7 @@ def test_idle_skip_matches_dense_simulation_cycle_count():
 
 def test_memory_system_reset_between_launches():
     config = ArchConfig(cores=1, warps_per_core=1, threads_per_warp=2)
-    gpu = Gpu(config)
+    gpu = Gpu(config, engine=engine_under_test())
     b = KernelBuilder("loader")
     value = b.load(b.const(0), 0)
     b.store(value, b.const(0), 1)

@@ -11,6 +11,7 @@ structured stderr logger.
 import json
 import logging
 import sys
+import threading
 
 import pytest
 
@@ -121,7 +122,6 @@ class TestRecorderEnabled:
         recorder.observe("wait", 1000.0)      # beyond the last bound -> +Inf
         snapshot = recorder.snapshot()
         assert snapshot["counters"]["jobs"] == 3
-        assert recorder.counter_value("jobs") == 3
         assert snapshot["gauges"]["last"] == 7.0
         histogram = snapshot["histograms"]["wait"]
         assert histogram["count"] == 2
@@ -169,6 +169,48 @@ class TestScopesAndMerge:
         histogram = parent.snapshot()["histograms"]["walk"]
         assert histogram["count"] == 2                # bucket-wise merge
         assert histogram["sum"] == pytest.approx(0.03)
+
+    def test_concurrent_jobs_on_two_threads_keep_their_own_scopes(
+            self, telemetry_on, monkeypatch):
+        # Both jobs sit inside an open "phase" span at the same moment, and
+        # job A finishes first: neither may push, record into or pop the
+        # other's scope.
+        import repro.campaign.worker as worker
+
+        both_open = threading.Barrier(2, timeout=30)
+        b_may_finish = threading.Event()
+        real_run_spec = worker.run_spec
+
+        def phased(job_spec, engine=None):
+            with RECORDER.span("phase", seed=job_spec.seed):
+                both_open.wait()
+                if job_spec.seed == 1:
+                    assert b_may_finish.wait(timeout=30)
+                return real_run_spec(job_spec, engine)
+
+        monkeypatch.setattr(worker, "run_spec", phased)
+        specs = {"A": spec(seed=0), "B": spec(seed=1)}
+        outcomes = {}
+
+        def run(name):
+            outcomes[name] = worker.execute_job(specs[name])
+            if name == "A":
+                b_may_finish.set()
+
+        threads = [threading.Thread(target=run, args=(name,)) for name in specs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        for name, job_spec in specs.items():
+            payload = outcomes[name].telemetry["spans"]
+            assert sorted(s["name"] for s in payload) == ["job.execute", "phase"]
+            job, phase = sorted(payload, key=lambda s: s["name"])
+            assert job["tags"]["job_hash"] == job_spec.content_hash()
+            assert phase["tags"]["seed"] == job_spec.seed
+            assert job["parent"] is None
+            assert phase["parent"] == job["id"]
+        assert RECORDER.snapshot()["spans"] == []     # base scope untouched
 
     def test_merge_into_a_disabled_recorder_is_a_no_op(self):
         recorder = Recorder(enabled=False)

@@ -75,7 +75,6 @@ class TestGraphs:
         # degrees sum to edge count and match the accessors
         assert sum(graph.degree(v) for v in range(100)) == 400
         assert len(graph.neighbours(0)) == graph.degree(0)
-        assert graph.average_degree == pytest.approx(4.0)
 
     def test_graph_is_reproducible(self):
         a = synthetic_graph(64, 256, seed=1)
