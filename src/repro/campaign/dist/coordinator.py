@@ -176,6 +176,10 @@ class _Worker:
 class DistributedExecutor:
     """Work-stealing multi-host executor; see the module docstring.
 
+    The owner must call :meth:`close`: each coordinator thread runs a bound
+    method, so once they start the executor stays reachable and garbage
+    collection never ends its threads, sockets or workers.
+
     Parameters
     ----------
     host, port:
@@ -584,18 +588,14 @@ class DistributedExecutor:
         for thread in self._threads:
             thread.join(timeout=5.0)      # backstop; every loop was woken
 
-    def __del__(self):  # best-effort: don't leak sockets or processes
-        try:
-            self.close()
-        except Exception:  # pragma: no cover - interpreter teardown
-            pass
-
 
 class LocalFleet(DistributedExecutor):
     """A fleet whose hosts are all this one: forked workers, no listener,
     so no other process can say ``hello`` and hand the runner results to
     journal.  Nobody can join late either: once the last worker is lost,
-    ``execute()`` fails what is queued at once, naming that worker.
+    ``execute()`` fails what is queued at once, naming that worker.  Its
+    owner is a :class:`~repro.campaign.executor.LocalExecutor`, which closes
+    it.
     """
 
     def _listen(self, host: str, port: int) -> None:

@@ -8,6 +8,7 @@ Exposes the library's main workflows without writing Python::
     python -m repro scenario run figure1 --fresh
     python -m repro scenario run figure2 --kernels vecadd,sgemm --sweep smoke --workers 4
     python -m repro scenario run scaling --scale smoke --workers 4
+    python -m repro scenario run figure2 --listen 0.0.0.0:7070 --workers 0 --wait-workers 2
     python -m repro scenario resume scaling --scale smoke
     python -m repro scenario report scaling --scale smoke
     python -m repro campaign status
@@ -38,9 +39,11 @@ grids expand to content-addressed jobs, results stream to a JSONL sink (so
 interrupted runs resume, and ``scenario report`` re-renders without
 simulating), and the campaign engine supplies parallel workers plus the
 persistent result cache (``~/.cache/repro`` by default, overridden by
-``REPRO_CACHE_DIR`` or ``--cache-dir``).  ``--executor dist`` runs the same
-grid on a fleet of ``repro worker`` processes.  ``campaign status`` and
-``campaign clear-cache`` inspect and reset that cache.
+``REPRO_CACHE_DIR`` or ``--cache-dir``).  ``--workers N`` runs a grid on N
+simulators forked from this process; ``--listen HOST:PORT`` also lets
+``repro worker --connect`` processes on other hosts join that fleet.
+``campaign status`` and ``campaign clear-cache`` inspect and reset that
+cache.
 
 ``warehouse`` is the SQL analytics tier over everything the journals have
 recorded: ``sync`` ingests the cache, sink *and telemetry* journals
@@ -75,6 +78,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 from repro.campaign.cache import CACHE_DIR_ENV, ResultCache
+from repro.campaign.executor import LocalExecutor
 from repro.campaign.runner import CampaignRunner
 from repro.core.advisor import TuningAdvisor
 from repro.core.optimizer import optimal_local_size
@@ -112,8 +116,6 @@ from repro.telemetry.recorder import RECORDER, TELEMETRY_ENV
 from repro.warehouse import (
     CANNED,
     WarehouseError,
-    WarehouseSinkView,
-    journal_synced,
     open_store,
     parity_check,
     rebuild as warehouse_rebuild,
@@ -165,8 +167,7 @@ def _machine(text: str) -> ArchConfig:
 def _address(text: str) -> Tuple[str, int]:
     """An argparse ``type=`` for a ``HOST:PORT`` address -> ``(host, port)``.
 
-    Defaults are given pre-split, so argparse never calls this for them and
-    only an explicit address imports the fleet package.
+    Only an explicit address imports the fleet package.
     """
     from repro.campaign.dist import parse_address
 
@@ -204,36 +205,34 @@ def _grid_options() -> argparse.ArgumentParser:
     return parent
 
 
-def _executor_options(wait_workers: bool = True) -> argparse.ArgumentParser:
-    """The distributed-execution flags shared by every run command.
+def _fleet_options(count_flag: str,
+                   wait_workers: bool = True) -> argparse.ArgumentParser:
+    """The fleet flags shared by every run command.
 
-    ``--executor local`` (the default) runs on this host: in-process, or on
-    a local fleet forked from this process (``--workers``/``--sim-workers``);
-    ``--executor dist`` starts a work-stealing coordinator in this process
-    and executes on whatever ``repro worker`` processes join it.
+    ``count_flag`` (``--workers`` on ``scenario run``/``resume``,
+    ``--sim-workers`` on ``serve``) is the number of simulators on this
+    host; ``--listen`` also admits ``repro worker --connect`` joins.  A
+    count of 0 and ``--wait-workers`` need ``--listen``
+    (:func:`_check_fleet_flags`).
     """
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--executor", choices=("local", "dist"),
-                        default="local",
-                        help="where jobs execute: this host, on worker "
-                             "processes forked from this one (local, default) "
-                             "or a worker fleet other hosts can join (dist)")
-    parent.add_argument("--listen", type=_address, default=("127.0.0.1", 0),
-                        help="with --executor dist: coordinator bind address "
-                             "as HOST:PORT (default 127.0.0.1:0 -- a free "
-                             "port, logged at startup)")
-    parent.add_argument("--dist-workers", type=_int_at_least(0), default=0,
+    parent.add_argument(count_flag, type=_int_at_least(0), default=1,
                         metavar="N",
-                        help="with --executor dist: also start N worker "
-                             "processes from this one, forked on Linux "
-                             "(default 0 -- workers join via `repro worker "
-                             "--connect`)")
+                        help="simulators on this host (default 1: "
+                             "in-process; N > 1 forks N worker processes "
+                             "from this one; 0, with --listen, leaves the "
+                             "work to workers that join)")
+    parent.add_argument("--listen", type=_address, default=None,
+                        metavar="HOST:PORT",
+                        help="also admit `repro worker --connect HOST:PORT` "
+                             "joins from any host (PORT 0 picks a free one, "
+                             "logged at startup)")
     if wait_workers:
         parent.add_argument("--wait-workers", type=_int_at_least(0),
                             default=None, metavar="N",
-                            help="with --executor dist: block until N workers "
-                                 "have joined before running (default: the "
-                                 "--dist-workers count)")
+                            help=f"with --listen: block until N workers have "
+                                 f"joined before running (default: the "
+                                 f"{count_flag} count)")
     return parent
 
 
@@ -274,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     grid = _grid_options()
     cache = _cache_options()
-    executor = _executor_options()
+    fleet = _fleet_options("--workers")
 
     info = sub.add_parser("info", help="describe a machine and the Eq.-1 mapping for a launch")
     info.add_argument("--config", type=_machine, default="4c8w8t",
@@ -296,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign",
         help="inspect or clear the persistent, content-addressed result cache",
         description="Every grid runs with `repro scenario run` (add "
-                    "`--executor dist` for a worker fleet): each (kernel, "
+                    "`--listen HOST:PORT` for a worker fleet): each (kernel, "
                     "machine, lws, seed) point is hashed and served from this "
                     "cache when already simulated.  These commands show and "
                     "reset the cache.",
@@ -332,12 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     for verb, help_text in (
             ("run", "execute a scenario (resumes from its sink unless --fresh)"),
             ("resume", "continue an interrupted scenario run from its sink")):
-        sparser = scenario_sub.add_parser(verb, parents=[grid, cache, executor],
+        sparser = scenario_sub.add_parser(verb, parents=[grid, cache, fleet],
                                           help=help_text)
         sparser.set_defaults(kernels=None, sweep=None, scale=None)
         sparser.add_argument("name", help="registered scenario name (see 'scenario list')")
-        sparser.add_argument("--workers", type=_positive_int, default=1,
-                             help="worker processes for fresh points (default 1)")
         sparser.add_argument("--sink", default=None,
                              help="JSONL sink path (default: "
                                   "scenario-runs/<name>-<scale>.jsonl, "
@@ -357,13 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     sreport.add_argument("--sink", default=None,
                          help="JSONL sink path (default: "
                               "scenario-runs/<name>-<scale>.jsonl)")
-    sreport.add_argument("--source", choices=("auto", "journal", "warehouse"),
-                         default="auto",
-                         help="where the records come from: the JSONL sink, the "
-                              "synced warehouse, or auto (warehouse when it fully "
-                              "covers the sink, journal otherwise; default)")
-    sreport.add_argument("--db", default=None,
-                         help="warehouse database path (for --source warehouse/auto)")
     sreport.add_argument("--json", action="store_true",
                          help="emit the run (stats + per-point records) as "
                               "JSON instead of the human report")
@@ -463,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write to a file instead of stdout")
 
     serve = sub.add_parser(
-        "serve", parents=[_executor_options(wait_workers=False)],
+        "serve", parents=[_fleet_options("--sim-workers", wait_workers=False)],
         help="run the simulation-as-a-service HTTP API",
         description="Serve the async job API over the campaign stack: "
                     "POST /jobs submits a scenario name or an ad-hoc grid, "
@@ -483,9 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind port (default 8321; 0 picks a free one)")
     serve.add_argument("--workers", type=_positive_int, default=2,
                        help="concurrent jobs in flight (default 2)")
-    serve.add_argument("--sim-workers", type=_positive_int, default=1,
-                       help="simulator processes in the one pool every "
-                            "job shares (default 1: in-process)")
     serve.add_argument("--queue-dir", default=None,
                        help="service state directory (default ./service, "
                             f"honouring ${SERVICE_DIR_ENV})")
@@ -505,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
         "worker",
         help="join a distributed campaign fleet",
         description="Connect to a coordinator started with `repro scenario "
-                    "run NAME --executor dist --listen HOST:PORT` (or `repro "
-                    "serve --executor dist`) and simulate whatever chunks it "
+                    "run NAME --listen HOST:PORT` (or `repro serve --listen "
+                    "HOST:PORT`) and simulate whatever chunks it "
                     "serves: pull-based stealing, heartbeat liveness; the "
                     "coordinator alone reads and writes the result cache.  "
                     "The process exits when the coordinator shuts the fleet "
@@ -622,30 +609,49 @@ def _cmd_campaign(args) -> int:
     return 0
 
 
-def _make_executor(args, wait_workers: Optional[int] = None):
-    """The ``--executor dist`` coordinator, or ``None`` for the local path.
+def _check_fleet_flags(parser: argparse.ArgumentParser, args) -> None:
+    """Exit 2 on fleet flags that need ``--listen`` but lack it: with no
+    listener nobody can join, so 0 local simulators would run nothing and
+    ``--wait-workers`` would wait for nobody."""
+    if not hasattr(args, "listen") or args.listen is not None:
+        return
+    count_flag, count = (("--sim-workers", args.sim_workers)
+                         if args.command == "serve"
+                         else ("--workers", args.workers))
+    if count == 0:
+        parser.error(f"argument {count_flag}: 0 needs --listen")
+    if getattr(args, "wait_workers", None) is not None:
+        parser.error("argument --wait-workers: needs --listen")
 
-    Starts the coordinator on ``--listen``, optionally starts
-    ``--dist-workers`` local worker processes from this one (forked on
-    Linux), and blocks for ``wait_workers`` joins (default: the local ones)
-    so the work starts against a known fleet.  The caller owns the returned
-    executor and must ``close()`` it.
+
+def _make_executor(listen: Optional[Tuple[str, int]], workers: int,
+                   wait_workers: Optional[int] = None):
+    """The executor a run command's jobs execute on; the caller closes it.
+
+    Without ``listen``: a :class:`LocalExecutor` of ``workers`` (1 runs
+    in-process).  With it: a :class:`~repro.campaign.dist.DistributedExecutor`
+    bound there, ``workers`` worker processes forked from this one, and a
+    wait for ``wait_workers`` joins (default: the forked ones), so the work
+    starts against a known fleet.
     """
-    if args.executor != "dist":
-        return None
+    if listen is None:
+        return LocalExecutor(workers=workers)
     from repro.campaign.dist import DistributedExecutor, format_address
 
-    host, port = args.listen
-    dist_executor = DistributedExecutor(host=host, port=port)
-    _LOG.info("distributed coordinator listening",
-              listen=format_address(dist_executor.address))
-    if args.dist_workers:
-        dist_executor.spawn_local_workers(args.dist_workers)
-    expected = wait_workers if wait_workers is not None else args.dist_workers
-    if expected:
-        dist_executor.wait_for_workers(expected)
-        _LOG.info("worker fleet ready", workers=dist_executor.worker_count)
-    return dist_executor
+    executor = DistributedExecutor(*listen)
+    try:
+        _LOG.info("distributed coordinator listening",
+                  listen=format_address(executor.address))
+        if workers:
+            executor.spawn_local_workers(workers)
+        expected = workers if wait_workers is None else wait_workers
+        if expected:
+            executor.wait_for_workers(expected)
+            _LOG.info("worker fleet ready", workers=executor.worker_count)
+    except BaseException:
+        executor.close()
+        raise
+    return executor
 
 
 # ----------------------------------------------------------------------
@@ -730,28 +736,6 @@ def _import_scenario_modules() -> None:
             importlib.import_module(module)
 
 
-def _report_source(args, sink: ResultSink):
-    """Where ``scenario report`` reads records from: sink or warehouse.
-
-    ``--source warehouse`` demands the synced store (and errors when the
-    sink journal is not fully ingested -- serving a stale projection would
-    silently drop recent records).  ``--source auto`` prefers the warehouse
-    exactly when it fully covers the sink file, so a freshly appended
-    journal transparently falls back to the JSONL path until the next sync.
-    """
-    if args.source == "journal":
-        return sink
-    store = open_store(args.db)
-    if journal_synced(store, sink.path):
-        return WarehouseSinkView(store, sink.path)
-    store.close()
-    if args.source == "warehouse":
-        raise WarehouseError(
-            f"the warehouse does not (fully) cover {sink.path}; run "
-            f"`repro warehouse sync` first, or use --source journal")
-    return sink
-
-
 def _cmd_scenario(args) -> int:
     _import_scenario_modules()
     if args.scenario_command == "list":
@@ -775,20 +759,14 @@ def _cmd_scenario(args) -> int:
     sink = ResultSink(args.sink if args.sink else default_sink_path(scenario.name, scale))
 
     if args.scenario_command == "report":
-        planner = Planner()
-        source = None
         try:
-            source = _report_source(args, sink)
-            run = planner.load(scenario, context, sink=source)
+            run = Planner().load(scenario, context, sink=sink)
             print(json.dumps(run.payload(), indent=2) if args.json
                   else run.report())
             return 0
-        except (ScenarioError, WarehouseError) as error:
+        except ScenarioError as error:
             _LOG.error(f"error: {error}")
             return 1
-        finally:
-            if isinstance(source, WarehouseSinkView):
-                source.store.close()
 
     if args.scenario_command == "resume" and not sink.exists():
         _LOG.error(f"error: no sink at {sink.path} to resume from; "
@@ -799,10 +777,8 @@ def _cmd_scenario(args) -> int:
     # skip even loading its journal.
     use_cache = scenario.cacheable and not args.no_cache
     cache = ResultCache(args.cache_dir) if use_cache else None
-    dist_executor = _make_executor(args, args.wait_workers)
-    runner = CampaignRunner(workers=args.workers, cache=cache,
-                            executor=dist_executor)
-    planner = Planner(runner=runner)
+    executor = _make_executor(args.listen, args.workers, args.wait_workers)
+    planner = Planner(runner=CampaignRunner(cache=cache, executor=executor))
     fresh = bool(getattr(args, "fresh", False))
     reporter = _ProgressReporter(scenario.name) if args.progress else None
     try:
@@ -814,9 +790,7 @@ def _cmd_scenario(args) -> int:
     finally:
         if reporter is not None:
             reporter.finish()
-        runner.close()
-        if dist_executor is not None:
-            dist_executor.close()
+        executor.close()
     _LOG.info(f"scenario {scenario.name!r} ({scale}): {run.stats.render()}")
     _LOG.info(f"sink: {sink.path}")
     if cache is not None:
@@ -870,11 +844,10 @@ def _cmd_serve(args) -> int:
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
         use_cache=not args.no_cache,
         workers=args.workers,
-        sim_workers=args.sim_workers,
         rate=args.rate,
         burst=args.burst,
     )
-    service = Service(config, executor=_make_executor(args))
+    service = Service(config, _make_executor(args.listen, args.sim_workers))
     _LOG.info("service starting", host=args.host, port=args.port,
               queue=str(service.queue.path),
               cache=(str(service.cache.directory)
@@ -916,6 +889,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point used by ``python -m repro`` and the console script."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_fleet_flags(parser, args)
     configure_logging()
     # The engine and the telemetry switch are set in the environment once,
     # at process entry, rather than threaded through every command: a

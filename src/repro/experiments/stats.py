@@ -49,11 +49,6 @@ class RatioStats:
             "quartile_high": self.quartile_high,
         }
 
-    def paper_row(self) -> str:
-        """Render the three numbers the paper prints per violin."""
-        return (f"avg: {self.average:6.2f}  worse: {self.percent_below_one:5.1f}%  "
-                f"worst: {self.worst:5.2f}")
-
 
 def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
     """Linear-interpolation percentile of pre-sorted values."""

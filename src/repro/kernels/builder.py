@@ -421,8 +421,3 @@ class KernelBuilder:
             num_registers=self._next_register,
             metadata=metadata,
         )
-
-    @property
-    def instruction_count(self) -> int:
-        """Number of instructions emitted so far."""
-        return len(self._instructions)

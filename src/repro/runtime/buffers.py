@@ -40,7 +40,6 @@ class BufferAllocator:
         self._memory = memory
         self._alignment = alignment_words
         self._next_free = 0
-        self._allocations: list[Buffer] = []
 
     # ------------------------------------------------------------------
     @property
@@ -48,20 +47,9 @@ class BufferAllocator:
         """Words handed out so far (including alignment padding)."""
         return self._next_free
 
-    @property
-    def capacity_words(self) -> int:
-        """Total device memory capacity."""
-        return self._memory.size_words
-
-    @property
-    def allocations(self) -> tuple:
-        """Snapshot of every live allocation."""
-        return tuple(self._allocations)
-
     def reset(self) -> None:
         """Free every buffer (the memory contents are left untouched)."""
         self._next_free = 0
-        self._allocations.clear()
 
     # ------------------------------------------------------------------
     def allocate(self, size_words: int, name: str = "buffer") -> Buffer:
@@ -76,7 +64,6 @@ class BufferAllocator:
             )
         buffer = Buffer(name=name, address=aligned, size_words=size_words)
         self._next_free = aligned + size_words
-        self._allocations.append(buffer)
         return buffer
 
     def upload(self, data: np.ndarray, name: str = "buffer") -> Buffer:

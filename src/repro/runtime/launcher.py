@@ -51,11 +51,6 @@ class LaunchResult:
     dispatch: Optional[DispatchPlan] = None
     extrapolated: bool = False
 
-    @property
-    def cycles_per_workitem(self) -> float:
-        """Average cycles per work-item (latency / throughput hybrid metric)."""
-        return self.cycles / self.global_size if self.global_size else 0.0
-
     def summary(self) -> str:
         """One-line result summary for reports and examples."""
         return (

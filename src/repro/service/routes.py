@@ -10,10 +10,12 @@
 =======================  =====================================================
 
 :class:`Service` owns the long-lived pieces (queue, shared result cache,
-worker pool, event book, rate limiter) and :func:`create_app` binds them
-onto a :class:`~repro.service.server.App`.  Construction is cheap and lazy
--- the pool's workers only start inside :meth:`Service.startup` on the
-serving loop.
+worker pool, event book, rate limiter, and the executor its caller built --
+``repro serve`` builds it from ``--sim-workers`` and ``--listen``, the way
+``scenario run`` does) and :func:`create_app` binds them onto a
+:class:`~repro.service.server.App`.  Construction is cheap and lazy -- the
+pool's workers only start inside :meth:`Service.startup` on the serving
+loop.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.campaign.cache import ResultCache, default_cache_dir
-from repro.campaign.executor import LocalExecutor
+from repro.campaign.executor import Executor
 from repro.service.queue import JobQueue, default_service_dir
 from repro.service.rate_limit import RateLimiter
 from repro.service.schemas import validate_request
@@ -48,14 +50,12 @@ class ServiceConfig:
                  cache_dir: Optional[Path] = None,
                  use_cache: bool = True,
                  workers: int = 2,
-                 sim_workers: int = 1,
                  rate: float = 10.0,
                  burst: int = 20):
         self.queue_dir = Path(queue_dir) if queue_dir else default_service_dir()
         self.cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
         self.use_cache = use_cache
         self.workers = workers
-        self.sim_workers = sim_workers
         self.rate = rate
         self.burst = burst
 
@@ -63,25 +63,21 @@ class ServiceConfig:
 class Service:
     """One service instance: state + workers + the HTTP app over them.
 
-    ``executor`` is the shared :class:`~repro.campaign.executor.Executor`
-    every job runs on (``repro serve --executor dist`` passes its fleet
-    coordinator); ``None`` builds one
-    :class:`~repro.campaign.executor.LocalExecutor` of ``sim_workers`` for
-    the service's lifetime, so jobs share one warm local fleet instead of
-    each forking and joining its own.  The service owns it:
-    :meth:`shutdown` closes it.
+    ``executor`` is the one :class:`~repro.campaign.executor.Executor`
+    every job runs on for the service's lifetime, so jobs share one warm
+    fleet instead of each forking and joining its own.  The service owns
+    it: :meth:`shutdown` closes it.
     """
 
-    def __init__(self, config: Optional[ServiceConfig] = None, executor=None):
-        self.config = config or ServiceConfig()
+    def __init__(self, config: ServiceConfig, executor: Executor):
+        self.config = config
         self.queue = JobQueue(self.config.queue_dir / "jobs.jsonl")
         self.cache = (ResultCache(self.config.cache_dir)
                       if self.config.use_cache else None)
         self.limiter = RateLimiter(rate=self.config.rate,
                                    burst=self.config.burst)
         self.events = EventBook()
-        self.executor = (executor if executor is not None
-                         else LocalExecutor(workers=self.config.sim_workers))
+        self.executor = executor
         self.pool = WorkerPool(
             self.queue, self.events, self.executor,
             workers=self.config.workers,

@@ -20,9 +20,9 @@ tables to make analytics tractable).
   the warehouse rows equal to the loaders' own last-wins fold.  Every row is
   read through the rule the journal's client declares.
 * :mod:`~repro.warehouse.queries` -- canned analytics (``best-lws``,
-  ``speedup``, ``cache-trends``, ``scenarios``), guarded raw SQL, status
-  rendering, and the warehouse-backed sink view ``scenario report`` serves
-  from.
+  ``speedup``, ``cache-trends``, ``scenarios``), guarded raw SQL and status
+  rendering.  ``scenario report`` never reads the warehouse: a report reads
+  its sink alone.
 
 Quick start::
 
@@ -47,12 +47,9 @@ from repro.warehouse.ingest import (
 from repro.warehouse.queries import (
     CANNED,
     CannedQuery,
-    WarehouseSinkView,
-    journal_synced,
     render_status,
     run_canned,
     run_sql,
-    sink_records,
     status_payload,
     table_counts,
 )
@@ -84,18 +81,15 @@ __all__ = [
     "SyncReport",
     "WAREHOUSE_SCHEMA_VERSION",
     "WarehouseError",
-    "WarehouseSinkView",
     "default_warehouse_path",
     "discover_journals",
     "journal_id",
-    "journal_synced",
     "open_store",
     "parity_check",
     "rebuild",
     "render_status",
     "run_canned",
     "run_sql",
-    "sink_records",
     "status_payload",
     "sync",
     "table_counts",

@@ -17,11 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict
 
-from repro.campaign.journal import current_stamps, parse_line
-from repro.scenarios.sink import SinkRecord
-from repro.warehouse.ingest import journal_id
+from repro.campaign.journal import current_stamps
 from repro.warehouse.schema import RECORD_TABLES, VIEWS
 from repro.warehouse.store import QueryResult, ResultStore, WarehouseError
 
@@ -220,46 +218,3 @@ def status_payload(store: ResultStore) -> Dict[str, object]:
         "tables": table_counts(store),
         "journals": journals,
     }
-
-
-# ----------------------------------------------------------------------
-def journal_synced(store: ResultStore, path: Union[str, Path]) -> bool:
-    """True when ``path`` is fully ingested (offset covers the whole file)."""
-    target = Path(path)
-    if not target.exists():
-        return False
-    rows = store.query("SELECT offset FROM journals WHERE journal = ?",
-                       (journal_id(target),)).rows
-    return bool(rows) and rows[0][0] == target.stat().st_size
-
-
-def sink_records(store: ResultStore, path: Union[str, Path]) -> Dict[str, SinkRecord]:
-    """Reconstruct a sink's ``{key: SinkRecord}`` view from warehouse rows.
-
-    The current-version slice of ``scenario_runs`` for that journal, rebuilt
-    from the canonical JSON -- bit-equal to ``ResultSink(path).load()`` once
-    the journal is synced (that is exactly what the parity check proves), so
-    ``repro scenario report --source warehouse`` renders the identical
-    report without touching the JSONL file.
-    """
-    rows = store.query(
-        "SELECT key, raw FROM scenario_runs "
-        "WHERE journal = ? AND simulator = ? AND schema_version = ?",
-        (journal_id(path),) + current_stamps()).rows
-    return {key: SinkRecord.from_dict(parse_line(raw)) for key, raw in rows}
-
-
-class WarehouseSinkView:
-    """A read-only stand-in for :class:`~repro.scenarios.sink.ResultSink`.
-
-    Quacks like a sink as far as ``Planner.load`` cares (``load()`` and
-    ``path``), but serves the records from warehouse rows -- million-row
-    reports become one indexed SQL scan instead of a full JSONL re-parse.
-    """
-
-    def __init__(self, store: ResultStore, path: Union[str, Path]):
-        self.store = store
-        self.path = Path(path)
-
-    def load(self) -> Dict[str, SinkRecord]:
-        return sink_records(self.store, self.path)

@@ -4,6 +4,7 @@ import argparse
 import ast
 import itertools
 import json
+import multiprocessing
 import re
 import shlex
 from dataclasses import replace
@@ -114,10 +115,9 @@ def test_figure1_command(tmp_path, capsys, monkeypatch, update_golden):
     assert "`repro scenario run figure1 --fresh` renders the timelines" in resumed
 
 
-def test_sweep_and_report_round_trip(tmp_path, capsys, monkeypatch):
+def test_sweep_and_report_round_trip(tmp_path, capsys):
     """The figure2 sink is the one saved sweep: ``scenario report`` re-renders
     its tables, and the claims, from it without simulating."""
-    monkeypatch.setenv("REPRO_WAREHOUSE_PATH", str(tmp_path / "wh.sqlite"))
     cache = ["--cache-dir", str(tmp_path / "cache")]
     grid = ["--kernels", "vecadd", "--sweep", "smoke", "--scale", "smoke"]
     sink = ["--sink", str(tmp_path / "figure2.jsonl")]
@@ -137,8 +137,7 @@ def test_sweep_and_report_round_trip(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == claims
 
 
-def test_report_rejects_a_missing_file(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_WAREHOUSE_PATH", str(tmp_path / "wh.sqlite"))
+def test_report_rejects_a_missing_file(tmp_path, capsys):
     assert main(["scenario", "report", "figure2", "--scale", "smoke",
                  "--sink", str(tmp_path / "missing.jsonl")]) == 1
     captured = capsys.readouterr()
@@ -146,8 +145,7 @@ def test_report_rejects_a_missing_file(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
-def test_report_rejects_json_that_is_not_a_saved_sweep(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_WAREHOUSE_PATH", str(tmp_path / "wh.sqlite"))
+def test_report_rejects_json_that_is_not_a_saved_sweep(tmp_path, capsys):
     bogus = tmp_path / "bogus.json"
     bogus.write_text('"valid JSON, not sweep rows"')
     assert main(["scenario", "report", "figure2", "--scale", "smoke",
@@ -161,8 +159,7 @@ def test_report_rejects_json_that_is_not_a_saved_sweep(tmp_path, capsys, monkeyp
                                      '[{"problem": "vecadd"}]', '[1, 2]',
                                      'not json'])
 def test_scenario_report_rejects_a_file_that_is_not_a_sink(content, tmp_path,
-                                                           capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_WAREHOUSE_PATH", str(tmp_path / "wh.sqlite"))
+                                                           capsys):
     bogus = tmp_path / "bogus.json"
     bogus.write_text(content + "\n")
     assert main(["scenario", "report", "figure2", "--scale", "smoke",
@@ -186,6 +183,10 @@ def test_grid_commands_reject_unknown_kernels(command, tmp_path, capsys, monkeyp
     assert not (tmp_path / "runs").exists()         # rejected before any set-up
 
 
+#: Flags deleted from ``scenario run``/``resume``/``report`` and ``serve``.
+REMOVED_FLAGS = ("--executor", "--dist-workers", "--source")
+
+
 @pytest.mark.parametrize("argv", [
     ["info", "--gws", "0"],
     ["info", "--gws", "-5"],
@@ -194,16 +195,21 @@ def test_grid_commands_reject_unknown_kernels(command, tmp_path, capsys, monkeyp
     ["run", "vecadd", "--config", "banana"],
     ["run", "vecadd", "--lws", "0"],
     ["scenario", "run", "scaling", "--workers", "0"],
+    ["scenario", "run", "scaling", "--workers", "-1"],
+    ["scenario", "run", "scaling", "--wait-workers", "1"],
+    ["scenario", "resume", "scaling", "--wait-workers", "1"],
+    ["scenario", "run", "scaling", "--listen", "127.0.0.1:0",
+     "--wait-workers", "-1"],
     ["scenario", "run", "figure2", "--seed", "-1"],
-    ["scenario", "run", "scaling", "--executor", "dist", "--dist-workers", "-1"],
-    ["scenario", "run", "scaling", "--executor", "dist", "--wait-workers", "-1"],
+    ["scenario", "run", "scaling", "--executor", "dist", "--dist-workers", "2"],
+    ["scenario", "report", "scaling", "--source", "journal"],
     ["serve", "--workers", "0"],
     ["serve", "--sim-workers", "0"],
     ["serve", "--burst", "0"],
     ["serve", "--port", "-1"],
-    ["serve", "--executor", "dist", "--dist-workers", "-1"],
-    ["scenario", "run", "figure1", "--executor", "dist", "--listen", "banana"],
-    ["serve", "--executor", "dist", "--listen", "banana"],
+    ["serve", "--executor", "dist", "--dist-workers", "2"],
+    ["scenario", "run", "figure1", "--listen", "banana"],
+    ["serve", "--listen", "banana"],
     ["worker", "--connect", "banana"],
     ["worker", "--connect", "127.0.0.1:65536"],
     ["worker", "--connect", "127.0.0.1:1", "--max-tasks", "0"],
@@ -217,7 +223,13 @@ def test_bad_numbers_and_machine_names_are_usage_errors(argv, tmp_path, capsys,
         main(argv)
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
-    assert f"error: argument {argv[-2]}" in captured.err
+    removed = [index for index, token in enumerate(argv)
+               if token in REMOVED_FLAGS]
+    if removed:      # no aliases: the whole tail is what argparse refuses
+        assert (f"error: unrecognized arguments: "
+                f"{' '.join(argv[removed[0]:])}") in captured.err
+    else:
+        assert f"error: argument {argv[-2]}" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
     assert not (tmp_path / "cache").exists()        # rejected before any set-up
     assert not (tmp_path / "runs").exists()
@@ -278,8 +290,6 @@ def test_scenario_list_shows_all_registered_scenarios(capsys):
 
 def test_scenario_run_resume_report_cycle(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("REPRO_SCENARIO_DIR", str(tmp_path / "sinks"))
-    # `scenario report` opens the warehouse (--source auto): not the user's.
-    monkeypatch.setenv("REPRO_WAREHOUSE_PATH", str(tmp_path / "wh.sqlite"))
     cache_dir = str(tmp_path / "cache")
     base = ["scenario", "run", "scaling", "--scale", "smoke",
             "--cache-dir", cache_dir]
@@ -303,8 +313,8 @@ def test_scenario_run_resume_report_cycle(tmp_path, capsys, monkeypatch):
 
 def test_scenario_run_on_a_local_fleet_matches_the_local_run(tmp_path, capsys,
                                                               monkeypatch):
-    # --dist-workers forks the fleet from this process: its sink must hold
-    # the records a local run writes, wall-clock time aside.
+    # --listen with --workers 2 forks the fleet from this process: its sink
+    # must hold the records an in-process run writes, wall-clock time aside.
     from repro.scenarios.sink import ResultSink
 
     monkeypatch.setenv("REPRO_SCENARIO_DIR", str(tmp_path / "sinks"))
@@ -321,10 +331,24 @@ def test_scenario_run_on_a_local_fleet_matches_the_local_run(tmp_path, capsys,
         return loaded
 
     local = records("local", [])
-    fleet = records("fleet", ["--executor", "dist", "--dist-workers", "2"])
+    fleet = records("fleet", ["--listen", "127.0.0.1:0", "--workers", "2"])
     assert len(local) == 6
     assert fleet == local
     assert "worker fleet ready" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("listen", [[], ["--listen", "127.0.0.1:0"]],
+                         ids=["forked", "listening"])
+def test_a_run_leaves_no_fleet_worker_running(listen, tmp_path, capsys,
+                                              monkeypatch):
+    # The command that builds the executor closes it: no worker outlives
+    # main(), whether or not the fleet listened for joins.
+    monkeypatch.setenv("REPRO_SCENARIO_DIR", str(tmp_path / "sinks"))
+    assert main(["scenario", "run", "scaling", "--scale", "smoke",
+                 "--no-cache", "--workers", "2"] + listen) == 0
+    assert "| cores |" in capsys.readouterr().out
+    assert [child for child in multiprocessing.active_children()
+            if child.name == "repro-fleet-worker"] == []
 
 
 def test_scenario_run_rejects_unknown_name(capsys):
@@ -342,7 +366,6 @@ def test_scenario_resume_requires_an_existing_sink(tmp_path, capsys, monkeypatch
 
 def test_scenario_report_names_missing_jobs(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("REPRO_SCENARIO_DIR", str(tmp_path / "empty"))
-    monkeypatch.setenv("REPRO_WAREHOUSE_PATH", str(tmp_path / "wh.sqlite"))
     assert main(["scenario", "report", "scaling", "--scale", "smoke"]) == 1
     err = capsys.readouterr().err
     assert "0 of 6" in err
@@ -475,28 +498,35 @@ def test_warehouse_status_text_and_json(tmp_path, capsys, monkeypatch):
     assert exit_info.value.code == 2
 
 
-def test_scenario_report_source_warehouse(tmp_path, capsys, monkeypatch):
+def test_scenario_report_reads_its_sink_and_creates_no_file(tmp_path, capsys,
+                                                             monkeypatch):
+    """A report reads its sink alone: it opens no warehouse (no
+    ``warehouse.sqlite`` in the cache directory), writes nothing anywhere,
+    and prints the same report whether or not a warehouse was synced."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("REPRO_WAREHOUSE_PATH", raising=False)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_SCENARIO_DIR", str(tmp_path / "sinks"))
+    report = ["scenario", "report", "scaling", "--scale", "smoke"]
+    assert main(["scenario", "run", "scaling", "--scale", "smoke"]) == 0
+    ran = capsys.readouterr().out
+
+    def files():
+        return {path: path.stat().st_mtime_ns for path in tmp_path.rglob("*")}
+
+    before = files()
+    assert main(report) == 0
+    assert capsys.readouterr().out == ran
+    assert files() == before
+    assert not (tmp_path / "cache" / "warehouse.sqlite").exists()
+
     db = str(tmp_path / "wh.sqlite")
-    cache_dir = str(tmp_path / "cache")
-    assert main(["scenario", "run", "scaling", "--scale", "smoke",
-                 "--cache-dir", cache_dir]) == 0
+    assert main(["warehouse", "sync", "--db", db]) == 0
     capsys.readouterr()
-
-    # not synced yet: explicit --source warehouse refuses, auto falls back
-    assert main(["scenario", "report", "scaling", "--scale", "smoke",
-                 "--source", "warehouse", "--db", db]) == 1
-    assert "does not (fully) cover" in capsys.readouterr().err
-    assert main(["scenario", "report", "scaling", "--scale", "smoke",
-                 "--db", db]) == 0
-    journal_report = capsys.readouterr().out
-
-    assert main(["warehouse", "sync", "--db", db, "--cache-dir", cache_dir,
-                 "--scenario-dir", str(tmp_path / "sinks")]) == 0
-    capsys.readouterr()
-    assert main(["scenario", "report", "scaling", "--scale", "smoke",
-                 "--source", "warehouse", "--db", db]) == 0
-    assert capsys.readouterr().out == journal_report
+    before = files()
+    assert main(report) == 0
+    assert capsys.readouterr().out == ran
+    assert files() == before
 
 
 @pytest.mark.parametrize("command", ["serve", "warehouse"])

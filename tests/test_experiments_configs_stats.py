@@ -82,12 +82,6 @@ class TestRatioStats:
         with pytest.raises(ValueError):
             ratio_stats([-1.0])
 
-    def test_paper_row_rendering(self):
-        stats = ratio_stats([1.42, 1.0, 0.94])
-        row = stats.paper_row()
-        assert "avg:" in row and "worse:" in row and "worst:" in row
-        assert "0.94" in row
-
     def test_as_dict_round_trip_fields(self):
         data = ratio_stats([2.0, 3.0]).as_dict()
         assert data["count"] == 2

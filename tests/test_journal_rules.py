@@ -36,7 +36,6 @@ from repro.warehouse import (
     KIND_SINK,
     open_store,
     parity_check,
-    sink_records,
     sync,
 )
 
@@ -172,11 +171,15 @@ def test_loaders_and_warehouse_agree_on_every_line(cache_lines, sink_lines,
             report = sync(store, journals=journals)
             assert parity_check(store, journals=journals) == []
             assert {j.kind: j.skipped for j in report.journals} == refused
-            assert ResultSink(sink_path).load() == sink_records(store, sink_path)
+            stamps = (simulator_version(), CACHE_SCHEMA_VERSION)
+            sink_rows = store.query(
+                "SELECT key, raw FROM scenario_runs WHERE simulator = ? "
+                "AND schema_version = ?", stamps).rows
             rows = store.query(
                 "SELECT hash, raw FROM jobs WHERE simulator = ? "
-                "AND schema_version = ?",
-                (simulator_version(), CACHE_SCHEMA_VERSION)).rows
+                "AND schema_version = ?", stamps).rows
+        assert ResultSink(sink_path).load() == {
+            key: SinkRecord.from_dict(json.loads(raw)) for key, raw in sink_rows}
         served = {job_hash: JobResult.from_dict(json.loads(raw)["result"])
                   for job_hash, raw in rows}
         assert ResultCache(cache_path.parent)._index == served

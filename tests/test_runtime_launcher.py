@@ -105,13 +105,6 @@ def test_outputs_contain_only_writable_buffers():
     assert set(result.outputs) == {"c"}
 
 
-def test_cycles_per_workitem_metric():
-    device = Device(CONFIG)
-    args, _ = _vecadd_args(32)
-    result = launch_kernel(device, VECADD, args, 32)
-    assert result.cycles_per_workitem == pytest.approx(result.cycles / 32)
-
-
 # ----------------------------------------------------------------------
 # extrapolated (sampled) simulation
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign.cache import ResultCache
+from repro.campaign.executor import LocalExecutor
 from repro.campaign.runner import CampaignRunner
 from repro.service import (
     JobQueue,
@@ -233,7 +234,7 @@ def service(tmp_path):
     instance = Service(ServiceConfig(
         queue_dir=tmp_path / "service",
         cache_dir=tmp_path / "cache",
-        workers=1, rate=0.0))
+        workers=1, rate=0.0), LocalExecutor(1))
     server = ServerThread(instance.app, startup=instance.startup,
                           shutdown=instance.shutdown).start()
     try:
@@ -345,7 +346,7 @@ class TestServiceHTTP:
     def test_rate_limited_clients_get_429_with_retry_after(self, tmp_path):
         instance = Service(ServiceConfig(
             queue_dir=tmp_path / "service", cache_dir=tmp_path / "cache",
-            workers=1, rate=0.001, burst=1))
+            workers=1, rate=0.001, burst=1), LocalExecutor(1))
         server = ServerThread(instance.app, startup=instance.startup,
                               shutdown=instance.shutdown).start()
         try:
@@ -378,7 +379,7 @@ class TestServiceHTTP:
         # processes, and shutdown ends them.
         instance = Service(ServiceConfig(
             queue_dir=tmp_path / "service", cache_dir=tmp_path / "cache",
-            workers=1, sim_workers=2, rate=0.0))
+            workers=1, rate=0.0), LocalExecutor(2))
         before = set(fleet_pids())
         server = ServerThread(instance.app, startup=instance.startup,
                               shutdown=instance.shutdown).start()
@@ -407,7 +408,7 @@ class TestServiceHTTP:
 
         instance = Service(ServiceConfig(
             queue_dir=tmp_path / "service", cache_dir=tmp_path / "cache",
-            workers=1, rate=0.0))
+            workers=1, rate=0.0), LocalExecutor(1))
         assert instance.queue.recovered == 1
         server = ServerThread(instance.app, startup=instance.startup,
                               shutdown=instance.shutdown).start()

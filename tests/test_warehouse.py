@@ -4,7 +4,7 @@ Covers the sqlite store (schema creation and reset, read-only opens), the
 ingest pipeline's incremental sync + rewrite detection, rebuild parity and
 idempotence against hostile journals (half-written tails, superseded
 duplicates, in-place compaction), the canned analytics, the raw-SQL guard,
-and the warehouse-backed scenario report path.
+and the rows real scenario runs leave behind.
 """
 
 import json
@@ -17,7 +17,7 @@ from repro.campaign.journal import Journal, parse_line
 from repro.campaign.result import JobResult
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CACHE_SCHEMA_VERSION, simulator_version
-from repro.scenarios import Planner, ResultSink, ScenarioContext
+from repro.scenarios import Planner, ResultSink, ScenarioContext, SinkRecord
 from repro.scenarios.sink import read_sink_line
 from repro.telemetry import Recorder, flush
 from repro.warehouse import (
@@ -25,15 +25,13 @@ from repro.warehouse import (
     KIND_SINK,
     KIND_TELEMETRY,
     WarehouseError,
-    WarehouseSinkView,
-    journal_synced,
+    journal_id,
     open_store,
     parity_check,
     rebuild,
     render_status,
     run_canned,
     run_sql,
-    sink_records,
     sync,
     table_counts,
 )
@@ -647,8 +645,8 @@ class TestQueries:
 # End to end against real scenario runs
 # ----------------------------------------------------------------------
 class TestScenarioIntegration:
-    def test_sink_records_round_trip_through_the_warehouse(self, store,
-                                                           tmp_path):
+    def test_sink_rows_round_trip_through_the_warehouse(self, store,
+                                                        tmp_path):
         scenario = tiny_scenario(strategies=("ours", "lws=1"))
         sink = ResultSink(tmp_path / "sinks" / "tiny-smoke.jsonl")
         cache = ResultCache(tmp_path / "cache")
@@ -658,16 +656,15 @@ class TestScenarioIntegration:
         journals = [(cache.journal_path, KIND_CACHE), (sink.path, KIND_SINK)]
         sync(store, journals=journals)
         assert parity_check(store, journals=journals) == []
-        assert journal_synced(store, sink.path)
+        journal = (journal_id(sink.path),)
+        assert store.query("SELECT offset FROM journals WHERE journal = ?",
+                           journal).rows == [(sink.path.stat().st_size,)]
 
-        from_journal = sink.load()
-        from_warehouse = sink_records(store, sink.path)
-        assert from_warehouse == from_journal
-
-        view = WarehouseSinkView(store, sink.path)
-        run = Planner().load(scenario, SMOKE, sink=view)
-        journal_run = Planner().load(scenario, SMOKE, sink=sink)
-        assert run.report() == journal_run.report()
+        rows = store.query("SELECT key, raw FROM scenario_runs "
+                           "WHERE journal = ?", journal).rows
+        from_warehouse = {key: SinkRecord.from_dict(json.loads(raw))
+                          for key, raw in rows}
+        assert from_warehouse == sink.load()
 
     def test_meta_tags_become_queryable_columns(self, store, tmp_path):
         scenario = tiny_scenario(strategies=("ours", "lws=1"))
