@@ -1,10 +1,23 @@
-"""Legacy setup shim.
+"""Package metadata for ``pip install .`` / ``pip install -e .``.
 
-The project metadata lives in pyproject.toml; this file only exists so that
-``pip install -e .`` works in offline environments whose setuptools/pip cannot
-build PEP 660 editable wheels (no ``wheel`` package available).
+This file is the project's only packaging metadata (there is no
+``pyproject.toml``).  The version is read from ``src/repro/__init__.py``
+without importing the package, so building needs nothing but setuptools.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"', _INIT.read_text(), re.M).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+    entry_points={"console_scripts": ["repro = repro.cli:main"]},
+)

@@ -14,6 +14,16 @@ touching the file.  A cache folds the journal when it opens and, on a
 lookup that misses, reads on from there: a long-lived cache serves what
 another process on the same directory wrote since.
 
+Each point is written, hashed and served once.  Its key, the spec's content
+hash, is composed around the config JSON memoised on the ``ArchConfig``
+(:meth:`JobSpec.content_hash`), and so is the ``spec`` of the line
+:meth:`ResultCache.put` writes.  The index holds every result in the form a
+hit serves (``from_cache=True``, no events, no telemetry), so a hit is a
+dict lookup, not a copy.  A result folded from a line
+:meth:`~repro.campaign.journal.Journal.append` wrote keeps that line's
+``result`` JSON (:meth:`JobResult.to_json`): a cache-served sink line is
+written from the cache line's own result text.
+
 The cache directory resolves, in order, to:
 
 1. an explicit ``path`` argument,
@@ -26,13 +36,16 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.campaign.journal import Journal, current_stamps, stamped_key
 from repro.campaign.result import JobResult
-from repro.campaign.spec import CACHE_SCHEMA_VERSION, JobSpec, simulator_version
+from repro.campaign.spec import (CACHE_SCHEMA_VERSION, JobSpec, RawJSON,
+                                  canonical_json, simulator_version)
 from repro.telemetry.recorder import RECORDER
 
 #: Environment variable overriding the default cache directory.
@@ -51,22 +64,49 @@ def default_cache_dir() -> Path:
     return base / "repro"
 
 
-def read_cache_line(record: Mapping, end: int,
+#: Where the result ends in a line :meth:`Journal.append` wrote.
+_SCHEMA_FIELD = ', "schema": '
+
+
+def read_cache_line(record: Mapping, end: int, text: str,
+                    keep_text: bool = False,
                     ) -> Optional[Tuple[Tuple[str, str, int], JobResult]]:
     """The cache journal's read rule: ``(hash, simulator, schema) -> result``.
 
     Keyed by all three: in normal operation the hash already embeds the
     version (two releases never collide on a hash), but a tampered or
     hand-merged journal must not let a stale record shadow -- and
-    compaction then delete -- a usable one.
+    compaction then delete -- a usable one.  The result comes in the form a
+    hit serves.  With ``keep_text`` (the cache's own loader; the warehouse
+    has no use for it) it carries the line's ``result`` text when the line
+    is one :meth:`Journal.append` wrote (:func:`_result_text`).
     """
     key = stamped_key(record, "hash")
     if key is None:
         return None
     try:
-        return key, JobResult.from_dict(record["result"])
+        return key, JobResult.from_dict(
+            record["result"], from_cache=True,
+            text=_result_text(text, key[0]) if keep_text else None)
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
+
+
+def _result_text(text: str, job_hash: str) -> Optional[str]:
+    """The ``result`` JSON of a line :meth:`Journal.append` wrote, else None.
+
+    Such a line is ``json.dumps(record, sort_keys=True)``: it opens with
+    ``{"hash": <hash>, "result": `` and the result runs up to the
+    ``, "schema": `` that follows it.  A line in any other JSON text, or
+    with that separator twice (a counter named ``schema``), gives ``None``
+    and its result is serialised afresh when needed.
+    """
+    head = '{"hash": ' + encode_basestring_ascii(job_hash) + ', "result": '
+    end = text.rfind(_SCHEMA_FIELD)
+    if (end < len(head) or not text.startswith(head)
+            or text.find(_SCHEMA_FIELD, len(head), end) != -1):
+        return None
+    return text[len(head):end]
 
 
 @dataclass(frozen=True)
@@ -131,7 +171,9 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         # No fsync: a cache entry lost to a crash costs one re-simulation.
-        self._journal = Journal(self.journal_path, read_cache_line, fsync=False)
+        self._journal = Journal(self.journal_path,
+                                partial(read_cache_line, keep_text=True),
+                                fsync=False)
         # One instance may be shared by several runners on different threads
         # (the service's ``asyncio.to_thread`` workers); all index/journal
         # mutation happens under this lock.
@@ -224,11 +266,11 @@ class ResultCache:
         """Resolve many specs in one indexed pass: one slot per spec, in order.
 
         The cache's one lookup: each spec counts a hit or a miss, and every
-        served result is marked ``as_cached()``.  A batch with a miss first
-        folds what other processes appended to the journal since this
-        instance last read it (:meth:`_catch_up`).  The whole batch is one lock
-        acquisition and **one** ``cache.get_many`` telemetry span, which is
-        what a 10^4-point campaign's cache-first resolve wants.
+        served result is the indexed one, already ``from_cache``.  A batch
+        with a miss first folds what other processes appended to the journal
+        since this instance last read it (:meth:`_catch_up`).  The whole batch
+        is one lock acquisition and **one** ``cache.get_many`` telemetry
+        span, which is what a 10^4-point campaign's cache-first resolve wants.
         """
         started_wall = time.time()
         started = time.perf_counter()
@@ -236,16 +278,11 @@ class ResultCache:
             hashes = [spec.content_hash() for spec in specs]
             if not all(job_hash in self._index for job_hash in hashes):
                 self._catch_up()
-            found: List[Optional[JobResult]] = []
-            hits = 0
-            for job_hash in hashes:
-                result = self._index.get(job_hash)
-                if result is None:
-                    found.append(None)
-                else:
-                    found.append(result.as_cached())
-                    hits += 1
-            misses = len(found) - hits
+            index = self._index
+            found: List[Optional[JobResult]] = [index.get(job_hash)
+                                                for job_hash in hashes]
+            misses = sum(1 for result in found if result is None)
+            hits = len(found) - misses
             self.hits += hits
             self.misses += misses
         if RECORDER.enabled:
@@ -259,25 +296,31 @@ class ResultCache:
         return found
 
     def put(self, spec: JobSpec, result: JobResult) -> None:
-        """Persist one result (idempotent per content hash)."""
+        """Persist one result (idempotent per content hash).
+
+        The line is ``json.dumps`` of ``{hash, schema, simulator, spec,
+        result}`` with sorted keys, composed from the spec's and the
+        result's memoised JSON: ``result`` keeps its text for its sink line,
+        while the index entry, which a long-lived cache holds for good, does
+        not.
+        """
         with self._lock:
             job_hash = spec.content_hash()
             if job_hash in self._index:
                 return
-            # Index the summary only: traced results can carry 10^5 events, and
-            # neither the journal nor get_many() ever serves them.
-            self._index[job_hash] = (replace(result, events=None)
-                                     if result.events is not None else result)
-            record = {
+            line = canonical_json({
                 "hash": job_hash,
                 "schema": CACHE_SCHEMA_VERSION,
                 "simulator": simulator_version(),
-                "spec": spec.to_dict(),
-                "result": result.to_dict(),
-            }
+                "spec": spec.to_json(),
+                "result": RawJSON(result.to_json()),
+            })
+            # The served form: traced results can carry 10^5 events, and
+            # neither the journal nor get_many() ever serves them.
+            self._index[job_hash] = result.as_cached()
             # (A torn tail terminated here was already counted by ``_load``.)
             before = self._file_state()
-            written = self._journal.append([record]).written
+            written = self._journal.append([line]).written
             self._journal_lines += 1
             # Fold past our own line, so the next miss does not read it back
             # -- but only when the file held nothing unread before it and grew

@@ -8,8 +8,8 @@ Every append-only journal in the repository -- the campaign
 :meth:`Journal.append` and read only through :meth:`Journal.read`.
 
 Each client declares one *read rule* next to its writer: a function
-``(record, end_offset) -> (key, value) | None`` that turns one parsed line
-into the value its loader serves, keyed the way the journal folds, or
+``(record, end_offset, text) -> (key, value) | None`` that turns one parsed
+line into the value its loader serves, keyed the way the journal folds, or
 refuses the line (version stamps of the wrong type, missing fields, a
 malformed payload).  The client's own loader and the results warehouse
 (:mod:`repro.warehouse`) both read through that one rule, so they cannot
@@ -21,7 +21,13 @@ Reads stream one line at a time (never the whole journal into memory) and
 report the byte offset each line ends at, which is what the warehouse uses
 to sync incrementally -- a journal synced to offset N resumes at byte N.
 Each line also carries its text as written, which the warehouse stores and
-compares instead of serialising the parsed record again.
+compares instead of serialising the parsed record again, and which the
+cache's rule cuts the ``result`` JSON from: a cache-served sink line is
+written from the cache line's own result text.  A writer may hand
+:meth:`Journal.append` a line it composed itself, as long as it is the
+record's canonical JSON: the cache and the sink compose theirs with
+:func:`~repro.campaign.spec.canonical_json` around a spec's memoised config
+JSON, the same way the spec's content hash is composed.
 """
 
 from __future__ import annotations
@@ -32,14 +38,15 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Any, Callable, Dict, Hashable, Iterator, Mapping,
-                    NamedTuple, Optional, Sequence, Tuple)
+                    NamedTuple, Optional, Sequence, Tuple, Union)
 
 from repro.campaign.spec import CACHE_SCHEMA_VERSION, simulator_version
 
 #: What a read rule makes of one accepted line.
 Read = Tuple[Hashable, Any]
-#: ``(record, end_offset) -> (key, value)``, or ``None`` to refuse the line.
-ReadRule = Callable[[Dict, int], Optional[Read]]
+#: ``(record, end_offset, text) -> (key, value)``, or ``None`` to refuse the
+#: line; ``text`` is the line as written (see :class:`Line`).
+ReadRule = Callable[[Dict, int, str], Optional[Read]]
 
 
 def parse_line(text: str) -> Optional[Dict]:
@@ -111,9 +118,10 @@ class Journal:
     """One append-only JSONL journal and the read rule its client declared.
 
     :meth:`append` lands a batch of records (canonical ``sort_keys`` JSON, one
-    per line) with a single write and -- where the client's fixed policy asks
-    for durability (sink, queue, telemetry: yes; cache: no, a lost entry costs
-    one re-simulation) -- a single ``fsync``.  A tail that a killed writer left
+    per line, or a line the caller already composed as that JSON) with a
+    single write and -- where the client's fixed policy asks for durability
+    (sink, queue, telemetry: yes; cache: no, a lost entry costs one
+    re-simulation) -- a single ``fsync``.  A tail that a killed writer left
     without its newline is terminated before the first append (a record merged
     into it would corrupt both), once per instance and again after
     :meth:`reset`, because another process may re-create the file with a
@@ -126,23 +134,30 @@ class Journal:
         self.fsync = fsync
         self._tail_checked = False
 
-    def append(self, records: Sequence[Mapping[str, object]]) -> Appended:
+    def append(self, records: Sequence[Union[Mapping[str, object], str]],
+               ) -> Appended:
         """Commit ``records`` together; returns the bytes written and the
-        seconds spent in fsync."""
+        seconds spent in fsync.
+
+        A ``str`` record is a pre-serialised line, written as is: it must be
+        ``json.dumps(record, sort_keys=True)`` of the record it stands for.
+        """
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if not self._tail_checked:
             self._tail_checked = True
             self._repair_tail()
-        lines = "".join(json.dumps(record, sort_keys=True) + "\n"
-                        for record in records).encode("utf-8")
+        lines = [record if isinstance(record, str)
+                 else json.dumps(record, sort_keys=True) for record in records]
+        lines.append("")                  # the last line's newline
+        data = "\n".join(lines).encode("utf-8")
         with self.path.open("ab") as journal:
-            journal.write(lines)
+            journal.write(data)
             if not self.fsync:
-                return Appended(len(lines), 0.0)
+                return Appended(len(data), 0.0)
             journal.flush()
             started = time.perf_counter()
             os.fsync(journal.fileno())
-            return Appended(len(lines), time.perf_counter() - started)
+            return Appended(len(data), time.perf_counter() - started)
 
     def _repair_tail(self) -> None:
         """Append a newline if the journal ends mid-line (a killed writer's)."""
@@ -190,7 +205,8 @@ class Journal:
                     continue
                 record = parse_line(text)
                 yield Line(text, record,
-                           None if record is None else rule(record, offset), offset)
+                           None if record is None else rule(record, offset, text),
+                           offset)
 
     def fold(self, complete_only: bool = False) -> Fold:
         """The whole journal folded last-wins per key (first-seen key order)."""

@@ -13,6 +13,9 @@ traced launch can produce hundreds of thousands of events).  The same
 treatment applies to the ``telemetry`` payload a worker's recorder scope
 produces: it rides the result back across the process boundary so the
 parent can merge it, and is stripped before anything touches the cache.
+A result the cache serves from a line :meth:`~repro.campaign.journal.Journal.append`
+wrote keeps that line's ``result`` text (:meth:`JobResult.to_json`), so a
+sink line for it is written without serialising the result again.
 
 A :class:`JobFailure` captures one job's exception without aborting the
 campaign: the error string and formatted traceback travel back to the parent
@@ -21,6 +24,7 @@ so a single bad job cannot kill a thousand-point sweep.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -59,6 +63,19 @@ class JobResult:
         """A copy marked as served from the cache (without events/telemetry)."""
         return replace(self, from_cache=True, events=None, telemetry=None)
 
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), sort_keys=True)``, memoised.
+
+        A result read from a cache line :meth:`Journal.append` wrote answers
+        with that line's own ``result`` text (see :meth:`from_dict`); a copy
+        made by ``dataclasses.replace`` starts without it.
+        """
+        text = self.__dict__.get("_json")
+        if text is None:
+            text = json.dumps(self.to_dict(), sort_keys=True)
+            object.__setattr__(self, "_json", text)
+        return text
+
     def summary(self) -> str:
         """One-line rendering for progress output."""
         origin = "cache" if self.from_cache else f"{self.elapsed_seconds:.2f}s"
@@ -88,9 +105,15 @@ class JobResult:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "JobResult":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
+    def from_dict(cls, data: Mapping[str, object], from_cache: bool = False,
+                  text: Optional[str] = None) -> "JobResult":
+        """Inverse of :meth:`to_dict`.
+
+        ``text`` is the JSON ``data`` was parsed from, when the caller knows
+        it is ``json.dumps(result.to_dict(), sort_keys=True)`` of the result
+        built here; :meth:`to_json` then returns it as is.
+        """
+        result = cls(
             job_hash=str(data["job_hash"]),
             problem=str(data["problem"]),
             category=str(data["category"]),
@@ -107,7 +130,11 @@ class JobResult:
             lane_utilization=float(data["lane_utilization"]),
             counters={str(k): v for k, v in dict(data["counters"]).items()},
             elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
+            from_cache=from_cache,
         )
+        if text is not None:
+            object.__setattr__(result, "_json", text)
+        return result
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,10 @@ overrides included) and the launch parameters (lws, call-extrapolation limit).
 Two specs that describe the same simulation serialise to the same canonical
 JSON and therefore to the same SHA-256 content hash, no matter which
 experiment built them or in which process -- that hash is the key of the
-persistent :class:`~repro.campaign.cache.ResultCache`.
+persistent :class:`~repro.campaign.cache.ResultCache`.  The canonical
+string is composed (:func:`canonical_json`) around the config's JSON, which
+is serialised once per :class:`ArchConfig` and memoised on it
+(:func:`config_json`): a grid shares a dozen configs among thousands of specs.
 
 A :class:`Campaign` is an ordered list of specs (duplicates allowed; the
 runner executes each distinct hash once and fans the result back out).
@@ -19,6 +22,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.isa.latencies import FunctionalUnit, OpTiming
@@ -38,6 +43,70 @@ def simulator_version() -> str:
     import repro
 
     return repro.__version__
+
+
+#: ``separators`` of the hashed form, and of every journal line (json's default).
+COMPACT = (",", ":")
+LINE = (", ", ": ")
+
+
+class RawJSON(str):
+    """JSON text that :func:`canonical_json` splices in verbatim."""
+
+    __slots__ = ()
+
+
+def _json_other(value, separators: Tuple[str, str]) -> str:
+    """The JSON of a value that is not a ``str``, an ``int`` or ``None``."""
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is dict:
+        return canonical_json(value, separators)
+    return json.dumps(value, sort_keys=True, separators=separators)
+
+
+@lru_cache(maxsize=256)       # the callers compose a few fixed layouts
+def _layout(keys: Tuple[object, ...], separators: Tuple[str, str],
+            ) -> Optional[Tuple[Tuple[str, str], ...]]:
+    """``(key, text before its value)`` in sorted key order, or ``None``
+    when a key is not a ``str`` (``json.dumps`` converts those)."""
+    if not all(type(key) is str for key in keys):
+        return None
+    item, colon = separators
+    return tuple((key, (item if index else "") + encode_basestring_ascii(key) + colon)
+                 for index, key in enumerate(sorted(keys)))
+
+
+def canonical_json(mapping: Mapping[str, object],
+                   separators: Tuple[str, str] = LINE) -> str:
+    """``json.dumps(mapping, sort_keys=True, separators=separators)``, composed.
+
+    Byte-identical to that call for every value: ``str``, ``int``, ``bool``,
+    ``None`` and ``dict`` values are encoded here (``ensure_ascii`` escaping
+    included), any other type by ``json.dumps`` -- except that a
+    :class:`RawJSON` value is spliced in as the JSON text it already is.
+    """
+    layout = _layout(tuple(mapping), separators)
+    if layout is None:
+        return json.dumps(mapping, sort_keys=True, separators=separators)
+    parts = ["{"]
+    for key, head in layout:
+        value = mapping[key]
+        kind = type(value)
+        if kind is str:
+            parts.append(head + encode_basestring_ascii(value))
+        elif kind is RawJSON:
+            parts.append(head + value)
+        elif kind is int:
+            parts.append(head + repr(value))
+        elif value is None:
+            parts.append(head + "null")
+        else:
+            parts.append(head + _json_other(value, separators))
+    parts.append("}")
+    return "".join(parts)
 
 
 # ----------------------------------------------------------------------
@@ -65,6 +134,23 @@ def config_to_dict(config: ArchConfig) -> Dict[str, object]:
                 cached[f.name] = value
         object.__setattr__(config, "_as_dict", cached)
     return dict(cached)
+
+
+def config_json(config: ArchConfig, separators: Tuple[str, str] = LINE) -> RawJSON:
+    """``json.dumps(config_to_dict(config), sort_keys=True, separators=...)``.
+
+    Memoised on the (frozen) instance per separator pair, like
+    :func:`config_to_dict`: the content hash and every journal line embed it.
+    """
+    forms = config.__dict__.get("_as_json")
+    if forms is None:
+        forms = {}
+        object.__setattr__(config, "_as_json", forms)
+    text = forms.get(separators)
+    if text is None:
+        text = forms[separators] = RawJSON(json.dumps(
+            config_to_dict(config), sort_keys=True, separators=separators))
+    return text
 
 
 def config_from_dict(data: Mapping[str, object]) -> ArchConfig:
@@ -118,6 +204,9 @@ class JobSpec:
         concerns -- they change what is reported, not what is simulated -- so
         they are deliberately excluded.
         """
+        return self._hash_fields(config_to_dict(self.config))
+
+    def _hash_fields(self, config: object) -> Dict[str, object]:
         return {
             "schema": CACHE_SCHEMA_VERSION,
             "simulator": simulator_version(),
@@ -125,7 +214,7 @@ class JobSpec:
             "scale": self.scale,
             "seed": self.seed,
             "size": self.size,
-            "config": config_to_dict(self.config),
+            "config": config,
             "local_size": self.local_size,
             "call_simulation_limit": self.call_simulation_limit,
             "max_cycles_per_call": self.max_cycles_per_call,
@@ -134,6 +223,8 @@ class JobSpec:
     def content_hash(self) -> str:
         """Stable SHA-256 over the canonical JSON of :meth:`hash_payload`.
 
+        That is ``json.dumps(self.hash_payload(), sort_keys=True,
+        separators=COMPACT)``, composed around the memoised config JSON.
         Stable across processes, interpreter restarts and ``PYTHONHASHSEED``
         values (it never touches Python's builtin ``hash``).  The digest is
         memoised per instance: the runner consults it several times per job
@@ -142,8 +233,8 @@ class JobSpec:
         cached = self.__dict__.get("_content_hash")
         if cached is not None:
             return cached
-        canonical = json.dumps(self.hash_payload(), sort_keys=True,
-                               separators=(",", ":"))
+        canonical = canonical_json(
+            self._hash_fields(config_json(self.config, COMPACT)), COMPACT)
         digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         object.__setattr__(self, "_content_hash", digest)
         return digest
@@ -151,9 +242,17 @@ class JobSpec:
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         """Serialise to plain types (for workers and the cache journal)."""
+        return self._fields(config_to_dict(self.config))
+
+    def to_json(self) -> RawJSON:
+        """``json.dumps(self.to_dict(), sort_keys=True)``, composed around the
+        memoised config JSON: the ``spec`` of a journal line."""
+        return RawJSON(canonical_json(self._fields(config_json(self.config))))
+
+    def _fields(self, config: object) -> Dict[str, object]:
         return {
             "problem": self.problem,
-            "config": config_to_dict(self.config),
+            "config": config,
             "scale": self.scale,
             "seed": self.seed,
             "size": self.size,

@@ -853,8 +853,12 @@ def _cmd_serve(args) -> int:
               cache=(str(service.cache.directory)
                      if service.cache is not None else "off"),
               pending=service.queue.pending_count())
-    run_server(service.app, host=args.host, port=args.port,
-               startup=service.startup, shutdown=service.shutdown)
+    try:
+        run_server(service.app, host=args.host, port=args.port,
+                   startup=service.startup, shutdown=service.shutdown)
+    except OSError as error:
+        _LOG.error(f"error: cannot listen on {args.host}:{args.port}: {error}")
+        return 1
     return 0
 
 

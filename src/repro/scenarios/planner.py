@@ -265,14 +265,8 @@ class Planner:
                     completed[0] += 1
                     job = _by_hash[spec.content_hash()]
                     if isinstance(outcome, JobResult):
-                        record = SinkRecord(
-                            key=job.key(),
-                            job_hash=spec.content_hash(),
-                            scenario=scenario.name,
-                            result=outcome,
-                            spec=spec.to_dict(),
-                            meta=job.meta,
-                        )
+                        record = SinkRecord.of(job.key(), scenario.name,
+                                               spec, outcome, job.meta)
                         done[job.key()] = record
                         if sink is not None and outcome.from_cache:
                             held.append(record)

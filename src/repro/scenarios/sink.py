@@ -14,6 +14,14 @@ The sink is scoped per ``(scenario, scale)`` pair by default (see
 :func:`default_sink_path`); records written under a different simulator
 version are skipped on load, so a version bump forces re-simulation without
 touching the file.
+
+Each line is ``json.dumps(record.to_dict(), sort_keys=True)``, composed
+(:meth:`SinkRecord.to_line`) around the result's JSON
+(:meth:`JobResult.to_json`): for a cache-served result, the ``result`` text
+of the cache line it was read from.  A record the planner built
+(:meth:`SinkRecord.of`) adds its spec's JSON, composed around the config
+JSON memoised on its ``ArchConfig`` the way the spec's content hash is.  A
+sink stays self-contained: every line holds its whole spec and result.
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.campaign.journal import Journal, stamped_key
 from repro.campaign.result import JobResult
-from repro.campaign.spec import CACHE_SCHEMA_VERSION, simulator_version
+from repro.campaign.spec import (CACHE_SCHEMA_VERSION, JobSpec, RawJSON,
+                                 canonical_json, simulator_version)
 from repro.telemetry.recorder import RECORDER
 
 #: Environment variable overriding the directory scenario sinks live in.
@@ -53,6 +62,38 @@ def default_sink_path(scenario_name: str, scale: str) -> Path:
     return default_sink_dir() / f"{scenario_name}-{scale}.jsonl"
 
 
+class SpecFields(Mapping):
+    """``job.to_dict()`` as a read-only mapping, built on first read.
+
+    The ``spec`` of a record the planner built: the record keeps the
+    :class:`JobSpec` itself rather than a copy of its fields, and writes
+    its line from the spec's composed JSON (:meth:`JobSpec.to_json`).
+    """
+
+    __slots__ = ("job", "_fields")
+
+    def __init__(self, job: JobSpec):
+        self.job = job
+        self._fields: Optional[Dict[str, object]] = None
+
+    def _dict(self) -> Dict[str, object]:
+        if self._fields is None:
+            self._fields = self.job.to_dict()
+        return self._fields
+
+    def __getitem__(self, name: str) -> object:
+        return self._dict()[name]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self) -> int:
+        return len(self._dict())
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
+
+
 @dataclass(frozen=True)
 class SinkRecord:
     """One completed grid point: the spec that named it plus its result.
@@ -71,6 +112,29 @@ class SinkRecord:
     result: JobResult
     spec: Mapping[str, object] = field(default_factory=dict)
     meta: Mapping[str, object] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, key: str, scenario: str, spec: JobSpec, result: JobResult,
+           meta: Mapping[str, object]) -> "SinkRecord":
+        """The record of ``spec``'s point, able to compose its own line."""
+        return cls(key=key, job_hash=spec.content_hash(), scenario=scenario,
+                   result=result, spec=SpecFields(spec), meta=meta)
+
+    def to_line(self) -> str:
+        """``json.dumps(self.to_dict(), sort_keys=True)``: this record's line,
+        composed around the result's and (for a record built by :meth:`of`)
+        the spec's JSON."""
+        spec = self.spec
+        return canonical_json({
+            "schema": CACHE_SCHEMA_VERSION,
+            "simulator": simulator_version(),
+            "key": self.key,
+            "hash": self.job_hash,
+            "scenario": self.scenario,
+            "spec": spec.job.to_json() if type(spec) is SpecFields else dict(spec),
+            "meta": dict(self.meta),
+            "result": RawJSON(self.result.to_json()),
+        })
 
     def to_dict(self) -> Dict[str, object]:
         """Serialise to plain JSON types (one sink line)."""
@@ -98,7 +162,7 @@ class SinkRecord:
         )
 
 
-def read_sink_line(record: Mapping, end: int,
+def read_sink_line(record: Mapping, end: int, text: str,
                    ) -> Optional[Tuple[Tuple[str, str, int], SinkRecord]]:
     """The sink journal's read rule: ``(key, simulator, schema) -> record``."""
     key = stamped_key(record, "key")
@@ -155,7 +219,7 @@ class ResultSink:
             records = (records,)
         started = time.perf_counter() if RECORDER.enabled else 0.0
         fsync_seconds = self._journal.append(
-            [record.to_dict() for record in records]).fsync_seconds
+            [record.to_line() for record in records]).fsync_seconds
         if RECORDER.enabled:
             RECORDER.observe("sink.fsync_seconds", fsync_seconds)
             RECORDER.observe("sink.append_seconds",

@@ -69,7 +69,7 @@ class Transition(NamedTuple):
     error: Optional[str] = None
 
 
-def read_queue_line(record: Mapping, end: int,
+def read_queue_line(record: Mapping, end: int, text: str,
                     ) -> Optional[Tuple[str, Transition]]:
     """The queue journal's read rule: ``job id -> transition``.
 

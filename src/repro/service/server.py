@@ -336,13 +336,17 @@ Hook = Optional[Callable[[], Awaitable[None]]]
 async def _serve(app: App, host: str, port: int, startup: Hook, shutdown: Hook,
                  bound: Callable[[Tuple[str, int]], None]) -> None:
     """``startup`` -> bind -> ``bound(address)`` -> serve until cancelled ->
-    ``shutdown``: the one serving coroutine under both entry points."""
-    if startup is not None:
-        await startup()
-    server = await asyncio.start_server(app.serve_connection, host=host,
-                                        port=port, limit=_MAX_HEADER_BYTES)
-    bound(server.sockets[0].getsockname()[:2])
+    ``shutdown``: the one serving coroutine under both entry points.
+
+    ``shutdown`` runs however the rest ends, a failed bind (``OSError``)
+    included, so the workers ``startup`` started are always stopped.
+    """
     try:
+        if startup is not None:
+            await startup()
+        server = await asyncio.start_server(app.serve_connection, host=host,
+                                            port=port, limit=_MAX_HEADER_BYTES)
+        bound(server.sockets[0].getsockname()[:2])
         async with server:
             await server.serve_forever()
     except asyncio.CancelledError:
@@ -357,7 +361,8 @@ def serve(app: App, host: str = "127.0.0.1", port: int = 8321,
     """Serve ``app`` until interrupted (the blocking ``repro serve`` body).
 
     ``startup``/``shutdown`` are awaited inside the event loop around the
-    serving phase (the worker pool's lifecycle hooks).
+    serving phase (the worker pool's lifecycle hooks).  A ``host``/``port``
+    that cannot be bound raises ``OSError`` after ``shutdown`` ran.
     """
     def bound(address: Tuple[str, int]) -> None:
         _LOG.info("service listening", host=address[0], port=address[1])

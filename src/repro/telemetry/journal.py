@@ -102,7 +102,7 @@ def _number(value) -> bool:
     return type(value) is float or _int(value)
 
 
-def read_telemetry_line(record: Mapping, end: int,
+def read_telemetry_line(record: Mapping, end: int, text: str,
                         ) -> Optional[Tuple[int, Mapping]]:
     """The telemetry journal's read rule: ``end offset -> record``.
 

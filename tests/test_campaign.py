@@ -13,7 +13,11 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.campaign import (
@@ -31,6 +35,7 @@ from repro.campaign import (
 )
 from repro.campaign.cache import CACHE_DIR_ENV, default_cache_dir, read_cache_line
 from repro.campaign.journal import Journal
+from repro.campaign.spec import COMPACT, LINE, RawJSON, canonical_json
 from repro.isa.latencies import FunctionalUnit, OpTiming
 from repro.isa.opcodes import Opcode
 from repro.sim.config import ArchConfig
@@ -110,6 +115,74 @@ class TestJobSpec:
             timing_overrides={Opcode.FADD: OpTiming(FunctionalUnit.FPU, 7, 2)})
         restored = config_from_dict(json.loads(json.dumps(config_to_dict(config))))
         assert restored == config
+
+    @pytest.mark.parametrize("job, digest", [
+        (JobSpec(problem="vecadd", config=ArchConfig.from_name("4c8w8t"),
+                 scale="smoke"),
+         "a065cd31a7275a900df72e398778166d7a81db40d62efdd37b59d75fc6379a37"),
+        (JobSpec(problem="vecadd", config=ArchConfig.from_name("4c8w8t"),
+                 scale="smoke", local_size=32, seed=3),
+         "632dd578028e5e87416d627dd943868192c577ff7deaedf2f0f3aec8d7741421"),
+        (JobSpec(problem="sgemm", config=ArchConfig.from_name("2c2w4t"),
+                 scale="bench", size=4096, call_simulation_limit=2,
+                 max_cycles_per_call=10 ** 12, label="caf\u00e9 \u2603"),
+         "639c05801fddac442dbedbfb349d9c46c5f231f75d7ed54b972838b5055c1e12"),
+        (JobSpec(problem="v\u00e9cadd\u2603", config=ArchConfig.from_name("4c8w8t"),
+                 scale="smoke", seed=2 ** 70),
+         "6b4979bb2a92bea5588cf7608545c7209de64cc90e2e96ee8d946e09662d4502"),
+        (JobSpec(problem="vecadd", scale="smoke", local_size=16,
+                 config=replace(ArchConfig.from_name("4c8w8t"), timing_overrides={
+                     Opcode.MUL: OpTiming(FunctionalUnit.ALU, 7, 2)})),
+         "db75c78dd7cb524f468890743fd165f96314e2dd0cfc33295b27db15d8aba632"),
+    ], ids=["eq1-lws", "int-lws", "non-ascii-label", "non-ascii-problem",
+            "timing-overrides"])
+    def test_hash_digests_are_pinned(self, job, digest):
+        # Every user's cache is keyed by these digests: a drift in the
+        # canonical form would silently turn it into misses.
+        assert repro.__version__ == "1.0.0" and CACHE_SCHEMA_VERSION == 1
+        assert job.content_hash() == digest
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=st.text(), scale=st.text(max_size=8),
+           seed=st.integers(min_value=-2 ** 80, max_value=2 ** 80),
+           size=st.none() | st.integers(min_value=0, max_value=2 ** 40),
+           local_size=st.none() | st.integers(min_value=1, max_value=2 ** 20),
+           limit=st.none() | st.integers(min_value=0, max_value=99),
+           label=st.text(max_size=12), collect_trace=st.booleans(),
+           overhead=st.integers(min_value=0, max_value=2 ** 70))
+    def test_composed_json_equals_json_dumps(self, problem, scale, seed, size,
+                                             local_size, limit, label,
+                                             collect_trace, overhead):
+        job = JobSpec(problem=problem, scale=scale, seed=seed, size=size,
+                      local_size=local_size, call_simulation_limit=limit,
+                      label=label, collect_trace=collect_trace,
+                      config=replace(CONFIG, kernel_launch_overhead=overhead))
+        canonical = json.dumps(job.hash_payload(), sort_keys=True,
+                               separators=(",", ":"))
+        assert job.content_hash() == hashlib.sha256(
+            canonical.encode("utf-8")).hexdigest()
+        assert job.to_json() == json.dumps(job.to_dict(), sort_keys=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mapping=st.dictionaries(
+        st.text(max_size=6),
+        st.recursive(st.none() | st.booleans() | st.integers()
+                     | st.floats(allow_nan=False) | st.text(max_size=6),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                     max_leaves=8),
+        max_size=6), compact=st.booleans())
+    def test_canonical_json_equals_json_dumps(self, mapping, compact):
+        separators = COMPACT if compact else LINE
+        expected = json.dumps(mapping, sort_keys=True, separators=separators)
+        assert canonical_json(mapping, separators) == expected
+        raw = {key: RawJSON(json.dumps(value, sort_keys=True, separators=separators))
+               for key, value in mapping.items()}
+        assert canonical_json(raw, separators) == expected
+
+    def test_canonical_json_falls_back_for_keys_json_converts(self):
+        mapping = {2: "b", 1: None}
+        assert canonical_json(mapping) == json.dumps(mapping, sort_keys=True)
 
     def test_campaign_counts_distinct_points(self):
         campaign = Campaign("dup")

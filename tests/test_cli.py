@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import re
 import shlex
+import socket
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import repro.campaign.dist
 import repro.cli
 from repro.cli import build_parser, main
 from repro.scenarios import REGISTRY, Planner, ScenarioContext
+from repro.telemetry.recorder import RECORDER, TELEMETRY_ENV
 
 from scenario_helpers import check_golden
 
@@ -347,6 +349,30 @@ def test_a_run_leaves_no_fleet_worker_running(listen, tmp_path, capsys,
     assert main(["scenario", "run", "scaling", "--scale", "smoke",
                  "--no-cache", "--workers", "2"] + listen) == 0
     assert "| cores |" in capsys.readouterr().out
+    assert [child for child in multiprocessing.active_children()
+            if child.name == "repro-fleet-worker"] == []
+
+
+def test_serve_on_a_taken_port_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # The forked simulators start before the bind; a bind that fails still
+    # stops them, and the command says why in one line instead of a traceback.
+    monkeypatch.setenv(TELEMETRY_ENV, "0")      # restored: serve turns it on
+    taken = socket.socket()
+    try:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        code = main(["serve", "--port", str(port), "--listen", "127.0.0.1:0",
+                     "--sim-workers", "2", "--queue-dir", str(tmp_path / "queue"),
+                     "--cache-dir", str(tmp_path / "cache")])
+    finally:
+        taken.close()
+        monkeypatch.undo()
+        RECORDER.configure_from_env()
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"repro: error: cannot listen on 127.0.0.1:{port}: " in err
+    assert "Traceback" not in err
     assert [child for child in multiprocessing.active_children()
             if child.name == "repro-fleet-worker"] == []
 

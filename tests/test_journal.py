@@ -27,7 +27,7 @@ def canonical(records) -> str:
     return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
 
-def every_line(record, end):
+def every_line(record, end, text):
     """A read rule accepting every JSON object, keyed by its line's end."""
     return end, record
 

@@ -182,12 +182,82 @@ def test_loaders_and_warehouse_agree_on_every_line(cache_lines, sink_lines,
             key: SinkRecord.from_dict(json.loads(raw)) for key, raw in sink_rows}
         served = {job_hash: JobResult.from_dict(json.loads(raw)["result"])
                   for job_hash, raw in rows}
-        assert ResultCache(cache_path.parent)._index == served
+        cache = ResultCache(cache_path.parent)
+        assert len(cache) == len(served)
+        assert cache.get_many([hashed(job_hash) for job_hash in served]) == [
+            result.as_cached() for result in served.values()]
+
+
+def hashed(job_hash):
+    """A stand-in spec for a journal key that no real spec hashes to."""
+    return types.SimpleNamespace(content_hash=lambda: job_hash)
+
+
+# ----------------------------------------------------------------------
+# A cache-served sink line is written from the cache line's result text
+# ----------------------------------------------------------------------
+META = {"scenario": "tiny", "strategy": "ours", "engine": None, "seed": 0}
+
+
+def served_sink_line(tmp_path, monkeypatch, cache_line=None, **overrides):
+    """Write one cache line (``put``, or ``cache_line(record)`` by hand),
+    serve it from a fresh cache and append its sink line.  Returns the
+    record, the sink file's text and whether the append serialised the
+    result again instead of using the cache line's text."""
+    job = cache_spec(4)
+    result = JobResult.from_dict(result_dict(job_hash=job.content_hash(),
+                                             **overrides))
+    if cache_line is None:
+        ResultCache(tmp_path / "cache").put(job, result)
+    else:
+        record = {"hash": job.content_hash(), "schema": CACHE_SCHEMA_VERSION,
+                  "simulator": simulator_version(), "spec": job.to_dict(),
+                  "result": result.to_dict()}
+        (tmp_path / "cache").mkdir()
+        (tmp_path / "cache" / CACHE_FILE_NAME).write_text(cache_line(record) + "\n")
+    [served] = ResultCache(tmp_path / "cache").get_many([job])
+    assert served == result.as_cached()
+    sink_record = SinkRecord.of(job.content_hash(), "tiny", job, served, META)
+    calls = []
+    with monkeypatch.context() as patch:
+        to_dict = JobResult.to_dict
+        patch.setattr(JobResult, "to_dict",
+                      lambda self: calls.append(self) or to_dict(self))
+        ResultSink(tmp_path / "sink.jsonl").append(sink_record)
+    return sink_record, (tmp_path / "sink.jsonl").read_text(), bool(calls)
+
+
+class TestCacheServedSinkLine:
+    @pytest.mark.parametrize("cache_line, reserialised", [
+        (None, False),
+        (lambda record: json.dumps(record, separators=(",", ":")), True),
+        (lambda record: json.dumps(dict(reversed(record.items()))), True),
+    ], ids=["canonical", "compact", "unsorted"])
+    def test_the_sink_line_is_the_records_canonical_json(
+            self, tmp_path, monkeypatch, cache_line, reserialised):
+        record, written, again = served_sink_line(tmp_path, monkeypatch,
+                                                  cache_line)
+        assert written == json.dumps(record.to_dict(), sort_keys=True) + "\n"
+        assert again == reserialised
+
+    def test_a_counter_named_schema_takes_the_fallback(self, tmp_path,
+                                                       monkeypatch):
+        counters = {"cycles": 100.0, "schema": 2.0, "zeta": 1.0}
+        record, written, again = served_sink_line(tmp_path, monkeypatch,
+                                                  counters=counters)
+        assert again
+        assert written.count(', "schema": ') == 2
+        assert written == json.dumps(record.to_dict(), sort_keys=True) + "\n"
+        loaded = ResultSink(tmp_path / "sink.jsonl").load()[record.key]
+        assert loaded.to_dict() == record.to_dict()
 
 
 # ----------------------------------------------------------------------
 # Every crash point of every client
 # ----------------------------------------------------------------------
+CACHE_LWS = (1, 2, 4, 8, 16)
+
+
 def cache_spec(lws):
     return JobSpec(problem="vecadd", config=CONFIG, scale="smoke", local_size=lws)
 
@@ -224,7 +294,8 @@ class CacheClient:
         cache.put(*cache_entry(8))          # a cache batch is one record
 
     def load(self, path):
-        return ResultCache(path.parent)._index
+        cache = ResultCache(path.parent)
+        return len(cache), cache.get_many([cache_spec(lws) for lws in CACHE_LWS])
 
     def append(self, path):
         ResultCache(path.parent).put(*cache_entry(16))

@@ -245,6 +245,21 @@ class TestSinkResume:
             assert twin.meta == dict(record.meta)
             assert twin.spec["problem"] == "vecadd"
 
+    def test_a_cache_served_sink_is_byte_identical_to_the_simulated_one(
+            self, tmp_path):
+        # Both write each line as the record's canonical JSON; the served
+        # one takes its result text from the cache line the result came from.
+        scenario = tiny_scenario(strategies=("ours", "lws=1"))
+        cache = ResultCache(tmp_path / "cache")
+        Planner(CampaignRunner(cache=cache)).run(
+            scenario, SMOKE, sink=ResultSink(tmp_path / "simulated.jsonl"))
+        served = ResultCache(tmp_path / "cache")
+        run = Planner(CampaignRunner(cache=served)).run(
+            scenario, SMOKE, sink=ResultSink(tmp_path / "served.jsonl"))
+        assert served.misses == 0 and served.hits == run.stats.executed == 4
+        assert ((tmp_path / "served.jsonl").read_bytes()
+                == (tmp_path / "simulated.jsonl").read_bytes())
+
     def test_completed_run_resumes_without_executing(self, tmp_path):
         scenario = tiny_scenario()
         sink = ResultSink(tmp_path / "tiny.jsonl")
