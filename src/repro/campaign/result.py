@@ -15,7 +15,11 @@ produces: it rides the result back across the process boundary so the
 parent can merge it, and is stripped before anything touches the cache.
 A result the cache serves from a line :meth:`~repro.campaign.journal.Journal.append`
 wrote keeps that line's ``result`` text (:meth:`JobResult.to_json`), so a
-sink line for it is written without serialising the result again.
+sink line for it is written without serialising the result again.  Results
+are slotted, and :meth:`JobResult.from_dict` checks each field's type
+rather than coercing it (a ``"false"`` is not ``False``) and builds the
+object in one step: reading a journal line back costs little more than its
+``json.loads``.
 
 A :class:`JobFailure` captures one job's exception without aborting the
 campaign: the error string and formatted traceback travel back to the parent
@@ -25,13 +29,15 @@ so a single bad job cannot kill a thousand-point sweep.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
+from operator import itemgetter
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.sim.stats import PerfCounters
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobResult:
     """Summary of one successfully simulated job."""
 
@@ -54,6 +60,9 @@ class JobResult:
     from_cache: bool = False
     events: Optional[Tuple] = None        # trace events; in-memory only
     telemetry: Optional[Dict] = None      # worker recorder payload; in-memory only
+    # to_json()'s memo: not compared, and a replace() copy starts without it.
+    _json: Optional[str] = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def perf_counters(self) -> PerfCounters:
         """The counters as a :class:`PerfCounters` instance."""
@@ -70,7 +79,7 @@ class JobResult:
         with that line's own ``result`` text (see :meth:`from_dict`); a copy
         made by ``dataclasses.replace`` starts without it.
         """
-        text = self.__dict__.get("_json")
+        text = self._json
         if text is None:
             text = json.dumps(self.to_dict(), sort_keys=True)
             object.__setattr__(self, "_json", text)
@@ -107,34 +116,106 @@ class JobResult:
     @classmethod
     def from_dict(cls, data: Mapping[str, object], from_cache: bool = False,
                   text: Optional[str] = None) -> "JobResult":
-        """Inverse of :meth:`to_dict`.
+        """Inverse of :meth:`to_dict`, for JSON-decoded ``data``.
+
+        Each field is checked, not coerced: the str fields must be ``str``,
+        the int fields integers (a ``bool`` is not one), ``extrapolated`` a
+        ``bool``, ``lane_utilization`` and ``elapsed_seconds`` real numbers
+        (stored as ``float``) and ``counters`` a dict with ``str`` keys.
+        Anything else raises ``TypeError``, which both journal read rules
+        turn into a refused line.  The object is built in one step: each
+        slot is set once, and ``counters`` is copied once.
 
         ``text`` is the JSON ``data`` was parsed from, when the caller knows
         it is ``json.dumps(result.to_dict(), sort_keys=True)`` of the result
         built here; :meth:`to_json` then returns it as is.
         """
-        result = cls(
-            job_hash=str(data["job_hash"]),
-            problem=str(data["problem"]),
-            category=str(data["category"]),
-            config_name=str(data["config_name"]),
-            hardware_parallelism=int(data["hardware_parallelism"]),
-            global_size=int(data["global_size"]),
-            local_size=int(data["local_size"]),
-            num_workgroups=int(data["num_workgroups"]),
-            num_calls=int(data["num_calls"]),
-            cycles=int(data["cycles"]),
-            sim_cycles=int(data["sim_cycles"]),
-            overhead_cycles=int(data["overhead_cycles"]),
-            extrapolated=bool(data["extrapolated"]),
-            lane_utilization=float(data["lane_utilization"]),
-            counters={str(k): v for k, v in dict(data["counters"]).items()},
-            elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
-            from_cache=from_cache,
-        )
-        if text is not None:
-            object.__setattr__(result, "_json", text)
+        strs = _get_strs(data)
+        ints = _get_ints(data)
+        extrapolated = data["extrapolated"]
+        counters = data["counters"]
+        if not isinstance(counters, dict):
+            raise TypeError(f"counters: expected a dict, got {counters!r}")
+        counters = dict(counters)
+        try:
+            "".join(strs)         # a TypeError at the first item not a str
+            "".join(counters)
+        except TypeError:
+            raise TypeError("the str fields and the counter names must "
+                            "be str") from None
+        if not set(map(type, ints)) <= _INT:
+            ints = tuple(map(_integer, _INT_FIELDS, ints))
+        if type(extrapolated) is not bool:
+            raise TypeError(f"extrapolated: expected a bool, got {extrapolated!r}")
+        lane_utilization = _real("lane_utilization", data["lane_utilization"])
+        elapsed_seconds = _real("elapsed_seconds",
+                                data.get("elapsed_seconds", 0.0))
+
+        (set_job_hash, set_problem, set_category, set_config_name,
+         set_hardware_parallelism, set_global_size, set_local_size,
+         set_num_workgroups, set_num_calls, set_cycles, set_sim_cycles,
+         set_overhead_cycles, set_extrapolated, set_lane_utilization,
+         set_counters, set_elapsed_seconds, set_from_cache, set_events,
+         set_telemetry, set_json) = _SETTERS
+        result = object.__new__(cls)
+        set_job_hash(result, strs[0])
+        set_problem(result, strs[1])
+        set_category(result, strs[2])
+        set_config_name(result, strs[3])
+        set_hardware_parallelism(result, ints[0])
+        set_global_size(result, ints[1])
+        set_local_size(result, ints[2])
+        set_num_workgroups(result, ints[3])
+        set_num_calls(result, ints[4])
+        set_cycles(result, ints[5])
+        set_sim_cycles(result, ints[6])
+        set_overhead_cycles(result, ints[7])
+        set_extrapolated(result, extrapolated)
+        set_lane_utilization(result, lane_utilization)
+        set_counters(result, counters)
+        set_elapsed_seconds(result, elapsed_seconds)
+        set_from_cache(result, from_cache)
+        set_events(result, None)
+        set_telemetry(result, None)
+        set_json(result, text)
         return result
+
+
+#: The field layout :meth:`JobResult.from_dict` reads: str fields, then int
+#: fields, in declaration order.
+_STR_FIELDS = ("job_hash", "problem", "category", "config_name")
+_INT_FIELDS = ("hardware_parallelism", "global_size", "local_size",
+               "num_workgroups", "num_calls", "cycles", "sim_cycles",
+               "overhead_cycles")
+_get_strs = itemgetter(*_STR_FIELDS)
+_get_ints = itemgetter(*_INT_FIELDS)
+_INT = frozenset((int,))
+
+
+def slot_setters(cls: type) -> Tuple:
+    """Each field's slot setter of a frozen, slotted dataclass, in declaration
+    order: ``setter(obj, value)`` skips the frozen ``__setattr__``, so
+    ``from_dict`` sets each slot of an ``object.__new__`` instance once."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+_SETTERS = slot_setters(JobResult)
+
+
+def _integer(name: str, value: object) -> int:
+    """``value`` as an ``int`` when it is an integer and not a ``bool``."""
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    raise TypeError(f"{name}: expected an integer, got {value!r}")
+
+
+def _real(name: str, value: object) -> float:
+    """``value`` as a ``float`` when it is a real number and not a ``bool``."""
+    if type(value) is float:
+        return value
+    if isinstance(value, Real) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"{name}: expected a real number, got {value!r}")
 
 
 @dataclass(frozen=True)

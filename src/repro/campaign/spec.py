@@ -167,6 +167,12 @@ def config_from_dict(data: Mapping[str, object]) -> ArchConfig:
     return ArchConfig(timing_overrides=overrides, **kwargs)
 
 
+#: Content hashes memoised per process; the memo is cleared when it holds
+#: this many, so one-off specs (fuzzing, a long-lived service) never pile up.
+DIGEST_MEMO_SIZE = 2 ** 14
+_DIGESTS: Dict[tuple, str] = {}
+
+
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class JobSpec:
@@ -228,14 +234,28 @@ class JobSpec:
         Stable across processes, interpreter restarts and ``PYTHONHASHSEED``
         values (it never touches Python's builtin ``hash``).  The digest is
         memoised per instance: the runner consults it several times per job
-        (cache lookup, dedup grouping, write-back).
+        (cache lookup, dedup grouping, write-back).  It is also memoised per
+        process, keyed by every input of the payload: a re-planned grid
+        builds fresh specs for the same points (:data:`DIGEST_MEMO_SIZE`).
         """
         cached = self.__dict__.get("_content_hash")
         if cached is not None:
             return cached
-        canonical = canonical_json(
-            self._hash_fields(config_json(self.config, COMPACT)), COMPACT)
-        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        config = config_json(self.config, COMPACT)
+        inputs = (self.problem, self.scale, self.seed, self.size,
+                  self.local_size, self.call_simulation_limit,
+                  self.max_cycles_per_call)
+        # Every input of the payload, each value with its type (True == 1,
+        # but the two serialise differently).
+        key = (simulator_version(), CACHE_SCHEMA_VERSION, config, *inputs,
+               *map(type, inputs))
+        digest = _DIGESTS.get(key)
+        if digest is None:
+            canonical = canonical_json(self._hash_fields(config), COMPACT)
+            digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            if len(_DIGESTS) >= DIGEST_MEMO_SIZE:
+                _DIGESTS.clear()
+            _DIGESTS[key] = digest
         object.__setattr__(self, "_content_hash", digest)
         return digest
 

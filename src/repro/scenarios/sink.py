@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.campaign.journal import Journal, stamped_key
-from repro.campaign.result import JobResult
+from repro.campaign.result import JobResult, slot_setters
 from repro.campaign.spec import (CACHE_SCHEMA_VERSION, JobSpec, RawJSON,
                                  canonical_json, simulator_version)
 from repro.telemetry.recorder import RECORDER
@@ -94,7 +94,7 @@ class SpecFields(Mapping):
         return repr(self._dict())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SinkRecord:
     """One completed grid point: the spec that named it plus its result.
 
@@ -151,15 +151,21 @@ class SinkRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SinkRecord":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            key=str(data["key"]),
-            job_hash=str(data["hash"]),
-            scenario=str(data["scenario"]),
-            result=JobResult.from_dict(data["result"]),
-            spec=dict(data.get("spec", {})),
-            meta=dict(data.get("meta", {})),
-        )
+        """Inverse of :meth:`to_dict`, built in one step like
+        :meth:`JobResult.from_dict` (whose checks the result gets)."""
+        set_key, set_job_hash, set_scenario, set_result, set_spec, set_meta = (
+            _SETTERS)
+        record = object.__new__(cls)
+        set_key(record, str(data["key"]))
+        set_job_hash(record, str(data["hash"]))
+        set_scenario(record, str(data["scenario"]))
+        set_result(record, JobResult.from_dict(data["result"]))
+        set_spec(record, dict(data.get("spec", {})))
+        set_meta(record, dict(data.get("meta", {})))
+        return record
+
+
+_SETTERS = slot_setters(SinkRecord)
 
 
 def read_sink_line(record: Mapping, end: int, text: str,

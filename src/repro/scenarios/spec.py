@@ -97,10 +97,15 @@ class PlannedJob:
 
         The content hash deliberately ignores the engine (the engines are
         bit-identical), so a scenario that compares engines must distinguish
-        the two executions of one point here.
+        the two executions of one point here.  Memoised per instance, like
+        the content hash: the planner asks for it several times per job.
         """
-        digest = self.spec.content_hash()
-        return digest if self.engine is None else f"{self.engine}:{digest}"
+        key = self.__dict__.get("_key")
+        if key is None:
+            digest = self.spec.content_hash()
+            key = digest if self.engine is None else f"{self.engine}:{digest}"
+            object.__setattr__(self, "_key", key)
+        return key
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from repro.campaign import (
 )
 from repro.campaign.cache import CACHE_DIR_ENV, default_cache_dir, read_cache_line
 from repro.campaign.journal import Journal
+from repro.campaign import spec as spec_module
 from repro.campaign.spec import COMPACT, LINE, RawJSON, canonical_json
 from repro.isa.latencies import FunctionalUnit, OpTiming
 from repro.isa.opcodes import Opcode
@@ -101,6 +102,28 @@ class TestJobSpec:
         before = spec().content_hash()
         monkeypatch.setattr(repro, "__version__", "999.0.0")
         assert spec().content_hash() != before
+
+    def test_hash_depends_on_schema_version(self, monkeypatch):
+        before = spec().content_hash()
+        monkeypatch.setattr(spec_module, "CACHE_SCHEMA_VERSION",
+                            CACHE_SCHEMA_VERSION + 1)
+        assert spec().content_hash() != before
+
+    def test_hash_memo_tells_equal_values_of_other_types_apart(self):
+        # 1 == True == 1.0, but each serialises differently.
+        hashes = {spec(seed=seed).content_hash() for seed in (1, True, 1.0)}
+        assert len(hashes) == 3
+        assert spec(seed=True).content_hash() == hashlib.sha256(json.dumps(
+            spec(seed=True).hash_payload(), sort_keys=True,
+            separators=COMPACT).encode("utf-8")).hexdigest()
+
+    def test_hash_memo_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(spec_module, "_DIGESTS", {})
+        monkeypatch.setattr(spec_module, "DIGEST_MEMO_SIZE", 8)
+        for size in range(50):
+            spec(size=size).content_hash()
+            assert len(spec_module._DIGESTS) <= 8
+        assert spec_module._DIGESTS
 
     def test_spec_round_trips_through_dict(self):
         original = spec(local_size=4, call_simulation_limit=3, label="x",

@@ -5,9 +5,12 @@ Three kinds of check:
 
 * the loaders survive lines their rule refuses (a queue transition with a
   bad ``time``, a cache key that cannot be hashed) instead of crashing;
+* a result field of the wrong type (``"extrapolated": "false"``,
+  ``"cycles": "1204"``, ...) is refused by both read rules, not coerced;
 * a property test over a grammar of cache and sink lines -- good,
   superseded, from another version, a stamp of the wrong type, an
-  unhashable key, not JSON, blank, a torn tail -- shows that after a
+  unhashable key, a result field of the wrong type, not JSON, blank, a
+  torn tail -- shows that after a
   warehouse sync the loaders and the warehouse serve the same records,
   every refused line is counted as skipped, and parity holds;
 * every crash point of every client: the last batch of each journal is
@@ -19,16 +22,22 @@ import json
 import os
 import tempfile
 import types
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign import CACHE_SCHEMA_VERSION, JobResult, JobSpec, ResultCache
-from repro.campaign.cache import CACHE_FILE_NAME
+from repro.campaign.cache import CACHE_FILE_NAME, read_cache_line
 from repro.campaign.spec import simulator_version
-from repro.scenarios import ResultSink, SinkRecord
+from repro.campaign.runner import CampaignRunner
+from repro.scenarios import (REGISTRY, Planner, ResultSink, ScenarioContext,
+                             SinkRecord)
+from repro.scenarios.sink import read_sink_line
 from repro.service import JobQueue, validate_request
 from repro.sim.config import ArchConfig
 from repro.telemetry import Recorder, flush, iter_telemetry_records
@@ -91,11 +100,47 @@ class TestRefusedLines:
 
 
 # ----------------------------------------------------------------------
+# A result field of the wrong type is refused, not coerced
+# ----------------------------------------------------------------------
+#: ``(field, value)`` of a journal line's result that ``JobResult.from_dict``
+#: used to coerce (``bool("false")`` is ``True``, ``int("1204")`` is 1204).
+WRONG_RESULTS = [("extrapolated", "false"), ("extrapolated", 0),
+                 ("cycles", "1204"), ("cycles", True), ("cycles", 1204.0),
+                 ("problem", 7), ("job_hash", None),
+                 ("lane_utilization", "0.5"), ("lane_utilization", True),
+                 ("elapsed_seconds", "0.01"),
+                 ("counters", [["cycles", 1.0]])]
+
+
+@pytest.mark.parametrize("field, value", WRONG_RESULTS)
+def test_a_result_field_of_the_wrong_type_is_refused(field, value):
+    for rule, record in ((read_cache_line, cache_record("k0")),
+                         (partial(read_cache_line, keep_text=True),
+                          cache_record("k0")),
+                         (read_sink_line, sink_line("k0", "h0"))):
+        assert rule(record, 0, json.dumps(record, sort_keys=True)) is not None
+        record["result"][field] = value
+        text = json.dumps(record, sort_keys=True)
+        assert rule(json.loads(text), len(text), text) is None
+
+
+def test_from_dict_checks_what_json_cannot_write():
+    with pytest.raises(TypeError):
+        JobResult.from_dict(result_dict(counters={1: 2.0}))
+    integral = JobResult.from_dict(result_dict(
+        cycles=np.int64(7), lane_utilization=np.float32(0.5),
+        elapsed_seconds=1))
+    assert type(integral.cycles) is int and integral.cycles == 7
+    assert type(integral.lane_utilization) is float
+    assert type(integral.elapsed_seconds) is float
+
+
+# ----------------------------------------------------------------------
 # The loaders and the warehouse agree on every line
 # ----------------------------------------------------------------------
-GOOD, SUPERSEDED, OTHER_VERSION, WRONG_TYPE, UNHASHABLE, NOT_JSON, BLANK = (
-    "good", "superseded", "other-version", "wrong-type", "unhashable",
-    "not-json", "blank")
+(GOOD, SUPERSEDED, OTHER_VERSION, WRONG_TYPE, UNHASHABLE, WRONG_RESULT,
+ NOT_JSON, BLANK) = ("good", "superseded", "other-version", "wrong-type",
+                     "unhashable", "wrong-result", "not-json", "blank")
 WRONG_TYPES = [("schema", str(CACHE_SCHEMA_VERSION)), ("schema", True),
                ("schema", float(CACHE_SCHEMA_VERSION)), ("simulator", 1),
                ("simulator", None), ("key", 7)]
@@ -103,8 +148,8 @@ UNHASHABLES = [("key", ["x"]), ("simulator", {"v": 1}), ("schema", [1])]
 
 journal_lines = st.lists(st.tuples(
     st.sampled_from((GOOD, SUPERSEDED, OTHER_VERSION, WRONG_TYPE, UNHASHABLE,
-                     NOT_JSON, BLANK)),
-    st.integers(0, 5)), max_size=10)
+                     WRONG_RESULT, NOT_JSON, BLANK)),
+    st.integers(0, 2 * len(WRONG_RESULTS))), max_size=10)
 
 
 def build_journal(path, kind, lines, torn):
@@ -137,6 +182,11 @@ def build_journal(path, kind, lines, torn):
             text += '{"hash": "k0", not json\n'
         elif line_kind == BLANK:
             text += "\n"
+        elif line_kind == WRONG_RESULT:
+            data = record(keys[pick % len(keys)] if keys else "k0", cycles)
+            field, value = WRONG_RESULTS[pick % len(WRONG_RESULTS)]
+            data["result"][field] = value
+            text += line(data)
         else:
             # Same key as a served record: a refused line must not shadow it.
             data = record(keys[pick % len(keys)] if keys else "k0", cycles)
@@ -157,6 +207,8 @@ def build_journal(path, kind, lines, torn):
 @given(cache_lines=journal_lines, sink_lines=journal_lines,
        torn=st.integers(0, 7))
 @example(cache_lines=[], sink_lines=[(GOOD, 0), (WRONG_TYPE, 0)], torn=0)
+@example(cache_lines=[(GOOD, 0), (WRONG_RESULT, 0)],
+         sink_lines=[(GOOD, 0), (WRONG_RESULT, 2)], torn=0)
 def test_loaders_and_warehouse_agree_on_every_line(cache_lines, sink_lines,
                                                    torn):
     with tempfile.TemporaryDirectory() as scratch:
@@ -192,6 +244,78 @@ def test_loaders_and_warehouse_agree_on_every_line(cache_lines, sink_lines,
 def hashed(job_hash):
     """A stand-in spec for a journal key that no real spec hashes to."""
     return types.SimpleNamespace(content_hash=lambda: job_hash)
+
+
+# ----------------------------------------------------------------------
+# Records built in one step read back as the constructor builds them
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def scaling_journals(tmp_path_factory):
+    """The cache and sink journals of a smoke ``scaling`` run."""
+    root = tmp_path_factory.mktemp("scaling")
+    Planner(CampaignRunner(cache=ResultCache(root / "cache"))).run(
+        REGISTRY.get("scaling"), ScenarioContext(scale="smoke"),
+        sink=ResultSink(root / "scaling-smoke.jsonl"))
+    return root / "cache" / CACHE_FILE_NAME, root / "scaling-smoke.jsonl"
+
+
+def result_text(text):
+    """The ``result`` JSON of a line ``Journal.append`` wrote."""
+    return text[text.index('"result": ') + len('"result": '):
+                text.rindex(', "schema": ')]
+
+
+def check_text_memo(result, text):
+    """``to_json`` answers with ``text`` when given, serialises otherwise,
+    and a copy starts without it."""
+    assert result.to_json() == (
+        text if text is not None
+        else json.dumps(result.to_dict(), sort_keys=True))
+    assert replace(result) == result
+    assert replace(result)._json is None
+    assert result.as_cached()._json is None
+    assert not hasattr(result, "__dict__")
+
+
+def test_every_cache_line_reads_back_as_the_constructor_builds_it(
+        scaling_journals):
+    cache_path, _ = scaling_journals
+    lines = cache_path.read_text().splitlines()
+    assert lines
+    for text in lines:
+        record = json.loads(text)
+        built = JobResult(**record["result"], from_cache=True)
+        for keep_text in (True, False):
+            key, result = read_cache_line(record, len(text), text,
+                                          keep_text=keep_text)
+            assert key == (record["hash"], simulator_version(),
+                           CACHE_SCHEMA_VERSION)
+            assert result == built
+            cut = result_text(text) if keep_text else None
+            assert cut is None or cut == json.dumps(record["result"],
+                                                    sort_keys=True)
+            assert result._json == cut
+            check_text_memo(result, cut)
+
+
+def test_every_sink_line_reads_back_as_the_constructor_builds_it(
+        scaling_journals):
+    _, sink_path = scaling_journals
+    lines = sink_path.read_text().splitlines()
+    assert lines
+    for text in lines:
+        record = json.loads(text)
+        key, loaded = read_sink_line(record, len(text), text)
+        assert key == (record["key"], simulator_version(), CACHE_SCHEMA_VERSION)
+        assert loaded == SinkRecord(
+            key=record["key"], job_hash=record["hash"],
+            scenario=record["scenario"],
+            result=JobResult(**record["result"]), spec=record["spec"],
+            meta=record["meta"])
+        assert not hasattr(loaded, "__dict__")
+        assert loaded.result._json is None
+        check_text_memo(loaded.result, None)
+        assert loaded.to_line() == text
 
 
 # ----------------------------------------------------------------------

@@ -7,15 +7,17 @@ against what the pre-refactor experiment drivers submitted and returned
 (frozen in ``tests/golden/experiments_smoke.json``).
 """
 
+import hashlib
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.runner import CampaignRunner
+from repro.campaign.spec import COMPACT
 from repro.experiments.ablation import boundedness_record_from_job
 from repro.experiments.claims import evaluate_claims
 from repro.experiments.figure1 import summarize_figure1_launch
@@ -206,6 +208,22 @@ class TestPlanner:
         run = Planner().run(scenario, SMOKE)
         assert [j.engine for j in run.plan][:2] == ["fast", "reference"]
         assert [r.key for r in run.records] == [j.key() for j in run.plan]
+
+    def test_memoised_keys_and_hashes_equal_a_fresh_composition(self):
+        # Planned twice: the second plan's fresh specs hit the per-process
+        # digest memo, and every key is asked for twice.
+        planner = Planner()
+        for plan in (planner.plan(REGISTRY.get("figure2"), SMOKE),
+                     planner.plan(REGISTRY.get("figure2"), SMOKE)):
+            assert plan
+            for job in plan:
+                digest = hashlib.sha256(json.dumps(
+                    job.spec.hash_payload(), sort_keys=True,
+                    separators=COMPACT).encode("utf-8")).hexdigest()
+                assert job.spec.content_hash() == digest
+                assert job.key() == job.key() == digest
+                pinned = replace(job, engine="reference")
+                assert pinned.key() == pinned.key() == f"reference:{digest}"
 
 
 # ----------------------------------------------------------------------
