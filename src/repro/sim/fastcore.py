@@ -65,6 +65,7 @@ from repro.sim.memory.hierarchy import MemoryHierarchy
 from repro.sim.memory.mainmem import MainMemory
 from repro.sim.scheduler import RoundRobinScheduler
 from repro.sim.stats import PerfCounters
+from repro.sim.warp import lanes_of
 from repro.telemetry.recorder import RECORDER
 
 _UNIT_INDEX = {unit: index for index, unit in enumerate(FunctionalUnit)}
@@ -226,8 +227,9 @@ def _compile(instr: Instruction, config: ArchConfig, lists: bool = False) -> Cal
     if spec.lane is not None:
         if not spec.srcs:
             dst, value = instr.dst, spec.lane(instr.imm)
-            fill = _fill_list if lists else _fill_lanes
-            return lambda core, warp, cycle: fill(warp, dst, value)
+            if lists:
+                return _c_fill_list(dst, value)
+            return lambda core, warp, cycle: _fill_lanes(warp, dst, value)
         if spec.lane is checked_fdiv and not lists:
             return _c_fdiv(instr)
         if lists or spec.rows is None:
@@ -240,8 +242,7 @@ def _compile(instr: Instruction, config: ArchConfig, lists: bool = False) -> Cal
     if opcode in (O.LOAD, O.STORE):
         return _c_memory(instr, config, lists)
     if opcode in (O.SPLIT, O.LOOP_END):
-        build = _c_split if opcode is O.SPLIT else _c_loop_end
-        return build(instr, _list_nonzero_mask if lists else _nonzero_mask)
+        return (_c_split if opcode is O.SPLIT else _c_loop_end)(instr, lists)
     if opcode in _PARKING:
         base, drains = _PARKING[opcode]
 
@@ -273,7 +274,7 @@ def _compile(instr: Instruction, config: ArchConfig, lists: bool = False) -> Cal
 # array ``warp.sel``.
 # ----------------------------------------------------------------------
 def _c_lanes(instr: Instruction, fn: Callable) -> Callable:
-    """``dst <- fn(srcs)`` lane by lane (0 sources: :func:`_fill_list`)."""
+    """``dst <- fn(srcs)`` lane by lane (0 sources: :func:`_c_fill_list`)."""
     dst = instr.dst
     srcs = instr.srcs
     if len(srcs) == 1:
@@ -322,18 +323,19 @@ def _c_lanes(instr: Instruction, fn: Callable) -> Callable:
     return run
 
 
-def _fill_list(warp, dst: int, value: float) -> None:
-    """``dst <- value`` on a list warp's active lanes (LI, uniform CSRs)."""
-    row = warp.rows[dst]
-    mask = warp.active_mask
-    if mask == 1:
-        row[0] = value
-    elif mask == 3:
-        row[0] = row[1] = value
-    else:
-        for lane in warp.active_lanes():
-            row[lane] = value
-    warp.pc += 1
+def _c_fill_list(dst: int, value: float) -> Callable:
+    """``dst <- value`` on a list warp's active lanes (LI)."""
+    def run(core, warp, cycle):
+        row, mask = warp.rows[dst], warp.active_mask
+        if mask == 1:
+            row[0] = value
+        elif mask == 3:
+            row[0] = row[1] = value
+        else:
+            for lane in warp.active_lanes():
+                row[lane] = value
+        warp.pc += 1
+    return run
 
 
 def _c_binary(instr: Instruction, np_fn: Callable) -> Callable:
@@ -478,18 +480,39 @@ def _c_csrr(instr: Instruction, lists: bool) -> Callable:
             warp.pc += 1
         return run
 
-    fill = _fill_list if lists else _fill_lanes
     attr = _UNIFORM_CSR_ATTRS.get(csr_number)
-    if attr is not None:
-        return lambda core, warp, cycle: fill(
-            warp, dst, float(getattr(warp.csr, attr)))
+    slot = None
     if Csr.ARG_BASE <= csr_number < Csr.ARG_BASE + NUM_ARG_SLOTS:
         slot = csr_number - Csr.ARG_BASE
-        return lambda core, warp, cycle: fill(
+    if lists:
+        # The value read and :func:`_c_fill_list`'s fill, in one frame.
+        def run(core, warp, cycle):
+            csr = warp.csr
+            if attr is not None:
+                value = float(getattr(csr, attr))
+            elif slot is not None:
+                value = float(csr.args.get(slot, 0.0))
+            else:
+                value = csr.read(csr_number, 0)     # unknown: raises
+            row, mask = warp.rows[dst], warp.active_mask
+            if mask == 1:
+                row[0] = value
+            elif mask == 3:
+                row[0] = row[1] = value
+            else:
+                for lane in warp.active_lanes():
+                    row[lane] = value
+            warp.pc += 1
+        return run
+    if attr is not None:
+        return lambda core, warp, cycle: _fill_lanes(
+            warp, dst, float(getattr(warp.csr, attr)))
+    if slot is not None:
+        return lambda core, warp, cycle: _fill_lanes(
             warp, dst, float(warp.csr.args.get(slot, 0.0)))
     # Unknown CSR: read() raises exactly like the reference's per-lane read
     # would.
-    return lambda core, warp, cycle: fill(
+    return lambda core, warp, cycle: _fill_lanes(
         warp, dst, warp.csr.read(csr_number, 0))
 
 
@@ -648,23 +671,31 @@ def _nonzero_mask(warp, cond_reg: int) -> int:
     return int.from_bytes(packed.tobytes(), "little") & warp.active_mask
 
 
-def _list_nonzero_mask(warp, cond_reg: int) -> int:
-    """:func:`_nonzero_mask` on a list warp: one comparison per active lane."""
-    row = warp.rows[cond_reg]
-    mask = 0
-    for lane in warp.active_lanes():
+def _list_nonzero(row: List[float], mask: int) -> int:
+    """:func:`_nonzero_mask` on a list warp's row, for a mask other than 1
+    and 3 (the masks :func:`_c_split` and :func:`_c_loop_end` test inline)."""
+    nonzero = 0
+    for lane in lanes_of(mask):
         if row[lane] != 0.0:
-            mask |= 1 << lane
-    return mask
+            nonzero |= 1 << lane
+    return nonzero
 
 
-def _c_split(instr: Instruction, nonzero_mask: Callable) -> Callable:
+def _c_split(instr: Instruction, lists: bool) -> Callable:
     (cond_reg,) = instr.srcs
     else_pc, join_pc = instr.target, instr.target2
 
     def run(core, warp, cycle):
-        taken = nonzero_mask(warp, cond_reg)
         full = warp.active_mask
+        if not lists:
+            taken = _nonzero_mask(warp, cond_reg)
+        elif full == 1:
+            taken = 1 if warp.rows[cond_reg][0] != 0.0 else 0
+        elif full == 3:
+            row = warp.rows[cond_reg]
+            taken = (row[0] != 0.0) | (row[1] != 0.0) << 1
+        else:
+            taken = _list_nonzero(warp.rows[cond_reg], full)
         not_taken = full & ~taken
         if taken and not_taken:
             warp.simt_stack.append(("else", not_taken, full, else_pc, join_pc))
@@ -680,14 +711,23 @@ def _c_split(instr: Instruction, nonzero_mask: Callable) -> Callable:
     return run
 
 
-def _c_loop_end(instr: Instruction, nonzero_mask: Callable) -> Callable:
+def _c_loop_end(instr: Instruction, lists: bool) -> Callable:
     (cond_reg,) = instr.srcs
     target = instr.target
 
     def run(core, warp, cycle):
-        alive = nonzero_mask(warp, cond_reg)
+        full = warp.active_mask
+        if not lists:
+            alive = _nonzero_mask(warp, cond_reg)
+        elif full == 1:
+            alive = 1 if warp.rows[cond_reg][0] != 0.0 else 0
+        elif full == 3:
+            row = warp.rows[cond_reg]
+            alive = (row[0] != 0.0) | (row[1] != 0.0) << 1
+        else:
+            alive = _list_nonzero(warp.rows[cond_reg], full)
         if alive:
-            if alive != warp.active_mask:
+            if alive != full:
                 core.counters.divergent_branches += 1
             warp.active_mask = alive
             warp.pc = target

@@ -17,7 +17,7 @@ import pytest
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OPS, Opcode
 from repro.isa.program import Program
-from repro.isa.registers import Csr, CsrFile
+from repro.isa.registers import NUM_ARG_SLOTS, Csr, CsrFile
 from repro.sim import batchcore
 from repro.sim.config import ArchConfig
 from repro.sim.engine import ENGINES
@@ -38,26 +38,28 @@ def _program(*instructions, registers=6):
                         labels={}, num_registers=registers)
 
 
-def _launches(config, active_lanes, warps):
+def _launches(config, active_lanes, warps, args=None):
     """``warps`` warps of ``active_lanes`` lanes on every core of ``config``."""
     return [
         WarpLaunch(core_id, warp_id, CsrFile(
             num_threads=config.threads_per_warp, num_warps=config.warps_per_core,
             num_cores=config.cores, warp_id=warp_id, core_id=core_id,
             workgroup_ids=[float(lane) for lane in range(active_lanes)],
-            local_counts=[1.0] * active_lanes), active_lanes)
+            local_counts=[1.0] * active_lanes, args=dict(args or {})),
+            active_lanes)
         for core_id in range(config.cores) for warp_id in range(warps)]
 
 
 def _outcome(engine, program, active_lanes, config=CONFIG, warps=1,
-             memory_words=MEMORY_WORDS, memory=None):
+             memory_words=MEMORY_WORDS, memory=None, args=None):
     """Everything observable about one kernel call: ``(cycles, counters,
     memory bytes)``, or ``("raised", type, message)``.  Memory starts as
-    ``memory`` or, by default, ``0.5, 1.5, ...``."""
+    ``memory`` or, by default, ``0.5, 1.5, ...``; ``args`` are the scalar
+    arguments by slot."""
     gpu = Gpu(config, memory_words=memory_words, engine=engine)
     gpu.memory.write_block(0, np.arange(memory_words, dtype=np.float64) + 0.5
                            if memory is None else memory)
-    launches = _launches(config, active_lanes, warps)
+    launches = _launches(config, active_lanes, warps, args)
     try:
         result = gpu.run_call(program, launches)
     except Exception as error:      # noqa: BLE001 - the outcome *is* the error
@@ -332,3 +334,19 @@ def test_every_lane_opcode_on_list_registers_matches_the_reference(opcode):
                                  memory=memory)
             fast = _outcome("fast", program, lanes, config=config, memory=memory)
             assert fast == reference, (threads, lanes, program, memory)
+
+
+@pytest.mark.parametrize("csr", list(Csr) + [Csr.ARG_BASE + 1,
+                                             Csr.ARG_BASE + NUM_ARG_SLOTS - 1,
+                                             Csr.ARG_BASE + NUM_ARG_SLOTS])
+def test_every_csr_read_on_list_registers_matches_the_reference(csr):
+    """Each CSR read, stored per lane: hardware CSRs, a set and an unset
+    argument slot, and a number past the argument window (both engines
+    raise)."""
+    program = _program(Instruction(O.CSRR, dst=0, imm=int(csr)),
+                       Instruction(O.CSRR, dst=1, imm=Csr.THREAD_ID),
+                       Instruction(O.STORE, srcs=(0, 1), imm=8))
+    for lanes in (1, 2, 3):
+        outcomes = [_outcome(engine, program, lanes, args={1: 2.5})
+                    for engine in ("reference", "fast")]
+        assert outcomes[0] == outcomes[1], (csr, lanes)
